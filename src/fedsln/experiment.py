@@ -52,6 +52,8 @@ from .graphs import (
 from .neural import (
     MetricsReport,
     ModelParams,
+    NonFiniteParamsError,
+    check_finite,
     epochs_to_steps,
     evaluate,
     init_params,
@@ -212,9 +214,27 @@ def run_method(
     *,
     max_workers: int | None = None,
 ) -> MethodOutcome:
-    """Train one regime for one seed and score every client's test split."""
+    """Train one regime for one seed and score every client's test split.
+
+    A model that diverges to non-finite parameters stops the run with a
+    StageError tagged train:<method>. Its message names the seed and, for
+    the federated methods, the round and the client.
+    """
     if method not in cfg.train:
         raise ValueError(f"unknown method {method!r}")
+    try:
+        return _run_method(method, datasets, cfg, seed, max_workers)
+    except NonFiniteParamsError as exc:
+        raise StageError(f"train:{method}", f"seed {seed}: {exc}") from exc
+
+
+def _run_method(
+    method: str,
+    datasets: Sequence[ClientDataset],
+    cfg: ExperimentConfig,
+    seed: int,
+    max_workers: int | None,
+) -> MethodOutcome:
     tcfg = with_seed(replace(cfg.train[method], hidden_sizes=cfg.hidden_sizes), seed)
     if method == "centralized":
         pooled_std, pooled_x, pooled_y = pool_training_data(datasets)
@@ -232,6 +252,7 @@ def run_method(
             steps=epochs_to_steps(pooled.size, tcfg.batch_size, tcfg.epochs),
             flags=flags,
         )
+        check_finite(params, "the centralized model")
         reports = {
             d.client_id: evaluate(params, pooled_std.transform(d.raw_test_x), d.test_y)
             for d in datasets
@@ -258,6 +279,8 @@ def run_method(
         outcome = run_fedala(clients, tcfg, max_workers=max_workers)
     else:
         raise ValueError(f"unknown method {method!r}")
+    for cid, params in sorted(outcome.client_params.items()):
+        check_finite(params, f"client {cid}'s personalized model")
     ala_weights = None
     if method == "fedala":
         ala_weights = {

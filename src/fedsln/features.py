@@ -13,6 +13,7 @@ degree >= 2, so log never sees 1.
 from __future__ import annotations
 
 import math
+from itertools import chain
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -145,10 +146,13 @@ def build_examples(tp: TemporalPair, pairs: Sequence[Pair]) -> list[PairExample]
 
 def to_arrays(examples: Sequence[PairExample]) -> tuple[np.ndarray, np.ndarray]:
     """Feature matrix (m, 6) and label vector (m,), both float64."""
-    x = np.array([ex.features for ex in examples], dtype=np.float64).reshape(
-        len(examples), N_FEATURES
-    )
-    y = np.array([ex.label for ex in examples], dtype=np.float64)
+    m = len(examples)
+    x = np.fromiter(
+        chain.from_iterable(ex.features for ex in examples),
+        dtype=np.float64,
+        count=m * N_FEATURES,
+    ).reshape(m, N_FEATURES)
+    y = np.fromiter((ex.label for ex in examples), dtype=np.float64, count=m)
     return x, y
 
 

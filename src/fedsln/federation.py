@@ -21,7 +21,7 @@ from .neural import (
     BatchStream,
     ModelParams,
     TrainConfig,
-    combine,
+    check_finite,
     init_params,
     mean_loss,
     params_checksum,
@@ -33,6 +33,7 @@ __all__ = [
     "ClientState",
     "RoundRecord",
     "aggregate",
+    "aggregate_round",
     "history_to_csv",
     "local_round",
     "make_clients",
@@ -116,18 +117,46 @@ def local_round(
     return client.params
 
 
-def aggregate(local_params: Sequence[ModelParams], sizes: Sequence[int]) -> ModelParams:
-    """Dataset-size weighted average of parameter structures."""
+def aggregate(
+    local_params: Sequence[ModelParams],
+    sizes: Sequence[int],
+    *,
+    round_index: int | None = None,
+    client_ids: Sequence[int] | None = None,
+) -> ModelParams:
+    """Dataset-size weighted average of parameter structures.
+
+    Every local model is checked for NaN and infinite entries first; the
+    error names the round and the client (its id when client_ids is
+    given, else its position).
+    """
     if len(local_params) == 0:
         raise ValueError("nothing to aggregate")
     if len(local_params) != len(sizes):
         raise ValueError("one size per parameter structure required")
     if any(s <= 0 for s in sizes):
         raise ValueError("aggregation sizes must be positive")
+    dims = local_params[0].layer_dims
+    ids = range(len(local_params)) if client_ids is None else client_ids
+    where = "" if round_index is None else f"round {round_index}: "
+    for cid, params in zip(ids, local_params):
+        if params.layer_dims != dims:
+            raise ValueError("parameter structures do not match")
+        check_finite(params, f"{where}client {cid}")
     total = float(sum(sizes))
-    coefs = [s / total for s in sizes]
-    return combine(
-        lambda *arrays: sum(c * a for c, a in zip(coefs, arrays)), *local_params
+    mean = sum(s / total * params.flat for s, params in zip(sizes, local_params))
+    return ModelParams(mean, dims)
+
+
+def aggregate_round(
+    clients: Sequence[ClientState], local_params: Sequence[ModelParams], round_index: int
+) -> ModelParams:
+    """aggregate() over one round's clients, weighted by train-split size."""
+    return aggregate(
+        local_params,
+        [c.size for c in clients],
+        round_index=round_index,
+        client_ids=[c.client_id for c in clients],
     )
 
 
@@ -179,7 +208,7 @@ def run_fedavg(
         for client in clients:
             synchronize(client, global_params)
         local = _local_rounds(clients, config, max_workers, flags)
-        global_params = aggregate(local, [c.size for c in clients])
+        global_params = aggregate_round(clients, local, k)
         losses = {
             c.client_id: mean_loss(c.params, c.train_x, c.train_y) for c in clients
         }

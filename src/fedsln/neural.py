@@ -1,9 +1,31 @@
 """Dense feedforward binary classifier trained with mini-batch SGD.
 
-Parameters live as explicit float64 numpy arrays so federated averaging,
-elementwise blending, and meta-gradient arithmetic stay transparent. The
-default architecture is 6 -> 32 -> 16 -> 1 with softplus hidden units
-and a sigmoid output head; weights start Glorot-uniform, biases at zero.
+The default architecture is 6 -> 32 -> 16 -> 1 with softplus hidden
+units and a sigmoid output head; weights start Glorot-uniform, biases at
+zero.
+
+Parameters live in one contiguous float64 vector, `ModelParams.flat`,
+laid out exactly as the checkpoint stores them: per layer, row-major
+weights then biases. `ModelParams.layers` hands out per-layer views into
+that vector, so writing through a view changes the model. SGD steps,
+federated averaging, the meta-step and the blend of the top layers are
+each one vector expression over the buffer (or over its tail, which
+holds the top layers).
+
+In `gradient`, each hidden layer computes e = exp(-|z|) once and takes
+both the softplus, max(z, 0) + log1p(e), and its derivative, the
+sigmoid, 1/(1+e) for z >= 0 and e/(1+e) for z < 0, from it. `forward`
+applies np.logaddexp(0, z) in place on the fresh pre-activation. The two
+softplus forms agree to an ulp, but numpy's vectorized exp and the
+scalar exp inside logaddexp can differ in the last bit, and reported
+scores keep the logaddexp bits so that exact ties between test scores,
+which count half in the AUC, stay where an outside recomputation with
+logaddexp puts them.
+
+Finiteness is not checked when a ModelParams is built. It is checked
+where a diverged model could leave the program: federation.aggregate
+checks every client's model once per round, experiment.run_method checks
+the models it returns, and load_checkpoint rejects non-finite bytes.
 
 Checkpoint layout (little-endian, self-describing):
 
@@ -18,11 +40,12 @@ Checkpoint layout (little-endian, self-describing):
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy.special import expit
@@ -37,16 +60,20 @@ __all__ = [
     "DenseLayer",
     "MetricsReport",
     "ModelParams",
+    "NonFiniteParamsError",
     "TrainConfig",
     "UndefinedAucError",
     "auc",
     "bce_loss",
-    "combine",
+    "check_finite",
     "epochs_to_steps",
     "evaluate",
+    "flat_size",
+    "flatten_layers",
     "forward",
     "gradient",
     "init_params",
+    "layer_views",
     "load_checkpoint",
     "mean_loss",
     "params_checksum",
@@ -64,58 +91,118 @@ class UndefinedAucError(ValueError):
     """Raised when a score sample contains only one class."""
 
 
+class NonFiniteParamsError(ValueError):
+    """Raised when a model holds NaN or infinite parameters."""
+
+
 class DenseLayer(NamedTuple):
     weights: np.ndarray  # (fan_out, fan_in)
     biases: np.ndarray  # (fan_out,)
 
 
+@functools.lru_cache(maxsize=None)
+def _layout(dims: tuple[int, ...]) -> tuple[tuple[int, int, int, int, int], ...]:
+    """Per layer (weights start, biases start, end, fan_out, fan_in)."""
+    if len(dims) < 2:
+        raise ValueError("a model needs at least one layer")
+    if any(d < 1 for d in dims):
+        raise ValueError(f"layer dimensions must be positive, got {dims}")
+    spans = []
+    start = 0
+    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+        bias = start + fan_out * fan_in
+        spans.append((start, bias, bias + fan_out, fan_out, fan_in))
+        start = bias + fan_out
+    return tuple(spans)
+
+
+def flat_size(dims: Sequence[int]) -> int:
+    """Length of the flat buffer for layer dims (input, out_1, ..., out_L)."""
+    return _layout(tuple(dims))[-1][2]
+
+
+def layer_views(flat: np.ndarray, dims: Sequence[int]) -> list[DenseLayer]:
+    """Per-layer (weights, biases) views into a flat buffer."""
+    return [
+        DenseLayer(flat[w:b].reshape(fan_out, fan_in), flat[b:end])
+        for w, b, end, fan_out, fan_in in _layout(tuple(dims))
+    ]
+
+
+def flatten_layers(layers: Sequence[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Copy per-layer (weights, biases) pairs into one flat buffer.
+
+    Returns the buffer and the layer dims; shapes must chain.
+    """
+    if not layers:
+        raise ValueError("a model needs at least one layer")
+    parts = []
+    dims: list[int] = []
+    for i, (w, b) in enumerate(layers):
+        w = np.asarray(w, dtype=np.float64)
+        b = np.asarray(b, dtype=np.float64)
+        if w.ndim != 2 or b.ndim != 1 or w.shape[0] != b.shape[0]:
+            raise ValueError(f"layer {i} has inconsistent shapes")
+        if not dims:
+            dims.append(w.shape[1])
+        elif w.shape[1] != dims[-1]:
+            raise ValueError(f"layer {i} input does not chain")
+        dims.append(w.shape[0])
+        parts += [w.ravel(), b]
+    return np.concatenate(parts), tuple(dims)
+
+
 @dataclass
 class ModelParams:
-    """Fully connected stack; dimensions must chain and the head is scalar."""
+    """Fully connected stack in one flat buffer; the head is scalar.
 
-    layers: list[DenseLayer]
+    layer_dims is (input, out_1, ..., out_L); flat holds, per layer,
+    row-major weights then biases.
+    """
+
+    flat: np.ndarray
+    layer_dims: tuple[int, ...]
 
     def __post_init__(self):
-        if not self.layers:
-            raise ValueError("a model needs at least one layer")
-        for i, layer in enumerate(self.layers):
-            w, b = layer.weights, layer.biases
-            if w.ndim != 2 or b.ndim != 1 or w.shape[0] != b.shape[0]:
-                raise ValueError(f"layer {i} has inconsistent shapes")
-            if not (np.isfinite(w).all() and np.isfinite(b).all()):
-                raise ValueError(f"layer {i} has non-finite entries")
-            if i > 0 and w.shape[1] != self.layers[i - 1].weights.shape[0]:
-                raise ValueError(f"layer {i} input does not chain")
-        if self.layers[-1].weights.shape[0] != 1:
+        dims = self.layer_dims = tuple(self.layer_dims)
+        size = flat_size(dims)
+        if dims[-1] != 1:
             raise ValueError("output layer must be scalar")
+        self.flat = np.ascontiguousarray(self.flat, dtype=np.float64)
+        if self.flat.shape != (size,):
+            raise ValueError(
+                f"layer dims {dims} need a flat buffer of {size}, got shape {self.flat.shape}"
+            )
+
+    @classmethod
+    def from_layers(cls, layers: Sequence[tuple[np.ndarray, np.ndarray]]) -> "ModelParams":
+        return cls(*flatten_layers(layers))
+
+    @property
+    def layers(self) -> list[DenseLayer]:
+        return layer_views(self.flat, self.layer_dims)
 
     @property
     def n_layers(self) -> int:
-        return len(self.layers)
+        return len(self.layer_dims) - 1
 
     @property
     def input_dim(self) -> int:
-        return self.layers[0].weights.shape[1]
+        return self.layer_dims[0]
 
     def dims(self) -> tuple[int, ...]:
-        return (self.input_dim, *(l.weights.shape[0] for l in self.layers))
+        return self.layer_dims
 
     def copy(self) -> "ModelParams":
-        return ModelParams([DenseLayer(l.weights.copy(), l.biases.copy()) for l in self.layers])
+        return ModelParams(self.flat.copy(), self.layer_dims)
 
 
-def combine(fn: Callable[..., np.ndarray], *params: ModelParams) -> ModelParams:
-    """Apply fn elementwise across matching arrays of several models."""
-    first = params[0]
-    for other in params[1:]:
-        if other.dims() != first.dims():
-            raise ValueError("parameter structures do not match")
-    layers = []
-    for parts in zip(*(p.layers for p in params)):
-        w = np.asarray(fn(*(part.weights for part in parts)), dtype=np.float64)
-        b = np.asarray(fn(*(part.biases for part in parts)), dtype=np.float64)
-        layers.append(DenseLayer(w, b))
-    return ModelParams(layers)
+def check_finite(params: ModelParams, what: str) -> None:
+    """Raise NonFiniteParamsError naming `what` if any parameter is NaN or infinite."""
+    if not np.isfinite(params.flat).all():
+        raise NonFiniteParamsError(
+            f"{what} has non-finite parameters; training diverged"
+        )
 
 
 def init_params(
@@ -125,17 +212,29 @@ def init_params(
 ) -> ModelParams:
     """Seeded Glorot-uniform weights, zero biases."""
     rng = derive_rng(seed, "init") if isinstance(seed, int) else seed
-    sizes = (input_dim, *hidden, 1)
-    layers = []
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+    dims = tuple(int(d) for d in (input_dim, *hidden, 1))
+    params = ModelParams(np.zeros(flat_size(dims)), dims)
+    for weights, _biases in params.layers:
+        fan_out, fan_in = weights.shape
         limit = np.sqrt(6.0 / (fan_in + fan_out))
-        w = rng.uniform(-limit, limit, size=(fan_out, fan_in))
-        layers.append(DenseLayer(w, np.zeros(fan_out)))
-    return ModelParams(layers)
+        weights[...] = rng.uniform(-limit, limit, size=(fan_out, fan_in))
+    return params
 
 
-def _softplus(z: np.ndarray) -> np.ndarray:
-    return np.logaddexp(0.0, z)
+def _softplus_sigmoid(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """softplus(z), written over z, and its derivative sigmoid(z).
+
+    Both come from one e = exp(-|z|): softplus is max(z, 0) + log1p(e),
+    sigmoid is 1/(1+e) for z >= 0 and e/(1+e) below.
+    """
+    e = np.abs(z)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    sig = np.where(z < 0.0, e, 1.0)
+    sig /= e + 1.0
+    np.maximum(z, 0.0, out=z)
+    z += np.log1p(e, out=e)
+    return z, sig
 
 
 def _as_matrix(params: ModelParams, x: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -153,10 +252,14 @@ def _as_matrix(params: ModelParams, x: np.ndarray) -> tuple[np.ndarray, bool]:
 def forward(params: ModelParams, x: np.ndarray) -> np.ndarray | float:
     """Predicted link probability; accepts one row or a batch."""
     a, squeeze = _as_matrix(params, x)
-    for layer in params.layers[:-1]:
-        a = _softplus(a @ layer.weights.T + layer.biases)
-    head = params.layers[-1]
-    p = expit(a @ head.weights.T + head.biases)[:, 0]
+    *hidden, (head_w, head_b) = params.layers
+    for w, b in hidden:
+        z = a @ w.T
+        z += b
+        a = np.logaddexp(0.0, z, out=z)
+    z = a @ head_w.T
+    z += head_b
+    p = expit(z[:, 0])
     return float(p[0]) if squeeze else p
 
 
@@ -177,7 +280,8 @@ def gradient(params: ModelParams, x: np.ndarray, y: np.ndarray) -> ModelParams:
     """Mean-over-batch gradient of bce_loss(forward(x), y).
 
     Uses the fused sigmoid/cross-entropy form d/dz = (p - y) / m, the
-    exact gradient wherever the loss clamp is inactive.
+    exact gradient wherever the loss clamp is inactive. The result is
+    written straight into one flat buffer.
     """
     a, _ = _as_matrix(params, x)
     y = np.asarray(y, dtype=np.float64).reshape(-1)
@@ -187,30 +291,38 @@ def gradient(params: ModelParams, x: np.ndarray, y: np.ndarray) -> ModelParams:
     if a.shape[0] != m:
         raise ValueError("feature and label counts differ")
 
+    layers = params.layers
     acts = [a]
-    zs = []
-    for layer in params.layers[:-1]:
-        z = acts[-1] @ layer.weights.T + layer.biases
-        zs.append(z)
-        acts.append(_softplus(z))
-    head = params.layers[-1]
-    p = expit(acts[-1] @ head.weights.T + head.biases)[:, 0]
+    sigs = []  # softplus' = sigmoid, per hidden layer
+    for w, b in layers[:-1]:
+        z = acts[-1] @ w.T
+        z += b
+        act, sig = _softplus_sigmoid(z)
+        acts.append(act)
+        sigs.append(sig)
+    head_w, head_b = layers[-1]
+    z = acts[-1] @ head_w.T
+    z += head_b
+    p = expit(z[:, 0])
 
+    flat = np.empty_like(params.flat)
+    grads = layer_views(flat, params.layer_dims)
     delta = ((p - y) / m)[:, None]
-    grads: list[DenseLayer] = []
-    for i in range(len(params.layers) - 1, -1, -1):
-        grads.append(DenseLayer(delta.T @ acts[i], delta.sum(axis=0)))
+    for i in range(len(layers) - 1, -1, -1):
+        np.matmul(delta.T, acts[i], out=grads[i].weights)
+        np.sum(delta, axis=0, out=grads[i].biases)
         if i > 0:
-            # softplus' = sigmoid
-            delta = (delta @ params.layers[i].weights) * expit(zs[i - 1])
-    grads.reverse()
-    return ModelParams(grads)
+            delta = delta @ layers[i].weights
+            delta *= sigs[i - 1]
+    return ModelParams(flat, params.layer_dims)
 
 
 def sgd_step(params: ModelParams, grad: ModelParams, learning_rate: float) -> ModelParams:
     if learning_rate < 0:
         raise ValueError("learning_rate must be non-negative")
-    return combine(lambda w, g: w - learning_rate * g, params, grad)
+    if grad.layer_dims != params.layer_dims:
+        raise ValueError("parameter structures do not match")
+    return ModelParams(params.flat - learning_rate * grad.flat, params.layer_dims)
 
 
 @dataclass
@@ -392,13 +504,9 @@ def evaluate(params: ModelParams, x: np.ndarray, y: np.ndarray, threshold: float
 
 
 def _params_bytes(params: ModelParams) -> bytes:
-    parts = [struct.pack("<II", params.n_layers, params.input_dim)]
-    for layer in params.layers:
-        parts.append(struct.pack("<I", layer.weights.shape[0]))
-    for layer in params.layers:
-        parts.append(np.ascontiguousarray(layer.weights, dtype="<f8").tobytes())
-        parts.append(np.ascontiguousarray(layer.biases, dtype="<f8").tobytes())
-    return b"".join(parts)
+    outs = params.layer_dims[1:]
+    header = struct.pack(f"<II{len(outs)}I", len(outs), params.input_dim, *outs)
+    return header + np.ascontiguousarray(params.flat, dtype="<f8").tobytes()
 
 
 def params_checksum(params: ModelParams) -> str:
@@ -422,26 +530,19 @@ def save_checkpoint(
 
 
 def load_checkpoint(path: str | Path) -> tuple[ModelParams, Standardizer | None]:
+    """Read a checkpoint; rejects foreign, truncated, padded or non-finite files."""
     raw = Path(path).read_bytes()
     if raw[: len(_MAGIC)] != _MAGIC:
         raise ValueError(f"{path}: not a model checkpoint")
     off = len(_MAGIC)
     n_layers, in_dim = struct.unpack_from("<II", raw, off)
     off += 8
-    outs = []
-    for _ in range(n_layers):
-        (out,) = struct.unpack_from("<I", raw, off)
-        outs.append(out)
-        off += 4
-    layers = []
-    fan_in = in_dim
-    for out in outs:
-        w = np.frombuffer(raw, dtype="<f8", count=out * fan_in, offset=off).reshape(out, fan_in)
-        off += 8 * out * fan_in
-        b = np.frombuffer(raw, dtype="<f8", count=out, offset=off)
-        off += 8 * out
-        layers.append(DenseLayer(w.copy(), b.copy()))
-        fan_in = out
+    outs = struct.unpack_from(f"<{n_layers}I", raw, off)
+    off += 4 * n_layers
+    dims = (in_dim, *outs)
+    n = flat_size(dims)
+    flat = np.frombuffer(raw, dtype="<f8", count=n, offset=off).astype(np.float64)
+    off += 8 * n
     (has_std,) = struct.unpack_from("<B", raw, off)
     off += 1
     standardizer = None
@@ -453,4 +554,6 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, Standardizer | None]
         standardizer = Standardizer(mean=mean, std=std)
     if off != len(raw):
         raise ValueError(f"{path}: trailing bytes in checkpoint")
-    return ModelParams(layers), standardizer
+    if not np.isfinite(flat).all():
+        raise NonFiniteParamsError(f"{path}: non-finite parameters in checkpoint")
+    return ModelParams(flat, dims), standardizer

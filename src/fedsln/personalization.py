@@ -30,7 +30,7 @@ from .federation import (
     ClientState,
     RoundRecord,
     _local_rounds,
-    aggregate,
+    aggregate_round,
     run_fedavg,
     synchronize,
 )
@@ -39,10 +39,12 @@ from .neural import (
     MetricsReport,
     ModelParams,
     TrainConfig,
-    combine,
     evaluate,
+    flat_size,
+    flatten_layers,
     gradient,
     init_params,
+    layer_views,
     mean_loss,
     params_checksum,
     sgd_step,
@@ -146,13 +148,13 @@ def perfedavg_hf_step(
     if delta <= 0:
         raise ValueError("delta must be positive")
     (x1, y1), (x2, y2), (x3, y3) = batches
-    g1 = grad_fn(params, x1, y1)
-    inner = combine(lambda w, g: w - alpha * g, params, g1)
-    g2 = grad_fn(inner, x2, y2)
-    plus = grad_fn(combine(lambda w, g: w + delta * g, params, g2), x3, y3)
-    minus = grad_fn(combine(lambda w, g: w - delta * g, params, g2), x3, y3)
-    d = combine(lambda gp, gm: (gp - gm) / (2.0 * delta), plus, minus)
-    return combine(lambda w, g, h: w - beta * (g - alpha * h), params, g2, d)
+    w, dims = params.flat, params.layer_dims
+    g1 = grad_fn(params, x1, y1).flat
+    g2 = grad_fn(ModelParams(w - alpha * g1, dims), x2, y2).flat
+    plus = grad_fn(ModelParams(w + delta * g2, dims), x3, y3).flat
+    minus = grad_fn(ModelParams(w - delta * g2, dims), x3, y3).flat
+    d = (plus - minus) / (2.0 * delta)
+    return ModelParams(w - beta * (g2 - alpha * d), dims)
 
 
 def _meta_round(client: ClientState, config: TrainConfig) -> ModelParams:
@@ -197,7 +199,7 @@ def run_perfedavg_hf(
                 local = list(pool.map(lambda c: _meta_round(c, config), clients))
         else:
             local = [_meta_round(c, config) for c in clients]
-        global_params = aggregate(local, [c.size for c in clients])
+        global_params = aggregate_round(clients, local, k)
         losses = {c.client_id: mean_loss(c.params, c.train_x, c.train_y) for c in clients}
         history.append(
             RoundRecord(k, losses, params_checksum(global_params), time.perf_counter() - start)
@@ -216,26 +218,42 @@ def run_perfedavg_hf(
 class AlaWeights:
     """Elementwise blending weights for the top layers, each in [0, 1].
 
-    values[i] aligns with params.layers[n_layers - p + i].
+    flat lines up with the tail of ModelParams.flat that holds the top
+    layers; layer_dims are the model's dims from the first blended
+    layer's input on.
     """
 
-    values: list[DenseLayer]
+    flat: np.ndarray
+    layer_dims: tuple[int, ...]
 
     def __post_init__(self):
-        for layer in self.values:
-            for arr in layer:
-                if np.any(arr < 0.0) or np.any(arr > 1.0):
-                    raise ValueError("blending weights must lie in [0, 1]")
+        self.layer_dims = tuple(self.layer_dims)
+        self.flat = np.ascontiguousarray(self.flat, dtype=np.float64)
+        if self.flat.shape != (flat_size(self.layer_dims),):
+            raise ValueError("blending weights do not fit their layer dims")
+        if np.any(self.flat < 0.0) or np.any(self.flat > 1.0):
+            raise ValueError("blending weights must lie in [0, 1]")
+
+    @classmethod
+    def from_layers(cls, layers: Sequence[tuple[np.ndarray, np.ndarray]]) -> "AlaWeights":
+        return cls(*flatten_layers(layers))
 
     @classmethod
     def ones_like(cls, params: ModelParams, top_layers: int) -> "AlaWeights":
-        tops = params.layers[params.n_layers - top_layers :]
-        return cls(
-            [DenseLayer(np.ones_like(l.weights), np.ones_like(l.biases)) for l in tops]
-        )
+        dims = params.layer_dims[params.n_layers - top_layers :]
+        return cls(np.ones(flat_size(dims)), dims)
+
+    @property
+    def n_layers(self) -> int:
+        return len(self.layer_dims) - 1
+
+    @property
+    def values(self) -> list[DenseLayer]:
+        """Per-layer views; values[i] aligns with params.layers[n_layers - p + i]."""
+        return layer_views(self.flat, self.layer_dims)
 
     def copy(self) -> "AlaWeights":
-        return AlaWeights([DenseLayer(l.weights.copy(), l.biases.copy()) for l in self.values])
+        return AlaWeights(self.flat.copy(), self.layer_dims)
 
 
 def _check_top_layers(params: ModelParams, top_layers: int) -> int:
@@ -254,27 +272,18 @@ def ala_init(
 ) -> ModelParams:
     """Blend: bottom layers copied from the global model, top layers
     local_prev*(1-W) + global*W elementwise (exact at W=0 and W=1)."""
-    if local_prev.dims() != global_params.dims():
+    if local_prev.layer_dims != global_params.layer_dims:
         raise ValueError("local and global parameter structures differ")
     base = _check_top_layers(global_params, top_layers)
-    if len(weights.values) != top_layers:
+    if weights.n_layers != top_layers:
         raise ValueError("one weight layer per blended layer required")
-    layers = [
-        DenseLayer(l.weights.copy(), l.biases.copy())
-        for l in global_params.layers[:base]
-    ]
-    for offset, wl in enumerate(weights.values):
-        prev = local_prev.layers[base + offset]
-        glob = global_params.layers[base + offset]
-        if wl.weights.shape != glob.weights.shape or wl.biases.shape != glob.biases.shape:
-            raise ValueError("weight shapes do not match the blended layers")
-        layers.append(
-            DenseLayer(
-                prev.weights * (1.0 - wl.weights) + glob.weights * wl.weights,
-                prev.biases * (1.0 - wl.biases) + glob.biases * wl.biases,
-            )
-        )
-    return ModelParams(layers)
+    if weights.layer_dims != global_params.layer_dims[base:]:
+        raise ValueError("weight shapes do not match the blended layers")
+    top = global_params.flat.size - weights.flat.size
+    w = weights.flat
+    flat = global_params.flat.copy()
+    flat[top:] = local_prev.flat[top:] * (1.0 - w) + global_params.flat[top:] * w
+    return ModelParams(flat, global_params.layer_dims)
 
 
 def learn_ala_weights(
@@ -293,35 +302,27 @@ def learn_ala_weights(
     ala_convergence_tol, or at the update cap. Weights are clipped to
     [0, 1] after every update.
     """
-    p = len(weights.values) if weights is not None else config.ala_top_layers
-    base = _check_top_layers(global_params, p)
+    p = weights.n_layers if weights is not None else config.ala_top_layers
+    _check_top_layers(global_params, p)
     n = client.size
     m = max(1, round_half_up(config.ala_data_fraction / 100.0 * n))
     idx = client.generator("ala-subsample").choice(n, size=m, replace=False)
     sx, sy = client.train_x[idx], client.train_y[idx]
 
     w = weights.copy() if weights is not None else AlaWeights.ones_like(global_params, p)
+    top = global_params.flat.size - w.flat.size
+    # chain rule through the blend: dL/dW = dL/dtheta * (global - prev)
+    spread = global_params.flat[top:] - local_prev.flat[top:]
     cap = config.ala_update_cap if max_updates is None else max_updates
     losses: list[float] = []
     for _ in range(cap):
         blended = ala_init(local_prev, global_params, w, p)
         losses.append(mean_loss(blended, sx, sy))
         grads = gradient(blended, sx, sy)
-        new_values = []
-        for offset, wl in enumerate(w.values):
-            g = grads.layers[base + offset]
-            prev = local_prev.layers[base + offset]
-            glob = global_params.layers[base + offset]
-            # chain rule through the blend: dL/dW = dL/dtheta * (global - prev)
-            gw = g.weights * (glob.weights - prev.weights)
-            gb = g.biases * (glob.biases - prev.biases)
-            new_values.append(
-                DenseLayer(
-                    np.clip(wl.weights - config.ala_weight_lr * gw, 0.0, 1.0),
-                    np.clip(wl.biases - config.ala_weight_lr * gb, 0.0, 1.0),
-                )
-            )
-        w = AlaWeights(new_values)
+        w = AlaWeights(
+            np.clip(w.flat - config.ala_weight_lr * (grads.flat[top:] * spread), 0.0, 1.0),
+            w.layer_dims,
+        )
         window = losses[-config.ala_window :]
         if len(window) == config.ala_window and float(np.std(window)) < config.ala_convergence_tol:
             break
@@ -371,7 +372,7 @@ def run_fedala(
         for client in clients:
             _ala_sync(client, global_params, config)
         local = _local_rounds(clients, config, max_workers, flags)
-        global_params = aggregate(local, [c.size for c in clients])
+        global_params = aggregate_round(clients, local, k)
         losses = {c.client_id: mean_loss(c.params, c.train_x, c.train_y) for c in clients}
         history.append(
             RoundRecord(

@@ -28,7 +28,6 @@ from fedsln.neural import (
     ModelParams,
     TrainConfig,
     auc,
-    combine,
     gradient,
     init_params,
     mean_loss,
@@ -134,7 +133,7 @@ def test_criterion_02_hand_graph_fixtures(capsys):
 
 
 def fd_gradient(params, x, y, h=1e-5):
-    base = ModelParams([DenseLayer(l.weights.copy(), l.biases.copy()) for l in params.layers])
+    base = params.copy()
     out = []
     for layer in base.layers:
         for arr in (layer.weights, layer.biases):
@@ -181,7 +180,7 @@ def const_model(value, dims=(2, 3, 1)):
     for out in dims[1:]:
         layers.append(DenseLayer(np.full((out, fan_in), float(value)), np.full(out, float(value))))
         fan_in = out
-    return ModelParams(layers)
+    return ModelParams.from_layers(layers)
 
 
 def test_criterion_04_aggregation_algebra(capsys):
@@ -234,7 +233,7 @@ def test_criterion_05_fedala_reductions(capsys):
         for a, b in zip(w1.layers, glob.layers)
     )
 
-    zeros = AlaWeights(
+    zeros = AlaWeights.from_layers(
         [DenseLayer(np.zeros_like(l.weights), np.zeros_like(l.biases))
          for l in glob.layers[base:]]
     )
@@ -289,7 +288,7 @@ def test_criterion_05_fedala_reductions(capsys):
 
 def test_criterion_06_perfedavg_hf(capsys):
     batch = (np.zeros((1, 1)), np.zeros(1))
-    start = ModelParams([DenseLayer(np.array([[1.0]]), np.array([0.0]))])
+    start = ModelParams.from_layers([DenseLayer(np.array([[1.0]]), np.array([0.0]))])
     stepped = perfedavg_hf_step(
         start, (batch, batch, batch), alpha=0.5, beta=0.1, delta=1e-3,
         grad_fn=lambda p, x, y: p,
@@ -324,8 +323,8 @@ def test_criterion_06_perfedavg_hf(capsys):
     )
     errors = []
     for delta in (1e-2, 1e-3, 1e-4):
-        plus = gradient(combine(lambda w, d: w + delta * d, params, v), x, y)
-        minus = gradient(combine(lambda w, d: w - delta * d, params, v), x, y)
+        plus = gradient(ModelParams(params.flat + delta * v.flat, params.layer_dims), x, y)
+        minus = gradient(ModelParams(params.flat - delta * v.flat, params.layer_dims), x, y)
         errors.append(float(np.linalg.norm((flatten(plus) - flatten(minus)) / (2 * delta) - hv)))
     r1, r2 = errors[0] / errors[1], errors[1] / errors[2]
     ratios_ok = 50 < r1 < 200 and 50 < r2 < 200

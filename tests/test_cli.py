@@ -1,6 +1,7 @@
 """CLI behavior: subcommands, overrides, manifest replay, error exits."""
 
 import json
+import re
 
 import pytest
 
@@ -263,6 +264,41 @@ class TestErrors:
         )
         assert code == 2
         assert "unknown config sections" in stderr
+
+    @pytest.mark.parametrize(
+        "method, where",
+        [
+            ("fedavg", r"round 0: client [01]"),
+            ("fedala", r"round 0: client [01]"),
+            ("perfedavg_hf", r"round 0: client [01]"),
+            ("centralized", r"the centralized model"),
+        ],
+    )
+    def test_diverging_learning_rate_names_method_seed_round_client(
+        self, config_path, tmp_path, capsys, method, where
+    ):
+        code, out, err = run_cli(
+            capsys,
+            "train",
+            "--config",
+            str(config_path),
+            "--output-dir",
+            str(tmp_path / "out"),
+            "--methods",
+            method,
+            "--set",
+            f"{method}.learning_rate=1e200",
+        )
+        assert code == 2
+        lines = [l for l in err.splitlines() if l.startswith("fedsln: ")]
+        assert len(lines) == 1
+        assert re.fullmatch(
+            rf"fedsln: \[train:{method}\] seed 1: {where} has non-finite parameters; "
+            r"training diverged",
+            lines[0],
+        ), lines[0]
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     def test_generate_needs_synthetic(self, config_path, tmp_path, capsys):
         code, _, stderr = run_cli(

@@ -12,6 +12,7 @@ from scipy import stats
 
 from fedsln.features import (
     FEATURE_NAMES,
+    FeatureVector,
     PairExample,
     Standardizer,
     adamic_adar,
@@ -146,6 +147,27 @@ class TestBuildExamples:
         assert x.shape == (6, 6) and y.shape == (6,)
         assert x.dtype == np.float64 and y.dtype == np.float64
         assert set(y.tolist()) <= {0.0, 1.0}
+
+    def test_to_arrays_matches_list_construction_exactly(self):
+        def reference(examples):
+            x = np.array([ex.features for ex in examples], dtype=np.float64).reshape(
+                len(examples), len(FEATURE_NAMES)
+            )
+            return x, np.array([ex.label for ex in examples], dtype=np.float64)
+
+        hand = [
+            PairExample(0, 1, FeatureVector(1 / 3, 1 / math.log(3), 1 / 3, 4.0, 0.5, 0.5), 1),
+            PairExample(1, 3, FeatureVector(0.0, 0.0, 0.0, 0.0, 0.0, 0.0), 0),
+            PairExample(2, 5, FeatureVector(0.1, 2.5e-300, 7.0, 1e12, 0.75, -0.0), 1),
+        ]
+        tp = self._tp()
+        for examples in (hand, build_examples(tp, tp.pair_universe), []):
+            got, want = to_arrays(examples), reference(examples)
+            for g, w in zip(got, want):
+                assert g.shape == w.shape and g.dtype == w.dtype
+                assert g.tobytes() == w.tobytes()
+        x, y = to_arrays([])
+        assert x.shape == (0, 6) and y.shape == (0,)
 
     def test_examples_to_csv(self):
         ex = PairExample(0, 3, compute_features(G4, 0, 3), 0)

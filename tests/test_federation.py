@@ -15,6 +15,7 @@ from fedsln.federation import (
 from fedsln.neural import (
     DenseLayer,
     ModelParams,
+    NonFiniteParamsError,
     TrainConfig,
     init_params,
     params_checksum,
@@ -49,7 +50,7 @@ def const_model(value, dims=(2, 1)):
     for out in dims[1:]:
         layers.append(DenseLayer(np.full((out, fan_in), value), np.full(out, value)))
         fan_in = out
-    return ModelParams(layers)
+    return ModelParams.from_layers(layers)
 
 
 class TestAggregate:
@@ -89,6 +90,22 @@ class TestAggregate:
             aggregate([m], [1, 2])
         with pytest.raises(ValueError):
             aggregate([m, m], [1, 0])
+        with pytest.raises(ValueError, match="structures do not match"):
+            aggregate([m, const_model(1.0, dims=(3, 1))], [1, 1])
+
+    def test_rejects_non_finite_naming_round_and_client(self):
+        bad = const_model(1.0)
+        bad.layers[0].biases[0] = np.inf
+        with pytest.raises(NonFiniteParamsError, match=r"^client 1 has non-finite"):
+            aggregate([const_model(1.0), bad], [1, 1])
+        bad.layers[0].biases[0] = np.nan
+        with pytest.raises(NonFiniteParamsError, match=r"^round 4: client 7 has non-finite"):
+            aggregate([bad, const_model(1.0)], [1, 1], round_index=4, client_ids=[7, 8])
+
+    def test_run_fedavg_names_the_diverged_round_and_client(self):
+        cfg = TrainConfig(learning_rate=1e200, batch_size=8, local_steps=3, global_rounds=3, seed=0)
+        with pytest.raises(NonFiniteParamsError, match=r"^round \d+: client \d+ has non-finite"):
+            run_fedavg(toy_clients(2), cfg)
 
 
 class TestClientState:

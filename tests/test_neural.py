@@ -14,11 +14,12 @@ from fedsln.neural import (
     DenseLayer,
     MetricsReport,
     ModelParams,
+    NonFiniteParamsError,
     TrainConfig,
     UndefinedAucError,
     auc,
     bce_loss,
-    combine,
+    check_finite,
     epochs_to_steps,
     evaluate,
     forward,
@@ -45,8 +46,7 @@ def random_model(rng, dims=(6, 5, 3)):
 
 def fd_gradient(params, x, y, h=1e-5):
     """Central finite differences over every scalar parameter."""
-    layers = [DenseLayer(l.weights.copy(), l.biases.copy()) for l in params.layers]
-    base = ModelParams(layers)
+    base = params.copy()
     out = []
     for li, layer in enumerate(base.layers):
         for arr in (layer.weights, layer.biases):
@@ -72,7 +72,7 @@ class TestForward:
         b1 = np.array([0.1, -0.2])
         w2 = np.array([[1.5, -0.5]])
         b2 = np.array([0.3])
-        params = ModelParams([DenseLayer(w1, b1), DenseLayer(w2, b2)])
+        params = ModelParams.from_layers([DenseLayer(w1, b1), DenseLayer(w2, b2)])
         x = np.array([0.4, -0.6])
         h = np.logaddexp(0.0, w1 @ x + b1)
         expected = float(expit((w2 @ h + b2)[0]))
@@ -128,17 +128,19 @@ class TestModelParams:
         w = np.zeros((2, 3))
         b = np.zeros(2)
         with pytest.raises(ValueError):
-            ModelParams([])
+            ModelParams.from_layers([])
         with pytest.raises(ValueError):
-            ModelParams([DenseLayer(w, np.zeros(3))])  # bias mismatch
+            ModelParams.from_layers([DenseLayer(w, np.zeros(3))])  # bias mismatch
         with pytest.raises(ValueError):
-            ModelParams([DenseLayer(w, b)])  # head not scalar
+            ModelParams.from_layers([DenseLayer(w, b)])  # head not scalar
         with pytest.raises(ValueError):
-            ModelParams([DenseLayer(np.full((1, 3), np.nan), np.zeros(1))])
-        with pytest.raises(ValueError):
-            ModelParams(
+            ModelParams.from_layers(
                 [DenseLayer(w, b), DenseLayer(np.zeros((1, 5)), np.zeros(1))]
             )  # does not chain
+        with pytest.raises(ValueError):
+            ModelParams(np.zeros(8), (3, 2, 1))  # 3*2+2 + 2*1+1 = 11 values
+        with pytest.raises(ValueError):
+            ModelParams(np.zeros(11), (3, 0, 1))
 
     def test_copy_is_deep(self):
         params = random_model(derive_rng(0, "m"))
@@ -146,11 +148,29 @@ class TestModelParams:
         dup.layers[0].weights[0, 0] += 1.0
         assert params.layers[0].weights[0, 0] != dup.layers[0].weights[0, 0]
 
-    def test_combine_mismatch(self):
+    def test_structure_mismatch(self):
         a = random_model(derive_rng(0, "m"), dims=(6, 5, 3))
         b = random_model(derive_rng(0, "m"), dims=(6, 4, 3))
-        with pytest.raises(ValueError):
-            combine(lambda x, y: x + y, a, b)
+        with pytest.raises(ValueError, match="structures do not match"):
+            sgd_step(a, b, 0.1)
+
+    def test_flat_buffer_is_checkpoint_layout_with_views(self, tmp_path):
+        params = random_model(derive_rng(4, "m"), dims=(6, 5, 3))
+        assert params.flat.dtype == np.float64 and params.flat.flags.c_contiguous
+        assert np.array_equal(params.flat, flatten(params))
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, params)
+        raw = path.read_bytes()
+        header = 8 + 8 + 4 * params.n_layers
+        assert raw[header:-1] == params.flat.tobytes()
+        params.layers[1].biases[2] = 7.5  # views write through
+        assert params.flat[6 * 5 + 5 + 5 * 3 + 2] == 7.5
+
+    def test_construction_does_not_scan_for_non_finite(self):
+        nan_model = ModelParams.from_layers([DenseLayer(np.full((1, 3), np.nan), np.zeros(1))])
+        with pytest.raises(NonFiniteParamsError, match="round 2: client 4"):
+            check_finite(nan_model, "round 2: client 4")
+        check_finite(random_model(derive_rng(0, "m")), "finite model")
 
 
 class TestLoss:
@@ -323,7 +343,7 @@ class TestAuc:
 class TestEvaluate:
     def test_counts_with_tie_at_threshold(self):
         # engineered logits: p = expit(x) with identity-ish single layer
-        params = ModelParams([DenseLayer(np.array([[1.0]]), np.zeros(1))])
+        params = ModelParams.from_layers([DenseLayer(np.array([[1.0]]), np.zeros(1))])
         x = np.array([[-2.0], [2.0], [0.0], [3.0]])
         y = np.array([0.0, 0.0, 0.0, 1.0])
         rep = evaluate(params, x, y)
@@ -333,7 +353,7 @@ class TestEvaluate:
         assert isinstance(rep, MetricsReport)
 
     def test_rejects_empty(self):
-        params = ModelParams([DenseLayer(np.array([[1.0]]), np.zeros(1))])
+        params = ModelParams.from_layers([DenseLayer(np.array([[1.0]]), np.zeros(1))])
         with pytest.raises(ValueError):
             evaluate(params, np.empty((0, 1)), np.empty(0))
 
@@ -369,6 +389,14 @@ class TestCheckpoint:
         trailing.write_bytes(good.read_bytes() + b"\x00")
         with pytest.raises(ValueError):
             load_checkpoint(trailing)
+
+    def test_rejects_non_finite_parameters(self, tmp_path):
+        params = random_model(derive_rng(0, "m"))
+        params.layers[1].weights[0, 0] = np.nan
+        path = tmp_path / "nan.ckpt"
+        save_checkpoint(path, params)
+        with pytest.raises(ValueError, match="non-finite"):
+            load_checkpoint(path)
 
     def test_standardizer_dimension_check(self, tmp_path):
         params = random_model(derive_rng(0, "m"))  # input dim 6

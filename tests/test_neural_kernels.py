@@ -1,0 +1,91 @@
+"""The fused softplus/sigmoid kernel and the flat-buffer gradient against
+the slow references they replaced.
+
+The references are np.logaddexp(0, z) for softplus, scipy's expit for the
+sigmoid, and a per-layer forward/backward pass that keeps one
+(weights, biases) pair of arrays per layer. Draws come from hypothesis
+and are derandomized, so every run checks the same examples.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy.special import expit
+
+from fedsln.neural import ModelParams, _softplus_sigmoid, forward, gradient, init_params
+from fedsln.rng import derive_rng
+
+TINY = np.finfo(np.float64).tiny  # smallest normal float64
+CHECKED = settings(derandomize=True, deadline=None, max_examples=200)
+
+z_values = st.one_of(
+    st.floats(-745.0, 745.0),
+    st.floats(-TINY, TINY),  # zeros and subnormals
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 745.0, -745.0, 709.0, -709.0]),
+)
+z_arrays = hnp.arrays(
+    np.float64, hnp.array_shapes(min_dims=1, max_dims=2, max_side=24), elements=z_values
+)
+
+
+@CHECKED
+@given(z_arrays)
+def test_fused_softplus_matches_logaddexp(z):
+    act, _ = _softplus_sigmoid(z.copy())
+    np.testing.assert_allclose(act, np.logaddexp(0.0, z), rtol=1e-12, atol=0.0)
+
+
+@CHECKED
+@given(z_arrays)
+def test_fused_sigmoid_matches_expit(z):
+    _, sig = _softplus_sigmoid(z.copy())
+    # expit computes 1/(1+exp(-z)), which underflows to 0 or to a rounded
+    # subnormal below z = -708; the absolute slack covers only that range
+    np.testing.assert_allclose(sig, expit(z), rtol=1e-12, atol=TINY)
+    assert np.all((sig >= 0.0) & (sig <= 1.0))
+
+
+def reference_forward_backward(params, x, y):
+    """Per-layer pass in the form the flat kernel replaced."""
+    layers = [(l.weights.copy(), l.biases.copy()) for l in params.layers]
+    acts = [x]
+    zs = []
+    for w, b in layers[:-1]:
+        z = acts[-1] @ w.T + b
+        zs.append(z)
+        acts.append(np.logaddexp(0.0, z))
+    head_w, head_b = layers[-1]
+    p = expit(acts[-1] @ head_w.T + head_b)[:, 0]
+    delta = ((p - y) / y.size)[:, None]
+    grads = []
+    for i in range(len(layers) - 1, -1, -1):
+        grads.append((delta.T @ acts[i], delta.sum(axis=0)))
+        if i > 0:
+            delta = (delta @ layers[i][0]) * expit(zs[i - 1])
+    grads.reverse()
+    return p, np.concatenate([np.concatenate([gw.ravel(), gb]) for gw, gb in grads])
+
+
+@CHECKED
+@given(
+    input_dim=st.integers(1, 8),
+    hidden=st.lists(st.integers(1, 40), min_size=0, max_size=3),
+    batch=st.integers(1, 300),
+    scale=st.sampled_from([0.1, 1.0, 10.0, 300.0]),
+    seed=st.integers(0, 2**16),
+)
+def test_flat_gradient_matches_per_layer_reference(input_dim, hidden, batch, scale, seed):
+    rng = derive_rng(seed, "kernel-diff")
+    params = init_params(rng, tuple(hidden), input_dim)
+    x = rng.normal(scale=scale, size=(batch, input_dim))
+    y = (rng.random(batch) < 0.5).astype(float)
+    p_ref, g_ref = reference_forward_backward(params, x, y)
+
+    np.testing.assert_allclose(forward(params, x), p_ref, rtol=1e-12, atol=0.0)
+    got = gradient(params, x, y)
+    assert isinstance(got, ModelParams) and got.layer_dims == params.layer_dims
+    # entries that are sums over the batch can cancel, so the bound is
+    # relative to the largest entry rather than to each one
+    err = float(np.max(np.abs(got.flat - g_ref)))
+    assert err <= 1e-12 * float(np.max(np.abs(g_ref))), err

@@ -16,7 +16,6 @@ from fedsln.neural import (
     DenseLayer,
     ModelParams,
     TrainConfig,
-    combine,
     gradient,
     init_params,
     mean_loss,
@@ -60,7 +59,7 @@ class TestMetaStep:
     def test_quadratic_oracle(self):
         # L(w) = w^2/2 so grad = w; with w=1, alpha=0.5, beta=0.1:
         # inner = 0.5, g2 = 0.5, d = 0.5, update = 1 - 0.1*(0.5 - 0.25)
-        params = ModelParams([DenseLayer(np.array([[1.0]]), np.array([0.0]))])
+        params = ModelParams.from_layers([DenseLayer(np.array([[1.0]]), np.array([0.0]))])
         out = perfedavg_hf_step(
             params,
             (DUMMY_BATCH, DUMMY_BATCH, DUMMY_BATCH),
@@ -73,7 +72,7 @@ class TestMetaStep:
         assert abs(out.layers[0].biases[0]) < 1e-12
 
     def test_quadratic_alpha_zero_is_plain_sgd(self):
-        params = ModelParams([DenseLayer(np.array([[2.0]]), np.array([0.5]))])
+        params = ModelParams.from_layers([DenseLayer(np.array([[2.0]]), np.array([0.5]))])
         out = perfedavg_hf_step(
             params,
             (DUMMY_BATCH, DUMMY_BATCH, DUMMY_BATCH),
@@ -87,7 +86,7 @@ class TestMetaStep:
         assert out.layers[0].biases[0] == pytest.approx(0.375, abs=1e-15)
 
     def test_rejects_nonpositive_delta(self):
-        params = ModelParams([DenseLayer(np.array([[1.0]]), np.array([0.0]))])
+        params = ModelParams.from_layers([DenseLayer(np.array([[1.0]]), np.array([0.0]))])
         with pytest.raises(ValueError):
             perfedavg_hf_step(
                 params, (DUMMY_BATCH,) * 3, 0.1, 0.1, 0.0, grad_fn=lambda p, x, y: p
@@ -128,8 +127,8 @@ class TestMetaStep:
 
         errors = []
         for delta in (1e-2, 1e-3, 1e-4):
-            plus = gradient(combine(lambda w, d: w + delta * d, params, v), x, y)
-            minus = gradient(combine(lambda w, d: w - delta * d, params, v), x, y)
+            plus = gradient(ModelParams(params.flat + delta * v.flat, params.layer_dims), x, y)
+            minus = gradient(ModelParams(params.flat - delta * v.flat, params.layer_dims), x, y)
             approx = (flatten(plus) - flatten(minus)) / (2 * delta)
             errors.append(np.linalg.norm(approx - hv))
         assert 50 < errors[0] / errors[1] < 200
@@ -229,7 +228,7 @@ class TestAlaInit:
     def test_all_zeros_returns_prev_on_top_global_below(self):
         prev, glob = random_pair(1)
         w = AlaWeights.ones_like(glob, 1)
-        zero = AlaWeights([DenseLayer(np.zeros_like(l.weights), np.zeros_like(l.biases)) for l in w.values])
+        zero = AlaWeights.from_layers([DenseLayer(np.zeros_like(l.weights), np.zeros_like(l.biases)) for l in w.values])
         out = ala_init(prev, glob, zero, 1)
         assert np.array_equal(out.layers[-1].weights, prev.layers[-1].weights)
         assert np.array_equal(out.layers[-1].biases, prev.layers[-1].biases)
@@ -237,7 +236,7 @@ class TestAlaInit:
 
     def test_interior_weights_give_convex_combination(self):
         prev, glob = random_pair(2)
-        half = AlaWeights(
+        half = AlaWeights.from_layers(
             [
                 DenseLayer(np.full_like(l.weights, 0.5), np.full_like(l.biases, 0.5))
                 for l in glob.layers[-2:]
@@ -260,7 +259,7 @@ class TestAlaInit:
         with pytest.raises(ValueError):
             ala_init(prev, glob, w, 99)
         with pytest.raises(ValueError):
-            AlaWeights([DenseLayer(np.array([[1.5]]), np.array([0.0]))])
+            AlaWeights.from_layers([DenseLayer(np.array([[1.5]]), np.array([0.0]))])
 
 
 class TestLearnAlaWeights:
@@ -270,8 +269,8 @@ class TestLearnAlaWeights:
         rng = derive_rng(5, "grid")
         x = rng.normal(size=(60, 1))
         y = (x[:, 0] * 1.2 > 0).astype(float)
-        prev = ModelParams([DenseLayer(np.array([[0.0]]), np.array([0.0]))])
-        glob = ModelParams([DenseLayer(np.array([[2.0]]), np.array([0.0]))])
+        prev = ModelParams.from_layers([DenseLayer(np.array([[0.0]]), np.array([0.0]))])
+        glob = ModelParams.from_layers([DenseLayer(np.array([[2.0]]), np.array([0.0]))])
         clients = make_clients([(x, y, x[:4], y[:4])], seed=5)
         cfg = TrainConfig(
             learning_rate=0.1,
@@ -287,7 +286,7 @@ class TestLearnAlaWeights:
 
         grid = np.linspace(0.0, 1.0, 2001)
         losses = [
-            mean_loss(ala_init(prev, glob, AlaWeights([DenseLayer(np.array([[w]]), np.array([0.0]))]), 1), x, y)
+            mean_loss(ala_init(prev, glob, AlaWeights.from_layers([DenseLayer(np.array([[w]]), np.array([0.0]))]), 1), x, y)
             for w in grid
         ]
         best = grid[int(np.argmin(losses))]
@@ -375,7 +374,7 @@ class TestRunFedala:
             )
 
     def test_weights_csv(self):
-        w = AlaWeights([DenseLayer(np.array([[0.25, 1.0]]), np.array([0.5]))])
+        w = AlaWeights.from_layers([DenseLayer(np.array([[0.25, 1.0]]), np.array([0.5]))])
         text = ala_weights_to_csv(w)
         lines = text.splitlines()
         assert lines[0] == "layer,kind,index,value"
