@@ -29,6 +29,7 @@ __all__ = [
     "global_importance",
     "make_predictor",
     "paired_t_test",
+    "rates_from_counts",
     "shapley_values",
     "significant",
     "svg_bar_chart",
@@ -57,7 +58,13 @@ def confusion_rates(
     scores: Sequence[float], labels: Sequence[float], threshold: float = 0.5
 ) -> tuple[float | None, float | None]:
     """(tpr, fpr); a rate is None when its class is absent."""
-    tp, fp, tn, fn = confusion_counts(scores, labels, threshold)
+    return rates_from_counts(*confusion_counts(scores, labels, threshold))
+
+
+def rates_from_counts(
+    tp: int, fp: int, tn: int, fn: int
+) -> tuple[float | None, float | None]:
+    """(tpr, fpr) from confusion counts; a rate is None when its class is absent."""
     tpr = tp / (tp + fn) if tp + fn else None
     fpr = fp / (fp + tn) if fp + tn else None
     return tpr, fpr

@@ -14,6 +14,7 @@ matched step counts it coincides with federated training exactly.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
@@ -26,6 +27,7 @@ from .analysis import (
     fairness_report,
     global_importance,
     make_predictor,
+    rates_from_counts,
     shapley_values,
     svg_bar_chart,
 )
@@ -33,7 +35,7 @@ from .config import ExperimentConfig, SyntheticSpec, config_to_manifest, with_se
 from .features import (
     FEATURE_NAMES,
     N_FEATURES,
-    PairExample,
+    PairExamples,
     Standardizer,
     build_examples,
     examples_to_csv,
@@ -96,8 +98,8 @@ class ClientDataset:
     """One classroom's featurized splits for one experiment seed."""
 
     client_id: int
-    train_examples: list[PairExample]
-    test_examples: list[PairExample]
+    train_examples: PairExamples
+    test_examples: PairExamples
     standardizer: Standardizer
     raw_train_x: np.ndarray
     raw_test_x: np.ndarray
@@ -305,12 +307,6 @@ def _history_warnings(history: Sequence[RoundRecord]) -> tuple[str, ...]:
     return tuple(sorted(seen))
 
 
-def _rates_from_report(report: MetricsReport) -> tuple[float | None, float | None]:
-    tpr = report.tp / (report.tp + report.fn) if report.tp + report.fn else None
-    fpr = report.fp / (report.fp + report.tn) if report.fp + report.tn else None
-    return tpr, fpr
-
-
 def _explain(
     cfg: ExperimentConfig,
     datasets: Sequence[ClientDataset],
@@ -393,7 +389,7 @@ def run_experiment(
             for d in datasets:
                 report = outcome.reports[d.client_id]
                 metrics.append((method, d.client_id, seed, report))
-                tpr, fpr = _rates_from_report(report)
+                tpr, fpr = rates_from_counts(report.tp, report.fp, report.tn, report.fn)
                 if tpr is None or fpr is None:
                     raise StageError(
                         "analysis",
@@ -551,24 +547,32 @@ def emit_reports(
     out_dir: str | Path | None = None,
     include: Sequence[str] | None = None,
 ) -> list[Path]:
-    """Write the selected report groups; cleans up on failure.
+    """Write the selected report groups, all or none of them.
 
     Groups: metrics (metrics.csv, summary.csv), fairness (fairness.csv),
     explain (importance.csv, explanations.json, per-client SVG), models
     (checkpoints plus blend weights), manifest (run_manifest.json).
+    Every file is first written to a temporary sibling; the temporaries
+    replace their targets only after every group has been written. On
+    failure only the temporaries are removed, so an earlier run's files
+    stay as they were.
     """
     groups = set(REPORT_GROUPS if include is None else include)
     unknown = groups - set(REPORT_GROUPS)
     if unknown:
         raise ValueError(f"unknown report groups: {sorted(unknown)}")
     out = Path(out_dir if out_dir is not None else report.config.output_dir)
-    written: list[Path] = []
+    staged: list[tuple[Path, Path]] = []  # (temporary, target)
 
-    def _write_text(rel: str, text: str) -> None:
+    def _stage(rel: str) -> Path:
         path = out / rel
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text)
-        written.append(path)
+        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+        staged.append((tmp, path))
+        return tmp
+
+    def _write_text(rel: str, text: str) -> None:
+        _stage(rel).write_text(text)
 
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -595,10 +599,7 @@ def emit_reports(
                 )
         if "models" in groups:
             for rel, params, standardizer in report.checkpoints:
-                path = out / rel
-                path.parent.mkdir(parents=True, exist_ok=True)
-                save_checkpoint(path, params, standardizer)
-                written.append(path)
+                save_checkpoint(_stage(rel), params, standardizer)
             for rel, text in report.extra_files:
                 _write_text(rel, text)
         if "manifest" in groups:
@@ -607,14 +608,13 @@ def emit_reports(
                 json.dumps(config_to_manifest(report.config), indent=2, sort_keys=True)
                 + "\n",
             )
+        for tmp, path in staged:
+            os.replace(tmp, path)
     except Exception as exc:
-        for path in written:
-            try:
-                path.unlink()
-            except OSError:
-                pass
+        for tmp, _path in staged:
+            tmp.unlink(missing_ok=True)
         raise StageError("emit", str(exc)) from exc
-    return written
+    return [path for _tmp, path in staged]
 
 
 def export_feature_tables(

@@ -5,6 +5,15 @@ earlier snapshot; a two-sample Kolmogorov-Smirnov statistic used to
 compare feature distributions between classrooms; and the helpers that
 turn a temporal snapshot pair into labeled, standardized examples.
 
+pair_features scores a whole (m, 2) pair array at once from the CSR
+adjacency: the common neighbors of each pair are the product of its two
+sorted rows, and the resource-allocation and Adamic-Adar sums are a
+sparse mat-vec over them with per-node weights 1/d and 1/log(d). The
+sums run from 0.0 over the common neighbors in ascending order, so every
+score equals, bit for bit, what the per-pair reference compute_features
+returns. Examples are one array-backed PairExamples container; a
+PairExample object is built only when one is indexed or iterated.
+
 Every 0/0 corner (isolated endpoints, empty unions) is defined as 0.
 Adamic-Adar uses the natural logarithm; a common neighbor always has
 degree >= 2, so log never sees 1.
@@ -15,17 +24,18 @@ from __future__ import annotations
 import math
 from itertools import chain
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .graphs import Pair, SlnGraph, TemporalPair
+from .graphs import GraphError, Pair, SlnGraph, TemporalPair, as_pairs
 
 __all__ = [
     "FEATURE_NAMES",
     "N_FEATURES",
     "FeatureVector",
     "PairExample",
+    "PairExamples",
     "Standardizer",
     "adamic_adar",
     "build_examples",
@@ -35,6 +45,7 @@ __all__ = [
     "examples_to_csv",
     "jaccard",
     "ks_statistic",
+    "pair_features",
     "preferential_attachment",
     "resource_allocation",
     "to_arrays",
@@ -127,33 +138,131 @@ def compute_features(graph: SlnGraph, u: int, v: int) -> FeatureVector:
     )
 
 
-def build_examples(tp: TemporalPair, pairs: Sequence[Pair]) -> list[PairExample]:
+# pairs scored per sparse row product; bounds the transient memory
+_PAIR_BLOCK = 1 << 14
+
+
+def pair_features(graph: SlnGraph, pairs: np.ndarray) -> np.ndarray:
+    """The six scores of every row (u, v) of a pair array, as (m, 6) float64.
+
+    Equal bit for bit to compute_features applied pair by pair.
+    """
+    pairs = as_pairs(pairs)
+    same = pairs[:, 0] == pairs[:, 1]
+    if same.any():
+        u = int(pairs[int(np.argmax(same)), 0])
+        raise ValueError(f"feature pair must have distinct endpoints, got ({u}, {u})")
+    outside = ~((pairs >= 0) & (pairs < graph.node_count)).all(axis=1)
+    if outside.any():
+        raise GraphError(f"pair {tuple(pairs[int(np.argmax(outside))].tolist())} out of range")
+    deg = graph.degrees()
+    # the same scalar expressions compute_features evaluates per neighbor
+    ra_weight = np.divide(1.0, deg, out=np.zeros(deg.size), where=deg > 0)
+    uniq, inverse = np.unique(deg, return_inverse=True)
+    aa_weight = np.array(
+        [1.0 / math.log(d) if d > 1 else 0.0 for d in uniq.tolist()], dtype=np.float64
+    )[inverse]
+    adj = graph.csr()
+    out = np.zeros((len(pairs), N_FEATURES), dtype=np.float64)
+    for start in range(0, len(pairs), _PAIR_BLOCK):
+        block = pairs[start : start + _PAIR_BLOCK]
+        u, v = block[:, 0], block[:, 1]
+        # canonical CSR times canonical CSR keeps each row's columns sorted,
+        # so the mat-vecs below add the weights in ascending neighbor order
+        common = adj[u].multiply(adj[v])
+        nc = np.diff(common.indptr)
+        du, dv = deg[u], deg[v]
+        union = du + dv - nc
+        x = out[start : start + _PAIR_BLOCK]
+        np.divide(nc, union, out=x[:, 0], where=union > 0)
+        x[:, 1] = common @ aa_weight
+        x[:, 2] = common @ ra_weight
+        x[:, 3] = du * dv
+        np.divide(nc, np.sqrt(x[:, 3]), out=x[:, 4], where=(du > 0) & (dv > 0))
+        np.divide(2.0 * nc, du + dv, out=x[:, 5], where=du + dv > 0)
+    return out
+
+
+@dataclass(frozen=True, eq=False)
+class PairExamples:
+    """Featurized candidate links, one row per pair.
+
+    pairs (m, 2) int64, features (m, 6) float64 in FEATURE_NAMES order,
+    labels (m,) int64. An int index builds one PairExample; an index
+    array or a slice selects a PairExamples subset. Iteration yields
+    PairExample objects.
+    """
+
+    pairs: np.ndarray
+    features: np.ndarray
+    labels: np.ndarray
+
+    @classmethod
+    def from_examples(cls, examples: Sequence[PairExample]) -> "PairExamples":
+        m = len(examples)
+        pairs = np.fromiter(
+            chain.from_iterable((ex.u, ex.v) for ex in examples), dtype=np.int64, count=2 * m
+        ).reshape(m, 2)
+        features = np.fromiter(
+            chain.from_iterable(ex.features for ex in examples),
+            dtype=np.float64,
+            count=m * N_FEATURES,
+        ).reshape(m, N_FEATURES)
+        labels = np.fromiter((ex.label for ex in examples), dtype=np.int64, count=m)
+        return cls(pairs, features, labels)
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def __getitem__(self, index):
+        if isinstance(index, (int, np.integer)):
+            u, v = self.pairs[index].tolist()
+            features = FeatureVector(*self.features[index].tolist())
+            return PairExample(u, v, features, int(self.labels[index]))
+        return PairExamples(self.pairs[index], self.features[index], self.labels[index])
+
+    def __iter__(self) -> Iterator[PairExample]:
+        rows = zip(self.pairs.tolist(), self.features.tolist(), self.labels.tolist())
+        for (u, v), features, label in rows:
+            yield PairExample(u, v, FeatureVector(*features), label)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PairExamples):
+            return NotImplemented
+        return (
+            np.array_equal(self.pairs, other.pairs)
+            and np.array_equal(self.features, other.features)
+            and np.array_equal(self.labels, other.labels)
+        )
+
+    __hash__ = None
+
+
+def build_examples(tp: TemporalPair, pairs: Iterable[Pair] | np.ndarray) -> PairExamples:
     """Featurize pairs on graph_prev and label them from graph_now.
 
     Every pair must belong to the temporal pair's universe; output order
     matches input order.
     """
-    universe = set(tp.pair_universe)
-    examples = []
-    for u, v in pairs:
-        if (u, v) not in universe:
-            raise ValueError(f"pair ({u}, {v}) is outside the sampled universe")
-        fv = compute_features(tp.graph_prev, u, v)
-        label = 1 if tp.graph_now.has_edge(u, v) else 0
-        examples.append(PairExample(u, v, fv, label))
-    return examples
+    pairs = as_pairs(pairs)
+    inside = tp.in_universe(pairs)
+    if not inside.all():
+        u, v = pairs[int(np.argmin(inside))].tolist()
+        raise ValueError(f"pair ({u}, {v}) is outside the sampled universe")
+    return PairExamples(
+        pairs,
+        pair_features(tp.graph_prev, pairs),
+        tp.graph_now.has_edges(pairs).astype(np.int64),
+    )
 
 
-def to_arrays(examples: Sequence[PairExample]) -> tuple[np.ndarray, np.ndarray]:
-    """Feature matrix (m, 6) and label vector (m,), both float64."""
-    m = len(examples)
-    x = np.fromiter(
-        chain.from_iterable(ex.features for ex in examples),
-        dtype=np.float64,
-        count=m * N_FEATURES,
-    ).reshape(m, N_FEATURES)
-    y = np.fromiter((ex.label for ex in examples), dtype=np.float64, count=m)
-    return x, y
+def to_arrays(
+    examples: PairExamples | Sequence[PairExample],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Feature matrix (m, 6) and label vector (m,), both float64 copies."""
+    if not isinstance(examples, PairExamples):
+        examples = PairExamples.from_examples(examples)
+    return examples.features.copy(), examples.labels.astype(np.float64)
 
 
 def examples_to_csv(examples: Sequence[PairExample]) -> str:

@@ -1,10 +1,25 @@
 """Social learning network graphs and dataset construction.
 
 A graph is the set of students in one course forum plus the undirected
-interaction links observed between them. This module covers edge-list
-ingestion and serialization, synthetic benchmark generation, the
-two-snapshot construction that poses link prediction as a supervised
-problem, and seeded splitting helpers.
+interaction links observed between them. It is stored as a symmetric CSR
+(compressed sparse row) adjacency: `indptr` holds n + 1 row offsets and
+`indices` each node's neighbors in ascending order, so a graph takes
+O(n + E) memory. Candidate pairs travel as one (m, 2) int64 array with
+u < v in every row; a pair's key u * n + v orders pairs lexicographically.
+
+This module covers edge-list ingestion and serialization, synthetic
+benchmark generation, the two-snapshot construction that poses link
+prediction as a supervised problem, and seeded splitting helpers. None of
+them allocates an n x n array: the stochastic block model draws its
+uniforms in blocks of rows of the strict upper triangle, and the negative
+sample maps each drawn open-pair rank to its pair through the sorted
+linked pairs.
+
+Outside input is validated where it enters: the SlnGraph constructor
+checks ranges, self-loops, sorted duplicate-free rows and symmetry;
+from_edges and load_edge_list check ranges and self-loops; TemporalPair
+checks that universe pairs are in range, ordered u < v and unique, and
+that the two snapshots and the removed pairs are consistent.
 
 Edge-list format: one ``u<sep>v`` pair per line where the separator is a
 comma or whitespace, ``#`` starts a comment line, blank lines are
@@ -15,10 +30,12 @@ order. Isolated nodes are not representable in this format.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from typing import Iterable, Sequence, TypeVar
+from typing import Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
+from scipy import sparse
 
 from .rng import derive_rng
 
@@ -29,8 +46,10 @@ __all__ = [
     "SlnGraph",
     "SplitSpec",
     "TemporalPair",
+    "as_pairs",
     "generate_synthetic",
     "load_edge_list",
+    "pair_keys",
     "round_half_up",
     "sample_pair_universe",
     "temporal_split",
@@ -40,6 +59,10 @@ __all__ = [
 
 Pair = tuple[int, int]
 T = TypeVar("T")
+
+# Uniforms per block of the stochastic block model's draw; bounds its
+# transient memory independently of the node count.
+_SBM_BLOCK = 1 << 18
 
 
 class GraphError(ValueError):
@@ -59,71 +82,199 @@ def round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
-@dataclass(frozen=True)
+def as_pairs(pairs: Iterable[Pair] | np.ndarray) -> np.ndarray:
+    """Pairs as an (m, 2) int64 array; an int64 array passes through uncopied."""
+    if not isinstance(pairs, np.ndarray):
+        pairs = list(pairs)
+    arr = np.asarray(pairs, dtype=np.int64)
+    if arr.size == 0:
+        return arr.reshape(0, 2)
+    if arr.ndim != 2 or arr.shape[1] != 2:
+        raise GraphError(f"pairs must form an (m, 2) array, got shape {arr.shape}")
+    return arr
+
+
+def pair_keys(node_count: int, pairs: np.ndarray) -> np.ndarray:
+    """u * node_count + v per row; one-to-one on pairs within range."""
+    return pairs[:, 0] * node_count + pairs[:, 1]
+
+
+def _in_range(node_count: int, pairs: np.ndarray) -> np.ndarray:
+    return ((pairs >= 0) & (pairs < node_count)).all(axis=1)
+
+
+def _lookup(sorted_keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """Membership of each query in a sorted key array."""
+    if sorted_keys.size == 0:
+        return np.zeros(queries.shape, dtype=bool)
+    pos = np.minimum(np.searchsorted(sorted_keys, queries), sorted_keys.size - 1)
+    return sorted_keys[pos] == queries
+
+
+class _Rows(Sequence[frozenset[int]]):
+    """Read-only view of a graph's rows as neighbor sets, built on access."""
+
+    __slots__ = ("_graph",)
+
+    def __init__(self, graph: "SlnGraph"):
+        self._graph = graph
+
+    def __len__(self) -> int:
+        return self._graph.node_count
+
+    def __getitem__(self, u) -> frozenset[int]:
+        u = operator.index(u)
+        n = self._graph.node_count
+        if u < 0:
+            u += n
+        if not 0 <= u < n:
+            raise IndexError(f"node {u} out of range")
+        return self._graph.neighbors(u)
+
+    def __iter__(self) -> Iterator[frozenset[int]]:
+        return (self._graph.neighbors(u) for u in range(self._graph.node_count))
+
+
 class SlnGraph:
-    """Immutable undirected simple graph over dense node indices."""
+    """Immutable undirected simple graph over dense node indices.
 
-    node_count: int
-    adjacency: tuple[frozenset[int], ...]
-    node_labels: tuple[str, ...] | None = None
+    Row u of the CSR arrays (indptr, indices) lists u's neighbors in
+    ascending order, and every edge appears in both endpoints' rows. The
+    constructor takes the arrays from outside and validates them;
+    from_edges builds them from an edge list.
+    """
 
-    def __post_init__(self):
-        if self.node_count < 0:
+    __slots__ = ("node_count", "indptr", "indices", "node_labels", "_keys")
+
+    def __init__(
+        self,
+        node_count: int,
+        indptr: Sequence[int] | np.ndarray,
+        indices: Sequence[int] | np.ndarray,
+        node_labels: Sequence[str] | None = None,
+    ):
+        if node_count < 0:
             raise GraphError("node_count must be non-negative")
-        if len(self.adjacency) != self.node_count:
-            raise GraphError("adjacency length does not match node_count")
-        if self.node_labels is not None and len(self.node_labels) != self.node_count:
+        indptr = np.array(indptr, dtype=np.int64)
+        indices = np.array(indices, dtype=np.int64).reshape(-1)
+        if indptr.shape != (node_count + 1,):
+            raise GraphError("indptr must hold node_count + 1 offsets")
+        counts = np.diff(indptr)
+        if indptr[0] != 0 or indptr[-1] != indices.size or (counts < 0).any():
+            raise GraphError("indptr does not partition the indices into rows")
+        if node_labels is not None and len(node_labels) != node_count:
             raise GraphError("node_labels length does not match node_count")
-        for u, nbrs in enumerate(self.adjacency):
-            for v in nbrs:
-                if not 0 <= v < self.node_count:
-                    raise GraphError(f"neighbor {v} of node {u} out of range")
-                if v == u:
-                    raise GraphError(f"self-loop at node {u}")
-                if u not in self.adjacency[v]:
-                    raise GraphError(f"asymmetric edge ({u}, {v})")
+        rows = np.repeat(np.arange(node_count, dtype=np.int64), counts)
+        bad = (indices < 0) | (indices >= node_count)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise GraphError(f"neighbor {indices[i]} of node {rows[i]} out of range")
+        loops = rows == indices
+        if loops.any():
+            raise GraphError(f"self-loop at node {rows[int(np.argmax(loops))]}")
+        keys = rows * node_count + indices
+        unsorted = np.diff(keys) <= 0
+        if unsorted.any():
+            u = rows[int(np.argmax(unsorted)) + 1]
+            raise GraphError(f"neighbors of node {u} are not sorted and unique")
+        one_way = ~_lookup(keys, indices * node_count + rows)
+        if one_way.any():
+            i = int(np.argmax(one_way))
+            raise GraphError(f"asymmetric edge ({rows[i]}, {indices[i]})")
+        for arr in (indptr, indices, keys):
+            arr.flags.writeable = False
+        self.node_count = node_count
+        self.indptr = indptr
+        self.indices = indices
+        self.node_labels = tuple(node_labels) if node_labels is not None else None
+        self._keys = keys
 
     @classmethod
     def from_edges(
         cls,
         node_count: int,
-        edges: Iterable[Pair],
+        edges: Iterable[Pair] | np.ndarray,
         node_labels: Sequence[str] | None = None,
     ) -> "SlnGraph":
-        adj: list[set[int]] = [set() for _ in range(node_count)]
-        for u, v in edges:
-            if not (0 <= u < node_count and 0 <= v < node_count):
+        """Graph from (u, v) pairs in any orientation; duplicates collapse."""
+        arr = as_pairs(edges)
+        out = ~_in_range(node_count, arr)
+        loop = arr[:, 0] == arr[:, 1]
+        if (out | loop).any():
+            i = int(np.argmax(out | loop))
+            u, v = arr[i].tolist()
+            if out[i]:
                 raise GraphError(f"edge ({u}, {v}) out of range")
-            if u == v:
-                raise GraphError(f"self-loop at node {u}")
-            adj[u].add(v)
-            adj[v].add(u)
-        labels = tuple(node_labels) if node_labels is not None else None
-        return cls(node_count, tuple(frozenset(s) for s in adj), labels)
+            raise GraphError(f"self-loop at node {u}")
+        upper = np.unique(pair_keys(node_count, np.sort(arr, axis=1)))
+        return cls._from_upper_keys(node_count, upper, node_labels)
 
-    def neighbors(self, u: int) -> frozenset[int]:
+    @classmethod
+    def _from_upper_keys(
+        cls, node_count: int, keys: np.ndarray, node_labels: Sequence[str] | None = None
+    ) -> "SlnGraph":
+        """Graph from the sorted, unique keys of its pairs with u < v."""
+        divisor = max(node_count, 1)  # a graph without nodes has no keys
+        u, v = np.divmod(keys, divisor)
+        both = np.sort(np.concatenate([keys, v * node_count + u]))
+        rows, cols = np.divmod(both, divisor)
+        indptr = np.zeros(node_count + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=node_count), out=indptr[1:])
+        return cls(node_count, indptr, cols, node_labels)
+
+    def _check_node(self, u: int) -> None:
         if not 0 <= u < self.node_count:
             raise GraphError(f"node {u} out of range")
-        return self.adjacency[u]
+
+    @property
+    def adjacency(self) -> Sequence[frozenset[int]]:
+        """Neighbor sets by node, each built from its CSR row on access."""
+        return _Rows(self)
+
+    def neighbors(self, u: int) -> frozenset[int]:
+        self._check_node(u)
+        return frozenset(self.indices[self.indptr[u] : self.indptr[u + 1]].tolist())
 
     def degree(self, u: int) -> int:
-        return len(self.neighbors(u))
+        self._check_node(u)
+        return int(self.indptr[u + 1] - self.indptr[u])
+
+    def degrees(self) -> np.ndarray:
+        """Degree of every node, int64."""
+        return np.diff(self.indptr)
 
     def has_edge(self, u: int, v: int) -> bool:
-        if not 0 <= v < self.node_count:
-            raise GraphError(f"node {v} out of range")
-        return v in self.neighbors(u)
+        self._check_node(v)
+        self._check_node(u)
+        return bool(self.has_edges(np.array([[u, v]], dtype=np.int64))[0])
+
+    def has_edges(self, pairs: np.ndarray) -> np.ndarray:
+        """Whether each row (u, v) of a pair array is linked; bool (m,)."""
+        pairs = as_pairs(pairs)
+        out = ~_in_range(self.node_count, pairs)
+        if out.any():
+            raise GraphError(f"pair {tuple(pairs[int(np.argmax(out))].tolist())} out of range")
+        return _lookup(self._keys, pair_keys(self.node_count, pairs))
+
+    def edge_array(self) -> np.ndarray:
+        """All edges as an (E, 2) int64 array, u < v, sorted lexicographically."""
+        rows = np.repeat(np.arange(self.node_count, dtype=np.int64), self.degrees())
+        upper = rows < self.indices
+        return np.column_stack([rows[upper], self.indices[upper]])
 
     def edges(self) -> list[Pair]:
         """All edges as (u, v) with u < v, sorted lexicographically."""
-        out = []
-        for u, nbrs in enumerate(self.adjacency):
-            out.extend((u, v) for v in sorted(nbrs) if u < v)
-        return out
+        return list(map(tuple, self.edge_array().tolist()))
+
+    def csr(self) -> sparse.csr_array:
+        """The adjacency matrix with unit weights, rows sorted."""
+        n = self.node_count
+        data = np.ones(self.indices.size, dtype=np.float64)
+        return sparse.csr_array((data, self.indices, self.indptr), shape=(n, n))
 
     @property
     def edge_count(self) -> int:
-        return sum(len(s) for s in self.adjacency) // 2
+        return self.indices.size // 2
 
 
 def load_edge_list(source: str | Iterable[str]) -> SlnGraph:
@@ -171,48 +322,70 @@ class SplitSpec:
             raise GraphError("train_fraction must lie in (0, 1)")
 
 
-@dataclass(frozen=True)
+def _validate_pairs(node_count: int, pairs: np.ndarray) -> None:
+    """Reject the first pair, in input order, that is out of range, not
+    ordered u < v, or a repeat of an earlier pair."""
+    out = ~_in_range(node_count, pairs)
+    unordered = pairs[:, 0] >= pairs[:, 1]
+    repeat = np.ones(len(pairs), dtype=bool)
+    repeat[np.unique(pair_keys(node_count, pairs), return_index=True)[1]] = False
+    bad = out | unordered | repeat
+    if not bad.any():
+        return
+    i = int(np.argmax(bad))
+    u, v = pairs[i].tolist()
+    if out[i]:
+        raise GraphError(f"pair ({u}, {v}) out of range")
+    if unordered[i]:
+        raise GraphError(f"pair ({u}, {v}) must satisfy u < v")
+    raise GraphError(f"duplicate pair ({u}, {v})")
+
+
+@dataclass(frozen=True, eq=False)
 class TemporalPair:
     """Graph at time t (graph_now) plus the earlier snapshot derived from it.
 
     graph_prev is graph_now with the links among the selected removed_pairs
     deleted; features are computed on graph_prev, labels read off graph_now.
+    Both pair fields are stored as read-only (m, 2) int64 arrays.
     """
 
     graph_prev: SlnGraph
     graph_now: SlnGraph
-    pair_universe: tuple[Pair, ...]
-    removed_pairs: tuple[Pair, ...]
+    pair_universe: np.ndarray
+    removed_pairs: np.ndarray
 
     def __post_init__(self):
-        if self.graph_prev.node_count != self.graph_now.node_count:
+        n = self.graph_now.node_count
+        if self.graph_prev.node_count != n:
             raise GraphError("snapshots must share the node set")
-        now_edges = set(self.graph_now.edges())
-        prev_edges = set(self.graph_prev.edges())
-        if not prev_edges <= now_edges:
+        universe = as_pairs(self.pair_universe).copy()
+        removed = as_pairs(self.removed_pairs).copy()
+        for name, arr in (("pair_universe", universe), ("removed_pairs", removed)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+        _validate_pairs(n, universe)
+        if not self.graph_now.has_edges(self.graph_prev.edge_array()).all():
             raise GraphError("graph_prev has edges absent from graph_now")
-        universe = set(self.pair_universe)
-        if not set(self.removed_pairs) <= universe:
+        if not self.in_universe(removed).all():
             raise GraphError("removed pairs must come from the pair universe")
-        for u, v in self.removed_pairs:
-            if self.graph_prev.has_edge(u, v):
-                raise GraphError(f"removed pair ({u}, {v}) still linked in graph_prev")
+        linked = self.graph_prev.has_edges(removed)
+        if linked.any():
+            u, v = removed[int(np.argmax(linked))].tolist()
+            raise GraphError(f"removed pair ({u}, {v}) still linked in graph_prev")
 
-
-def _validate_pairs(graph: SlnGraph, pairs: Sequence[Pair]) -> None:
-    seen = set()
-    for u, v in pairs:
-        if not (0 <= u < graph.node_count and 0 <= v < graph.node_count):
-            raise GraphError(f"pair ({u}, {v}) out of range")
-        if u >= v:
-            raise GraphError(f"pair ({u}, {v}) must satisfy u < v")
-        if (u, v) in seen:
-            raise GraphError(f"duplicate pair ({u}, {v})")
-        seen.add((u, v))
+    def in_universe(self, pairs: Iterable[Pair] | np.ndarray) -> np.ndarray:
+        """Whether each row (u, v) of a pair array is a universe pair; bool (m,)."""
+        pairs = as_pairs(pairs)
+        n = self.graph_now.node_count
+        inside = _in_range(n, pairs)
+        universe = np.sort(pair_keys(n, self.pair_universe))
+        inside[inside] = _lookup(universe, pair_keys(n, pairs[inside]))
+        return inside
 
 
 def temporal_split(
-    graph_now: SlnGraph, pair_universe: Sequence[Pair], spec: SplitSpec
+    graph_now: SlnGraph, pair_universe: Iterable[Pair] | np.ndarray, spec: SplitSpec
 ) -> TemporalPair:
     """Delete the links among a seeded selection of universe pairs.
 
@@ -220,30 +393,37 @@ def temporal_split(
     shuffle. Every selected pair is unlinked in graph_prev; all other
     edges of graph_now are preserved.
     """
-    _validate_pairs(graph_now, pair_universe)
-    universe = tuple(pair_universe)
+    n = graph_now.node_count
+    universe = as_pairs(pair_universe)
+    # TemporalPair rejects bad universe pairs before anything is returned
     k = round_half_up(spec.removal_fraction * len(universe))
     order = derive_rng(spec.seed, "temporal-removal").permutation(len(universe))
-    removed = tuple(universe[i] for i in order[:k])
-    removed_set = set(removed)
-    kept = [e for e in graph_now.edges() if e not in removed_set]
-    graph_prev = SlnGraph.from_edges(graph_now.node_count, kept, graph_now.node_labels)
+    removed = universe[order[:k]]
+    edge_keys = pair_keys(n, graph_now.edge_array())
+    kept = edge_keys[~_lookup(np.sort(pair_keys(n, removed)), edge_keys)]
+    graph_prev = SlnGraph._from_upper_keys(n, kept, graph_now.node_labels)
     return TemporalPair(graph_prev, graph_now, universe, removed)
 
 
 def train_test_split(
     items: Sequence[T], train_fraction: float, seed: int
-) -> tuple[list[T], list[T]]:
-    """Seeded shuffle followed by a round-half-up prefix split."""
+) -> tuple[Sequence[T], Sequence[T]]:
+    """Seeded shuffle followed by a round-half-up prefix split.
+
+    A list, tuple or range splits into two lists; anything else (an
+    ndarray, a PairExamples container) is indexed with the two index
+    arrays.
+    """
     if len(items) == 0:
         raise ValueError("cannot split an empty dataset")
     if not 0.0 < train_fraction < 1.0:
         raise ValueError("train_fraction must lie in (0, 1)")
     order = derive_rng(seed, "train-test").permutation(len(items))
     n_train = round_half_up(train_fraction * len(items))
-    train = [items[i] for i in order[:n_train]]
-    test = [items[i] for i in order[n_train:]]
-    return train, test
+    train, test = order[:n_train], order[n_train:]
+    if isinstance(items, (list, tuple, range)):
+        return [items[i] for i in train], [items[i] for i in test]
+    return items[train], items[test]
 
 
 def generate_synthetic(
@@ -257,7 +437,9 @@ def generate_synthetic(
 
     Node i belongs to community i mod n_communities; each unordered pair
     is linked independently with intra_p inside a community and inter_p
-    across communities. Requires 0 <= inter_p <= intra_p <= 1.
+    across communities. Requires 0 <= inter_p <= intra_p <= 1. One
+    uniform is drawn per pair in row-major upper-triangle order, in
+    blocks of rows; the draws equal one draw of all n(n-1)/2 at once.
     """
     if n_nodes < 0:
         raise GraphError("n_nodes must be non-negative")
@@ -267,38 +449,59 @@ def generate_synthetic(
         raise GraphError("need 0 <= inter_p <= intra_p <= 1")
     if n_nodes < 2:
         return SlnGraph.from_edges(n_nodes, [])
-    communities = np.arange(n_nodes) % n_communities
-    iu, iv = np.triu_indices(n_nodes, k=1)
-    thresholds = np.where(communities[iu] == communities[iv], intra_p, inter_p)
-    draws = derive_rng(seed, "sbm").random(len(iu))
-    mask = draws < thresholds
-    edges = list(zip(iu[mask].tolist(), iv[mask].tolist()))
-    return SlnGraph.from_edges(n_nodes, edges)
+    community = np.arange(n_nodes) % n_communities
+    rng = derive_rng(seed, "sbm")
+    rows_per_block = max(1, _SBM_BLOCK // n_nodes)
+    linked = []
+    for start in range(0, n_nodes - 1, rows_per_block):
+        rows = np.arange(start, min(start + rows_per_block, n_nodes - 1), dtype=np.int64)
+        counts = n_nodes - 1 - rows
+        offsets = np.cumsum(counts) - counts  # of each row's first pair in the block
+        draws = rng.random(int(counts.sum()))
+        # inter_p <= intra_p, so every link is among the draws below intra_p
+        cand = np.flatnonzero(draws < intra_p)
+        row = np.searchsorted(offsets, cand, side="right") - 1
+        u = rows[row]
+        v = cand - offsets[row] + u + 1
+        hit = (community[u] == community[v]) | (draws[cand] < inter_p)
+        linked.append(u[hit] * n_nodes + v[hit])
+    return SlnGraph._from_upper_keys(n_nodes, np.concatenate(linked))
+
+
+def _triangle_pairs(n: int, tri: np.ndarray) -> np.ndarray:
+    """Pairs (u, v) at the given indices of the row-major strict upper triangle."""
+    rows = np.arange(max(n - 1, 0), dtype=np.int64)
+    row_start = rows * (2 * n - rows - 1) // 2
+    u = np.searchsorted(row_start, tri, side="right") - 1
+    return np.column_stack([u, tri - row_start[u] + u + 1])
 
 
 def sample_pair_universe(
     graph: SlnGraph, negatives_per_positive: float, seed: int
-) -> list[Pair]:
-    """All linked pairs plus a seeded sample of unlinked pairs.
+) -> np.ndarray:
+    """All linked pairs plus a seeded sample of unlinked pairs, as (m, 2).
 
     The negative count is round_half_up(ratio * edge_count), drawn
-    uniformly without replacement. Raises if fewer unlinked pairs exist.
+    uniformly without replacement from the unlinked pairs ranked in
+    row-major upper-triangle order; raises if fewer unlinked pairs exist.
+    Rows hold the positives, then the negatives, each in lexicographic
+    order.
     """
     if negatives_per_positive < 0:
         raise GraphError("negatives_per_positive must be non-negative")
-    positives = graph.edges()
+    positives = graph.edge_array()
     n_neg = round_half_up(negatives_per_positive * len(positives))
     n = graph.node_count
-    linked = np.zeros((n, n), dtype=bool)
-    for u, v in positives:
-        linked[u, v] = True
-    iu, iv = np.triu_indices(n, k=1)
-    open_idx = np.flatnonzero(~linked[iu, iv])
-    if n_neg > len(open_idx):
+    u, v = positives[:, 0], positives[:, 1]
+    linked = u * (2 * n - u - 1) // 2 + (v - u - 1)
+    n_open = n * (n - 1) // 2 - len(linked)
+    if n_neg > n_open:
         raise GraphError(
-            f"requested {n_neg} negatives but only {len(open_idx)} unlinked pairs exist"
+            f"requested {n_neg} negatives but only {n_open} unlinked pairs exist"
         )
-    chosen = derive_rng(seed, "universe").choice(len(open_idx), size=n_neg, replace=False)
-    sel = open_idx[chosen]
-    negatives = sorted(zip(iu[sel].tolist(), iv[sel].tolist()))
-    return positives + negatives
+    ranks = derive_rng(seed, "universe").choice(n_open, size=n_neg, replace=False)
+    # linked[k] - k unlinked pairs precede the k-th linked one, so the open
+    # pair of rank r has as many linked pairs before it as entries <= r
+    open_before = linked - np.arange(len(linked))
+    tri = np.sort(ranks + np.searchsorted(open_before, ranks, side="right"))
+    return np.concatenate([positives, _triangle_pairs(n, tri)])

@@ -426,9 +426,12 @@ def train_steps(
     )
     if stream.clamped and flags is not None:
         flags.add("batch_size_clamped")
-    for _ in range(n_steps):
-        idx = stream.next_indices()
-        params = sgd_step(params, gradient(params, x[idx], y[idx]), config.learning_rate)
+    # A diverging run overflows here; aggregate and run_method report it as
+    # NonFiniteParamsError. errstate is per thread, so it is set in here.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(n_steps):
+            idx = stream.next_indices()
+            params = sgd_step(params, gradient(params, x[idx], y[idx]), config.learning_rate)
     return params.copy() if n_steps == 0 else params
 
 

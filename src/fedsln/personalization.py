@@ -39,6 +39,7 @@ from .neural import (
     MetricsReport,
     ModelParams,
     TrainConfig,
+    check_finite,
     evaluate,
     flat_size,
     flatten_layers,
@@ -90,9 +91,11 @@ def _one_pass(
     n = len(y)
     order = rng.permutation(n)
     b = min(batch_size, n)
-    for start in range(0, n, b):
-        idx = order[start : start + b]
-        params = sgd_step(params, gradient(params, x[idx], y[idx]), learning_rate)
+    # divergence is reported by run_method's finiteness check
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, n, b):
+            idx = order[start : start + b]
+            params = sgd_step(params, gradient(params, x[idx], y[idx]), learning_rate)
     return params
 
 
@@ -121,14 +124,29 @@ def run_fedavg_ft(
     """FedAvg followed by one fine-tuning epoch per client."""
     ft_config = ft_config if ft_config is not None else fed_config
     global_params, history = run_fedavg(clients, fed_config, max_workers=max_workers)
+    return _fine_tune_all("fedavg_ft", global_params, clients, ft_config, history)
+
+
+def _fine_tune_all(
+    method: str,
+    global_params: ModelParams,
+    clients: Sequence[ClientState],
+    config: TrainConfig,
+    history: list[RoundRecord],
+) -> PersonalizedOutcome:
+    """Fine-tune the global model on every client, then score each one.
+
+    A fine-tuned model that diverged is reported before it is scored.
+    """
     client_params = {}
     reports = {}
     for client in clients:
-        personalized = fine_tune(global_params, client, ft_config)
+        personalized = fine_tune(global_params, client, config)
+        check_finite(personalized, f"client {client.client_id}'s personalized model")
         client.params = personalized
         client_params[client.client_id] = personalized
         reports[client.client_id] = evaluate(personalized, client.test_x, client.test_y)
-    return PersonalizedOutcome("fedavg_ft", client_params, reports, history)
+    return PersonalizedOutcome(method, client_params, reports, history)
 
 
 def perfedavg_hf_step(
@@ -163,15 +181,17 @@ def _meta_round(client: ClientState, config: TrainConfig) -> ModelParams:
     meta = client.batch_stream("meta", config.batch_size)
     hess = client.batch_stream("hess", config.batch_size)
     x, y = client.train_x, client.train_y
-    for _ in range(config.local_steps):
-        i1, i2, i3 = meta.next_indices(), upd.next_indices(), hess.next_indices()
-        params = perfedavg_hf_step(
-            params,
-            ((x[i1], y[i1]), (x[i2], y[i2]), (x[i3], y[i3])),
-            config.meta_inner,
-            config.meta_outer,
-            config.hf_delta,
-        )
+    # divergence is reported by aggregate; errstate is per thread
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(config.local_steps):
+            i1, i2, i3 = meta.next_indices(), upd.next_indices(), hess.next_indices()
+            params = perfedavg_hf_step(
+                params,
+                ((x[i1], y[i1]), (x[i2], y[i2]), (x[i3], y[i3])),
+                config.meta_inner,
+                config.meta_outer,
+                config.hf_delta,
+            )
     client.params = params
     return params
 
@@ -204,14 +224,7 @@ def run_perfedavg_hf(
         history.append(
             RoundRecord(k, losses, params_checksum(global_params), time.perf_counter() - start)
         )
-    client_params = {}
-    reports = {}
-    for client in clients:
-        personalized = fine_tune(global_params, client, config)
-        client.params = personalized
-        client_params[client.client_id] = personalized
-        reports[client.client_id] = evaluate(personalized, client.test_x, client.test_y)
-    return PersonalizedOutcome("perfedavg_hf", client_params, reports, history)
+    return _fine_tune_all("perfedavg_hf", global_params, clients, config, history)
 
 
 @dataclass

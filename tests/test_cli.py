@@ -274,31 +274,35 @@ class TestErrors:
             ("centralized", r"the centralized model"),
         ],
     )
+    @pytest.mark.filterwarnings("error")
     def test_diverging_learning_rate_names_method_seed_round_client(
         self, config_path, tmp_path, capsys, method, where
     ):
-        code, out, err = run_cli(
-            capsys,
-            "train",
-            "--config",
-            str(config_path),
-            "--output-dir",
-            str(tmp_path / "out"),
-            "--methods",
-            method,
-            "--set",
-            f"{method}.learning_rate=1e200",
-        )
-        assert code == 2
-        lines = [l for l in err.splitlines() if l.startswith("fedsln: ")]
-        assert len(lines) == 1
-        assert re.fullmatch(
-            rf"fedsln: \[train:{method}\] seed 1: {where} has non-finite parameters; "
-            r"training diverged",
-            lines[0],
-        ), lines[0]
-        assert "Traceback" not in err
-        assert not (tmp_path / "out").exists()
+        # the overflow itself stays silent, also inside worker threads
+        for workers in ("1", "2"):
+            code, out, err = run_cli(
+                capsys,
+                "train",
+                "--config",
+                str(config_path),
+                "--output-dir",
+                str(tmp_path / "out"),
+                "--methods",
+                method,
+                "--set",
+                f"{method}.learning_rate=1e200",
+                "--max-workers",
+                workers,
+            )
+            assert code == 2
+            lines = err.splitlines()
+            assert len(lines) == 1, err
+            assert re.fullmatch(
+                rf"fedsln: \[train:{method}\] seed 1: {where} has non-finite parameters; "
+                r"training diverged",
+                lines[0],
+            ), lines[0]
+            assert not (tmp_path / "out").exists()
 
     def test_generate_needs_synthetic(self, config_path, tmp_path, capsys):
         code, _, stderr = run_cli(

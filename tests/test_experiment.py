@@ -292,6 +292,34 @@ class TestEmit:
             emit_reports(full_report, tmp_path, include=["metrics", "models"])
         assert not (tmp_path / "metrics.csv").exists()
 
+    def test_failed_rerun_keeps_earlier_run(self, full_report, tmp_path, monkeypatch):
+        emit_reports(full_report, tmp_path)
+        before = {
+            p.relative_to(tmp_path): p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()
+        }
+        assert any(rel.suffix == ".ckpt" for rel in before)
+        # a later run with other models under the same file names; its
+        # third checkpoint fails
+        other = run_experiment(
+            make_cfg(experiment={"seeds": "1,2"}, model={"hidden_sizes": "3"})
+        )
+        real_save = experiment.save_checkpoint
+        calls = []
+
+        def fail_late(path, params, standardizer=None):
+            calls.append(path)
+            if len(calls) == 3:
+                raise OSError("disk full")
+            real_save(path, params, standardizer)
+
+        monkeypatch.setattr(experiment, "save_checkpoint", fail_late)
+        with pytest.raises(StageError, match=r"\[emit\] disk full"):
+            emit_reports(other, tmp_path)
+        after = {
+            p.relative_to(tmp_path): p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()
+        }
+        assert after == before
+
     def test_checkpoints_load_back(self, full_report, tmp_path):
         emit_reports(full_report, tmp_path, include=["models"])
         path = tmp_path / "models" / "centralized_seed1.ckpt"

@@ -131,9 +131,9 @@ class TestBuildExamples:
 
     def test_order_preserved(self):
         tp = self._tp()
-        pairs = list(reversed(tp.pair_universe))
+        pairs = tp.pair_universe[::-1]
         examples = build_examples(tp, pairs)
-        assert [(e.u, e.v) for e in examples] == pairs
+        assert [(e.u, e.v) for e in examples] == [tuple(p) for p in pairs.tolist()]
 
     def test_rejects_pair_outside_universe(self):
         uni = ((0, 1), (0, 2))
