@@ -1,12 +1,10 @@
-"""Fairness across classrooms, paired significance, exact attributions.
+"""Fairness across classrooms and exact attributions.
 
 Fairness is reported as per-client true/false positive rates plus their
-max-min spreads; no verdict is attached. The paired t statistic ships
-with a two-sided Student-t critical-value table for 1..30 degrees of
-freedom, so callers get significance decisions without a stats
-dependency. Shapley values are exact: all 2^n feature subsets are
-enumerated against a background sample under marginal-expectation
-masking.
+max-min spreads; no verdict is attached. The confusion counts behind the
+rates come from neural.confusion_counts, the routine evaluate uses.
+Shapley values are exact: all 2^n feature subsets are enumerated
+against a background sample under marginal-expectation masking.
 """
 
 from __future__ import annotations
@@ -18,47 +16,19 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .features import FEATURE_NAMES, Standardizer
-from .neural import ModelParams, forward
+from .neural import ModelParams, confusion_counts, forward
 
 __all__ = [
     "FairnessReport",
     "ShapleyExplanation",
     "confusion_counts",
-    "confusion_rates",
     "fairness_report",
     "global_importance",
     "make_predictor",
-    "paired_t_test",
     "rates_from_counts",
     "shapley_values",
-    "significant",
     "svg_bar_chart",
-    "t_critical",
 ]
-
-
-def confusion_counts(
-    scores: Sequence[float], labels: Sequence[float], threshold: float = 0.5
-) -> tuple[int, int, int, int]:
-    """(tp, fp, tn, fn) with ties at the threshold predicted positive."""
-    scores = np.asarray(scores, dtype=np.float64).reshape(-1)
-    labels = np.asarray(labels).reshape(-1)
-    if scores.size != labels.size or scores.size == 0:
-        raise ValueError("scores and labels must be non-empty and aligned")
-    pred = scores >= threshold
-    actual = labels == 1
-    tp = int(np.sum(pred & actual))
-    fp = int(np.sum(pred & ~actual))
-    tn = int(np.sum(~pred & ~actual))
-    fn = int(np.sum(~pred & actual))
-    return tp, fp, tn, fn
-
-
-def confusion_rates(
-    scores: Sequence[float], labels: Sequence[float], threshold: float = 0.5
-) -> tuple[float | None, float | None]:
-    """(tpr, fpr); a rate is None when its class is absent."""
-    return rates_from_counts(*confusion_counts(scores, labels, threshold))
 
 
 def rates_from_counts(
@@ -95,60 +65,6 @@ def fairness_report(rates: Sequence[tuple[float, float]]) -> FairnessReport:
         tpr_range=max(tprs) - min(tprs),
         fpr_range=max(fprs) - min(fprs),
     )
-
-
-def paired_t_test(a: Sequence[float], b: Sequence[float]) -> tuple[float, int]:
-    """Paired t statistic and degrees of freedom for matched samples.
-
-    t = mean(d) * sqrt(n) / sd(d) with the n-1 sample deviation. A
-    constant difference vector is degenerate and raises.
-    """
-    a = np.asarray(a, dtype=np.float64).reshape(-1)
-    b = np.asarray(b, dtype=np.float64).reshape(-1)
-    if a.size != b.size:
-        raise ValueError("paired samples must have equal length")
-    if a.size < 2:
-        raise ValueError("need at least two pairs")
-    d = a - b
-    sd = float(np.std(d, ddof=1))
-    if sd == 0.0:
-        raise ValueError("degenerate paired test: difference vector is constant")
-    t = float(np.mean(d)) * math.sqrt(d.size) / sd
-    return t, a.size - 1
-
-
-# Two-sided Student-t critical values, dof 1..30, standard quantile tables.
-_T_CRITICAL = {
-    0.10: (
-        6.314, 2.920, 2.353, 2.132, 2.015, 1.943, 1.895, 1.860, 1.833, 1.812,
-        1.796, 1.782, 1.771, 1.761, 1.753, 1.746, 1.740, 1.734, 1.729, 1.725,
-        1.721, 1.717, 1.714, 1.711, 1.708, 1.706, 1.703, 1.701, 1.699, 1.697,
-    ),
-    0.05: (
-        12.706, 4.303, 3.182, 2.776, 2.571, 2.447, 2.365, 2.306, 2.262, 2.228,
-        2.201, 2.179, 2.160, 2.145, 2.131, 2.120, 2.110, 2.101, 2.093, 2.086,
-        2.080, 2.074, 2.069, 2.064, 2.060, 2.056, 2.052, 2.048, 2.045, 2.042,
-    ),
-    0.01: (
-        63.657, 9.925, 5.841, 4.604, 4.032, 3.707, 3.499, 3.355, 3.250, 3.169,
-        3.106, 3.055, 3.012, 2.977, 2.947, 2.921, 2.898, 2.878, 2.861, 2.845,
-        2.831, 2.819, 2.807, 2.797, 2.787, 2.779, 2.771, 2.763, 2.756, 2.750,
-    ),
-}
-
-
-def t_critical(dof: int, alpha: float = 0.05) -> float:
-    """Two-sided critical value; dof above 30 clamps to the 30-row
-    (conservative, since critical values shrink with dof)."""
-    if dof < 1:
-        raise ValueError("degrees of freedom must be positive")
-    if alpha not in _T_CRITICAL:
-        raise ValueError(f"no table for alpha={alpha}; have {sorted(_T_CRITICAL)}")
-    return _T_CRITICAL[alpha][min(dof, 30) - 1]
-
-
-def significant(t: float, dof: int, alpha: float = 0.05) -> bool:
-    return abs(t) > t_critical(dof, alpha)
 
 
 @dataclass(frozen=True)

@@ -202,12 +202,6 @@ def pool_training_data(
     return standardizer, standardizer.transform(x), y
 
 
-def _federated_clients(datasets: Sequence[ClientDataset], seed: int) -> list[ClientState]:
-    return make_clients(
-        [(d.train_x, d.train_y, d.test_x, d.test_y) for d in datasets], seed
-    )
-
-
 def run_method(
     method: str,
     datasets: Sequence[ClientDataset],
@@ -263,26 +257,31 @@ def _run_method(
             method, reports, params, None, pooled_std, [], tuple(sorted(flags))
         )
 
-    clients = _federated_clients(datasets, seed)
+    clients = make_clients([(d.train_x, d.train_y, d.test_x, d.test_y) for d in datasets], seed)
+    global_params = client_params = None
     if method == "fedavg":
-        params, history = run_fedavg(clients, tcfg, max_workers=max_workers)
-        reports = {c.client_id: evaluate(params, c.test_x, c.test_y) for c in clients}
-        return MethodOutcome(
-            method, reports, params, None, None, history, _history_warnings(history)
-        )
-    if method == "fedavg_ft":
+        global_params, history = run_fedavg(clients, tcfg, max_workers=max_workers)
+    elif method == "fedavg_ft":
         fed_cfg = with_seed(
             replace(cfg.train["fedavg"], hidden_sizes=cfg.hidden_sizes), seed
         )
-        outcome = run_fedavg_ft(clients, fed_cfg, tcfg, max_workers=max_workers)
+        client_params, history = run_fedavg_ft(
+            clients, fed_cfg, tcfg, max_workers=max_workers
+        )
     elif method == "perfedavg_hf":
-        outcome = run_perfedavg_hf(clients, tcfg, max_workers=max_workers)
+        client_params, history = run_perfedavg_hf(clients, tcfg, max_workers=max_workers)
     elif method == "fedala":
-        outcome = run_fedala(clients, tcfg, max_workers=max_workers)
+        client_params, history = run_fedala(clients, tcfg, max_workers=max_workers)
     else:
         raise ValueError(f"unknown method {method!r}")
-    for cid, params in sorted(outcome.client_params.items()):
-        check_finite(params, f"client {cid}'s personalized model")
+    if client_params is None:
+        models = {c.client_id: global_params for c in clients}
+    else:
+        # every personalized model is checked before any model is scored
+        for cid, params in sorted(client_params.items()):
+            check_finite(params, f"client {cid}'s personalized model")
+        models = client_params
+    reports = {c.client_id: evaluate(models[c.client_id], c.test_x, c.test_y) for c in clients}
     ala_weights = None
     if method == "fedala":
         ala_weights = {
@@ -290,12 +289,12 @@ def _run_method(
         }
     return MethodOutcome(
         method,
-        outcome.reports,
+        reports,
+        global_params,
+        client_params,
         None,
-        outcome.client_params,
-        None,
-        outcome.history,
-        _history_warnings(outcome.history),
+        history,
+        _history_warnings(history),
         ala_weights=ala_weights,
     )
 

@@ -37,17 +37,11 @@ __all__ = [
     "PairExample",
     "PairExamples",
     "Standardizer",
-    "adamic_adar",
     "build_examples",
     "compute_features",
-    "cosine",
-    "dice",
     "examples_to_csv",
-    "jaccard",
     "ks_statistic",
     "pair_features",
-    "preferential_attachment",
-    "resource_allocation",
     "to_arrays",
 ]
 
@@ -81,48 +75,11 @@ class PairExample:
     label: int
 
 
-def _endpoints(graph: SlnGraph, u: int, v: int) -> tuple[frozenset[int], frozenset[int]]:
+def compute_features(graph: SlnGraph, u: int, v: int) -> FeatureVector:
+    """The per-pair reference: all six scores from the two neighbor sets."""
     if u == v:
         raise ValueError(f"feature pair must have distinct endpoints, got ({u}, {v})")
-    return graph.neighbors(u), graph.neighbors(v)
-
-
-def jaccard(graph: SlnGraph, u: int, v: int) -> float:
-    nu, nv = _endpoints(graph, u, v)
-    union = len(nu) + len(nv) - len(nu & nv)
-    return len(nu & nv) / union if union else 0.0
-
-
-def adamic_adar(graph: SlnGraph, u: int, v: int) -> float:
-    nu, nv = _endpoints(graph, u, v)
-    return sum((1.0 / math.log(graph.degree(n)) for n in sorted(nu & nv)), 0.0)
-
-
-def resource_allocation(graph: SlnGraph, u: int, v: int) -> float:
-    nu, nv = _endpoints(graph, u, v)
-    return sum((1.0 / graph.degree(n) for n in sorted(nu & nv)), 0.0)
-
-
-def preferential_attachment(graph: SlnGraph, u: int, v: int) -> float:
-    nu, nv = _endpoints(graph, u, v)
-    return float(len(nu) * len(nv))
-
-
-def cosine(graph: SlnGraph, u: int, v: int) -> float:
-    nu, nv = _endpoints(graph, u, v)
-    denom = math.sqrt(len(nu) * len(nv))
-    return len(nu & nv) / denom if denom else 0.0
-
-
-def dice(graph: SlnGraph, u: int, v: int) -> float:
-    nu, nv = _endpoints(graph, u, v)
-    denom = len(nu) + len(nv)
-    return 2.0 * len(nu & nv) / denom if denom else 0.0
-
-
-def compute_features(graph: SlnGraph, u: int, v: int) -> FeatureVector:
-    """All six scores in one pass over the shared neighbor sets."""
-    nu, nv = _endpoints(graph, u, v)
+    nu, nv = graph.neighbors(u), graph.neighbors(v)
     du, dv = len(nu), len(nv)
     common = sorted(nu & nv)
     nc = len(common)

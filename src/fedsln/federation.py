@@ -2,10 +2,17 @@
 
 Each client owns its feature arrays plus persistent seeded batch streams
 derived from (master seed, client id, slot); the server only ever sees
-parameter structures and train-split sizes. A round is synchronize ->
-local SGD -> size-weighted aggregation. Local rounds may run on a thread
-pool; results are independent of scheduling because every client draws
-from its own streams.
+parameter structures and train-split sizes.
+
+run_fedavg is the package's one federated round loop. A round calls
+sync(client, global_params) on every client, serially and in client
+order; then local(client, config, flags=flags) on every client,
+serially or on one thread pool; then aggregates the local models
+weighted by train-split size. Plain FedAvg uses the defaults,
+synchronize and local_round; the personalization methods pass their
+own sync or local step (see personalization.py). Results are
+independent of scheduling because every client draws from its own
+streams.
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ from __future__ import annotations
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -23,7 +30,6 @@ from .neural import (
     TrainConfig,
     check_finite,
     init_params,
-    mean_loss,
     params_checksum,
     train_steps,
 )
@@ -33,8 +39,6 @@ __all__ = [
     "ClientState",
     "RoundRecord",
     "aggregate",
-    "aggregate_round",
-    "history_to_csv",
     "local_round",
     "make_clients",
     "run_fedavg",
@@ -148,86 +152,65 @@ def aggregate(
     return ModelParams(mean, dims)
 
 
-def aggregate_round(
-    clients: Sequence[ClientState], local_params: Sequence[ModelParams], round_index: int
-) -> ModelParams:
-    """aggregate() over one round's clients, weighted by train-split size."""
-    return aggregate(
-        local_params,
-        [c.size for c in clients],
-        round_index=round_index,
-        client_ids=[c.client_id for c in clients],
-    )
-
-
 @dataclass(frozen=True)
 class RoundRecord:
     round_index: int
-    train_losses: dict[int, float]
     checksum: str
     wall_clock: float
     warnings: tuple[str, ...] = ()
 
 
-def _local_rounds(
-    clients: Sequence[ClientState],
-    config: TrainConfig,
-    max_workers: int | None,
-    flags: set[str],
-) -> list[ModelParams]:
-    if max_workers is None or max_workers <= 1 or len(clients) == 1:
-        return [local_round(c, config, flags=flags) for c in clients]
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        return list(pool.map(lambda c: local_round(c, config, flags=flags), clients))
+SyncFn = Callable[[ClientState, ModelParams], None]
+LocalFn = Callable[..., ModelParams]
 
 
+# sync and local are positional-or-keyword so that their defaults live in
+# __defaults__, where bench/tracing.py swaps in its timing wrappers.
 def run_fedavg(
     clients: Sequence[ClientState],
     config: TrainConfig,
+    sync: SyncFn = synchronize,
+    local: LocalFn = local_round,
     *,
     max_workers: int | None = None,
-    initial: ModelParams | None = None,
 ) -> tuple[ModelParams, list[RoundRecord]]:
-    """config.global_rounds rounds of FedAvg with full participation.
+    """config.global_rounds federated rounds with full participation.
 
-    Returns the final global model and one record per round. Zero rounds
-    returns the seeded initial model untouched.
+    Each round: sync(client, global_params) per client in order, then
+    local(client, config, flags=flags) per client (on a thread pool when
+    max_workers > 1), then the size-weighted aggregate. The defaults give
+    plain FedAvg. Returns the final global model and one record per
+    round; zero rounds returns the seeded initial model.
     """
     if len(clients) == 0:
         raise ValueError("need at least one client")
-    if initial is None:
-        input_dim = clients[0].train_x.shape[1]
-        initial = init_params(
-            derive_rng(config.seed, "init"), config.hidden_sizes, input_dim
-        )
-    global_params = initial.copy()
+    global_params = init_params(
+        derive_rng(config.seed, "init"), config.hidden_sizes, clients[0].train_x.shape[1]
+    )
+    sizes = [c.size for c in clients]
+    ids = [c.client_id for c in clients]
+    parallel = max_workers is not None and max_workers > 1 and len(clients) > 1
     history: list[RoundRecord] = []
-    for k in range(config.global_rounds):
-        start = time.perf_counter()
-        flags: set[str] = set()
-        for client in clients:
-            synchronize(client, global_params)
-        local = _local_rounds(clients, config, max_workers, flags)
-        global_params = aggregate_round(clients, local, k)
-        losses = {
-            c.client_id: mean_loss(c.params, c.train_x, c.train_y) for c in clients
-        }
-        history.append(
-            RoundRecord(
-                round_index=k,
-                train_losses=losses,
-                checksum=params_checksum(global_params),
-                wall_clock=time.perf_counter() - start,
-                warnings=tuple(sorted(flags)),
+    # the pool starts its threads on first use, so a serial run starts none
+    with ThreadPoolExecutor(max_workers=max_workers if parallel else 1) as pool:
+        map_clients = pool.map if parallel else map
+        for k in range(config.global_rounds):
+            start = time.perf_counter()
+            flags: set[str] = set()
+            for client in clients:
+                sync(client, global_params)
+
+            def train(client: ClientState) -> ModelParams:
+                return local(client, config, flags=flags)
+
+            local_params = list(map_clients(train, clients))
+            global_params = aggregate(local_params, sizes, round_index=k, client_ids=ids)
+            history.append(
+                RoundRecord(
+                    round_index=k,
+                    checksum=params_checksum(global_params),
+                    wall_clock=time.perf_counter() - start,
+                    warnings=tuple(sorted(flags)),
+                )
             )
-        )
     return global_params, history
-
-
-def history_to_csv(history: Sequence[RoundRecord]) -> str:
-    """Round history as CSV: round,client_id,train_loss."""
-    lines = ["round,client_id,train_loss"]
-    for record in history:
-        for cid in sorted(record.train_losses):
-            lines.append(f"{record.round_index},{cid},{record.train_losses[cid]!r}")
-    return "\n".join(lines) + "\n"

@@ -66,6 +66,7 @@ __all__ = [
     "auc",
     "bce_loss",
     "check_finite",
+    "confusion_counts",
     "epochs_to_steps",
     "evaluate",
     "flat_size",
@@ -482,6 +483,23 @@ class MetricsReport:
     fn: int
 
 
+def confusion_counts(
+    scores: Sequence[float], labels: Sequence[float], threshold: float = 0.5
+) -> tuple[int, int, int, int]:
+    """(tp, fp, tn, fn) with ties at the threshold predicted positive."""
+    scores = np.asarray(scores, dtype=np.float64).reshape(-1)
+    labels = np.asarray(labels).reshape(-1)
+    if scores.size != labels.size or scores.size == 0:
+        raise ValueError("scores and labels must be non-empty and aligned")
+    pred = scores >= threshold
+    actual = labels == 1
+    tp = int(np.sum(pred & actual))
+    fp = int(np.sum(pred & ~actual))
+    tn = int(np.sum(~pred & ~actual))
+    fn = int(np.sum(~pred & actual))
+    return tp, fp, tn, fn
+
+
 def evaluate(params: ModelParams, x: np.ndarray, y: np.ndarray, threshold: float = 0.5) -> MetricsReport:
     """Threshold at 0.5 (ties predict positive) and score a test split."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
@@ -489,12 +507,7 @@ def evaluate(params: ModelParams, x: np.ndarray, y: np.ndarray, threshold: float
     if x.shape[0] != y.size or y.size == 0:
         raise ValueError("evaluation needs matching, non-empty features and labels")
     p = forward(params, x)
-    pred = p >= threshold
-    actual = y == 1
-    tp = int(np.sum(pred & actual))
-    fp = int(np.sum(pred & ~actual))
-    tn = int(np.sum(~pred & ~actual))
-    fn = int(np.sum(~pred & actual))
+    tp, fp, tn, fn = confusion_counts(p, y, threshold)
     return MetricsReport(
         accuracy=(tp + tn) / y.size,
         mean_loss=float(np.mean(bce_loss(p, y))),

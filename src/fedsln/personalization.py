@@ -1,53 +1,44 @@
 """Per-client adaptation on top of the shared federated model.
 
-Three strategies:
+All three strategies run federation.run_fedavg, the one round loop,
+and differ only in the hook they hand it or in what follows it:
 
-* post-hoc fine-tuning: exactly one seeded pass over the local train
-  split after FedAvg finishes;
-* Hessian-free per-client meta-learning: each meta-step consumes one
-  batch from each of three parallel client streams (meta, update,
-  hessian) and approximates the Hessian-vector term with a central
-  difference, followed by the same one-pass fine-tune;
-* adaptive local aggregation: the top layers of the incoming global
-  model are blended elementwise with the client's previous local model
-  through learnable weights in [0, 1].
+* post-hoc fine-tuning: plain FedAvg rounds, then exactly one seeded
+  pass over each client's train split;
+* Hessian-free per-client meta-learning: the local step is
+  _meta_round, where each meta-step consumes one batch from each of
+  three parallel client streams (meta, update, hessian) and
+  approximates the Hessian-vector term with a central difference; the
+  same one-pass fine-tune follows;
+* adaptive local aggregation: the sync step is _ala_sync, which blends
+  the top layers of the incoming global model elementwise with the
+  client's previous local model through learnable weights in [0, 1].
 
-Keeping the update batch on its own stream means the meta path with
-alpha = 0 consumes batches exactly like plain FedAvg, so the two
-pipelines coincide bit for bit under shared seeds.
+Each returns the per-client models and the round history; scoring them
+is experiment.run_method's job. Keeping the update batch on its own
+stream means the meta path with alpha = 0 consumes batches exactly like
+plain FedAvg, so the two pipelines coincide bit for bit under shared
+seeds.
 """
 
 from __future__ import annotations
 
-import time
-from concurrent.futures import ThreadPoolExecutor
+import functools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .federation import (
-    ClientState,
-    RoundRecord,
-    _local_rounds,
-    aggregate_round,
-    run_fedavg,
-    synchronize,
-)
+from .federation import ClientState, RoundRecord, run_fedavg, synchronize
 from .neural import (
     DenseLayer,
-    MetricsReport,
     ModelParams,
     TrainConfig,
-    check_finite,
-    evaluate,
     flat_size,
     flatten_layers,
     gradient,
-    init_params,
     layer_views,
     mean_loss,
-    params_checksum,
     sgd_step,
 )
 from .graphs import round_half_up
@@ -55,7 +46,6 @@ from .rng import derive_rng
 
 __all__ = [
     "AlaWeights",
-    "PersonalizedOutcome",
     "ala_init",
     "ala_weights_to_csv",
     "fine_tune",
@@ -68,35 +58,7 @@ __all__ = [
 
 Batch = tuple[np.ndarray, np.ndarray]
 GradFn = Callable[[ModelParams, np.ndarray, np.ndarray], ModelParams]
-
-
-@dataclass(frozen=True)
-class PersonalizedOutcome:
-    """Per-client personalized models and their test metrics."""
-
-    method: str
-    client_params: dict[int, ModelParams]
-    reports: dict[int, MetricsReport]
-    history: list[RoundRecord]
-
-
-def _one_pass(
-    params: ModelParams,
-    x: np.ndarray,
-    y: np.ndarray,
-    learning_rate: float,
-    batch_size: int,
-    rng: np.random.Generator,
-) -> ModelParams:
-    n = len(y)
-    order = rng.permutation(n)
-    b = min(batch_size, n)
-    # divergence is reported by run_method's finiteness check
-    with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, n, b):
-            idx = order[start : start + b]
-            params = sgd_step(params, gradient(params, x[idx], y[idx]), learning_rate)
-    return params
+Personalized = tuple[dict[int, ModelParams], list[RoundRecord]]
 
 
 def fine_tune(
@@ -104,14 +66,16 @@ def fine_tune(
 ) -> ModelParams:
     """Exactly one seeded epoch of SGD on the client's train split."""
     rng = derive_rng(client.seed, "client", client.client_id, "finetune")
-    return _one_pass(
-        global_params.copy(),
-        client.train_x,
-        client.train_y,
-        config.learning_rate,
-        config.batch_size,
-        rng,
-    )
+    order = rng.permutation(client.size)
+    b = min(config.batch_size, client.size)
+    x, y = client.train_x, client.train_y
+    params = global_params.copy()
+    # divergence is reported by run_method's finiteness check
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, client.size, b):
+            idx = order[start : start + b]
+            params = sgd_step(params, gradient(params, x[idx], y[idx]), config.learning_rate)
+    return params
 
 
 def run_fedavg_ft(
@@ -120,33 +84,20 @@ def run_fedavg_ft(
     ft_config: TrainConfig | None = None,
     *,
     max_workers: int | None = None,
-) -> PersonalizedOutcome:
+) -> Personalized:
     """FedAvg followed by one fine-tuning epoch per client."""
     ft_config = ft_config if ft_config is not None else fed_config
     global_params, history = run_fedavg(clients, fed_config, max_workers=max_workers)
-    return _fine_tune_all("fedavg_ft", global_params, clients, ft_config, history)
+    return _fine_tune_all(global_params, clients, ft_config), history
 
 
 def _fine_tune_all(
-    method: str,
-    global_params: ModelParams,
-    clients: Sequence[ClientState],
-    config: TrainConfig,
-    history: list[RoundRecord],
-) -> PersonalizedOutcome:
-    """Fine-tune the global model on every client, then score each one.
-
-    A fine-tuned model that diverged is reported before it is scored.
-    """
-    client_params = {}
-    reports = {}
+    global_params: ModelParams, clients: Sequence[ClientState], config: TrainConfig
+) -> dict[int, ModelParams]:
+    """Fine-tune the global model on every client; each keeps its result."""
     for client in clients:
-        personalized = fine_tune(global_params, client, config)
-        check_finite(personalized, f"client {client.client_id}'s personalized model")
-        client.params = personalized
-        client_params[client.client_id] = personalized
-        reports[client.client_id] = evaluate(personalized, client.test_x, client.test_y)
-    return PersonalizedOutcome(method, client_params, reports, history)
+        client.params = fine_tune(global_params, client, config)
+    return {c.client_id: c.params for c in clients}
 
 
 def perfedavg_hf_step(
@@ -175,11 +126,17 @@ def perfedavg_hf_step(
     return ModelParams(w - beta * (g2 - alpha * d), dims)
 
 
-def _meta_round(client: ClientState, config: TrainConfig) -> ModelParams:
+def _meta_round(
+    client: ClientState, config: TrainConfig, *, flags: set[str] | None = None
+) -> ModelParams:
+    """The meta-learning local step: config.local_steps meta-steps."""
     params = client.params
     upd = client.batch_stream("update", config.batch_size)
     meta = client.batch_stream("meta", config.batch_size)
     hess = client.batch_stream("hess", config.batch_size)
+    # the three streams share one batch size and one train split
+    if upd.clamped and flags is not None:
+        flags.add("batch_size_clamped")
     x, y = client.train_x, client.train_y
     # divergence is reported by aggregate; errstate is per thread
     with np.errstate(over="ignore", invalid="ignore"):
@@ -201,30 +158,12 @@ def run_perfedavg_hf(
     config: TrainConfig,
     *,
     max_workers: int | None = None,
-) -> PersonalizedOutcome:
+) -> Personalized:
     """Federated meta-learning rounds, then one fine-tune epoch each."""
-    if len(clients) == 0:
-        raise ValueError("need at least one client")
-    input_dim = clients[0].train_x.shape[1]
-    global_params = init_params(
-        derive_rng(config.seed, "init"), config.hidden_sizes, input_dim
+    global_params, history = run_fedavg(
+        clients, config, local=_meta_round, max_workers=max_workers
     )
-    history: list[RoundRecord] = []
-    for k in range(config.global_rounds):
-        start = time.perf_counter()
-        for client in clients:
-            synchronize(client, global_params)
-        if max_workers is not None and max_workers > 1 and len(clients) > 1:
-            with ThreadPoolExecutor(max_workers=max_workers) as pool:
-                local = list(pool.map(lambda c: _meta_round(c, config), clients))
-        else:
-            local = [_meta_round(c, config) for c in clients]
-        global_params = aggregate_round(clients, local, k)
-        losses = {c.client_id: mean_loss(c.params, c.train_x, c.train_y) for c in clients}
-        history.append(
-            RoundRecord(k, losses, params_checksum(global_params), time.perf_counter() - start)
-        )
-    return _fine_tune_all("perfedavg_hf", global_params, clients, config, history)
+    return _fine_tune_all(global_params, clients, config), history
 
 
 @dataclass
@@ -366,41 +305,19 @@ def run_fedala(
     config: TrainConfig,
     *,
     max_workers: int | None = None,
-) -> PersonalizedOutcome:
+) -> Personalized:
     """Adaptive-blend federated rounds; clients keep their last local state.
 
     Blending weights get a full learning pass the first time a client
     blends and a single refresh update in every later round.
     """
-    if len(clients) == 0:
-        raise ValueError("need at least one client")
-    input_dim = clients[0].train_x.shape[1]
-    global_params = init_params(
-        derive_rng(config.seed, "init"), config.hidden_sizes, input_dim
+    _global, history = run_fedavg(
+        clients,
+        config,
+        sync=functools.partial(_ala_sync, config=config),
+        max_workers=max_workers,
     )
-    history: list[RoundRecord] = []
-    for k in range(config.global_rounds):
-        start = time.perf_counter()
-        flags: set[str] = set()
-        for client in clients:
-            _ala_sync(client, global_params, config)
-        local = _local_rounds(clients, config, max_workers, flags)
-        global_params = aggregate_round(clients, local, k)
-        losses = {c.client_id: mean_loss(c.params, c.train_x, c.train_y) for c in clients}
-        history.append(
-            RoundRecord(
-                k,
-                losses,
-                params_checksum(global_params),
-                time.perf_counter() - start,
-                tuple(sorted(flags)),
-            )
-        )
-    client_params = {c.client_id: c.params for c in clients}
-    reports = {
-        c.client_id: evaluate(c.params, c.test_x, c.test_y) for c in clients
-    }
-    return PersonalizedOutcome("fedala", client_params, reports, history)
+    return {c.client_id: c.params for c in clients}, history
 
 
 def ala_weights_to_csv(weights: AlaWeights) -> str:

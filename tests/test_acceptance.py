@@ -250,9 +250,9 @@ def test_criterion_05_fedala_reductions(capsys):
         learning_rate=0.05, batch_size=8, local_steps=6, global_rounds=4, seed=5,
         ala_top_layers=3, ala_weight_lr=0.0,
     )
-    ala = run_fedala(toy_clients(2, seed=5), cfg)
+    _ala, ala_hist = run_fedala(toy_clients(2, seed=5), cfg)
     _fed, hist = run_fedavg(toy_clients(2, seed=5), cfg)
-    trajectory_ok = [r.checksum for r in ala.history] == [r.checksum for r in hist]
+    trajectory_ok = [r.checksum for r in ala_hist] == [r.checksum for r in hist]
 
     bounded = True
     for seed in range(20):
@@ -333,12 +333,11 @@ def test_criterion_06_perfedavg_hf(capsys):
         learning_rate=0.05, batch_size=8, local_steps=6, global_rounds=3,
         seed=2, meta_inner=0.0,
     )
-    meta = run_perfedavg_hf(toy_clients(2, seed=2), cfg)
-    ft = run_fedavg_ft(toy_clients(2, seed=2), cfg, cfg)
+    meta, meta_hist = run_perfedavg_hf(toy_clients(2, seed=2), cfg)
+    ft, ft_hist = run_fedavg_ft(toy_clients(2, seed=2), cfg, cfg)
     alpha_zero_ok = all(
-        params_checksum(meta.client_params[cid]) == params_checksum(ft.client_params[cid])
-        for cid in meta.client_params
-    ) and [r.checksum for r in meta.history] == [r.checksum for r in ft.history]
+        params_checksum(meta[cid]) == params_checksum(ft[cid]) for cid in meta
+    ) and [r.checksum for r in meta_hist] == [r.checksum for r in ft_hist]
 
     verdict(capsys, 6, "meta-step quadratic fixture, curvature convergence, alpha-zero identity",
             quad_err <= 1e-12 and ratios_ok and alpha_zero_ok,

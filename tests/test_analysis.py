@@ -1,29 +1,23 @@
-"""Fairness arithmetic, paired significance, and exact attributions.
+"""Fairness arithmetic and exact attributions.
 
 Shapley values are checked against closed-form linear attributions and
-an independent permutation-enumeration oracle; the t machinery against
-scipy; fairness spreads against published per-classroom rate tables.
+an independent permutation-enumeration oracle; fairness spreads against
+published per-classroom rate tables.
 """
-
-import math
 
 import numpy as np
 import pytest
-from scipy import stats
 
 from fedsln.analysis import (
     FairnessReport,
     ShapleyExplanation,
     confusion_counts,
-    confusion_rates,
     fairness_report,
     global_importance,
     make_predictor,
-    paired_t_test,
+    rates_from_counts,
     shapley_values,
-    significant,
     svg_bar_chart,
-    t_critical,
 )
 from fedsln.features import FEATURE_NAMES, Standardizer
 from fedsln.neural import init_params
@@ -41,11 +35,11 @@ class TestConfusion:
         assert (tp, fp, tn, fn) == (1, 2, 1, 0)  # tie at 0.5 predicts positive
 
     def test_rates_fixture(self):
-        tpr, fpr = confusion_rates([0.9, 0.1, 0.8, 0.3], [1, 1, 0, 0])
+        tpr, fpr = rates_from_counts(*confusion_counts([0.9, 0.1, 0.8, 0.3], [1, 1, 0, 0]))
         assert tpr == 0.5 and fpr == 0.5
 
     def test_missing_class_gives_none(self):
-        tpr, fpr = confusion_rates([0.9, 0.1], [1, 1])
+        tpr, fpr = rates_from_counts(*confusion_counts([0.9, 0.1], [1, 1]))
         assert fpr is None and tpr == 0.5
 
     def test_rejects_empty(self):
@@ -84,50 +78,6 @@ class TestFairness:
             fairness_report([(0.5, None)])
         with pytest.raises(ValueError):
             fairness_report([(1.5, 0.0)])
-
-
-class TestPairedT:
-    def test_frozen_fixture(self):
-        # FedAvg vs centralized TPR columns from the reference table
-        t, dof = paired_t_test([r[0] for r in RATES_FEDAVG], [r[0] for r in RATES_CENTRALIZED])
-        assert t == pytest.approx(0.36280443309414057, abs=1e-12)
-        assert dof == 4
-        assert not significant(t, dof)
-
-    def test_matches_scipy_sweep(self):
-        for seed in range(30):
-            rng = derive_rng(seed, "t")
-            n = int(rng.integers(2, 25))
-            a = rng.normal(size=n)
-            b = a + rng.normal(scale=0.5, size=n) + 0.1
-            t, dof = paired_t_test(a, b)
-            ref = stats.ttest_rel(a, b).statistic
-            assert t == pytest.approx(ref, abs=1e-10)
-            assert dof == n - 1
-
-    def test_degenerate_difference_raises(self):
-        with pytest.raises(ValueError):
-            paired_t_test([1.0, 2.0, 3.0], [0.5, 1.5, 2.5])
-
-    def test_length_validation(self):
-        with pytest.raises(ValueError):
-            paired_t_test([1.0], [2.0])
-        with pytest.raises(ValueError):
-            paired_t_test([1.0, 2.0], [1.0])
-
-    def test_critical_values_match_scipy(self):
-        for alpha in (0.10, 0.05, 0.01):
-            for dof in range(1, 31):
-                ref = stats.t.ppf(1 - alpha / 2, dof)
-                assert t_critical(dof, alpha) == pytest.approx(ref, abs=5e-4)
-
-    def test_dof_clamp_is_conservative(self):
-        assert t_critical(200) == t_critical(30)
-        assert t_critical(30) > stats.t.ppf(0.975, 200)
-
-    def test_unknown_alpha(self):
-        with pytest.raises(ValueError):
-            t_critical(5, 0.2)
 
 
 def linear_predictor(coefs, intercept=0.0):

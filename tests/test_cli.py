@@ -237,6 +237,31 @@ class TestOtherCommands:
         ).read_text()
 
 
+class TestWarnings:
+    @pytest.mark.parametrize("method", ["fedavg", "fedala", "perfedavg_hf"])
+    def test_batch_larger_than_train_split_is_reported(
+        self, config_path, tmp_path, capsys, method
+    ):
+        code, _, err = run_cli(
+            capsys,
+            "train",
+            "--config",
+            str(config_path),
+            "--output-dir",
+            str(tmp_path / "out"),
+            "--methods",
+            method,
+            "--set",
+            f"{method}.batch_size=100000",
+            "--set",
+            f"{method}.global_rounds=1",
+            "--set",
+            f"{method}.local_steps=2",
+        )
+        assert code == 0
+        assert err.splitlines() == [f"warning: {method}: batch_size_clamped"]
+
+
 class TestErrors:
     def test_missing_config(self, tmp_path, capsys):
         code, _, stderr = run_cli(
@@ -271,6 +296,7 @@ class TestErrors:
             ("fedavg", r"round 0: client [01]"),
             ("fedala", r"round 0: client [01]"),
             ("perfedavg_hf", r"round 0: client [01]"),
+            ("fedavg_ft", r"client 0's personalized model"),
             ("centralized", r"the centralized model"),
         ],
     )

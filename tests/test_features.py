@@ -15,16 +15,10 @@ from fedsln.features import (
     FeatureVector,
     PairExample,
     Standardizer,
-    adamic_adar,
     build_examples,
     compute_features,
-    cosine,
-    dice,
     examples_to_csv,
-    jaccard,
     ks_statistic,
-    preferential_attachment,
-    resource_allocation,
     to_arrays,
 )
 from fedsln.graphs import SlnGraph, SplitSpec, generate_synthetic, temporal_split
@@ -53,29 +47,22 @@ def brute_force(graph, u, v):
 class TestHandFixtures:
     # twelve tabulated values on G4: pair (0,3) shares {2}, pair (0,1) shares {2}
     def test_pair_0_3(self):
-        assert jaccard(G4, 0, 3) == pytest.approx(0.5, abs=1e-9)
-        assert adamic_adar(G4, 0, 3) == pytest.approx(1 / math.log(3), abs=1e-9)
-        assert resource_allocation(G4, 0, 3) == pytest.approx(1 / 3, abs=1e-9)
-        assert preferential_attachment(G4, 0, 3) == pytest.approx(2.0, abs=1e-9)
-        assert cosine(G4, 0, 3) == pytest.approx(1 / math.sqrt(2), abs=1e-9)
-        assert dice(G4, 0, 3) == pytest.approx(2 / 3, abs=1e-9)
+        fv = compute_features(G4, 0, 3)
+        assert fv.jaccard == pytest.approx(0.5, abs=1e-9)
+        assert fv.adamic_adar == pytest.approx(1 / math.log(3), abs=1e-9)
+        assert fv.resource_allocation == pytest.approx(1 / 3, abs=1e-9)
+        assert fv.preferential_attachment == pytest.approx(2.0, abs=1e-9)
+        assert fv.cosine == pytest.approx(1 / math.sqrt(2), abs=1e-9)
+        assert fv.dice == pytest.approx(2 / 3, abs=1e-9)
 
     def test_pair_0_1(self):
-        assert jaccard(G4, 0, 1) == pytest.approx(1 / 3, abs=1e-9)
-        assert adamic_adar(G4, 0, 1) == pytest.approx(1 / math.log(3), abs=1e-9)
-        assert resource_allocation(G4, 0, 1) == pytest.approx(1 / 3, abs=1e-9)
-        assert preferential_attachment(G4, 0, 1) == pytest.approx(4.0, abs=1e-9)
-        assert cosine(G4, 0, 1) == pytest.approx(0.5, abs=1e-9)
-        assert dice(G4, 0, 1) == pytest.approx(0.5, abs=1e-9)
-
-    def test_compute_features_matches_individual_functions(self):
-        fv = compute_features(G4, 0, 3)
-        assert fv.jaccard == jaccard(G4, 0, 3)
-        assert fv.adamic_adar == adamic_adar(G4, 0, 3)
-        assert fv.resource_allocation == resource_allocation(G4, 0, 3)
-        assert fv.preferential_attachment == preferential_attachment(G4, 0, 3)
-        assert fv.cosine == cosine(G4, 0, 3)
-        assert fv.dice == dice(G4, 0, 3)
+        fv = compute_features(G4, 0, 1)
+        assert fv.jaccard == pytest.approx(1 / 3, abs=1e-9)
+        assert fv.adamic_adar == pytest.approx(1 / math.log(3), abs=1e-9)
+        assert fv.resource_allocation == pytest.approx(1 / 3, abs=1e-9)
+        assert fv.preferential_attachment == pytest.approx(4.0, abs=1e-9)
+        assert fv.cosine == pytest.approx(0.5, abs=1e-9)
+        assert fv.dice == pytest.approx(0.5, abs=1e-9)
 
 
 class TestBruteForceSweep:

@@ -1,12 +1,13 @@
 """Federated averaging: aggregation algebra, reductions, scheduling."""
 
+import re
+
 import numpy as np
 import pytest
 
 from fedsln.federation import (
     ClientState,
     aggregate,
-    history_to_csv,
     local_round,
     make_clients,
     run_fedavg,
@@ -197,33 +198,38 @@ class TestRunFedavg:
         assert np.array_equal(flatten(final), flatten(expected))
         assert history == []
 
-    def test_explicit_initial_used(self):
-        clients = toy_clients(1, seed=2)
-        initial = init_params(99, hidden=(32, 16), input_dim=6)
-        cfg = TrainConfig(global_rounds=0, seed=2)
-        final, _ = run_fedavg(clients, cfg, initial=initial)
-        assert params_checksum(final) == params_checksum(initial)
-
     def test_round_records_shape(self):
         clients = toy_clients(2, seed=6)
         cfg = TrainConfig(learning_rate=0.05, batch_size=8, local_steps=3, global_rounds=2, seed=6)
-        _, history = run_fedavg(clients, cfg)
+        final, history = run_fedavg(clients, cfg)
         assert [r.round_index for r in history] == [0, 1]
         for record in history:
-            assert sorted(record.train_losses) == [0, 1]
+            assert re.fullmatch(r"[0-9a-f]{64}", record.checksum)
             assert record.wall_clock >= 0.0
-            assert len(record.checksum) == 64
+            assert record.warnings == ()
+        assert history[-1].checksum == params_checksum(final)
+        assert history[0].checksum != history[1].checksum
+
+    def test_hooks_sync_every_client_before_local_steps(self):
+        calls = []
+
+        def sync(client, global_params):
+            calls.append(("sync", client.client_id))
+            synchronize(client, global_params)
+
+        def local(client, config, *, flags):
+            calls.append(("local", client.client_id))
+            flags.add(f"client{client.client_id}")
+            return local_round(client, config, flags=flags)
+
+        cfg = TrainConfig(learning_rate=0.05, batch_size=8, local_steps=3, global_rounds=2, seed=6)
+        hooked, hooked_hist = run_fedavg(toy_clients(2, seed=6), cfg, sync=sync, local=local)
+        plain, plain_hist = run_fedavg(toy_clients(2, seed=6), cfg)
+        assert calls == [("sync", 0), ("sync", 1), ("local", 0), ("local", 1)] * 2
+        assert [r.warnings for r in hooked_hist] == [("client0", "client1")] * 2
+        assert [r.checksum for r in hooked_hist] == [r.checksum for r in plain_hist]
+        assert params_checksum(hooked) == params_checksum(plain)
 
     def test_requires_clients(self):
         with pytest.raises(ValueError):
             run_fedavg([], TrainConfig())
-
-    def test_history_csv(self):
-        clients = toy_clients(2, seed=6)
-        cfg = TrainConfig(learning_rate=0.05, batch_size=8, local_steps=2, global_rounds=2, seed=6)
-        _, history = run_fedavg(clients, cfg)
-        text = history_to_csv(history)
-        lines = text.splitlines()
-        assert lines[0] == "round,client_id,train_loss"
-        assert len(lines) == 5
-        assert lines[1].startswith("0,0,")

@@ -165,13 +165,16 @@ class TestFineTune:
         clients = toy_clients(3, seed=4)
         fed = TrainConfig(learning_rate=0.05, batch_size=8, local_steps=4, global_rounds=2, seed=4)
         ft = TrainConfig(learning_rate=0.01, batch_size=4, seed=4)
-        out = run_fedavg_ft(clients, fed, ft)
-        assert out.method == "fedavg_ft"
-        assert sorted(out.client_params) == [0, 1, 2]
-        assert sorted(out.reports) == [0, 1, 2]
-        assert len(out.history) == 2
+        client_params, history = run_fedavg_ft(clients, fed, ft)
+        assert sorted(client_params) == [0, 1, 2]
+        assert len(history) == 2
+        # each client model is one fine-tuning pass from the final global
+        global_params, _ = run_fedavg(toy_clients(3, seed=4), fed)
+        for client in toy_clients(3, seed=4):
+            expected = fine_tune(global_params, client, ft)
+            assert params_checksum(client_params[client.client_id]) == params_checksum(expected)
         # personalization diverges the clients from one another
-        sums = {params_checksum(p) for p in out.client_params.values()}
+        sums = {params_checksum(p) for p in client_params.values()}
         assert len(sums) == 3
 
 
@@ -180,35 +183,34 @@ class TestPerFedAvg:
         cfg = TrainConfig(
             learning_rate=0.05, batch_size=8, local_steps=6, global_rounds=3, seed=2, meta_inner=0.0
         )
-        meta = run_perfedavg_hf(toy_clients(2, seed=2), cfg)
-        ft = run_fedavg_ft(toy_clients(2, seed=2), cfg, cfg)
-        for cid in meta.client_params:
-            assert params_checksum(meta.client_params[cid]) == params_checksum(
-                ft.client_params[cid]
-            )
-        assert [r.checksum for r in meta.history] == [r.checksum for r in ft.history]
+        meta, meta_hist = run_perfedavg_hf(toy_clients(2, seed=2), cfg)
+        ft, ft_hist = run_fedavg_ft(toy_clients(2, seed=2), cfg, cfg)
+        for cid in meta:
+            assert params_checksum(meta[cid]) == params_checksum(ft[cid])
+        assert [r.checksum for r in meta_hist] == [r.checksum for r in ft_hist]
 
     def test_meta_learning_reduces_loss(self):
         clients = toy_clients(2, seed=11)
         cfg = TrainConfig(learning_rate=0.05, batch_size=8, local_steps=10, global_rounds=5, seed=11)
-        out = run_perfedavg_hf(clients, cfg)
-        assert out.history[-1].train_losses[0] < out.history[0].train_losses[0]
+        initial = init_params(derive_rng(11, "init"), cfg.hidden_sizes, 6)
+        client_params, _ = run_perfedavg_hf(clients, cfg)
+        x, y = clients[0].train_x, clients[0].train_y
+        assert mean_loss(client_params[0], x, y) < mean_loss(initial, x, y)
 
     def test_reproducible(self):
         cfg = TrainConfig(learning_rate=0.05, batch_size=8, local_steps=4, global_rounds=2, seed=3)
-        a = run_perfedavg_hf(toy_clients(2, seed=3), cfg)
-        b = run_perfedavg_hf(toy_clients(2, seed=3), cfg)
-        for cid in a.client_params:
-            assert params_checksum(a.client_params[cid]) == params_checksum(b.client_params[cid])
+        a, _ = run_perfedavg_hf(toy_clients(2, seed=3), cfg)
+        b, _ = run_perfedavg_hf(toy_clients(2, seed=3), cfg)
+        for cid in a:
+            assert params_checksum(a[cid]) == params_checksum(b[cid])
 
     def test_threaded_matches_sequential(self):
         cfg = TrainConfig(learning_rate=0.05, batch_size=8, local_steps=4, global_rounds=2, seed=6)
-        seq = run_perfedavg_hf(toy_clients(3, seed=6), cfg)
-        par = run_perfedavg_hf(toy_clients(3, seed=6), cfg, max_workers=3)
-        for cid in seq.client_params:
-            assert params_checksum(seq.client_params[cid]) == params_checksum(
-                par.client_params[cid]
-            )
+        seq, seq_hist = run_perfedavg_hf(toy_clients(3, seed=6), cfg)
+        par, par_hist = run_perfedavg_hf(toy_clients(3, seed=6), cfg, max_workers=3)
+        for cid in seq:
+            assert params_checksum(seq[cid]) == params_checksum(par[cid])
+        assert [r.checksum for r in seq_hist] == [r.checksum for r in par_hist]
 
 
 def random_pair(seed, dims=(3, 4, 1)):
@@ -342,36 +344,36 @@ class TestRunFedala:
             ala_top_layers=3,
             ala_weight_lr=0.0,
         )
-        ala = run_fedala(toy_clients(2, seed=5), cfg)
+        _, ala_hist = run_fedala(toy_clients(2, seed=5), cfg)
         fed, hist = run_fedavg(toy_clients(2, seed=5), cfg)
-        assert [r.checksum for r in ala.history] == [r.checksum for r in hist]
+        assert [r.checksum for r in ala_hist] == [r.checksum for r in hist]
 
     def test_clients_keep_local_states(self):
         clients = toy_clients(2, seed=12)
         cfg = TrainConfig(learning_rate=0.05, batch_size=8, local_steps=5, global_rounds=3, seed=12)
-        out = run_fedala(clients, cfg)
+        client_params, history = run_fedala(clients, cfg)
         # final per-client parameters are the last local states, which
         # differ from the aggregated global of the final round
-        for cid, params in out.client_params.items():
-            assert params_checksum(params) != out.history[-1].checksum
-        assert params_checksum(out.client_params[0]) != params_checksum(out.client_params[1])
+        for cid, params in client_params.items():
+            assert params is clients[cid].params
+            assert params_checksum(params) != history[-1].checksum
+        assert params_checksum(client_params[0]) != params_checksum(client_params[1])
         assert clients[0].ala_weights is not None
 
     def test_reproducible(self):
         cfg = TrainConfig(learning_rate=0.05, batch_size=8, local_steps=4, global_rounds=3, seed=1)
-        a = run_fedala(toy_clients(2, seed=1), cfg)
-        b = run_fedala(toy_clients(2, seed=1), cfg)
-        for cid in a.client_params:
-            assert params_checksum(a.client_params[cid]) == params_checksum(b.client_params[cid])
+        a, _ = run_fedala(toy_clients(2, seed=1), cfg)
+        b, _ = run_fedala(toy_clients(2, seed=1), cfg)
+        for cid in a:
+            assert params_checksum(a[cid]) == params_checksum(b[cid])
 
     def test_threaded_matches_sequential(self):
         cfg = TrainConfig(learning_rate=0.05, batch_size=8, local_steps=4, global_rounds=3, seed=2)
-        seq = run_fedala(toy_clients(3, seed=2), cfg)
-        par = run_fedala(toy_clients(3, seed=2), cfg, max_workers=3)
-        for cid in seq.client_params:
-            assert params_checksum(seq.client_params[cid]) == params_checksum(
-                par.client_params[cid]
-            )
+        seq, seq_hist = run_fedala(toy_clients(3, seed=2), cfg)
+        par, par_hist = run_fedala(toy_clients(3, seed=2), cfg, max_workers=3)
+        for cid in seq:
+            assert params_checksum(seq[cid]) == params_checksum(par[cid])
+        assert [r.checksum for r in seq_hist] == [r.checksum for r in par_hist]
 
     def test_weights_csv(self):
         w = AlaWeights.from_layers([DenseLayer(np.array([[0.25, 1.0]]), np.array([0.5]))])
