@@ -4,11 +4,17 @@ Fairness is reported as per-client true/false positive rates plus their
 max-min spreads; no verdict is attached. The confusion counts behind the
 rates come from neural.confusion_counts, the routine evaluate uses.
 Shapley values are exact: all 2^n feature subsets are enumerated
-against a background sample under marginal-expectation masking.
+against a background sample under marginal-expectation masking, and the
+model is called once on the whole hybrid batch. make_predictor runs
+neural.forward, the fused softplus kernel that training uses, while the
+reported metrics come from neural.evaluate, which keeps np.logaddexp.
+So an explanation's `predicted` can differ from that pair's metrics
+score by a few ulps.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -87,6 +93,15 @@ def make_predictor(
     return predict
 
 
+@functools.lru_cache(maxsize=None)
+def _shapley_weights(n: int) -> np.ndarray:
+    """|S|! (n - |S| - 1)! / n! for every coalition size |S| in 0..n-1."""
+    fact = math.factorial
+    table = np.array([fact(s) * fact(n - s - 1) / fact(n) for s in range(n)])
+    table.flags.writeable = False
+    return table
+
+
 def shapley_values(
     predict: Callable[[np.ndarray], np.ndarray],
     x: Sequence[float],
@@ -111,28 +126,18 @@ def shapley_values(
         raise ValueError("exact enumeration is limited to 20 features")
 
     n_subsets = 1 << n
-    rows = bg.shape[0]
-    hybrid = np.empty((n_subsets * rows, n), dtype=np.float64)
-    for mask in range(n_subsets):
-        block = bg.copy()
-        for f in range(n):
-            if mask >> f & 1:
-                block[:, f] = x[f]
-        hybrid[mask * rows : (mask + 1) * rows] = block
-    out = np.asarray(predict(hybrid), dtype=np.float64).reshape(n_subsets, rows)
+    # in_subset[mask, f] is bit f of mask; row block `mask` of the hybrid
+    # is the background with the features in that subset taken from x
+    in_subset = ((np.arange(n_subsets)[:, None] >> np.arange(n)) & 1).astype(bool)
+    hybrid = np.where(in_subset[:, None, :], x, bg).reshape(-1, n)
+    out = np.asarray(predict(hybrid), dtype=np.float64).reshape(n_subsets, -1)
     v = out.mean(axis=1)
 
-    fact = math.factorial
-    denom = fact(n)
-    phi = np.zeros(n)
-    for f in range(n):
-        bit = 1 << f
-        for mask in range(n_subsets):
-            if mask & bit:
-                continue
-            s = bin(mask).count("1")
-            weight = fact(s) * fact(n - s - 1) / denom
-            phi[f] += weight * (v[mask | bit] - v[mask])
+    # per feature f, every subset without f (ascending) and the same with f
+    without = np.nonzero(~in_subset.T)[1].reshape(n, n_subsets // 2)
+    with_f = without | (1 << np.arange(n))[:, None]
+    weights = _shapley_weights(n)[in_subset.sum(axis=1)[without]]
+    phi = (weights * (v[with_f] - v[without])).sum(axis=1)
     return ShapleyExplanation(
         base_value=float(v[0]),
         phi=tuple(float(p) for p in phi),

@@ -12,15 +12,20 @@ federated averaging, the meta-step and the blend of the top layers are
 each one vector expression over the buffer (or over its tail, which
 holds the top layers).
 
-In `gradient`, each hidden layer computes e = exp(-|z|) once and takes
-both the softplus, max(z, 0) + log1p(e), and its derivative, the
-sigmoid, 1/(1+e) for z >= 0 and e/(1+e) for z < 0, from it. `forward`
-applies np.logaddexp(0, z) in place on the fresh pre-activation. The two
-softplus forms agree to an ulp, but numpy's vectorized exp and the
-scalar exp inside logaddexp can differ in the last bit, and reported
-scores keep the logaddexp bits so that exact ties between test scores,
-which count half in the AUC, stay where an outside recomputation with
-logaddexp puts them.
+Hidden units take softplus in one fused, in-place form: e = exp(-|z|),
+then max(z, 0) + log1p(e). `gradient` also takes the derivative, the
+sigmoid, from the same e: 1/(1+e) for z >= 0 and e/(1+e) for z < 0.
+`forward`, and so `mean_loss`, the ALA window loss and Shapley
+attribution, run the same kernel, so its hidden activations equal those
+of `gradient` bit for bit.
+
+`evaluate` alone applies np.logaddexp(0, z) instead. The two softplus
+forms agree to an ulp, but numpy's vectorized exp and the scalar exp
+inside logaddexp can differ in the last bit. An exact tie between two
+test scores counts half in the AUC, and a last-bit change can split it,
+so reported scores keep the logaddexp bits that an outside
+recomputation gives. A `forward` score can therefore differ from the
+reported one by a few ulps.
 
 Finiteness is not checked when a ModelParams is built. It is checked
 where a diverged model could leave the program: federation.aggregate
@@ -45,7 +50,7 @@ import hashlib
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from scipy.special import expit
@@ -222,20 +227,38 @@ def init_params(
     return params
 
 
+def _exp_neg_abs(z: np.ndarray) -> np.ndarray:
+    e = np.abs(z)
+    np.negative(e, out=e)
+    return np.exp(e, out=e)
+
+
+def _softplus(z: np.ndarray, e: np.ndarray | None = None) -> np.ndarray:
+    """softplus(z) = max(z, 0) + log1p(e), e = exp(-|z|), written over z.
+
+    A caller that already holds e passes it in; it is overwritten.
+    """
+    if e is None:
+        e = _exp_neg_abs(z)
+    np.maximum(z, 0.0, out=z)
+    z += np.log1p(e, out=e)
+    return z
+
+
 def _softplus_sigmoid(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """softplus(z), written over z, and its derivative sigmoid(z).
 
-    Both come from one e = exp(-|z|): softplus is max(z, 0) + log1p(e),
-    sigmoid is 1/(1+e) for z >= 0 and e/(1+e) below.
+    Both come from one e = exp(-|z|): sigmoid is 1/(1+e) for z >= 0 and
+    e/(1+e) below, softplus is _softplus's.
     """
-    e = np.abs(z)
-    np.negative(e, out=e)
-    np.exp(e, out=e)
+    e = _exp_neg_abs(z)
     sig = np.where(z < 0.0, e, 1.0)
     sig /= e + 1.0
-    np.maximum(z, 0.0, out=z)
-    z += np.log1p(e, out=e)
-    return z, sig
+    return _softplus(z, e), sig
+
+
+def _logaddexp_softplus(z: np.ndarray) -> np.ndarray:
+    return np.logaddexp(0.0, z, out=z)
 
 
 def _as_matrix(params: ModelParams, x: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -250,17 +273,24 @@ def _as_matrix(params: ModelParams, x: np.ndarray) -> tuple[np.ndarray, bool]:
     return x, squeeze
 
 
-def forward(params: ModelParams, x: np.ndarray) -> np.ndarray | float:
-    """Predicted link probability; accepts one row or a batch."""
-    a, squeeze = _as_matrix(params, x)
+def _probabilities(
+    params: ModelParams, a: np.ndarray, softplus: Callable[[np.ndarray], np.ndarray]
+) -> np.ndarray:
+    """Head probabilities for a checked batch; `softplus` acts in place."""
     *hidden, (head_w, head_b) = params.layers
     for w, b in hidden:
         z = a @ w.T
         z += b
-        a = np.logaddexp(0.0, z, out=z)
+        a = softplus(z)
     z = a @ head_w.T
     z += head_b
-    p = expit(z[:, 0])
+    return expit(z[:, 0])
+
+
+def forward(params: ModelParams, x: np.ndarray) -> np.ndarray | float:
+    """Predicted link probability; accepts one row or a batch."""
+    a, squeeze = _as_matrix(params, x)
+    p = _probabilities(params, a, _softplus)
     return float(p[0]) if squeeze else p
 
 
@@ -458,15 +488,13 @@ def auc(scores: np.ndarray, labels: np.ndarray) -> float:
     if n_pos == 0 or n_neg == 0:
         raise UndefinedAucError("AUC needs both classes present")
     order = np.argsort(scores, kind="mergesort")
+    s = scores[order]
+    # tie groups are the runs of equal sorted scores, [first, last] 0-based;
+    # each score gets its group's 1-based mid-rank
+    first = np.flatnonzero(np.concatenate(([True], s[1:] != s[:-1])))
+    last = np.append(first[1:], s.size) - 1
     ranks = np.empty(scores.size, dtype=np.float64)
-    sorted_scores = scores[order]
-    i = 0
-    while i < scores.size:
-        j = i
-        while j + 1 < scores.size and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0  # mid-rank, 1-based
-        i = j + 1
+    ranks[order] = np.repeat(0.5 * (first + last) + 1.0, last - first + 1)
     rank_sum = float(ranks[pos].sum())
     u = rank_sum - n_pos * (n_pos + 1) / 2.0
     return u / (n_pos * n_neg)
@@ -501,12 +529,18 @@ def confusion_counts(
 
 
 def evaluate(params: ModelParams, x: np.ndarray, y: np.ndarray, threshold: float = 0.5) -> MetricsReport:
-    """Threshold at 0.5 (ties predict positive) and score a test split."""
+    """Threshold at 0.5 (ties predict positive) and score a test split.
+
+    The scores take softplus as np.logaddexp(0, z), not the fused kernel
+    of `forward`: the AUC counts an exact tie between two scores as half,
+    and the reported figures must put ties where an outside recomputation
+    with logaddexp puts them. A last-bit difference could split one.
+    """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     y = np.asarray(y, dtype=np.float64).reshape(-1)
     if x.shape[0] != y.size or y.size == 0:
         raise ValueError("evaluation needs matching, non-empty features and labels")
-    p = forward(params, x)
+    p = _probabilities(params, _as_matrix(params, x)[0], _logaddexp_softplus)
     tp, fp, tn, fn = confusion_counts(p, y, threshold)
     return MetricsReport(
         accuracy=(tp + tn) / y.size,

@@ -5,8 +5,12 @@ an independent permutation-enumeration oracle; fairness spreads against
 published per-classroom rate tables.
 """
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedsln.analysis import (
     FairnessReport,
@@ -20,7 +24,7 @@ from fedsln.analysis import (
     svg_bar_chart,
 )
 from fedsln.features import FEATURE_NAMES, Standardizer
-from fedsln.neural import init_params
+from fedsln.neural import forward, init_params
 from fedsln.rng import derive_rng
 
 # per-classroom (TPR, FPR) reference rows used in the fairness fixtures
@@ -114,7 +118,64 @@ def permutation_shapley(predict, x, background):
     return phi / len(perms)
 
 
+def loop_shapley(predict, x, background):
+    """The per-mask loop shapley_values replaced: the hybrid built one
+    background copy at a time, phi accumulated one subset at a time."""
+    x = np.asarray(x, dtype=np.float64).reshape(-1)
+    bg = np.asarray(background, dtype=np.float64)
+    n = x.size
+    n_subsets = 1 << n
+    rows = bg.shape[0]
+    hybrid = np.empty((n_subsets * rows, n), dtype=np.float64)
+    for mask in range(n_subsets):
+        block = bg.copy()
+        for f in range(n):
+            if mask >> f & 1:
+                block[:, f] = x[f]
+        hybrid[mask * rows : (mask + 1) * rows] = block
+    out = np.asarray(predict(hybrid), dtype=np.float64).reshape(n_subsets, rows)
+    v = out.mean(axis=1)
+
+    fact = math.factorial
+    denom = fact(n)
+    phi = np.zeros(n)
+    for f in range(n):
+        bit = 1 << f
+        for mask in range(n_subsets):
+            if mask & bit:
+                continue
+            s = bin(mask).count("1")
+            weight = fact(s) * fact(n - s - 1) / denom
+            phi[f] += weight * (v[mask | bit] - v[mask])
+    return ShapleyExplanation(
+        base_value=float(v[0]),
+        phi=tuple(float(p) for p in phi),
+        predicted=float(v[n_subsets - 1]),
+    )
+
+
 class TestShapley:
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(n=st.integers(1, 8), rows=st.integers(1, 12), seed=st.integers(0, 2**16))
+    def test_matches_loop_reference(self, n, rows, seed):
+        rng = derive_rng(seed, "shap-loop")
+        params = init_params(rng, hidden=(5,), input_dim=n)
+        x = rng.normal(size=n)
+        bg = rng.normal(size=(rows, n))
+        hybrids = []
+
+        def predict(h):
+            hybrids.append(h.copy())
+            return forward(params, h)
+
+        got = shapley_values(predict, x, bg)
+        ref = loop_shapley(predict, x, bg)
+        assert hybrids[0].tobytes() == hybrids[1].tobytes()
+        assert got.base_value == ref.base_value and got.predicted == ref.predicted
+        # the weighted differences are summed in another order
+        err = float(np.max(np.abs(np.subtract(got.phi, ref.phi))))
+        assert err <= 1e-12 * float(np.max(np.abs(ref.phi))), err
+
     def test_linear_model_closed_form(self):
         # phi_f = c_f * (x_f - mean(background_f)), exactly
         rng = derive_rng(0, "lin")

@@ -53,9 +53,9 @@ local_steps = 10
 """
 
 FROZEN_SHA256 = {
-    "explanations.json": "11a6074c2f323a5453a8799d3131520008b455e6c0aa10a347322be3bee66bd1",
+    "explanations.json": "fd79baf137d764ca5e6857106f80cfc52dff2ffc728aef53ef701acae4bf5bf0",
     "fairness.csv": "f9143100c5b3c2f4c906dc0a62c5526b3c4868ba7df472aaae877eadc75a8e9e",
-    "importance.csv": "f86460f26fdca57d9b904ceb6789a6155af822c507112a266df7c74505851e04",
+    "importance.csv": "b1126acab01d56fd3ab3d00fb8fa214614db6983a2dddae3f4015be9a35d554e",
     "importance_client0.svg": "3158add86e2f828b42b2cee78967811db8cbc96052328f0d8983b1de39bb625d",
     "importance_client1.svg": "a70f7fb4a61ba01c52d440f5cdd00751552d5466d9efe75a01c10214aee4117a",
     "metrics.csv": "fc48366198524648479acae586b078cbfc70e7f3afe53bd3147e17f3c3e82b7f",

@@ -334,6 +334,15 @@ class TestAuc:
             if labels.min() == labels.max():
                 labels[0] = 1 - labels[0]
             assert auc(scores, labels) == self.brute_force(scores.tolist(), labels.tolist())
+        # one large set, 6,000 scores on 40 values: the pairs are counted
+        # as arrays, each (positive, negative) comparison made once
+        rng = derive_rng(100, "auc")
+        scores = rng.choice(np.linspace(0.0, 1.0, 40), size=6000)
+        labels = (rng.random(6000) < 0.4).astype(int)
+        pos, neg = scores[labels == 1], scores[labels == 0]
+        wins = int(np.sum(pos[:, None] > neg[None, :]))
+        ties = int(np.sum(pos[:, None] == neg[None, :]))
+        assert auc(scores, labels) == (wins + 0.5 * ties) / (pos.size * neg.size)
 
     def test_single_class_raises(self):
         with pytest.raises(UndefinedAucError):

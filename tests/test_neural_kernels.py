@@ -5,6 +5,10 @@ The references are np.logaddexp(0, z) for softplus, scipy's expit for the
 sigmoid, and a per-layer forward/backward pass that keeps one
 (weights, biases) pair of arrays per layer. Draws come from hypothesis
 and are derandomized, so every run checks the same examples.
+
+The two softplus paths are pinned bit for bit: `forward` runs the fused
+kernel of `gradient`, and `evaluate` alone scores on np.logaddexp, so
+that reported ties sit where an outside recomputation puts them.
 """
 
 import numpy as np
@@ -13,7 +17,17 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.special import expit
 
-from fedsln.neural import ModelParams, _softplus_sigmoid, forward, gradient, init_params
+from fedsln.neural import (
+    ModelParams,
+    _softplus_sigmoid,
+    auc,
+    bce_loss,
+    confusion_counts,
+    evaluate,
+    forward,
+    gradient,
+    init_params,
+)
 from fedsln.rng import derive_rng
 
 TINY = np.finfo(np.float64).tiny  # smallest normal float64
@@ -89,3 +103,49 @@ def test_flat_gradient_matches_per_layer_reference(input_dim, hidden, batch, sca
     # relative to the largest entry rather than to each one
     err = float(np.max(np.abs(got.flat - g_ref)))
     assert err <= 1e-12 * float(np.max(np.abs(g_ref))), err
+
+
+def layer_scores(params, x, softplus):
+    """Head probabilities of params.layers with `softplus` on each hidden layer."""
+    a = x
+    *hidden, (head_w, head_b) = params.layers
+    for w, b in hidden:
+        a = softplus(a @ w.T + b)
+    return expit((a @ head_w.T + head_b)[:, 0])
+
+
+model_draws = dict(
+    input_dim=st.integers(1, 8),
+    hidden=st.lists(st.integers(1, 40), min_size=1, max_size=3),
+    scale=st.sampled_from([0.1, 1.0, 10.0, 300.0]),
+    seed=st.integers(0, 2**16),
+)
+
+
+@CHECKED
+@given(batch=st.integers(1, 300), **model_draws)
+def test_forward_runs_the_gradient_softplus(batch, input_dim, hidden, scale, seed):
+    rng = derive_rng(seed, "forward-fused")
+    params = init_params(rng, tuple(hidden), input_dim)
+    x = rng.normal(scale=scale, size=(batch, input_dim))
+    want = layer_scores(params, x, lambda z: _softplus_sigmoid(z)[0])
+    assert forward(params, x).tobytes() == want.tobytes()
+
+
+@CHECKED
+@given(rows=st.integers(1, 100), copies=st.integers(2, 4), **model_draws)
+def test_evaluate_scores_on_logaddexp(rows, copies, input_dim, hidden, scale, seed):
+    rng = derive_rng(seed, "evaluate-logaddexp")
+    params = init_params(rng, tuple(hidden), input_dim)
+    # every row appears several times, so the scores hold exact ties
+    base = rng.normal(scale=scale, size=(rows, input_dim))
+    x = base[rng.permutation(np.repeat(np.arange(rows), copies))]
+    y = (rng.random(len(x)) < 0.5).astype(float)
+    y[:2] = (0.0, 1.0)
+    p = layer_scores(params, x, lambda z: np.logaddexp(0.0, z))
+    rep = evaluate(params, x, y)
+    tp, fp, tn, fn = confusion_counts(p, y)
+    assert (rep.tp, rep.fp, rep.tn, rep.fn) == (tp, fp, tn, fn)
+    assert rep.accuracy == (tp + tn) / y.size
+    assert rep.auc == auc(p, y)
+    assert rep.mean_loss == float(np.mean(bce_loss(p, y)))
