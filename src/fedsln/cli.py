@@ -139,7 +139,10 @@ def main(argv: list[str] | None = None) -> int:
                 print(line)
             for warning in report.warnings:
                 print(f"warning: {warning}", file=sys.stderr)
-    except (ConfigError, StageError) as exc:
+    except ConfigError as exc:
+        print(f"fedsln: [config] {exc}", file=sys.stderr)
+        return 2
+    except StageError as exc:
         print(f"fedsln: {exc}", file=sys.stderr)
         return 2
     for path in paths:

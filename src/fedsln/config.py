@@ -12,21 +12,25 @@ Grammar: INI-style sections of ``key = value`` lines, ``#`` comments.
     [explain]      enabled, method, pairs_per_client, background_size
     [<method>]     per-method hyperparameter overrides
 
-Method sections are centralized, fedavg, fedavg_ft, perfedavg_hf and
-fedala. Unset hyperparameters fall back to the shipped per-method
-defaults. The fedavg_ft section configures only the fine-tuning pass;
-its federated phase always runs under the fedavg section. A resolved
-configuration round-trips through run_manifest.json, and load_config
-accepts either format (.json is treated as a manifest).
+The option dataclasses are the one schema: a section's keys, types and
+defaults are the fields of ExperimentConfig, the data source's spec,
+SplitOptions, ExplainOptions or TrainConfig (method sections, with the
+per-method defaults of _METHOD_DEFAULTS). One parser reads INI text,
+--set text and typed manifest values alike. The fedavg_ft section
+configures only the fine-tuning pass; its federated phase runs under
+[fedavg]. Methods and seeds must be unique. A resolved configuration
+round-trips through run_manifest.json, and load_config accepts either
+format (.json is a manifest). Every problem raises ConfigError, which the
+CLI prints as one ``fedsln: [config] message`` line.
 """
 
 from __future__ import annotations
 
 import configparser
 import json
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
-from typing import Any
+from typing import Any, get_args, get_origin, get_type_hints
 
 from .neural import DEFAULT_HIDDEN, TrainConfig
 
@@ -73,26 +77,17 @@ _METHOD_DEFAULTS: dict[str, dict[str, Any]] = {
     },
 }
 
-# Parseable TrainConfig fields and their scalar types.
-_TRAIN_FIELD_TYPES: dict[str, type] = {
-    "learning_rate": float,
-    "batch_size": int,
-    "local_steps": int,
-    "global_rounds": int,
-    "epochs": int,
-    "meta_inner": float,
-    "meta_outer": float,
-    "hf_delta": float,
-    "ala_top_layers": int,
-    "ala_data_fraction": float,
-    "ala_weight_lr": float,
-    "ala_convergence_tol": float,
-    "ala_window": int,
-    "ala_update_cap": int,
-}
+# TrainConfig fields each run binds itself; method sections leave them out.
+_RUN_BOUND = ("seed", "hidden_sizes")
+
+# The ExperimentConfig fields that [experiment] and [model] hold.
+_TOP_SECTIONS = {"experiment": ("methods", "seeds", "output_dir"), "model": ("hidden_sizes",)}
 
 _BOOL_WORDS = {"true": True, "yes": True, "on": True, "1": True,
                "false": False, "no": False, "off": False, "0": False}
+
+# Typed (manifest) values each scalar field type accepts; bool is not an int here.
+_TYPED = {bool: (bool,), int: (int,), float: (int, float), str: (str,)}
 
 
 class ConfigError(ValueError):
@@ -131,6 +126,10 @@ class EdgeListSpec:
     @property
     def n_clients(self) -> int:
         return len(self.paths)
+
+
+# [data] source name -> the spec class whose fields are that source's keys.
+_DATA_SOURCES = {"synthetic": SyntheticSpec, "edge_lists": EdgeListSpec}
 
 
 @dataclass(frozen=True)
@@ -185,6 +184,9 @@ class ExperimentConfig:
             raise ConfigError("duplicate methods")
         if len(self.seeds) == 0:
             raise ConfigError("at least one seed is required")
+        # each seed names its own output files, so a repeat would overwrite them
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ConfigError(f"duplicate seeds in {list(self.seeds)}")
         if not self.output_dir:
             raise ConfigError("output_dir must be non-empty")
         if len(self.hidden_sizes) == 0 or any(h < 1 for h in self.hidden_sizes):
@@ -193,181 +195,126 @@ class ExperimentConfig:
         # fedavg_ft's federated phase borrows the fedavg entry.
         for m in METHOD_NAMES:
             if m not in self.train:
-                self.train[m] = _default_train_config(m, self.hidden_sizes)
+                self.train[m] = TrainConfig(hidden_sizes=self.hidden_sizes, **_METHOD_DEFAULTS[m])
 
     @property
     def n_clients(self) -> int:
         return self.data.n_clients
 
 
-def _default_train_config(method: str, hidden_sizes: tuple[int, ...]) -> TrainConfig:
-    return TrainConfig(hidden_sizes=tuple(hidden_sizes), **_METHOD_DEFAULTS[method])
+def _parse(value: Any, hint: Any, context: str) -> Any:
+    """Parse INI or --set text, or a typed manifest value, as `hint`.
 
-
-def _convert(value: str, kind: type, context: str) -> Any:
+    Lists come as comma text or JSON arrays. ``float | None`` parses as
+    float; such a field stays None only when its key is left out.
+    """
+    if get_origin(hint) is tuple:
+        if isinstance(value, str):
+            value = [item for item in (part.strip() for part in value.split(",")) if item]
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{context}: expected a list, got {value!r}")
+        if not value:
+            raise ConfigError(f"{context}: empty list")
+        return tuple(_parse(item, get_args(hint)[0], context) for item in value)
+    if type(None) in get_args(hint):
+        hint = next(arg for arg in get_args(hint) if arg is not type(None))
     try:
-        if kind is bool:
-            word = value.strip().lower()
-            if word not in _BOOL_WORDS:
-                raise ValueError(value)
-            return _BOOL_WORDS[word]
-        return kind(value.strip())
-    except ValueError as exc:
-        raise ConfigError(f"{context}: cannot parse {value!r} as {kind.__name__}") from exc
+        if isinstance(value, str) and hint is bool:
+            return _BOOL_WORDS[value.strip().lower()]
+        if isinstance(value, str) or type(value) in _TYPED[hint]:
+            return hint(value)
+    except (KeyError, ValueError, OverflowError):
+        pass
+    raise ConfigError(f"{context}: cannot parse {value!r} as {hint.__name__}")
 
 
-def _convert_list(value: str, kind: type, context: str) -> tuple:
-    items = [v for v in (part.strip() for part in value.split(",")) if v]
-    if not items:
-        raise ConfigError(f"{context}: empty list")
-    return tuple(_convert(v, kind, context) for v in items)
+def _options(cls: type, section: dict, name: str, skip: tuple[str, ...] = ()) -> dict[str, Any]:
+    """Keyword arguments for dataclass `cls` from one section.
+
+    Its keys must be fields of `cls` outside `skip`, and every such field
+    without a default must be given.
+    """
+    hints = get_type_hints(cls)
+    allowed = [f for f in fields(cls) if f.name not in skip]
+    unknown = set(section) - {f.name for f in allowed}
+    if unknown:
+        raise ConfigError(f"unknown keys in [{name}]: {sorted(unknown)}")
+    missing = [f.name for f in allowed if f.name not in section
+               and f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        raise ConfigError(f"[{name}] needs keys {missing}")
+    return {key: _parse(value, hints[key], f"{name}.{key}") for key, value in section.items()}
+
+
+def _check_tables(raw: Any, where: str) -> None:
+    """Reject anything but a table of sections that are tables of keys."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where}: expected a table of sections, got {type(raw).__name__}")
+    for name, section in raw.items():
+        if not isinstance(section, dict):
+            kind = type(section).__name__
+            raise ConfigError(f"{where}: [{name}] must be a table of keys, got {kind}")
 
 
 def build_experiment_config(raw: dict[str, dict[str, Any]]) -> ExperimentConfig:
-    """Assemble a resolved config from a nested section dict.
-
-    Values may be already-typed (manifest path) or strings (INI or CLI
-    path); strings are converted per the documented grammar.
-    """
-    known = {"experiment", "model", "data", "split", "explain", *METHOD_NAMES}
-    unknown = set(raw) - known
+    """Resolve a nested section dict of text (INI, --set) or typed (manifest) values."""
+    _check_tables(raw, "configuration")
+    unknown = set(raw) - {*_TOP_SECTIONS, "data", "split", "explain", *METHOD_NAMES}
     if unknown:
         raise ConfigError(f"unknown config sections: {sorted(unknown)}")
 
-    def section(name: str) -> dict[str, Any]:
-        return dict(raw.get(name, {}))
+    top: dict[str, Any] = {}
+    for name, keys in _TOP_SECTIONS.items():
+        skip = tuple(f.name for f in fields(ExperimentConfig) if f.name not in keys)
+        top.update(_options(ExperimentConfig, raw.get(name, {}), name, skip))
+    hidden = top.get("hidden_sizes", DEFAULT_HIDDEN)
 
-    exp = section("experiment")
-    kwargs: dict[str, Any] = {}
-    if "methods" in exp:
-        kwargs["methods"] = _as_tuple(exp.pop("methods"), str, "experiment.methods")
-    if "seeds" in exp:
-        kwargs["seeds"] = _as_tuple(exp.pop("seeds"), int, "experiment.seeds")
-    if "output_dir" in exp:
-        kwargs["output_dir"] = str(exp.pop("output_dir"))
-    if exp:
-        raise ConfigError(f"unknown keys in [experiment]: {sorted(exp)}")
-
-    model = section("model")
-    hidden = DEFAULT_HIDDEN
-    if "hidden_sizes" in model:
-        hidden = _as_tuple(model.pop("hidden_sizes"), int, "model.hidden_sizes")
-    if model:
-        raise ConfigError(f"unknown keys in [model]: {sorted(model)}")
-    kwargs["hidden_sizes"] = hidden
-
-    data = section("data")
-    source = str(data.pop("source", "synthetic"))
-    if source == "synthetic":
-        try:
-            spec = SyntheticSpec(
-                nodes=_as_tuple(data.pop("nodes"), int, "data.nodes"),
-                communities=_as_tuple(data.pop("communities"), int, "data.communities"),
-                intra_p=_as_tuple(data.pop("intra_p"), float, "data.intra_p"),
-                inter_p=_as_tuple(data.pop("inter_p"), float, "data.inter_p"),
-            )
-        except KeyError as exc:
-            raise ConfigError(f"synthetic data needs key {exc.args[0]!r}") from exc
-    elif source == "edge_lists":
-        try:
-            spec = EdgeListSpec(paths=_as_tuple(data.pop("paths"), str, "data.paths"))
-        except KeyError as exc:
-            raise ConfigError("edge_lists data needs key 'paths'") from exc
-    else:
+    data = dict(raw.get("data", {}))
+    source = _parse(data.pop("source", "synthetic"), str, "data.source")
+    if source not in _DATA_SOURCES:
         raise ConfigError(f"unknown data source {source!r}")
-    if data:
-        raise ConfigError(f"unknown keys in [data]: {sorted(data)}")
-
-    split_raw = section("split")
-    split_kwargs = {}
-    for name in ("removal_fraction", "train_fraction", "negatives_per_positive"):
-        if name in split_raw:
-            split_kwargs[name] = _convert_scalar(split_raw.pop(name), float, f"split.{name}")
-    if split_raw:
-        raise ConfigError(f"unknown keys in [split]: {sorted(split_raw)}")
-
-    explain_raw = section("explain")
-    explain_kwargs: dict[str, Any] = {}
-    if "enabled" in explain_raw:
-        explain_kwargs["enabled"] = _convert_scalar(explain_raw.pop("enabled"), bool, "explain.enabled")
-    if "method" in explain_raw:
-        explain_kwargs["method"] = str(explain_raw.pop("method")).strip()
-    for name in ("pairs_per_client", "background_size"):
-        if name in explain_raw:
-            explain_kwargs[name] = _convert_scalar(explain_raw.pop(name), int, f"explain.{name}")
-    if explain_raw:
-        raise ConfigError(f"unknown keys in [explain]: {sorted(explain_raw)}")
+    spec_cls = _DATA_SOURCES[source]
+    spec = spec_cls(**_options(spec_cls, data, "data"))
 
     train: dict[str, TrainConfig] = {}
     for method in METHOD_NAMES:
-        overrides = section(method)
-        values = dict(_METHOD_DEFAULTS[method])
-        for key, value in overrides.items():
-            if key not in _TRAIN_FIELD_TYPES:
-                raise ConfigError(f"unknown key {key!r} in [{method}]")
-            values[key] = _convert_scalar(value, _TRAIN_FIELD_TYPES[key], f"{method}.{key}")
+        values = _options(TrainConfig, raw.get(method, {}), method, skip=_RUN_BOUND)
+        values = {**_METHOD_DEFAULTS[method], **values}
         try:
-            train[method] = TrainConfig(hidden_sizes=tuple(hidden), **values)
+            train[method] = TrainConfig(hidden_sizes=hidden, **values)
         except ValueError as exc:
             raise ConfigError(f"[{method}]: {exc}") from exc
 
-    try:
-        return ExperimentConfig(
-            data=spec,
-            split=SplitOptions(**split_kwargs),
-            explain=ExplainOptions(**explain_kwargs),
-            train=train,
-            **kwargs,
-        )
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(str(exc)) from exc
-
-
-def _convert_scalar(value: Any, kind: type, context: str) -> Any:
-    if isinstance(value, str):
-        return _convert(value, kind, context)
-    if kind is bool:
-        if isinstance(value, bool):
-            return value
-        raise ConfigError(f"{context}: expected a boolean")
-    try:
-        return kind(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{context}: cannot coerce {value!r}") from exc
-
-
-def _as_tuple(value: Any, kind: type, context: str) -> tuple:
-    if isinstance(value, str):
-        if kind is str:
-            items = [v for v in (p.strip() for p in value.split(",")) if v]
-            if not items:
-                raise ConfigError(f"{context}: empty list")
-            return tuple(items)
-        return _convert_list(value, kind, context)
-    try:
-        return tuple(kind(v) if kind is not str else str(v) for v in value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{context}: cannot coerce {value!r}") from exc
+    return ExperimentConfig(
+        data=spec,
+        split=SplitOptions(**_options(SplitOptions, raw.get("split", {}), "split")),
+        explain=ExplainOptions(**_options(ExplainOptions, raw.get("explain", {}), "explain")),
+        train=train,
+        **top,
+    )
 
 
 def read_raw_sections(path: str | Path) -> dict[str, dict[str, Any]]:
-    """Parse a config file into its nested section dict, unvalidated."""
+    """Read a config file into its nested section dict; values stay unparsed."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
-    if path.suffix == ".json":
-        raw = dict(json.loads(path.read_text()))
-        raw.pop("fedsln_version", None)
-        return raw
-    parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#",))
     try:
-        with open(path) as fh:
-            parser.read_file(fh)
-    except configparser.Error as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-    return {name: dict(parser[name]) for name in parser.sections()}
+        if path.suffix == ".json":
+            raw = json.loads(path.read_text(encoding="utf-8"))
+        else:
+            parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#",))
+            with open(path, encoding="utf-8") as fh:
+                parser.read_file(fh)
+            raw = {name: dict(parser[name]) for name in parser.sections()}
+    except (OSError, ValueError, configparser.Error) as exc:
+        # bad JSON or UTF-8 is a ValueError; an error is one line, parser messages are not
+        raise ConfigError(f"{path}: " + " ".join(str(exc).split())) from exc
+    if isinstance(raw, dict):
+        raw.pop("fedsln_version", None)
+    # the CLI merges its overrides into these tables
+    _check_tables(raw, str(path))
+    return raw
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -379,45 +326,22 @@ def config_to_manifest(cfg: ExperimentConfig) -> dict[str, Any]:
     """Fully resolved configuration as a JSON-ready section dict."""
     from . import __version__
 
-    data: dict[str, Any]
-    if isinstance(cfg.data, SyntheticSpec):
-        data = {
-            "source": "synthetic",
-            "nodes": list(cfg.data.nodes),
-            "communities": list(cfg.data.communities),
-            "intra_p": list(cfg.data.intra_p),
-            "inter_p": list(cfg.data.inter_p),
-        }
-    else:
-        data = {"source": "edge_lists", "paths": list(cfg.data.paths)}
-    train: dict[str, Any] = {}
-    for method in METHOD_NAMES:
-        tc = cfg.train[method]
-        entry = {}
-        for f in fields(TrainConfig):
-            if f.name in ("seed", "hidden_sizes"):
-                continue
-            entry[f.name] = getattr(tc, f.name)
-        train[method] = entry
+    source = next(name for name, cls in _DATA_SOURCES.items() if isinstance(cfg.data, cls))
     return {
         "fedsln_version": __version__,
-        "experiment": {
-            "methods": list(cfg.methods),
-            "seeds": list(cfg.seeds),
-            "output_dir": cfg.output_dir,
-        },
-        "model": {"hidden_sizes": list(cfg.hidden_sizes)},
-        "data": data,
+        **{name: {k: getattr(cfg, k) for k in keys} for name, keys in _TOP_SECTIONS.items()},
+        "data": {"source": source, **asdict(cfg.data)},
         "split": asdict(cfg.split),
         "explain": asdict(cfg.explain),
-        **{method: train[method] for method in METHOD_NAMES},
+        **{
+            method: {k: v for k, v in asdict(cfg.train[method]).items() if k not in _RUN_BOUND}
+            for method in METHOD_NAMES
+        },
     }
 
 
 def manifest_to_config(manifest: dict[str, Any]) -> ExperimentConfig:
-    raw = dict(manifest)
-    raw.pop("fedsln_version", None)
-    return build_experiment_config(raw)
+    return build_experiment_config({k: v for k, v in manifest.items() if k != "fedsln_version"})
 
 
 def with_seed(cfg: TrainConfig, seed: int) -> TrainConfig:

@@ -160,7 +160,6 @@ def build_client_datasets(cfg: ExperimentConfig, seed: int) -> list[ClientDatase
             universe,
             SplitSpec(
                 removal_fraction=cfg.split.removal_fraction,
-                train_fraction=cfg.split.train_fraction,
                 seed=derive_seed(seed, "temporal", c),
             ),
         )

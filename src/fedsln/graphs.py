@@ -309,17 +309,14 @@ def to_edge_list(graph: SlnGraph) -> str:
 
 @dataclass(frozen=True)
 class SplitSpec:
-    """Knobs for the temporal construction and the train/test split."""
+    """Knobs for the temporal construction."""
 
     removal_fraction: float = 0.2
-    train_fraction: float = 0.8
     seed: int = 0
 
     def __post_init__(self):
         if not 0.0 <= self.removal_fraction <= 1.0:
             raise GraphError("removal_fraction must lie in [0, 1]")
-        if not 0.0 < self.train_fraction < 1.0:
-            raise GraphError("train_fraction must lie in (0, 1)")
 
 
 def _validate_pairs(node_count: int, pairs: np.ndarray) -> None:

@@ -34,12 +34,13 @@ from .neural import (
     DenseLayer,
     ModelParams,
     TrainConfig,
+    epochs_to_steps,
     flat_size,
     flatten_layers,
     gradient,
     layer_views,
     mean_loss,
-    sgd_step,
+    train_steps,
 )
 from .graphs import round_half_up
 from .rng import derive_rng
@@ -64,18 +65,15 @@ Personalized = tuple[dict[int, ModelParams], list[RoundRecord]]
 def fine_tune(
     global_params: ModelParams, client: ClientState, config: TrainConfig
 ) -> ModelParams:
-    """Exactly one seeded epoch of SGD on the client's train split."""
+    """Exactly one seeded epoch of SGD on the client's train split.
+
+    The stream is drawn afresh from the client's "finetune" generator, so
+    repeated calls give the same model; divergence is reported by
+    run_method's finiteness check.
+    """
     rng = derive_rng(client.seed, "client", client.client_id, "finetune")
-    order = rng.permutation(client.size)
-    b = min(config.batch_size, client.size)
-    x, y = client.train_x, client.train_y
-    params = global_params.copy()
-    # divergence is reported by run_method's finiteness check
-    with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, client.size, b):
-            idx = order[start : start + b]
-            params = sgd_step(params, gradient(params, x[idx], y[idx]), config.learning_rate)
-    return params
+    steps = epochs_to_steps(client.size, config.batch_size, 1)
+    return train_steps(global_params, client.train_x, client.train_y, config, rng, steps=steps)
 
 
 def run_fedavg_ft(

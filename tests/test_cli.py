@@ -290,6 +290,57 @@ class TestErrors:
         assert code == 2
         assert "unknown config sections" in stderr
 
+    def test_config_errors_carry_the_stage_tag(self, config_path, tmp_path, capsys):
+        code, _, stderr = run_cli(
+            capsys,
+            "train", "--config", str(config_path),
+            "--output-dir", str(tmp_path / "run"),
+            "--set", "data.source=csv",
+        )
+        assert code == 2
+        assert stderr.splitlines() == ["fedsln: [config] unknown data source 'csv'"]
+
+    def test_duplicate_seeds_leave_an_earlier_run_alone(self, config_path, tmp_path, capsys):
+        out = tmp_path / "run"
+        argv = ["train", "--config", str(config_path), "--output-dir", str(out)]
+        code, _, _ = run_cli(capsys, *argv)
+        assert code == 0
+
+        def snapshot():
+            return {p: p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+
+        before = snapshot()
+        code, _, stderr = run_cli(capsys, *argv, "--seeds", "1,1")
+        assert code == 2
+        assert stderr.splitlines() == ["fedsln: [config] duplicate seeds in [1, 1]"]
+        assert snapshot() == before
+
+    @pytest.mark.parametrize(
+        "name, content",
+        [
+            ("invalid.json", b'{"data": '),
+            ("list.json", b"[1, 2]"),
+            ("scalar_section.json", b'{"data": 5}'),
+            # the CLI writes --output-dir into [experiment]
+            ("scalar_experiment.json", b'{"experiment": "runs"}'),
+            ("latin1.ini", "[experiment]\noutput_dir = caf\xe9\n".encode("latin-1")),
+            # configparser's own message spans three lines
+            ("no_header.ini", b"methods = fedavg\n"),
+        ],
+    )
+    def test_malformed_config_file_is_one_config_line(self, tmp_path, capsys, name, content):
+        path = tmp_path / name
+        path.write_bytes(content)
+        code, out, stderr = run_cli(
+            capsys, "train", "--config", str(path), "--output-dir", str(tmp_path / "run")
+        )
+        assert code == 2
+        assert out == ""
+        lines = stderr.splitlines()
+        assert len(lines) == 1, stderr
+        assert lines[0].startswith(f"fedsln: [config] {path}: "), lines[0]
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize(
         "method, where",
         [

@@ -1,8 +1,11 @@
 """Config grammar: parsing, defaults, validation, manifest round-trip."""
 
 import json
+from dataclasses import fields
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedsln.config import (
     ConfigError,
@@ -143,6 +146,13 @@ class TestValidation:
         with pytest.raises(ConfigError):
             SyntheticSpec(nodes=(), communities=(), intra_p=(), inter_p=())
 
+    def test_duplicate_seeds(self):
+        data = SyntheticSpec((10,), (2,), (0.5,), (0.1,))
+        with pytest.raises(ConfigError, match="duplicate seeds"):
+            ExperimentConfig(data=data, seeds=(1, 2, 1))
+        with pytest.raises(ConfigError, match="duplicate seeds"):
+            build_experiment_config(minimal_raw(experiment={"seeds": "1,1"}))
+
     def test_experiment_config_guards(self):
         data = SyntheticSpec((10,), (2,), (0.5,), (0.1,))
         with pytest.raises(ConfigError):
@@ -218,3 +228,165 @@ def test_with_seed():
     out = with_seed(tc, 42)
     assert out.seed == 42 and out.learning_rate == 0.5
     assert tc.seed == 0
+
+
+class TestValues:
+    """One parser for INI text and typed manifest values."""
+
+    def test_text_and_typed_values_agree(self):
+        text = build_experiment_config(
+            minimal_raw(
+                explain={"enabled": "yes", "pairs_per_client": "3"},
+                perfedavg_hf={"meta_inner": "0.5", "ala_data_fraction": "40"},
+            )
+        )
+        typed = build_experiment_config(
+            {
+                "data": {"nodes": [40, 50], "communities": [2, 3],
+                         "intra_p": [0.4, 0.3], "inter_p": [0.05, 0.02]},
+                "explain": {"enabled": True, "pairs_per_client": 3},
+                "perfedavg_hf": {"meta_inner": 0.5, "ala_data_fraction": 40},
+            }
+        )
+        assert text == typed
+        assert typed.train["perfedavg_hf"].meta_inner == 0.5
+        assert typed.train["perfedavg_hf"].ala_data_fraction == 40.0
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("explain", "enabled", 1),  # a number is not a bool
+            ("explain", "enabled", "maybe"),
+            ("explain", "pairs_per_client", 2.5),  # nor a fraction an int
+            ("explain", "pairs_per_client", True),
+            ("explain", "method", 3),
+            ("fedavg", "batch_size", "1e3"),
+            ("fedavg", "learning_rate", [0.1]),
+            ("perfedavg_hf", "meta_inner", None),
+            ("model", "hidden_sizes", 8),
+            ("model", "hidden_sizes", ["8", [4]]),
+            ("model", "hidden_sizes", " , "),  # an empty list
+        ],
+    )
+    def test_wrong_types_are_config_errors(self, section, key, value):
+        with pytest.raises(ConfigError, match=rf"{section}\.{key}: "):
+            build_experiment_config(minimal_raw(**{section: {key: value}}))
+
+    def test_unknown_keys_name_the_section(self):
+        with pytest.raises(ConfigError, match=r"unknown keys in \[fedavg\]: \['momentum'\]"):
+            build_experiment_config(minimal_raw(fedavg={"momentum": "0.9"}))
+        # seed and hidden_sizes are bound per run, not per method
+        with pytest.raises(ConfigError, match=r"unknown keys in \[fedala\]: \['seed'\]"):
+            build_experiment_config(minimal_raw(fedala={"seed": "3"}))
+
+
+# every key each section accepts, plus one it does not
+SECTION_KEYS = {
+    "experiment": ["methods", "seeds", "output_dir"],
+    "model": ["hidden_sizes"],
+    "data": ["source", "nodes", "communities", "intra_p", "inter_p", "paths"],
+    "split": [f.name for f in fields(SplitOptions)],
+    "explain": [f.name for f in fields(ExplainOptions)],
+    **{m: [f.name for f in fields(TrainConfig)] for m in METHOD_NAMES},
+}
+TEXTS = st.sampled_from(
+    ["", " ", "0", "1", "-1", "0.5", "1e400", "nan", "yes", "off", "1,2", "3, 3", ",",
+     "fedavg", "fedala,fedavg", "synthetic", "edge_lists", "csv", "a.edges"]
+)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6) | TEXTS,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+CHECKED = settings(derandomize=True, deadline=None, max_examples=200)
+
+
+@st.composite
+def drawn_raw(draw):
+    raw = {"data": dict(SYNTH)}
+    for name, keys in SECTION_KEYS.items():
+        how = draw(st.sampled_from(["keep", "merge", "replace"]))
+        if how == "replace":
+            raw[name] = draw(JSON_VALUES)
+        elif how == "merge":
+            keys = st.sampled_from([*keys, "bogus"])
+            raw.setdefault(name, {}).update(draw(st.dictionaries(keys, JSON_VALUES, max_size=3)))
+    return raw
+
+
+@CHECKED
+@given(drawn_raw())
+def test_drawn_sections_give_a_config_or_a_config_error(raw):
+    try:
+        cfg = build_experiment_config(raw)
+    except ConfigError:
+        return
+    assert isinstance(cfg, ExperimentConfig)
+
+
+FRACTIONS = st.floats(0.0, 1.0)
+TRAIN_OVERRIDES = st.fixed_dictionaries(
+    {},
+    optional={
+        "learning_rate": st.floats(0.0, 10.0),
+        "batch_size": st.integers(1, 512),
+        "local_steps": st.integers(0, 1000),
+        "global_rounds": st.integers(0, 100),
+        "epochs": st.integers(0, 500),
+        "meta_inner": st.none() | st.floats(0.0, 1.0),
+        "meta_outer": st.none() | st.floats(0.0, 1.0),
+        "hf_delta": st.floats(1e-9, 1.0),
+        "ala_top_layers": st.integers(1, 4),
+        "ala_data_fraction": st.floats(0.0, 100.0, exclude_min=True),
+        "ala_weight_lr": st.floats(0.0, 10.0),
+        "ala_convergence_tol": st.floats(0.0, 1.0),
+        "ala_window": st.integers(1, 50),
+        "ala_update_cap": st.integers(1, 500),
+    },
+)
+
+
+@st.composite
+def drawn_configs(draw):
+    hidden = tuple(draw(st.lists(st.integers(1, 64), min_size=1, max_size=3)))
+    n = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        data = SyntheticSpec(
+            nodes=tuple(draw(st.lists(st.integers(2, 500), min_size=n, max_size=n))),
+            communities=tuple(draw(st.lists(st.integers(1, 5), min_size=n, max_size=n))),
+            intra_p=tuple(draw(st.lists(FRACTIONS, min_size=n, max_size=n))),
+            inter_p=tuple(draw(st.lists(FRACTIONS, min_size=n, max_size=n))),
+        )
+    else:
+        data = EdgeListSpec(paths=tuple(draw(st.lists(st.text(), min_size=n, max_size=n))))
+    methods = draw(st.lists(st.sampled_from(METHOD_NAMES), min_size=1, unique=True))
+    seeds = draw(st.lists(st.integers(-2**40, 2**40), min_size=1, max_size=4, unique=True))
+    overridden = draw(st.lists(st.sampled_from(METHOD_NAMES), unique=True))
+    return ExperimentConfig(
+        data=data,
+        methods=tuple(methods),
+        seeds=tuple(seeds),
+        output_dir=draw(st.text(min_size=1)),
+        hidden_sizes=hidden,
+        split=SplitOptions(
+            removal_fraction=draw(FRACTIONS),
+            train_fraction=draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+            negatives_per_positive=draw(st.floats(0.0, 50.0)),
+        ),
+        explain=ExplainOptions(
+            enabled=draw(st.booleans()),
+            method=draw(st.sampled_from(METHOD_NAMES)),
+            pairs_per_client=draw(st.integers(1, 1000)),
+            background_size=draw(st.integers(1, 1000)),
+        ),
+        train={m: TrainConfig(hidden_sizes=hidden, **draw(TRAIN_OVERRIDES)) for m in overridden},
+    )
+
+
+@CHECKED
+@given(drawn_configs())
+def test_manifest_round_trip_drawn(cfg):
+    manifest = config_to_manifest(cfg)
+    assert manifest_to_config(manifest) == cfg
+    assert manifest_to_config(json.loads(json.dumps(manifest))) == cfg

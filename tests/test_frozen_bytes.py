@@ -4,16 +4,23 @@ A small synthetic `fedsln report` run of all five methods over two seeds
 is emitted under one and two worker threads, and the SHA-256 of every
 file it writes (metrics, summary, fairness, Shapley reports, every
 checkpoint and blend-weight file; not run_manifest.json, which names
-the output directory) is compared with the constants below. A change
-that alters the numbers on purpose must update these constants and say
-so, with the old and new values, in CHANGES.md.
+the output directory) is compared with the constants below. The
+manifests of the two desk configs, with the output directory they name,
+are frozen the same way. A change that alters the numbers on purpose
+must update these constants and say so, with the old and new values, in
+CHANGES.md.
 """
 
 import hashlib
+import json
+from pathlib import Path
 
 import pytest
 
 from fedsln.cli import main
+from fedsln.config import config_to_manifest, load_config
+
+ROOT = Path(__file__).resolve().parents[1]
 
 CONFIG_TEXT = """\
 [experiment]
@@ -102,3 +109,17 @@ def test_emitted_bytes_match_frozen_digests(tmp_path, capsys, workers):
     capsys.readouterr()
     assert code == 0
     assert emitted_digests(out) == FROZEN_SHA256
+
+
+# run_manifest.json text, as emit_reports writes it, of each shipped desk config
+FROZEN_MANIFEST_SHA256 = {
+    "bench/configs/desk.ini": "97225b92ed1de23a4b7524f2f3de0b9aa2f0f796a8009d3b5348eb9ef1b53095",
+    "configs/desk_benchmark.ini": "2f1191f5726ae11c99a5e5fe37e062272fd28c6093e7274dc2566818a8069ece",
+}
+
+
+@pytest.mark.parametrize("config, digest", sorted(FROZEN_MANIFEST_SHA256.items()))
+def test_manifest_bytes_match_frozen_digests(config, digest):
+    manifest = config_to_manifest(load_config(ROOT / config))
+    text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

@@ -154,6 +154,22 @@ class TestFineTune:
             )
         assert params_checksum(tuned) == params_checksum(params)
 
+    @pytest.mark.parametrize("batch_size", [7, 30, 64])  # ragged, exact, clamped
+    def test_repeat_calls_match_manual_replay(self, batch_size):
+        client = toy_clients(1, seed=3)[0]
+        assert client.size == 30
+        cfg = TrainConfig(learning_rate=0.1, batch_size=batch_size, seed=3)
+        start = init_params(6)
+        order = derive_rng(client.seed, "client", client.client_id, "finetune").permutation(30)
+        params = start.copy()
+        for lo in range(0, 30, batch_size):
+            idx = order[lo : lo + batch_size]
+            grad = gradient(params, client.train_x[idx], client.train_y[idx])
+            params = sgd_step(params, grad, 0.1)
+        # the stream is drawn afresh each call, so a repeat is the same model
+        for _ in range(2):
+            assert np.array_equal(fine_tune(start, client, cfg).flat, params.flat)
+
     def test_does_not_mutate_global(self):
         client = toy_clients(1, seed=1)[0]
         start = init_params(3)
