@@ -17,6 +17,7 @@ manifest can be replayed or tweaked directly.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -35,7 +36,7 @@ from .experiment import (
     run_experiment,
 )
 
-__all__ = ["main"]
+__all__ = ["default_max_workers", "main"]
 
 _EMIT_GROUPS = {
     "train": ("metrics", "fairness", "models", "manifest"),
@@ -80,6 +81,14 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seeds", help="comma list overriding [experiment] seeds")
 
 
+def default_max_workers() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fedsln",
@@ -106,7 +115,9 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument(
             "--max-workers",
             type=int,
-            help="thread pool size for local rounds (default: sequential)",
+            default=default_max_workers(),
+            help="client shards per federated run, all but one in a forked "
+            "process; never changes the output (default: usable CPUs, %(default)s)",
         )
         if name == "explain":
             cmd.add_argument("--method", help="override [explain] method")
@@ -128,6 +139,8 @@ def main(argv: list[str] | None = None) -> int:
             else:
                 paths = export_feature_tables(cfg, seed, out)
         else:
+            if args.max_workers < 1:
+                raise ConfigError("--max-workers must be at least 1")
             if args.command in ("explain", "report"):
                 explain_kwargs = {"enabled": True}
                 if getattr(args, "method", None):

@@ -551,9 +551,10 @@ def emit_reports(
     explain (importance.csv, explanations.json, per-client SVG), models
     (checkpoints plus blend weights), manifest (run_manifest.json).
     Every file is first written to a temporary sibling; the temporaries
-    replace their targets only after every group has been written. On
-    failure only the temporaries are removed, so an earlier run's files
-    stay as they were.
+    replace their targets only after every group has been written and
+    every target is known to be distinct and not a directory. On failure
+    only the temporaries are removed, so an earlier run's files stay as
+    they were.
     """
     groups = set(REPORT_GROUPS if include is None else include)
     unknown = groups - set(REPORT_GROUPS)
@@ -606,6 +607,7 @@ def emit_reports(
                 json.dumps(config_to_manifest(report.config), indent=2, sort_keys=True)
                 + "\n",
             )
+        _check_targets([path for _tmp, path in staged])
         for tmp, path in staged:
             os.replace(tmp, path)
     except Exception as exc:
@@ -613,6 +615,18 @@ def emit_reports(
             tmp.unlink(missing_ok=True)
         raise StageError("emit", str(exc)) from exc
     return [path for _tmp, path in staged]
+
+
+def _check_targets(targets: Sequence[Path]) -> None:
+    """Raise before any file is moved if one of them could not be: a target
+    named twice, or one that is an existing directory."""
+    seen: set[Path] = set()
+    for path in targets:
+        if path in seen:
+            raise ValueError(f"{path} would be written twice")
+        if path.is_dir():
+            raise IsADirectoryError(f"{path} is a directory")
+        seen.add(path)
 
 
 def export_feature_tables(

@@ -307,22 +307,14 @@ def mean_loss(params: ModelParams, x: np.ndarray, y: np.ndarray) -> float:
     return float(np.mean(bce_loss(p, y)))
 
 
-def gradient(params: ModelParams, x: np.ndarray, y: np.ndarray) -> ModelParams:
-    """Mean-over-batch gradient of bce_loss(forward(x), y).
+def _gradient_into(
+    layers: Sequence[DenseLayer], grads: Sequence[DenseLayer], a: np.ndarray, y: np.ndarray
+) -> None:
+    """Write the mean-over-batch gradient at `layers` into `grads`.
 
-    Uses the fused sigmoid/cross-entropy form d/dz = (p - y) / m, the
-    exact gradient wherever the loss clamp is inactive. The result is
-    written straight into one flat buffer.
+    a is a float64 (m, input) batch with m >= 1 and y its m float64
+    labels; grads are layer views into one flat buffer, overwritten.
     """
-    a, _ = _as_matrix(params, x)
-    y = np.asarray(y, dtype=np.float64).reshape(-1)
-    m = y.size
-    if m == 0:
-        raise ValueError("gradient needs a non-empty batch")
-    if a.shape[0] != m:
-        raise ValueError("feature and label counts differ")
-
-    layers = params.layers
     acts = [a]
     sigs = []  # softplus' = sigmoid, per hidden layer
     for w, b in layers[:-1]:
@@ -336,15 +328,35 @@ def gradient(params: ModelParams, x: np.ndarray, y: np.ndarray) -> ModelParams:
     z += head_b
     p = expit(z[:, 0])
 
-    flat = np.empty_like(params.flat)
-    grads = layer_views(flat, params.layer_dims)
-    delta = ((p - y) / m)[:, None]
+    delta = ((p - y) / y.size)[:, None]
     for i in range(len(layers) - 1, -1, -1):
         np.matmul(delta.T, acts[i], out=grads[i].weights)
-        np.sum(delta, axis=0, out=grads[i].biases)
+        np.add.reduce(delta, axis=0, out=grads[i].biases)
         if i > 0:
             delta = delta @ layers[i].weights
             delta *= sigs[i - 1]
+
+
+def _labels(y: np.ndarray, a: np.ndarray) -> np.ndarray:
+    y = np.asarray(y, dtype=np.float64).reshape(-1)
+    if y.size == 0:
+        raise ValueError("gradient needs a non-empty batch")
+    if a.shape[0] != y.size:
+        raise ValueError("feature and label counts differ")
+    return y
+
+
+def gradient(params: ModelParams, x: np.ndarray, y: np.ndarray) -> ModelParams:
+    """Mean-over-batch gradient of bce_loss(forward(x), y).
+
+    Uses the fused sigmoid/cross-entropy form d/dz = (p - y) / m, the
+    exact gradient wherever the loss clamp is inactive. The result is
+    written straight into one flat buffer.
+    """
+    a, _ = _as_matrix(params, x)
+    y = _labels(y, a)
+    flat = np.empty_like(params.flat)
+    _gradient_into(params.layers, layer_views(flat, params.layer_dims), a, y)
     return ModelParams(flat, params.layer_dims)
 
 
@@ -455,15 +467,27 @@ def train_steps(
     stream = (
         rng if isinstance(rng, BatchStream) else BatchStream(len(y), config.batch_size, rng)
     )
+    x, _ = _as_matrix(params, x)
+    y = _labels(y, x)
     if stream.clamped and flags is not None:
         flags.add("batch_size_clamped")
+    # one working copy and one gradient buffer, each with its layer views,
+    # serve every step; the update is sgd_step's arithmetic, in place
+    dims = params.layer_dims
+    flat = params.flat.copy()
+    layers = layer_views(flat, dims)
+    grad = np.empty_like(flat)
+    grads = layer_views(grad, dims)
+    lr = config.learning_rate
     # A diverging run overflows here; aggregate and run_method report it as
-    # NonFiniteParamsError. errstate is per thread, so it is set in here.
+    # NonFiniteParamsError.
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(n_steps):
             idx = stream.next_indices()
-            params = sgd_step(params, gradient(params, x[idx], y[idx]), config.learning_rate)
-    return params.copy() if n_steps == 0 else params
+            _gradient_into(layers, grads, x[idx], y[idx])
+            grad *= lr
+            flat -= grad
+    return ModelParams(flat, dims)
 
 
 def epochs_to_steps(n: int, batch_size: int, epochs: int) -> int:

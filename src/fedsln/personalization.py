@@ -136,7 +136,7 @@ def _meta_round(
     if upd.clamped and flags is not None:
         flags.add("batch_size_clamped")
     x, y = client.train_x, client.train_y
-    # divergence is reported by aggregate; errstate is per thread
+    # divergence is reported by aggregate
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(config.local_steps):
             i1, i2, i3 = meta.next_indices(), upd.next_indices(), hess.next_indices()

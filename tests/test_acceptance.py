@@ -17,6 +17,7 @@ import pytest
 from scipy.special import expit
 
 from fedsln.analysis import fairness_report, make_predictor, shapley_values
+from fedsln.cli import default_max_workers
 from fedsln.cli import main as cli_main
 from fedsln.config import load_config
 from fedsln.experiment import build_client_datasets, run_method
@@ -509,7 +510,7 @@ def desk_benchmark():
                 ks_statistic(datasets[i].raw_train_x[:, ra], datasets[j].raw_train_x[:, ra]),
             )
         for method in cfg.methods:
-            out = run_method(method, datasets, cfg, seed)
+            out = run_method(method, datasets, cfg, seed, max_workers=default_max_workers())
             accs = [out.reports[c].accuracy for c in sorted(out.reports)]
             means[method].append(float(np.mean(accs)))
     return {

@@ -142,7 +142,11 @@ class TestTrain:
     def test_max_workers_matches_sequential(self, config_path, tmp_path, capsys):
         seq = tmp_path / "seq"
         par = tmp_path / "par"
-        run_cli(capsys, "train", "--config", str(config_path), "--output-dir", str(seq))
+        run_cli(
+            capsys,
+            "train", "--config", str(config_path), "--output-dir", str(seq),
+            "--max-workers", "1",
+        )
         code, _, _ = run_cli(
             capsys,
             "train", "--config", str(config_path), "--output-dir", str(par),
@@ -340,6 +344,38 @@ class TestErrors:
         assert len(lines) == 1, stderr
         assert lines[0].startswith(f"fedsln: [config] {path}: "), lines[0]
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_max_workers_below_one_is_a_config_error(self, config_path, tmp_path, capsys, workers):
+        code, out, err = run_cli(
+            capsys,
+            "train", "--config", str(config_path), "--output-dir", str(tmp_path / "run"),
+            "--max-workers", workers,
+        )
+        assert code == 2
+        assert err.splitlines() == ["fedsln: [config] --max-workers must be at least 1"]
+        assert out == ""
+        assert not (tmp_path / "run").exists()
+
+    def test_directory_at_a_target_leaves_the_earlier_run_alone(
+        self, config_path, tmp_path, capsys
+    ):
+        out = tmp_path / "run"
+        code, _, _ = run_cli(capsys, "train", "--config", str(config_path), "--output-dir", str(out))
+        assert code == 0
+        metrics = (out / "metrics.csv").read_bytes()
+        (out / "summary.csv").unlink()
+        (out / "summary.csv").mkdir()
+        code, _, err = run_cli(
+            capsys,
+            "train", "--config", str(config_path), "--output-dir", str(out), "--seeds", "2",
+        )
+        assert code == 2
+        lines = err.splitlines()
+        assert len(lines) == 1, err
+        assert lines[0].startswith("fedsln: [emit] "), lines[0]
+        assert (out / "metrics.csv").read_bytes() == metrics
+        assert not [p for p in out.rglob("*.tmp")]
 
     @pytest.mark.parametrize(
         "method, where",

@@ -1,6 +1,7 @@
 """Driver-level tests: dataset assembly, privacy boundary, report emission."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -319,6 +320,16 @@ class TestEmit:
             p.relative_to(tmp_path): p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()
         }
         assert after == before
+
+    def test_target_named_twice_moves_nothing(self, full_report, tmp_path):
+        emit_reports(full_report, tmp_path, include=["metrics"])
+        before = (tmp_path / "metrics.csv").read_bytes()
+        twice = replace(full_report, metrics=[], extra_files=[("a.csv", "1\n"), ("a.csv", "2\n")])
+        with pytest.raises(StageError, match=r"\[emit\] .*a\.csv would be written twice"):
+            emit_reports(twice, tmp_path, include=["metrics", "models"])
+        assert (tmp_path / "metrics.csv").read_bytes() == before
+        files = sorted(p.name for p in tmp_path.rglob("*") if p.is_file())
+        assert files == ["metrics.csv", "summary.csv"]
 
     def test_checkpoints_load_back(self, full_report, tmp_path):
         emit_reports(full_report, tmp_path, include=["models"])

@@ -1,12 +1,23 @@
-"""Federated averaging: aggregation algebra, reductions, scheduling."""
+"""Federated averaging: aggregation algebra, reductions, scheduling, client shards."""
 
+import functools
+import multiprocessing
+import os
 import re
+import subprocess
+import sys
+import textwrap
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedsln.federation import (
     ClientState,
+    _openblas_thread_functions,
     aggregate,
     local_round,
     make_clients,
@@ -18,10 +29,12 @@ from fedsln.neural import (
     ModelParams,
     NonFiniteParamsError,
     TrainConfig,
+    gradient,
     init_params,
     params_checksum,
     train_steps,
 )
+from fedsln.personalization import _ala_sync, _meta_round
 from fedsln.rng import derive_rng
 
 
@@ -233,3 +246,183 @@ class TestRunFedavg:
     def test_requires_clients(self):
         with pytest.raises(ValueError):
             run_fedavg([], TrainConfig())
+
+
+# --- client shards: forked children must reproduce the in-process run --------
+
+SHARD_HOOKS = {
+    "fedavg": lambda cfg: {},
+    "fedala": lambda cfg: {"sync": functools.partial(_ala_sync, config=cfg)},
+    "perfedavg_hf": lambda cfg: {"local": _meta_round},
+}
+
+
+def sized_clients(sizes, seed):
+    datasets = []
+    for i, n in enumerate(sizes):
+        x, y = toy_dataset(seed * 100 + i, n=n + 4)
+        datasets.append((x[:n], y[:n], x[n:], y[n:]))
+    return make_clients(datasets, seed)
+
+
+def client_snapshot(client):
+    """Everything a round can change in a client, as comparable values."""
+    streams = {
+        slot: (s.rng.bit_generator.state, s._pos, s._order.tolist())
+        for slot, s in client._streams.items()
+    }
+    generators = {slot: g.bit_generator.state for slot, g in client._generators.items()}
+    return (
+        None if client.params is None else client.params.flat.tolist(),
+        None if client.ala_weights is None else client.ala_weights.flat.tolist(),
+        streams,
+        generators,
+        all(s.rng is client._generators[slot] for slot, s in client._streams.items()),
+    )
+
+
+def run_hooked(method, sizes, seed, batch_size, max_workers):
+    cfg = TrainConfig(
+        learning_rate=0.05,
+        batch_size=batch_size,
+        local_steps=3,
+        global_rounds=2,
+        seed=seed,
+        hidden_sizes=(4,),
+        ala_top_layers=1,
+        ala_update_cap=4,
+    )
+    clients = sized_clients(sizes, seed)
+    final, history = run_fedavg(clients, cfg, max_workers=max_workers, **SHARD_HOOKS[method](cfg))
+    return (
+        final.flat.tolist(),
+        [(r.round_index, r.checksum, r.warnings) for r in history],
+        [client_snapshot(c) for c in clients],
+    )
+
+
+class TestShards:
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(
+        method=st.sampled_from(sorted(SHARD_HOOKS)),
+        sizes=st.lists(st.integers(3, 24), min_size=1, max_size=5),
+        seed=st.integers(0, 2**16),
+        batch_size=st.sampled_from([4, 16]),
+        max_workers=st.integers(1, 6),
+    )
+    def test_sharded_run_equals_in_process(self, method, sizes, seed, batch_size, max_workers):
+        # a 16-row batch is clamped on the smaller clients, so warnings
+        # cross from the children too
+        serial = run_hooked(method, sizes, seed, batch_size, None)
+        sharded = run_hooked(method, sizes, seed, batch_size, max_workers)
+        assert sharded == serial
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("failing_client", [0, 1])
+    def test_hook_error_is_raised_in_parent(self, failing_client):
+        # with two shards client 0 trains in the parent and client 1 in a child
+        def local(client, config, *, flags):
+            if client.client_id == failing_client:
+                raise KeyError(f"client {client.client_id} refuses")
+            return local_round(client, config, flags=flags)
+
+        cfg = TrainConfig(learning_rate=0.05, batch_size=8, local_steps=3, global_rounds=2, seed=2)
+        with pytest.raises(KeyError, match=f"client {failing_client} refuses"):
+            run_fedavg(toy_clients(3, seed=2), cfg, local=local, max_workers=2)
+        assert multiprocessing.active_children() == []
+
+    def test_unpicklable_error_keeps_type_name_and_message(self):
+        class Odd(Exception):
+            def __init__(self, a, b):
+                super().__init__(f"{a}-{b}")
+
+        def local(client, config, *, flags):
+            if client.client_id == 1:
+                raise Odd("x", client.client_id)
+            return local_round(client, config, flags=flags)
+
+        cfg = TrainConfig(batch_size=8, local_steps=1, global_rounds=1, seed=2)
+        with pytest.raises(RuntimeError, match="^Odd: x-1$"):
+            run_fedavg(toy_clients(2, seed=2), cfg, local=local, max_workers=2)
+        assert multiprocessing.active_children() == []
+
+    def test_divergence_closes_every_child(self):
+        cfg = TrainConfig(learning_rate=1e200, batch_size=8, local_steps=3, global_rounds=2, seed=5)
+        with pytest.raises(NonFiniteParamsError, match=r"round 0: client 0 "):
+            run_fedavg(toy_clients(4, seed=5), cfg, max_workers=4)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif(_openblas_thread_functions() is None, reason="needs OpenBLAS")
+    def test_bytes_do_not_depend_on_the_blas_thread_count(self):
+        # a full-batch step on 3000 rows is large enough for OpenBLAS to
+        # split its products across threads, which changes their last bits
+        def full_batch(client, config, *, flags):
+            grad = gradient(client.params, client.train_x, client.train_y)
+            client.params = ModelParams(client.params.flat - 0.5 * grad.flat, grad.layer_dims)
+            return client.params
+
+        get, put = _openblas_thread_functions()
+        before = get()
+        cfg = TrainConfig(global_rounds=3, seed=3)
+        runs = []
+        try:
+            for threads in (1, 2):
+                put(threads)
+                clients = sized_clients([3000, 3200], seed=3)
+                final, history = run_fedavg(clients, cfg, local=full_batch)
+                assert get() == threads
+                runs.append([r.checksum for r in history])
+        finally:
+            put(before)
+        assert runs[0] == runs[1]
+
+    def test_rejects_fewer_than_one_worker(self):
+        with pytest.raises(ValueError, match="max_workers must be at least 1"):
+            run_fedavg(toy_clients(2), TrainConfig(), max_workers=0)
+
+    @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
+    def test_children_exit_when_the_parent_dies(self, tmp_path):
+        # the parent prints its children's pids and dies mid-round, skipping
+        # every clean-up; the children must see end-of-file and exit
+        script = textwrap.dedent(
+            """
+            import multiprocessing, os, sys
+            import numpy as np
+            from fedsln.federation import local_round, make_clients, run_fedavg
+            from fedsln.neural import TrainConfig
+
+            rng = np.random.default_rng(0)
+            data = [(rng.normal(size=(30, 6)), (rng.random(30) > 0.5) * 1.0,
+                     rng.normal(size=(5, 6)), np.array([0.0, 1, 0, 1, 0]))
+                    for _ in range(3)]
+
+            def local(client, config, *, flags):
+                if client.client_id == 0:
+                    pids = [p.pid for p in multiprocessing.active_children()]
+                    print(" ".join(map(str, pids)), flush=True)
+                    os._exit(0)
+                return local_round(client, config, flags=flags)
+
+            run_fedavg(make_clients(data, 1), TrainConfig(batch_size=8), local=local,
+                       max_workers=3)
+            """
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=f"{src}{os.pathsep}{os.environ.get('PYTHONPATH', '')}")
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+        )
+        pids = [int(p) for p in done.stdout.split()]
+        assert len(pids) == 2, done.stderr
+
+        def running(pid):
+            try:
+                stat = Path(f"/proc/{pid}/stat").read_text()
+            except (FileNotFoundError, ProcessLookupError):
+                return False
+            return stat.rpartition(")")[2].split()[0] != "Z"
+
+        deadline = time.monotonic() + 30
+        while any(running(p) for p in pids) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(running(p) for p in pids)

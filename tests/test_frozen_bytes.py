@@ -1,7 +1,8 @@
 """Frozen output bytes: a pure refactor must leave every emitted file alone.
 
 A small synthetic `fedsln report` run of all five methods over two seeds
-is emitted under one and two worker threads, and the SHA-256 of every
+is emitted with `--max-workers` 1, 2, 3 and 5 and without the flag (the
+CLI's default), and the SHA-256 of every
 file it writes (metrics, summary, fairness, Shapley reports, every
 checkpoint and blend-weight file; not run_manifest.json, which names
 the output directory) is compared with the constants below. The
@@ -98,14 +99,13 @@ def emitted_digests(out_dir):
     }
 
 
-@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("workers", ["1", "2", "3", "5", pytest.param(None, id="default")])
 def test_emitted_bytes_match_frozen_digests(tmp_path, capsys, workers):
     ini = tmp_path / "exp.ini"
     ini.write_text(CONFIG_TEXT)
     out = tmp_path / "out"
-    code = main(
-        ["report", "--config", str(ini), "--output-dir", str(out), "--max-workers", workers]
-    )
+    flag = [] if workers is None else ["--max-workers", workers]
+    code = main(["report", "--config", str(ini), "--output-dir", str(out), *flag])
     capsys.readouterr()
     assert code == 0
     assert emitted_digests(out) == FROZEN_SHA256

@@ -7,6 +7,8 @@ recomputation with raw numpy.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import expit
 
 from fedsln.neural import (
@@ -297,6 +299,34 @@ class TestTrainSteps:
         a = train_steps(params.copy(), x, y, cfg, derive_rng(7, "s"))
         b = train_steps(params.copy(), x, y, cfg, derive_rng(7, "s"))
         assert np.array_equal(flatten(a), flatten(b))
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(
+        hidden=st.lists(st.integers(1, 9), min_size=0, max_size=3),
+        n=st.integers(1, 40),
+        batch_size=st.integers(1, 48),
+        steps=st.integers(0, 12),
+        learning_rate=st.sampled_from([0.0, 1e-3, 0.3, 5.0]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_in_place_loop_matches_gradient_and_sgd_step(
+        self, hidden, n, batch_size, steps, learning_rate, seed
+    ):
+        # the reference is the step written with the public kernels
+        rng = derive_rng(seed, "data")
+        x = rng.normal(size=(n, 4))
+        y = (rng.random(n) < 0.5).astype(float)
+        params = init_params(derive_rng(seed, "m"), hidden=tuple(hidden), input_dim=4)
+        cfg = TrainConfig(learning_rate=learning_rate, batch_size=batch_size)
+        fast = train_steps(params, x, y, cfg, derive_rng(seed, "s"), steps=steps)
+
+        stream = BatchStream(n, batch_size, derive_rng(seed, "s"))
+        slow = params
+        for _ in range(steps):
+            idx = stream.next_indices()
+            slow = sgd_step(slow, gradient(slow, x[idx], y[idx]), learning_rate)
+        assert np.array_equal(fast.flat, slow.flat)
+        assert fast.flat is not params.flat
 
     def test_epochs_to_steps(self):
         assert epochs_to_steps(10, 3, 1) == 4
