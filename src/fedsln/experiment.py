@@ -6,9 +6,12 @@ training regimes. Metrics are collected per (method, client, seed);
 fairness spreads use the per-client rates averaged over seeds;
 explanations, when enabled, attribute the first seed's models.
 
-The centralized regime is realized as a single pooled pseudo-client with
-id 0 that uses the standard stream derivations, so with one client and
-matched step counts it coincides with federated training exactly.
+The centralized regime is FedAvg with one client and one round: the
+pooled training data form a single pseudo-client with id 0 that uses
+the standard stream derivations, and its one round takes as many SGD
+steps as its epochs need. Every method thus trains through
+federation.run_fedavg and reports a round history (one record for
+centralized), and every model is scored at one site.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ from .analysis import (
 from .config import ExperimentConfig, SyntheticSpec, config_to_manifest, with_seed
 from .features import (
     FEATURE_NAMES,
-    N_FEATURES,
     PairExamples,
     Standardizer,
     build_examples,
@@ -58,9 +60,7 @@ from .neural import (
     check_finite,
     epochs_to_steps,
     evaluate,
-    init_params,
     save_checkpoint,
-    train_steps,
 )
 from .personalization import (
     ala_weights_to_csv,
@@ -212,8 +212,9 @@ def run_method(
     """Train one regime for one seed and score every client's test split.
 
     A model that diverges to non-finite parameters stops the run with a
-    StageError tagged train:<method>. Its message names the seed and, for
-    the federated methods, the round and the client.
+    StageError tagged train:<method>. Its message names the seed and
+    either the round and the client (centralized: round 0, client 0) or
+    the client whose personalized model diverged.
     """
     if method not in cfg.train:
         raise ValueError(f"unknown method {method!r}")
@@ -231,56 +232,50 @@ def _run_method(
     max_workers: int | None,
 ) -> MethodOutcome:
     tcfg = with_seed(replace(cfg.train[method], hidden_sizes=cfg.hidden_sizes), seed)
+    pooled_std = None
     if method == "centralized":
         pooled_std, pooled_x, pooled_y = pool_training_data(datasets)
-        pooled = ClientState(
-            0, pooled_x, pooled_y, pooled_x[:0], pooled_y[:0], seed
+        clients = [ClientState(0, pooled_x, pooled_y, pooled_x[:0], pooled_y[:0], seed)]
+        test_x = [pooled_std.transform(d.raw_test_x) for d in datasets]
+        steps = epochs_to_steps(clients[0].size, tcfg.batch_size, tcfg.epochs)
+        tcfg = replace(tcfg, global_rounds=1, local_steps=steps)
+    else:
+        clients = make_clients(
+            [(d.train_x, d.train_y, d.test_x, d.test_y) for d in datasets], seed
         )
-        initial = init_params(derive_rng(seed, "init"), tcfg.hidden_sizes, N_FEATURES)
-        flags: set[str] = set()
-        params = train_steps(
-            initial,
-            pooled_x,
-            pooled_y,
-            tcfg,
-            pooled.batch_stream("update", tcfg.batch_size),
-            steps=epochs_to_steps(pooled.size, tcfg.batch_size, tcfg.epochs),
-            flags=flags,
-        )
-        check_finite(params, "the centralized model")
-        reports = {
-            d.client_id: evaluate(params, pooled_std.transform(d.raw_test_x), d.test_y)
-            for d in datasets
-        }
-        return MethodOutcome(
-            method, reports, params, None, pooled_std, [], tuple(sorted(flags))
-        )
+        test_x = [d.test_x for d in datasets]
 
-    clients = make_clients([(d.train_x, d.train_y, d.test_x, d.test_y) for d in datasets], seed)
     global_params = client_params = None
-    if method == "fedavg":
+    flags: set[str] = set()  # warnings of the fine-tune pass after the rounds
+    if method in ("centralized", "fedavg"):
         global_params, history = run_fedavg(clients, tcfg, max_workers=max_workers)
     elif method == "fedavg_ft":
         fed_cfg = with_seed(
             replace(cfg.train["fedavg"], hidden_sizes=cfg.hidden_sizes), seed
         )
         client_params, history = run_fedavg_ft(
-            clients, fed_cfg, tcfg, max_workers=max_workers
+            clients, fed_cfg, tcfg, max_workers=max_workers, flags=flags
         )
     elif method == "perfedavg_hf":
-        client_params, history = run_perfedavg_hf(clients, tcfg, max_workers=max_workers)
+        client_params, history = run_perfedavg_hf(
+            clients, tcfg, max_workers=max_workers, flags=flags
+        )
     elif method == "fedala":
         client_params, history = run_fedala(clients, tcfg, max_workers=max_workers)
     else:
         raise ValueError(f"unknown method {method!r}")
     if client_params is None:
-        models = {c.client_id: global_params for c in clients}
+        # aggregate has checked every model that went into the global one
+        models = {d.client_id: global_params for d in datasets}
     else:
         # every personalized model is checked before any model is scored
         for cid, params in sorted(client_params.items()):
             check_finite(params, f"client {cid}'s personalized model")
         models = client_params
-    reports = {c.client_id: evaluate(models[c.client_id], c.test_x, c.test_y) for c in clients}
+    reports = {
+        d.client_id: evaluate(models[d.client_id], x, d.test_y)
+        for d, x in zip(datasets, test_x)
+    }
     ala_weights = None
     if method == "fedala":
         ala_weights = {
@@ -291,18 +286,11 @@ def _run_method(
         reports,
         global_params,
         client_params,
-        None,
+        pooled_std,
         history,
-        _history_warnings(history),
+        tuple(sorted(flags.union(*(r.warnings for r in history)))),
         ala_weights=ala_weights,
     )
-
-
-def _history_warnings(history: Sequence[RoundRecord]) -> tuple[str, ...]:
-    seen: set[str] = set()
-    for record in history:
-        seen.update(record.warnings)
-    return tuple(sorted(seen))
 
 
 def _explain(

@@ -117,7 +117,7 @@ def make_clients(
 
 def synchronize(client: ClientState, global_params: ModelParams) -> None:
     """Overwrite the client model with a copy of the global one."""
-    if client.params is not None and client.params.dims() != global_params.dims():
+    if client.params is not None and client.params.layer_dims != global_params.layer_dims:
         raise ValueError("global and client parameter structures differ")
     client.params = global_params.copy()
 
@@ -168,7 +168,9 @@ def aggregate(
             raise ValueError("parameter structures do not match")
         check_finite(params, f"{where}client {cid}")
     total = float(sum(sizes))
-    mean = sum(s / total * params.flat for s, params in zip(sizes, local_params))
+    terms = (s / total * params.flat for s, params in zip(sizes, local_params))
+    # summing from the first term, not from 0, keeps a lone model's -0.0
+    mean = sum(terms, next(terms))
     return ModelParams(mean, dims)
 
 

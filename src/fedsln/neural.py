@@ -15,9 +15,10 @@ holds the top layers).
 Hidden units take softplus in one fused, in-place form: e = exp(-|z|),
 then max(z, 0) + log1p(e). `gradient` also takes the derivative, the
 sigmoid, from the same e: 1/(1+e) for z >= 0 and e/(1+e) for z < 0.
-`forward`, and so `mean_loss`, the ALA window loss and Shapley
-attribution, run the same kernel, so its hidden activations equal those
-of `gradient` bit for bit.
+`forward`, and so `mean_loss` and Shapley attribution, run the same
+kernel, so its hidden activations equal those of `gradient` bit for bit;
+the ALA window loss is taken from the probabilities of the gradient pass
+itself.
 
 `evaluate` alone applies np.logaddexp(0, z) instead. The two softplus
 forms agree to an ulp, but numpy's vectorized exp and the scalar exp
@@ -29,8 +30,10 @@ reported one by a few ulps.
 
 Finiteness is not checked when a ModelParams is built. It is checked
 where a diverged model could leave the program: federation.aggregate
-checks every client's model once per round, experiment.run_method checks
-the models it returns, and load_checkpoint rejects non-finite bytes.
+checks every client's model once per round (centralized training is one
+pooled client's single round), experiment.run_method checks the
+personalized models it returns, and load_checkpoint rejects non-finite
+bytes.
 
 Checkpoint layout (little-endian, self-describing):
 
@@ -196,11 +199,8 @@ class ModelParams:
     def input_dim(self) -> int:
         return self.layer_dims[0]
 
-    def dims(self) -> tuple[int, ...]:
-        return self.layer_dims
-
     def copy(self) -> "ModelParams":
-        return ModelParams(self.flat.copy(), self.layer_dims)
+        return type(self)(self.flat.copy(), self.layer_dims)
 
 
 def check_finite(params: ModelParams, what: str) -> None:
@@ -309,11 +309,13 @@ def mean_loss(params: ModelParams, x: np.ndarray, y: np.ndarray) -> float:
 
 def _gradient_into(
     layers: Sequence[DenseLayer], grads: Sequence[DenseLayer], a: np.ndarray, y: np.ndarray
-) -> None:
+) -> np.ndarray:
     """Write the mean-over-batch gradient at `layers` into `grads`.
 
     a is a float64 (m, input) batch with m >= 1 and y its m float64
     labels; grads are layer views into one flat buffer, overwritten.
+    Returns the batch's head probabilities, equal to `forward`'s bit for
+    bit, so a caller that wants the loss needs no second pass.
     """
     acts = [a]
     sigs = []  # softplus' = sigmoid, per hidden layer
@@ -335,6 +337,7 @@ def _gradient_into(
         if i > 0:
             delta = delta @ layers[i].weights
             delta *= sigs[i - 1]
+    return p
 
 
 def _labels(y: np.ndarray, a: np.ndarray) -> np.ndarray:

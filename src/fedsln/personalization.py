@@ -14,32 +14,33 @@ and differ only in the hook they hand it or in what follows it:
   the top layers of the incoming global model elementwise with the
   client's previous local model through learnable weights in [0, 1].
 
-Each returns the per-client models and the round history; scoring them
-is experiment.run_method's job. Keeping the update batch on its own
-stream means the meta path with alpha = 0 consumes batches exactly like
-plain FedAvg, so the two pipelines coincide bit for bit under shared
-seeds.
+Each returns the per-client models and the round history; the two with
+a fine-tune pass add its warnings to an optional flags set, and scoring
+the models is experiment.run_method's job. The blend weights, AlaWeights,
+are a ModelParams laid out as the top layers they blend.
+
+Keeping the update batch on its own stream means the meta path with
+alpha = 0 consumes batches exactly like plain FedAvg, so the two
+pipelines coincide bit for bit under shared seeds.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .federation import ClientState, RoundRecord, run_fedavg, synchronize
 from .neural import (
-    DenseLayer,
     ModelParams,
     TrainConfig,
+    _gradient_into,
+    bce_loss,
     epochs_to_steps,
     flat_size,
-    flatten_layers,
     gradient,
     layer_views,
-    mean_loss,
     train_steps,
 )
 from .graphs import round_half_up
@@ -63,38 +64,48 @@ Personalized = tuple[dict[int, ModelParams], list[RoundRecord]]
 
 
 def fine_tune(
-    global_params: ModelParams, client: ClientState, config: TrainConfig
+    global_params: ModelParams,
+    client: ClientState,
+    config: TrainConfig,
+    *,
+    flags: set[str] | None = None,
 ) -> ModelParams:
     """Exactly one seeded epoch of SGD on the client's train split.
 
     The stream is drawn afresh from the client's "finetune" generator, so
     repeated calls give the same model; divergence is reported by
-    run_method's finiteness check.
+    run_method's finiteness check. A clamped batch size is added to flags.
     """
     rng = derive_rng(client.seed, "client", client.client_id, "finetune")
     steps = epochs_to_steps(client.size, config.batch_size, 1)
-    return train_steps(global_params, client.train_x, client.train_y, config, rng, steps=steps)
+    return train_steps(
+        global_params, client.train_x, client.train_y, config, rng, steps=steps, flags=flags
+    )
 
 
 def run_fedavg_ft(
     clients: Sequence[ClientState],
     fed_config: TrainConfig,
-    ft_config: TrainConfig | None = None,
+    ft_config: TrainConfig,
     *,
     max_workers: int | None = None,
+    flags: set[str] | None = None,
 ) -> Personalized:
-    """FedAvg followed by one fine-tuning epoch per client."""
-    ft_config = ft_config if ft_config is not None else fed_config
+    """FedAvg under fed_config, then one fine-tuning epoch per client under
+    ft_config; the fine-tune pass adds its warnings to flags."""
     global_params, history = run_fedavg(clients, fed_config, max_workers=max_workers)
-    return _fine_tune_all(global_params, clients, ft_config), history
+    return _fine_tune_all(global_params, clients, ft_config, flags), history
 
 
 def _fine_tune_all(
-    global_params: ModelParams, clients: Sequence[ClientState], config: TrainConfig
+    global_params: ModelParams,
+    clients: Sequence[ClientState],
+    config: TrainConfig,
+    flags: set[str] | None,
 ) -> dict[int, ModelParams]:
     """Fine-tune the global model on every client; each keeps its result."""
     for client in clients:
-        client.params = fine_tune(global_params, client, config)
+        client.params = fine_tune(global_params, client, config, flags=flags)
     return {c.client_id: c.params for c in clients}
 
 
@@ -156,54 +167,34 @@ def run_perfedavg_hf(
     config: TrainConfig,
     *,
     max_workers: int | None = None,
+    flags: set[str] | None = None,
 ) -> Personalized:
-    """Federated meta-learning rounds, then one fine-tune epoch each."""
+    """Federated meta-learning rounds, then one fine-tune epoch each; the
+    fine-tune pass adds its warnings to flags."""
     global_params, history = run_fedavg(
         clients, config, local=_meta_round, max_workers=max_workers
     )
-    return _fine_tune_all(global_params, clients, config), history
+    return _fine_tune_all(global_params, clients, config, flags), history
 
 
-@dataclass
-class AlaWeights:
+class AlaWeights(ModelParams):
     """Elementwise blending weights for the top layers, each in [0, 1].
 
-    flat lines up with the tail of ModelParams.flat that holds the top
-    layers; layer_dims are the model's dims from the first blended
-    layer's input on.
+    Laid out as the model's top layers: flat lines up with the tail of
+    ModelParams.flat that holds them, layer_dims are the model's dims from
+    the first blended layer's input on (so they end in the scalar head),
+    and layers[i] aligns with params.layers[params.n_layers - p + i].
     """
 
-    flat: np.ndarray
-    layer_dims: tuple[int, ...]
-
     def __post_init__(self):
-        self.layer_dims = tuple(self.layer_dims)
-        self.flat = np.ascontiguousarray(self.flat, dtype=np.float64)
-        if self.flat.shape != (flat_size(self.layer_dims),):
-            raise ValueError("blending weights do not fit their layer dims")
+        super().__post_init__()
         if np.any(self.flat < 0.0) or np.any(self.flat > 1.0):
             raise ValueError("blending weights must lie in [0, 1]")
-
-    @classmethod
-    def from_layers(cls, layers: Sequence[tuple[np.ndarray, np.ndarray]]) -> "AlaWeights":
-        return cls(*flatten_layers(layers))
 
     @classmethod
     def ones_like(cls, params: ModelParams, top_layers: int) -> "AlaWeights":
         dims = params.layer_dims[params.n_layers - top_layers :]
         return cls(np.ones(flat_size(dims)), dims)
-
-    @property
-    def n_layers(self) -> int:
-        return len(self.layer_dims) - 1
-
-    @property
-    def values(self) -> list[DenseLayer]:
-        """Per-layer views; values[i] aligns with params.layers[n_layers - p + i]."""
-        return layer_views(self.flat, self.layer_dims)
-
-    def copy(self) -> "AlaWeights":
-        return AlaWeights(self.flat.copy(), self.layer_dims)
 
 
 def _check_top_layers(params: ModelParams, top_layers: int) -> int:
@@ -257,20 +248,24 @@ def learn_ala_weights(
     n = client.size
     m = max(1, round_half_up(config.ala_data_fraction / 100.0 * n))
     idx = client.generator("ala-subsample").choice(n, size=m, replace=False)
-    sx, sy = client.train_x[idx], client.train_y[idx]
+    sx = np.asarray(client.train_x[idx], dtype=np.float64)
+    sy = np.asarray(client.train_y[idx], dtype=np.float64)
 
     w = weights.copy() if weights is not None else AlaWeights.ones_like(global_params, p)
     top = global_params.flat.size - w.flat.size
     # chain rule through the blend: dL/dW = dL/dtheta * (global - prev)
     spread = global_params.flat[top:] - local_prev.flat[top:]
+    grad = np.empty_like(global_params.flat)
+    grads = layer_views(grad, global_params.layer_dims)
     cap = config.ala_update_cap if max_updates is None else max_updates
     losses: list[float] = []
     for _ in range(cap):
         blended = ala_init(local_prev, global_params, w, p)
-        losses.append(mean_loss(blended, sx, sy))
-        grads = gradient(blended, sx, sy)
+        # one pass gives both the window loss and the gradient
+        probs = _gradient_into(blended.layers, grads, sx, sy)
+        losses.append(float(np.mean(bce_loss(probs, sy))))
         w = AlaWeights(
-            np.clip(w.flat - config.ala_weight_lr * (grads.flat[top:] * spread), 0.0, 1.0),
+            np.clip(w.flat - config.ala_weight_lr * (grad[top:] * spread), 0.0, 1.0),
             w.layer_dims,
         )
         window = losses[-config.ala_window :]
@@ -321,7 +316,7 @@ def run_fedala(
 def ala_weights_to_csv(weights: AlaWeights) -> str:
     """Flatten blending weights to CSV: layer,kind,index,value."""
     lines = ["layer,kind,index,value"]
-    for i, layer in enumerate(weights.values):
+    for i, layer in enumerate(weights.layers):
         for j, val in enumerate(layer.weights.ravel()):
             lines.append(f"{i},weights,{j},{float(val)!r}")
         for j, val in enumerate(layer.biases.ravel()):

@@ -274,7 +274,7 @@ def test_criterion_05_fedala_reductions(capsys):
         bounded = bounded and all(
             np.all(l.weights >= 0.0) and np.all(l.weights <= 1.0)
             and np.all(l.biases >= 0.0) and np.all(l.biases <= 1.0)
-            for l in w.values
+            for l in w.layers
         )
 
     verdict(capsys, 5, "blending reductions at W=1, W=0, frozen full depth; fuzzed bounds",

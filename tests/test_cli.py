@@ -242,7 +242,10 @@ class TestOtherCommands:
 
 
 class TestWarnings:
-    @pytest.mark.parametrize("method", ["fedavg", "fedala", "perfedavg_hf"])
+    # fedavg_ft's clamp is in its fine-tune pass, after the rounds
+    @pytest.mark.parametrize(
+        "method", ["fedavg", "fedala", "perfedavg_hf", "fedavg_ft", "centralized"]
+    )
     def test_batch_larger_than_train_split_is_reported(
         self, config_path, tmp_path, capsys, method
     ):
@@ -384,7 +387,7 @@ class TestErrors:
             ("fedala", r"round 0: client [01]"),
             ("perfedavg_hf", r"round 0: client [01]"),
             ("fedavg_ft", r"client 0's personalized model"),
-            ("centralized", r"the centralized model"),
+            ("centralized", r"round 0: client 0"),
         ],
     )
     @pytest.mark.filterwarnings("error")

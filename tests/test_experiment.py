@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import fedsln.experiment as experiment
-from fedsln.config import build_experiment_config
+from fedsln.config import build_experiment_config, with_seed
 from fedsln.experiment import (
     StageError,
     build_client_datasets,
@@ -19,7 +19,14 @@ from fedsln.experiment import (
     run_method,
 )
 from fedsln.features import N_FEATURES
-from fedsln.neural import load_checkpoint, params_checksum
+from fedsln.neural import (
+    epochs_to_steps,
+    init_params,
+    load_checkpoint,
+    params_checksum,
+    train_steps,
+)
+from fedsln.rng import derive_rng
 
 SPEED = {
     "experiment": {"methods": "centralized,fedavg,fedala", "seeds": "1"},
@@ -118,6 +125,26 @@ class TestRunMethod:
         assert sorted(out.reports) == [0, 1]
         for rep in out.reports.values():
             assert 0.0 <= rep.accuracy <= 1.0
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_centralized_is_pooled_sgd_in_one_round(self, cfg, seed):
+        # the reference is plain SGD on the pooled data, with the pooled
+        # pseudo-client's init and update stream
+        datasets = build_client_datasets(cfg, seed)
+        out = run_method("centralized", datasets, cfg, seed=seed)
+        tcfg = with_seed(replace(cfg.train["centralized"], hidden_sizes=cfg.hidden_sizes), seed)
+        _std, x, y = pool_training_data(datasets)
+        expected = train_steps(
+            init_params(derive_rng(seed, "init"), tcfg.hidden_sizes, N_FEATURES),
+            x,
+            y,
+            tcfg,
+            derive_rng(seed, "client", 0, "update"),
+            steps=epochs_to_steps(len(y), tcfg.batch_size, tcfg.epochs),
+        )
+        assert out.global_params.flat.tobytes() == expected.flat.tobytes()
+        assert len(out.history) == 1
+        assert out.history[0].checksum == params_checksum(out.global_params)
 
     def test_fedavg(self, cfg, datasets):
         out = run_method("fedavg", datasets, cfg, seed=1)

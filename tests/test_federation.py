@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fedsln.federation import (
@@ -89,6 +89,17 @@ class TestAggregate:
     def test_single_client_is_identity(self):
         m = init_params(3, hidden=(3,), input_dim=4)
         assert np.array_equal(flatten(aggregate([m], [5])), flatten(m))
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        values=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=4, max_size=4),
+        size=st.integers(1, 10**9),
+    )
+    @example(values=[-0.0, 0.0, -0.0, 5e-324], size=7)
+    def test_lone_model_keeps_its_exact_bytes(self, values, size):
+        # centralized training is one client's round, so its model passes here
+        m = ModelParams(np.array(values), (1, 1, 1))
+        assert aggregate([m], [size]).flat.tobytes() == m.flat.tobytes()
 
     def test_weights_sum_preserved(self):
         # aggregating copies of one model returns that model

@@ -103,7 +103,7 @@ class TestForward:
 class TestInit:
     def test_glorot_bounds_and_zero_biases(self):
         params = init_params(7)
-        dims = params.dims()
+        dims = params.layer_dims
         assert dims == (6, 32, 16, 1)
         for layer in params.layers:
             fan_out, fan_in = layer.weights.shape

@@ -246,7 +246,7 @@ class TestAlaInit:
     def test_all_zeros_returns_prev_on_top_global_below(self):
         prev, glob = random_pair(1)
         w = AlaWeights.ones_like(glob, 1)
-        zero = AlaWeights.from_layers([DenseLayer(np.zeros_like(l.weights), np.zeros_like(l.biases)) for l in w.values])
+        zero = AlaWeights.from_layers([DenseLayer(np.zeros_like(l.weights), np.zeros_like(l.biases)) for l in w.layers])
         out = ala_init(prev, glob, zero, 1)
         assert np.array_equal(out.layers[-1].weights, prev.layers[-1].weights)
         assert np.array_equal(out.layers[-1].biases, prev.layers[-1].biases)
@@ -300,7 +300,7 @@ class TestLearnAlaWeights:
             ala_update_cap=500,
         )
         learned = learn_ala_weights(clients[0], glob, prev, cfg)
-        got = learned.values[0].weights[0, 0]
+        got = learned.layers[0].weights[0, 0]
 
         grid = np.linspace(0.0, 1.0, 2001)
         losses = [
@@ -328,7 +328,7 @@ class TestLearnAlaWeights:
                 ala_update_cap=50,
             )
             w = learn_ala_weights(clients[0], glob, prev, cfg)
-            for layer in w.values:
+            for layer in w.layers:
                 assert np.all(layer.weights >= 0.0) and np.all(layer.weights <= 1.0)
                 assert np.all(layer.biases >= 0.0) and np.all(layer.biases <= 1.0)
 
@@ -337,7 +337,7 @@ class TestLearnAlaWeights:
         prev, glob = random_pair(8, dims=(6, 4, 1))
         cfg = TrainConfig(ala_top_layers=1, ala_weight_lr=0.0, ala_update_cap=5)
         w = learn_ala_weights(clients[0], glob, prev, cfg)
-        assert all(np.all(l.weights == 1.0) and np.all(l.biases == 1.0) for l in w.values)
+        assert all(np.all(l.weights == 1.0) and np.all(l.biases == 1.0) for l in w.layers)
 
     def test_subsample_is_deterministic_per_client(self):
         clients = toy_clients(1, seed=9)
@@ -345,7 +345,7 @@ class TestLearnAlaWeights:
         cfg = TrainConfig(ala_top_layers=1, ala_weight_lr=0.3, ala_update_cap=3)
         a = learn_ala_weights(toy_clients(1, seed=9)[0], glob, prev, cfg)
         b = learn_ala_weights(toy_clients(1, seed=9)[0], glob, prev, cfg)
-        for la, lb in zip(a.values, b.values):
+        for la, lb in zip(a.layers, b.layers):
             assert np.array_equal(la.weights, lb.weights)
 
 
