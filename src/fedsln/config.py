@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import configparser
 import json
-from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Any, get_args, get_origin, get_type_hints
 
@@ -342,8 +342,3 @@ def config_to_manifest(cfg: ExperimentConfig) -> dict[str, Any]:
 
 def manifest_to_config(manifest: dict[str, Any]) -> ExperimentConfig:
     return build_experiment_config({k: v for k, v in manifest.items() if k != "fedsln_version"})
-
-
-def with_seed(cfg: TrainConfig, seed: int) -> TrainConfig:
-    """Copy of a training config bound to a master seed."""
-    return replace(cfg, seed=seed)

@@ -11,16 +11,22 @@ pooled training data form a single pseudo-client with id 0 that uses
 the standard stream derivations, and its one round takes as many SGD
 steps as its epochs need. Every method thus trains through
 federation.run_fedavg and reports a round history (one record for
-centralized), and every model is scored at one site.
+centralized).
+
+run_method picks once, per classroom, the model that serves it and the
+standardizer its features go through (see MethodOutcome); scoring,
+Shapley explanations and checkpoints all read those two tables.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import json
 import os
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -34,7 +40,7 @@ from .analysis import (
     shapley_values,
     svg_bar_chart,
 )
-from .config import ExperimentConfig, SyntheticSpec, config_to_manifest, with_seed
+from .config import ExperimentConfig, SyntheticSpec, config_to_manifest
 from .features import (
     FEATURE_NAMES,
     PairExamples,
@@ -51,12 +57,14 @@ from .graphs import (
     load_edge_list,
     sample_pair_universe,
     temporal_split,
+    to_edge_list,
     train_test_split,
 )
 from .neural import (
     MetricsReport,
     ModelParams,
     NonFiniteParamsError,
+    TrainConfig,
     check_finite,
     epochs_to_steps,
     evaluate,
@@ -93,6 +101,17 @@ class StageError(RuntimeError):
         self.stage = stage
 
 
+@contextlib.contextmanager
+def _stage(stage: str, prefix: str = "") -> Iterator[None]:
+    """Tag any failure in the block with the stage, unless already tagged."""
+    try:
+        yield
+    except StageError:
+        raise
+    except Exception as exc:
+        raise StageError(stage, f"{prefix}{exc}") from exc
+
+
 @dataclass
 class ClientDataset:
     """One classroom's featurized splits for one experiment seed."""
@@ -105,17 +124,28 @@ class ClientDataset:
     raw_test_x: np.ndarray
     train_x: np.ndarray
     train_y: np.ndarray
-    test_x: np.ndarray
     test_y: np.ndarray
 
 
 @dataclass
 class MethodOutcome:
+    """One regime's trained models for one seed, keyed by classroom.
+
+    models[c] serves classroom c on features that went through
+    standardizers[c]: the pooled standardizer for centralized, the
+    classroom's own otherwise. `training` says how the models were
+    trained, which fixes the checkpoint layout: "pooled" (one model on
+    the pooled data, one file with the pooled standardizer), "federated"
+    (one global model, one file without a standardizer) or
+    "personalized" (one model and one file per classroom, with the
+    classroom's standardizer).
+    """
+
     method: str
     reports: dict[int, MetricsReport]
-    global_params: ModelParams | None
-    client_params: dict[int, ModelParams] | None
-    pooled_standardizer: Standardizer | None
+    models: dict[int, ModelParams]
+    standardizers: dict[int, Standardizer]
+    training: str
     history: list[RoundRecord]
     warnings: tuple[str, ...]
     ala_weights: dict[int, object] | None = None
@@ -180,7 +210,6 @@ def build_client_datasets(cfg: ExperimentConfig, seed: int) -> list[ClientDatase
                 raw_test_x=raw_test_x,
                 train_x=standardizer.transform(raw_train_x),
                 train_y=train_y,
-                test_x=standardizer.transform(raw_test_x),
                 test_y=test_y,
             )
         )
@@ -231,51 +260,47 @@ def _run_method(
     seed: int,
     max_workers: int | None,
 ) -> MethodOutcome:
-    tcfg = with_seed(replace(cfg.train[method], hidden_sizes=cfg.hidden_sizes), seed)
-    pooled_std = None
+    def train_config(name: str) -> TrainConfig:
+        return replace(cfg.train[name], hidden_sizes=cfg.hidden_sizes, seed=seed)
+
+    tcfg = train_config(method)
     if method == "centralized":
         pooled_std, pooled_x, pooled_y = pool_training_data(datasets)
-        clients = [ClientState(0, pooled_x, pooled_y, pooled_x[:0], pooled_y[:0], seed)]
-        test_x = [pooled_std.transform(d.raw_test_x) for d in datasets]
+        clients = [ClientState(0, pooled_x, pooled_y, seed)]
+        standardizers = {d.client_id: pooled_std for d in datasets}
         steps = epochs_to_steps(clients[0].size, tcfg.batch_size, tcfg.epochs)
         tcfg = replace(tcfg, global_rounds=1, local_steps=steps)
     else:
-        clients = make_clients(
-            [(d.train_x, d.train_y, d.test_x, d.test_y) for d in datasets], seed
-        )
-        test_x = [d.test_x for d in datasets]
+        clients = make_clients([(d.train_x, d.train_y) for d in datasets], seed)
+        standardizers = {d.client_id: d.standardizer for d in datasets}
 
-    global_params = client_params = None
     flags: set[str] = set()  # warnings of the fine-tune pass after the rounds
     if method in ("centralized", "fedavg"):
         global_params, history = run_fedavg(clients, tcfg, max_workers=max_workers)
-    elif method == "fedavg_ft":
-        fed_cfg = with_seed(
-            replace(cfg.train["fedavg"], hidden_sizes=cfg.hidden_sizes), seed
-        )
-        client_params, history = run_fedavg_ft(
-            clients, fed_cfg, tcfg, max_workers=max_workers, flags=flags
-        )
-    elif method == "perfedavg_hf":
-        client_params, history = run_perfedavg_hf(
-            clients, tcfg, max_workers=max_workers, flags=flags
-        )
-    elif method == "fedala":
-        client_params, history = run_fedala(clients, tcfg, max_workers=max_workers)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    if client_params is None:
         # aggregate has checked every model that went into the global one
         models = {d.client_id: global_params for d in datasets}
+        training = "pooled" if method == "centralized" else "federated"
     else:
+        if method == "fedavg_ft":
+            models, history = run_fedavg_ft(
+                clients, train_config("fedavg"), tcfg, max_workers=max_workers, flags=flags
+            )
+        elif method == "perfedavg_hf":
+            models, history = run_perfedavg_hf(
+                clients, tcfg, max_workers=max_workers, flags=flags
+            )
+        elif method == "fedala":
+            models, history = run_fedala(clients, tcfg, max_workers=max_workers)
+        else:
+            raise ValueError(f"unknown method {method!r}")
         # every personalized model is checked before any model is scored
-        for cid, params in sorted(client_params.items()):
+        for cid, params in sorted(models.items()):
             check_finite(params, f"client {cid}'s personalized model")
-        models = client_params
-    reports = {
-        d.client_id: evaluate(models[d.client_id], x, d.test_y)
-        for d, x in zip(datasets, test_x)
-    }
+        training = "personalized"
+    reports = {}
+    for d in datasets:
+        x = standardizers[d.client_id].transform(d.raw_test_x)
+        reports[d.client_id] = evaluate(models[d.client_id], x, d.test_y)
     ala_weights = None
     if method == "fedala":
         ala_weights = {
@@ -284,9 +309,9 @@ def _run_method(
     return MethodOutcome(
         method,
         reports,
-        global_params,
-        client_params,
-        pooled_std,
+        models,
+        standardizers,
+        training,
         history,
         tuple(sorted(flags.union(*(r.warnings for r in history)))),
         ala_weights=ala_weights,
@@ -302,13 +327,9 @@ def _explain(
     records: list[dict] = []
     importance: dict[int, tuple[np.ndarray, tuple[int, ...]]] = {}
     for d in datasets:
-        if outcome.client_params is not None:
-            params = outcome.client_params[d.client_id]
-            standardizer = d.standardizer
-        else:
-            params = outcome.global_params
-            standardizer = outcome.pooled_standardizer or d.standardizer
-        predictor = make_predictor(params, standardizer)
+        predictor = make_predictor(
+            outcome.models[d.client_id], outcome.standardizers[d.client_id]
+        )
         bg_rng = derive_rng(seed, "explain", "background", d.client_id)
         n_bg = min(cfg.explain.background_size, len(d.raw_train_x))
         background = d.raw_train_x[bg_rng.choice(len(d.raw_train_x), n_bg, replace=False)]
@@ -352,23 +373,15 @@ def run_experiment(
     first_datasets: list[ClientDataset] | None = None
 
     for seed in cfg.seeds:
-        try:
+        with _stage("data", f"seed {seed}: "):
             datasets = build_client_datasets(cfg, seed)
-        except StageError:
-            raise
-        except Exception as exc:
-            raise StageError("data", f"seed {seed}: {exc}") from exc
         if first_datasets is None:
             first_datasets = datasets
         for method in cfg.methods:
-            try:
+            with _stage(f"train:{method}", f"seed {seed}: "):
                 outcome = run_method(
                     method, datasets, cfg, seed, max_workers=max_workers
                 )
-            except StageError:
-                raise
-            except Exception as exc:
-                raise StageError(f"train:{method}", f"seed {seed}: {exc}") from exc
             if method not in first_seed_artifacts:
                 first_seed_artifacts[method] = outcome
             warnings.update(f"{method}: {w}" for w in outcome.warnings)
@@ -383,11 +396,11 @@ def run_experiment(
                         "test split lacks a class, rates undefined",
                     )
                 rate_cells.setdefault((method, d.client_id), []).append((tpr, fpr))
-            checkpoints.extend(_method_checkpoints(outcome, datasets, seed))
+            checkpoints.extend(_method_checkpoints(outcome, seed))
             extra_files.extend(_blend_weight_files(outcome, seed))
 
     fairness: dict[str, FairnessReport] = {}
-    try:
+    with _stage("analysis"):
         for method in cfg.methods:
             mean_rates = []
             for d in sorted({cid for (m, cid) in rate_cells if m == method}):
@@ -399,25 +412,17 @@ def run_experiment(
                     )
                 )
             fairness[method] = fairness_report(mean_rates)
-    except StageError:
-        raise
-    except Exception as exc:
-        raise StageError("analysis", str(exc)) from exc
 
     explanations: list[dict] = []
     importance: dict[int, tuple[np.ndarray, tuple[int, ...]]] = {}
     if cfg.explain.enabled:
-        try:
+        with _stage("explain"):
             explanations, importance = _explain(
                 cfg,
                 first_datasets,
                 first_seed_artifacts[cfg.explain.method],
                 cfg.seeds[0],
             )
-        except StageError:
-            raise
-        except Exception as exc:
-            raise StageError("explain", str(exc)) from exc
 
     return RunReport(
         config=cfg,
@@ -432,27 +437,20 @@ def run_experiment(
 
 
 def _method_checkpoints(
-    outcome: MethodOutcome, datasets: Sequence[ClientDataset], seed: int
+    outcome: MethodOutcome, seed: int
 ) -> list[tuple[str, ModelParams, Standardizer | None]]:
-    if outcome.method == "centralized":
+    if outcome.training == "personalized":
         return [
             (
-                f"models/centralized_seed{seed}.ckpt",
-                outcome.global_params,
-                outcome.pooled_standardizer,
+                f"models/{outcome.method}_seed{seed}_client{c}.ckpt",
+                params,
+                outcome.standardizers[c],
             )
+            for c, params in sorted(outcome.models.items())
         ]
-    if outcome.method == "fedavg":
-        return [(f"models/fedavg_seed{seed}.ckpt", outcome.global_params, None)]
-    std = {d.client_id: d.standardizer for d in datasets}
-    return [
-        (
-            f"models/{outcome.method}_seed{seed}_client{cid}.ckpt",
-            params,
-            std[cid],
-        )
-        for cid, params in sorted(outcome.client_params.items())
-    ]
+    c = min(outcome.models)
+    standardizer = outcome.standardizers[c] if outcome.training == "pooled" else None
+    return [(f"models/{outcome.method}_seed{seed}.ckpt", outcome.models[c], standardizer)]
 
 
 def _blend_weight_files(outcome: MethodOutcome, seed: int) -> list[tuple[str, str]]:
@@ -533,68 +531,75 @@ def emit_reports(
     out_dir: str | Path | None = None,
     include: Sequence[str] | None = None,
 ) -> list[Path]:
-    """Write the selected report groups, all or none of them.
+    """Write the selected report groups, all or none of them (see _write_staged).
 
     Groups: metrics (metrics.csv, summary.csv), fairness (fairness.csv),
     explain (importance.csv, explanations.json, per-client SVG), models
     (checkpoints plus blend weights), manifest (run_manifest.json).
-    Every file is first written to a temporary sibling; the temporaries
-    replace their targets only after every group has been written and
-    every target is known to be distinct and not a directory. On failure
-    only the temporaries are removed, so an earlier run's files stay as
-    they were.
     """
     groups = set(REPORT_GROUPS if include is None else include)
     unknown = groups - set(REPORT_GROUPS)
     if unknown:
         raise ValueError(f"unknown report groups: {sorted(unknown)}")
     out = Path(out_dir if out_dir is not None else report.config.output_dir)
+    return _write_staged(out, _report_files(report, groups))
+
+
+def _report_files(
+    report: RunReport, groups: set[str]
+) -> Iterator[tuple[str, str | Callable[[Path], None]]]:
+    if "metrics" in groups:
+        yield "metrics.csv", _metrics_csv(report)
+        yield "summary.csv", _summary_csv(report)
+    if "fairness" in groups:
+        yield "fairness.csv", _fairness_csv(report)
+    if "explain" in groups and report.importance:
+        yield "importance.csv", _importance_csv(report)
+        yield "explanations.json", json.dumps(
+            report.explanations, indent=2, sort_keys=True
+        ) + "\n"
+        for client in sorted(report.importance):
+            values, _ranking = report.importance[client]
+            yield f"importance_client{client}.svg", svg_bar_chart(
+                values.tolist(), FEATURE_NAMES, title=f"classroom {client}: mean |phi|"
+            )
+    if "models" in groups:
+        for rel, params, standardizer in report.checkpoints:
+            yield rel, functools.partial(
+                save_checkpoint, params=params, standardizer=standardizer
+            )
+        yield from report.extra_files
+    if "manifest" in groups:
+        yield "run_manifest.json", json.dumps(
+            config_to_manifest(report.config), indent=2, sort_keys=True
+        ) + "\n"
+
+
+def _write_staged(
+    out: Path, files: Iterable[tuple[str, str | Callable[[Path], None]]]
+) -> list[Path]:
+    """Write every file under out, or none of them; return the targets.
+
+    A file is a relative name plus its text or a function that writes a
+    given path. Each is first written to a temporary sibling; the
+    temporaries replace their targets only after every file has been
+    written and every target is known to be distinct and not a
+    directory. On failure only the temporaries are removed, so an
+    earlier run's files stay as they were, and the error is raised as a
+    StageError tagged emit.
+    """
     staged: list[tuple[Path, Path]] = []  # (temporary, target)
-
-    def _stage(rel: str) -> Path:
-        path = out / rel
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-        staged.append((tmp, path))
-        return tmp
-
-    def _write_text(rel: str, text: str) -> None:
-        _stage(rel).write_text(text)
-
     try:
         out.mkdir(parents=True, exist_ok=True)
-        if "metrics" in groups:
-            _write_text("metrics.csv", _metrics_csv(report))
-            _write_text("summary.csv", _summary_csv(report))
-        if "fairness" in groups:
-            _write_text("fairness.csv", _fairness_csv(report))
-        if "explain" in groups and report.importance:
-            _write_text("importance.csv", _importance_csv(report))
-            _write_text(
-                "explanations.json",
-                json.dumps(report.explanations, indent=2, sort_keys=True) + "\n",
-            )
-            for client in sorted(report.importance):
-                values, _ranking = report.importance[client]
-                _write_text(
-                    f"importance_client{client}.svg",
-                    svg_bar_chart(
-                        values.tolist(),
-                        FEATURE_NAMES,
-                        title=f"classroom {client}: mean |phi|",
-                    ),
-                )
-        if "models" in groups:
-            for rel, params, standardizer in report.checkpoints:
-                save_checkpoint(_stage(rel), params, standardizer)
-            for rel, text in report.extra_files:
-                _write_text(rel, text)
-        if "manifest" in groups:
-            _write_text(
-                "run_manifest.json",
-                json.dumps(config_to_manifest(report.config), indent=2, sort_keys=True)
-                + "\n",
-            )
+        for rel, content in files:
+            path = out / rel
+            path.parent.mkdir(parents=True, exist_ok=True)
+            tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+            staged.append((tmp, path))
+            if callable(content):
+                content(tmp)
+            else:
+                tmp.write_text(content)
         _check_targets([path for _tmp, path in staged])
         for tmp, path in staged:
             os.replace(tmp, path)
@@ -620,31 +625,26 @@ def _check_targets(targets: Sequence[Path]) -> None:
 def export_feature_tables(
     cfg: ExperimentConfig, seed: int, out_dir: str | Path
 ) -> list[Path]:
-    """Write per-client train/test feature CSVs for one seed."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    paths = []
-    for d in build_client_datasets(cfg, seed):
-        for split, examples in (("train", d.train_examples), ("test", d.test_examples)):
-            path = out / f"features_client{d.client_id}_{split}.csv"
-            path.write_text(examples_to_csv(examples))
-            paths.append(path)
-    return paths
+    """Write per-client train/test feature CSVs for one seed, all or none."""
+    datasets = build_client_datasets(cfg, seed)
+    return _write_staged(
+        Path(out_dir),
+        (
+            (f"features_client{d.client_id}_{split}.csv", examples_to_csv(examples))
+            for d in datasets
+            for split, examples in (("train", d.train_examples), ("test", d.test_examples))
+        ),
+    )
 
 
 def export_synthetic_graphs(
     cfg: ExperimentConfig, seed: int, out_dir: str | Path
 ) -> list[Path]:
-    """Write one edge-list file per synthetic classroom for one seed."""
-    from .graphs import to_edge_list
-
+    """Write one edge-list file per synthetic classroom for one seed, all or none."""
     if not isinstance(cfg.data, SyntheticSpec):
         raise StageError("data", "generate requires a synthetic data section")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    paths = []
-    for c, graph in enumerate(_client_graphs(cfg, seed)):
-        path = out / f"client{c}.edges"
-        path.write_text(to_edge_list(graph))
-        paths.append(path)
-    return paths
+    graphs = _client_graphs(cfg, seed)
+    return _write_staged(
+        Path(out_dir),
+        ((f"client{c}.edges", to_edge_list(graph)) for c, graph in enumerate(graphs)),
+    )

@@ -73,8 +73,6 @@ class ClientState:
     client_id: int
     train_x: np.ndarray
     train_y: np.ndarray
-    test_x: np.ndarray
-    test_y: np.ndarray
     seed: int
     params: ModelParams | None = None
     ala_weights: "object | None" = None
@@ -106,13 +104,11 @@ class ClientState:
 
 
 def make_clients(
-    datasets: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]],
-    seed: int,
+    datasets: Sequence[tuple[np.ndarray, np.ndarray]], seed: int
 ) -> list[ClientState]:
-    """Build fresh client states; streams restart from the given seed."""
-    return [
-        ClientState(i, tx, ty, vx, vy, seed) for i, (tx, ty, vx, vy) in enumerate(datasets)
-    ]
+    """Build fresh client states from (train_x, train_y) pairs; streams
+    restart from the given seed."""
+    return [ClientState(i, x, y, seed) for i, (x, y) in enumerate(datasets)]
 
 
 def synchronize(client: ClientState, global_params: ModelParams) -> None:

@@ -69,6 +69,7 @@ __all__ = [
     "MetricsReport",
     "ModelParams",
     "NonFiniteParamsError",
+    "THRESHOLD",
     "TrainConfig",
     "UndefinedAucError",
     "auc",
@@ -93,6 +94,7 @@ __all__ = [
 
 DEFAULT_HIDDEN = (32, 16)
 LOSS_EPS = 1e-12
+THRESHOLD = 0.5  # a score at or above it predicts a link
 _MAGIC = b"FSLNCKP1"
 
 
@@ -539,14 +541,14 @@ class MetricsReport:
 
 
 def confusion_counts(
-    scores: Sequence[float], labels: Sequence[float], threshold: float = 0.5
+    scores: Sequence[float], labels: Sequence[float]
 ) -> tuple[int, int, int, int]:
-    """(tp, fp, tn, fn) with ties at the threshold predicted positive."""
+    """(tp, fp, tn, fn) with ties at THRESHOLD predicted positive."""
     scores = np.asarray(scores, dtype=np.float64).reshape(-1)
     labels = np.asarray(labels).reshape(-1)
     if scores.size != labels.size or scores.size == 0:
         raise ValueError("scores and labels must be non-empty and aligned")
-    pred = scores >= threshold
+    pred = scores >= THRESHOLD
     actual = labels == 1
     tp = int(np.sum(pred & actual))
     fp = int(np.sum(pred & ~actual))
@@ -555,8 +557,8 @@ def confusion_counts(
     return tp, fp, tn, fn
 
 
-def evaluate(params: ModelParams, x: np.ndarray, y: np.ndarray, threshold: float = 0.5) -> MetricsReport:
-    """Threshold at 0.5 (ties predict positive) and score a test split.
+def evaluate(params: ModelParams, x: np.ndarray, y: np.ndarray) -> MetricsReport:
+    """Threshold at THRESHOLD (ties predict positive) and score a test split.
 
     The scores take softplus as np.logaddexp(0, z), not the fused kernel
     of `forward`: the AUC counts an exact tie between two scores as half,
@@ -568,7 +570,7 @@ def evaluate(params: ModelParams, x: np.ndarray, y: np.ndarray, threshold: float
     if x.shape[0] != y.size or y.size == 0:
         raise ValueError("evaluation needs matching, non-empty features and labels")
     p = _probabilities(params, _as_matrix(params, x)[0], _logaddexp_softplus)
-    tp, fp, tn, fn = confusion_counts(p, y, threshold)
+    tp, fp, tn, fn = confusion_counts(p, y)
     return MetricsReport(
         accuracy=(tp + tn) / y.size,
         mean_loss=float(np.mean(bce_loss(p, y))),
@@ -612,22 +614,23 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, Standardizer | None]
     if raw[: len(_MAGIC)] != _MAGIC:
         raise ValueError(f"{path}: not a model checkpoint")
     off = len(_MAGIC)
-    n_layers, in_dim = struct.unpack_from("<II", raw, off)
-    off += 8
-    outs = struct.unpack_from(f"<{n_layers}I", raw, off)
-    off += 4 * n_layers
+
+    def read(n_bytes: int) -> bytes:
+        nonlocal off
+        if off + n_bytes > len(raw):
+            raise ValueError(f"{path}: truncated checkpoint")
+        off += n_bytes
+        return raw[off - n_bytes : off]
+
+    n_layers, in_dim = struct.unpack("<II", read(8))
+    outs = struct.unpack(f"<{n_layers}I", read(4 * n_layers))
     dims = (in_dim, *outs)
-    n = flat_size(dims)
-    flat = np.frombuffer(raw, dtype="<f8", count=n, offset=off).astype(np.float64)
-    off += 8 * n
-    (has_std,) = struct.unpack_from("<B", raw, off)
-    off += 1
+    flat = np.frombuffer(read(8 * flat_size(dims)), dtype="<f8").astype(np.float64)
+    (has_std,) = struct.unpack("<B", read(1))
     standardizer = None
     if has_std:
-        mean = np.frombuffer(raw, dtype="<f8", count=in_dim, offset=off).copy()
-        off += 8 * in_dim
-        std = np.frombuffer(raw, dtype="<f8", count=in_dim, offset=off).copy()
-        off += 8 * in_dim
+        mean = np.frombuffer(read(8 * in_dim), dtype="<f8").copy()
+        std = np.frombuffer(read(8 * in_dim), dtype="<f8").copy()
         standardizer = Standardizer(mean=mean, std=std)
     if off != len(raw):
         raise ValueError(f"{path}: trailing bytes in checkpoint")

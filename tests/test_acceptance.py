@@ -70,7 +70,7 @@ def toy_clients(n_clients, seed=0, n=40, dim=6):
         w = rng.normal(size=dim)
         y = (x @ w > 0).astype(float)
         cut = n - 10
-        datasets.append((x[:cut], y[:cut], x[cut:], y[cut:]))
+        datasets.append((x[:cut], y[:cut]))
     return make_clients(datasets, seed)
 
 
@@ -260,7 +260,7 @@ def test_criterion_05_fedala_reductions(capsys):
         frng = derive_rng(seed, "fuzz")
         x = frng.normal(scale=3.0, size=(30, 3))
         y = (frng.random(30) < 0.5).astype(float)
-        client = make_clients([(x, y, x[:2], y[:2])], seed=seed)[0]
+        client = make_clients([(x, y)], seed=seed)[0]
         fuzz_cfg = TrainConfig(
             ala_top_layers=2, ala_weight_lr=10.0,
             ala_convergence_tol=0.0, ala_update_cap=50,

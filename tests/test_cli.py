@@ -7,6 +7,7 @@ import pytest
 
 from fedsln.cli import _parse_override, build_parser, main
 from fedsln.config import ConfigError
+from fedsln.neural import load_checkpoint
 
 CONFIG_TEXT = """\
 [experiment]
@@ -154,6 +155,32 @@ class TestTrain:
         )
         assert code == 0
         assert (seq / "metrics.csv").read_bytes() == (par / "metrics.csv").read_bytes()
+
+    def test_one_classroom_checkpoint_layout(self, config_path, tmp_path, capsys):
+        # a shared model embeds a standardizer only when it was trained on
+        # pooled data, even where the one classroom's own is the only one
+        out = tmp_path / "run"
+        code, _, _ = run_cli(
+            capsys,
+            "train", "--config", str(config_path), "--output-dir", str(out),
+            "--methods", "centralized,fedavg,fedavg_ft",
+            "--set", "data.nodes=40",
+            "--set", "data.communities=2",
+            "--set", "data.intra_p=0.4",
+            "--set", "data.inter_p=0.06",
+            "--set", "fedavg_ft.epochs=1",
+        )
+        assert code == 0
+        models = out / "models"
+        assert sorted(p.name for p in models.iterdir()) == [
+            "centralized_seed1.ckpt", "fedavg_ft_seed1_client0.ckpt", "fedavg_seed1.ckpt",
+        ]
+        embedded = {p.name: load_checkpoint(p)[1] is not None for p in models.iterdir()}
+        assert embedded == {
+            "centralized_seed1.ckpt": True,
+            "fedavg_seed1.ckpt": False,
+            "fedavg_ft_seed1_client0.ckpt": True,
+        }
 
 
 class TestOtherCommands:
@@ -379,6 +406,31 @@ class TestErrors:
         assert lines[0].startswith("fedsln: [emit] "), lines[0]
         assert (out / "metrics.csv").read_bytes() == metrics
         assert not [p for p in out.rglob("*.tmp")]
+
+    @pytest.mark.parametrize(
+        "command, folder, target",
+        [
+            ("generate", "data", "client1.edges"),
+            ("featurize", "features", "features_client0_test.csv"),
+        ],
+    )
+    def test_directory_at_an_export_target_leaves_the_earlier_run_alone(
+        self, config_path, tmp_path, capsys, command, folder, target
+    ):
+        out = tmp_path / "run"
+        argv = [command, "--config", str(config_path), "--output-dir", str(out)]
+        code, _, _ = run_cli(capsys, *argv)
+        assert code == 0
+        (out / folder / target).unlink()
+        (out / folder / target).mkdir()
+        before = {p: p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+        code, stdout, err = run_cli(capsys, *argv, "--seed", "2")
+        assert code == 2
+        assert stdout == ""
+        lines = err.splitlines()
+        assert len(lines) == 1, err
+        assert lines[0].startswith("fedsln: [emit] "), lines[0]
+        assert {p: p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()} == before
 
     @pytest.mark.parametrize(
         "method, where",

@@ -20,7 +20,6 @@ from fedsln.config import (
     load_config,
     manifest_to_config,
     read_raw_sections,
-    with_seed,
 )
 from fedsln.neural import TrainConfig
 
@@ -221,13 +220,6 @@ class TestFiles:
         bad.write_text("methods = fedavg\n")  # key before any section header
         with pytest.raises(ConfigError):
             load_config(bad)
-
-
-def test_with_seed():
-    tc = TrainConfig(learning_rate=0.5, seed=0)
-    out = with_seed(tc, 42)
-    assert out.seed == 42 and out.learning_rate == 0.5
-    assert tc.seed == 0
 
 
 class TestValues:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import fedsln.experiment as experiment
-from fedsln.config import build_experiment_config, with_seed
+from fedsln.config import build_experiment_config
 from fedsln.experiment import (
     StageError,
     build_client_datasets,
@@ -21,6 +21,7 @@ from fedsln.experiment import (
 from fedsln.features import N_FEATURES
 from fedsln.neural import (
     epochs_to_steps,
+    evaluate,
     init_params,
     load_checkpoint,
     params_checksum,
@@ -79,7 +80,7 @@ class TestDatasets:
         assert [d.client_id for d in datasets] == [0, 1]
         for d in datasets:
             assert d.train_x.shape == (len(d.train_examples), N_FEATURES)
-            assert d.test_x.shape == (len(d.test_examples), N_FEATURES)
+            assert d.raw_test_x.shape == (len(d.test_examples), N_FEATURES)
             assert d.train_y.shape == (len(d.train_examples),)
             assert len(d.train_examples) > len(d.test_examples) > 0
 
@@ -92,10 +93,13 @@ class TestDatasets:
             varying = d.raw_train_x.std(axis=0) > 0
             assert np.allclose(std[varying], 1.0, atol=1e-12)
 
-    def test_test_uses_train_statistics(self, datasets):
+    def test_test_uses_train_statistics(self, cfg, datasets):
+        out = run_method("fedavg", datasets, cfg, seed=1)
         for d in datasets:
-            again = d.standardizer.transform(d.raw_test_x)
-            assert np.array_equal(again, d.test_x)
+            c = d.client_id
+            assert np.array_equal(d.standardizer.transform(d.raw_train_x), d.train_x)
+            x = d.standardizer.transform(d.raw_test_x)
+            assert out.reports[c] == evaluate(out.models[c], x, d.test_y)
 
     def test_deterministic(self, cfg, datasets):
         again = build_client_datasets(cfg, seed=1)
@@ -120,8 +124,8 @@ class TestDatasets:
 class TestRunMethod:
     def test_centralized(self, cfg, datasets):
         out = run_method("centralized", datasets, cfg, seed=1)
-        assert out.global_params is not None and out.client_params is None
-        assert out.pooled_standardizer is not None
+        assert out.training == "pooled"
+        assert out.models[0] is out.models[1]
         assert sorted(out.reports) == [0, 1]
         for rep in out.reports.values():
             assert 0.0 <= rep.accuracy <= 1.0
@@ -132,7 +136,7 @@ class TestRunMethod:
         # pseudo-client's init and update stream
         datasets = build_client_datasets(cfg, seed)
         out = run_method("centralized", datasets, cfg, seed=seed)
-        tcfg = with_seed(replace(cfg.train["centralized"], hidden_sizes=cfg.hidden_sizes), seed)
+        tcfg = replace(cfg.train["centralized"], hidden_sizes=cfg.hidden_sizes, seed=seed)
         _std, x, y = pool_training_data(datasets)
         expected = train_steps(
             init_params(derive_rng(seed, "init"), tcfg.hidden_sizes, N_FEATURES),
@@ -142,21 +146,38 @@ class TestRunMethod:
             derive_rng(seed, "client", 0, "update"),
             steps=epochs_to_steps(len(y), tcfg.batch_size, tcfg.epochs),
         )
-        assert out.global_params.flat.tobytes() == expected.flat.tobytes()
+        assert out.models[0].flat.tobytes() == expected.flat.tobytes()
         assert len(out.history) == 1
-        assert out.history[0].checksum == params_checksum(out.global_params)
+        assert out.history[0].checksum == params_checksum(out.models[0])
 
     def test_fedavg(self, cfg, datasets):
         out = run_method("fedavg", datasets, cfg, seed=1)
-        assert out.global_params is not None and out.client_params is None
+        assert out.training == "federated"
+        assert out.models[0] is out.models[1]
         assert len(out.history) == 2
 
     def test_personalized_methods(self, cfg, datasets):
         for method in ("fedavg_ft", "perfedavg_hf", "fedala"):
             out = run_method(method, datasets, cfg, seed=1)
-            assert out.global_params is None
-            assert sorted(out.client_params) == [0, 1]
+            assert out.training == "personalized"
+            assert sorted(out.models) == [0, 1]
+            assert out.models[0] is not out.models[1]
         assert out.ala_weights is not None and sorted(out.ala_weights) == [0, 1]
+
+    @pytest.mark.parametrize(
+        "method", ["centralized", "fedavg", "fedavg_ft", "perfedavg_hf", "fedala"]
+    )
+    def test_standardizer_table(self, cfg, datasets, method):
+        out = run_method(method, datasets, cfg, seed=1)
+        assert sorted(out.standardizers) == [0, 1]
+        if method == "centralized":
+            pooled, _x, _y = pool_training_data(datasets)
+            for std in out.standardizers.values():
+                assert np.array_equal(std.mean, pooled.mean)
+                assert np.array_equal(std.std, pooled.std)
+        else:
+            for d in datasets:
+                assert out.standardizers[d.client_id] is d.standardizer
 
     def test_unknown_method(self, cfg, datasets):
         with pytest.raises(ValueError, match="unknown method"):
@@ -165,7 +186,7 @@ class TestRunMethod:
     def test_reproducible(self, cfg, datasets):
         a = run_method("fedavg", datasets, cfg, seed=1)
         b = run_method("fedavg", datasets, cfg, seed=1)
-        assert params_checksum(a.global_params) == params_checksum(b.global_params)
+        assert params_checksum(a.models[0]) == params_checksum(b.models[0])
 
 
 class TestPrivacyBoundary:

@@ -54,7 +54,7 @@ def toy_clients(n_clients, seed=0, n=40):
     datasets = []
     for i in range(n_clients):
         x, y = toy_dataset(seed * 100 + i, n=n)
-        datasets.append((x[: n - 10], y[: n - 10], x[n - 10 :], y[n - 10 :]))
+        datasets.append((x[: n - 10], y[: n - 10]))
     return make_clients(datasets, seed)
 
 
@@ -136,7 +136,7 @@ class TestAggregate:
 class TestClientState:
     def test_rejects_empty_training_set(self):
         with pytest.raises(ValueError):
-            ClientState(0, np.empty((0, 6)), np.empty(0), np.empty((0, 6)), np.empty(0), 0)
+            ClientState(0, np.empty((0, 6)), np.empty(0), 0)
 
     def test_streams_are_persistent_and_slot_scoped(self):
         c = toy_clients(1)[0]
@@ -272,7 +272,7 @@ def sized_clients(sizes, seed):
     datasets = []
     for i, n in enumerate(sizes):
         x, y = toy_dataset(seed * 100 + i, n=n + 4)
-        datasets.append((x[:n], y[:n], x[n:], y[n:]))
+        datasets.append((x[:n], y[:n]))
     return make_clients(datasets, seed)
 
 
@@ -403,8 +403,7 @@ class TestShards:
             from fedsln.neural import TrainConfig
 
             rng = np.random.default_rng(0)
-            data = [(rng.normal(size=(30, 6)), (rng.random(30) > 0.5) * 1.0,
-                     rng.normal(size=(5, 6)), np.array([0.0, 1, 0, 1, 0]))
+            data = [(rng.normal(size=(30, 6)), (rng.random(30) > 0.5) * 1.0)
                     for _ in range(3)]
 
             def local(client, config, *, flags):

@@ -5,9 +5,10 @@ is emitted with `--max-workers` 1, 2, 3 and 5 and without the flag (the
 CLI's default), and the SHA-256 of every
 file it writes (metrics, summary, fairness, Shapley reports, every
 checkpoint and blend-weight file; not run_manifest.json, which names
-the output directory) is compared with the constants below. The
-manifests of the two desk configs, with the output directory they name,
-are frozen the same way. A change that alters the numbers on purpose
+the output directory) is compared with the constants below. The files
+`fedsln generate` and `fedsln featurize` write for the first seed, and
+the manifests of the two desk configs with the output directory they
+name, are frozen the same way. A change that alters the numbers on purpose
 must update these constants and say so, with the old and new values, in
 CHANGES.md.
 """
@@ -109,6 +110,27 @@ def test_emitted_bytes_match_frozen_digests(tmp_path, capsys, workers):
     capsys.readouterr()
     assert code == 0
     assert emitted_digests(out) == FROZEN_SHA256
+
+
+# `fedsln generate` and `fedsln featurize` of CONFIG_TEXT's first seed
+FROZEN_EXPORT_SHA256 = {
+    "data/client0.edges": "7867be0c8cb6335fce39f42e132bb1139f1359abe2a87eb1cbe0da8bba0c68a3",
+    "data/client1.edges": "ee926d1307aa94aeaa8de9e87fa6168752ad3027cb7f071e3cf33c851f208684",
+    "features/features_client0_test.csv": "e2d45076ddd04ce405eecb7845f264d7d951991ac658c4abcd68f82087a773f7",
+    "features/features_client0_train.csv": "b284fa4f0f0c36be8e6e7784add9a166f9d393f7a2fac468b8ec455d51be5e0b",
+    "features/features_client1_test.csv": "28098438da17793ffc77f57904fb7147e23f8e8c4cf7482727359e72a78ec2b5",
+    "features/features_client1_train.csv": "5b401f7d1297aea5aec6076f1c5a52abf42108698a4005af5822210631982fc0",
+}
+
+
+def test_exported_bytes_match_frozen_digests(tmp_path, capsys):
+    ini = tmp_path / "exp.ini"
+    ini.write_text(CONFIG_TEXT)
+    out = tmp_path / "out"
+    for command in ("generate", "featurize"):
+        assert main([command, "--config", str(ini), "--output-dir", str(out)]) == 0
+    capsys.readouterr()
+    assert emitted_digests(out) == FROZEN_EXPORT_SHA256
 
 
 # run_manifest.json text, as emit_reports writes it, of each shipped desk config

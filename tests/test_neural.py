@@ -5,6 +5,8 @@ literal O(P*N) pairwise count, and the forward pass against a by-hand
 recomputation with raw numpy.
 """
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -428,6 +430,29 @@ class TestCheckpoint:
         trailing.write_bytes(good.read_bytes() + b"\x00")
         with pytest.raises(ValueError):
             load_checkpoint(trailing)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        hidden=st.lists(st.integers(1, 4), min_size=1, max_size=3),
+        input_dim=st.integers(1, 6),
+        with_std=st.booleans(),
+    )
+    def test_every_proper_prefix_is_rejected_naming_the_path(
+        self, tmp_path_factory, hidden, input_dim, with_std
+    ):
+        params = init_params(derive_rng(0, "m"), hidden=tuple(hidden), input_dim=input_dim)
+        std = None
+        if with_std:
+            std = Standardizer.fit(derive_rng(1, "x").normal(size=(8, input_dim)))
+        folder = tmp_path_factory.mktemp("prefix")
+        good = folder / "good.ckpt"
+        save_checkpoint(good, params, std)
+        raw = good.read_bytes()
+        cut = folder / "cut.ckpt"
+        for n in range(len(raw)):
+            cut.write_bytes(raw[:n])
+            with pytest.raises(ValueError, match=re.escape(str(cut))):
+                load_checkpoint(cut)
 
     def test_rejects_non_finite_parameters(self, tmp_path):
         params = random_model(derive_rng(0, "m"))

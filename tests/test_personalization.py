@@ -48,7 +48,7 @@ def toy_clients(n_clients, seed=0, n=40, dim=6):
         w = rng.normal(size=dim)
         y = (x @ w > 0).astype(float)
         cut = n - 10
-        datasets.append((x[:cut], y[:cut], x[cut:], y[cut:]))
+        datasets.append((x[:cut], y[:cut]))
     return make_clients(datasets, seed)
 
 
@@ -289,7 +289,7 @@ class TestLearnAlaWeights:
         y = (x[:, 0] * 1.2 > 0).astype(float)
         prev = ModelParams.from_layers([DenseLayer(np.array([[0.0]]), np.array([0.0]))])
         glob = ModelParams.from_layers([DenseLayer(np.array([[2.0]]), np.array([0.0]))])
-        clients = make_clients([(x, y, x[:4], y[:4])], seed=5)
+        clients = make_clients([(x, y)], seed=5)
         cfg = TrainConfig(
             learning_rate=0.1,
             ala_top_layers=1,
@@ -318,7 +318,7 @@ class TestLearnAlaWeights:
             rng = derive_rng(seed, "fuzz")
             x = rng.normal(scale=3.0, size=(30, 3))
             y = (rng.random(30) < 0.5).astype(float)
-            clients = make_clients([(x, y, x[:2], y[:2])], seed=seed)
+            clients = make_clients([(x, y)], seed=seed)
             prev = init_params(rng, hidden=(4,), input_dim=3)
             glob = init_params(rng, hidden=(4,), input_dim=3)
             cfg = TrainConfig(
