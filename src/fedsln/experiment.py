@@ -2,9 +2,12 @@
 
 Per seed: synthesize or load one graph per classroom, build the temporal
 snapshots, featurize and standardize per client, then run the requested
-training regimes. Metrics are collected per (method, client, seed);
-fairness spreads use the per-client rates averaged over seeds;
-explanations, when enabled, attribute the first seed's models.
+training regimes. Classrooms are built one at a time, so only one
+classroom's graphs are alive at once, and a dataset holds its feature
+matrices once: the raw matrices are its split containers' own. Metrics
+are collected per (method, client, seed); fairness spreads use the
+per-client rates averaged over seeds; explanations, when enabled,
+attribute the first seed's models.
 
 The centralized regime is FedAvg with one client and one round: the
 pooled training data form a single pseudo-client with id 0 that uses
@@ -114,7 +117,13 @@ def _stage(stage: str, prefix: str = "") -> Iterator[None]:
 
 @dataclass
 class ClientDataset:
-    """One classroom's featurized splits for one experiment seed."""
+    """One classroom's featurized splits for one experiment seed.
+
+    raw_train_x and raw_test_x are train_examples.features and
+    test_examples.features themselves, read-only, not copies; train_y
+    and test_y are the splits' labels as float64, and train_x is
+    raw_train_x through the classroom's standardizer.
+    """
 
     client_id: int
     train_examples: PairExamples
@@ -163,57 +172,70 @@ class RunReport:
     warnings: tuple[str, ...]
 
 
-def _client_graphs(cfg: ExperimentConfig, seed: int) -> list[SlnGraph]:
+def _client_graphs(cfg: ExperimentConfig, seed: int) -> Iterator[SlnGraph]:
+    """Each classroom's graph in classroom order, made when it is reached."""
     if isinstance(cfg.data, SyntheticSpec):
-        return [
-            generate_synthetic(
+        for c in range(cfg.n_clients):
+            yield generate_synthetic(
                 cfg.data.nodes[c],
                 cfg.data.communities[c],
                 cfg.data.intra_p[c],
                 cfg.data.inter_p[c],
                 derive_seed(seed, "graph", c),
             )
-            for c in range(cfg.n_clients)
-        ]
-    return [load_edge_list(Path(p).read_text()) for p in cfg.data.paths]
+    else:
+        for p in cfg.data.paths:
+            yield load_edge_list(Path(p).read_text())
 
 
 def build_client_datasets(cfg: ExperimentConfig, seed: int) -> list[ClientDataset]:
-    """Graphs -> temporal snapshots -> labeled, standardized splits."""
-    datasets = []
-    for c, graph in enumerate(_client_graphs(cfg, seed)):
-        universe = sample_pair_universe(
+    """Graphs -> temporal snapshots -> labeled, standardized splits.
+
+    Classrooms are built one at a time: a graph is made only after the
+    previous classroom's graph, snapshots and universe are released.
+    """
+    graphs = _client_graphs(cfg, seed)
+    # next() hands each graph straight to the call, so no name keeps it alive
+    return [_client_dataset(cfg, seed, c, next(graphs)) for c in range(cfg.n_clients)]
+
+
+def _client_dataset(
+    cfg: ExperimentConfig, seed: int, c: int, graph: SlnGraph
+) -> ClientDataset:
+    # TemporalPair keeps its own copy of the universe, so the sample is
+    # dropped here; the snapshots go as soon as the examples are built
+    tp = temporal_split(
+        graph,
+        sample_pair_universe(
             graph, cfg.split.negatives_per_positive, derive_seed(seed, "universe", c)
-        )
-        tp = temporal_split(
-            graph,
-            universe,
-            SplitSpec(
-                removal_fraction=cfg.split.removal_fraction,
-                seed=derive_seed(seed, "temporal", c),
-            ),
-        )
-        examples = build_examples(tp, tp.pair_universe)
-        train_ex, test_ex = train_test_split(
-            examples, cfg.split.train_fraction, derive_seed(seed, "split", c)
-        )
-        raw_train_x, train_y = to_arrays(train_ex)
-        raw_test_x, test_y = to_arrays(test_ex)
-        standardizer = Standardizer.fit(raw_train_x)
-        datasets.append(
-            ClientDataset(
-                client_id=c,
-                train_examples=train_ex,
-                test_examples=test_ex,
-                standardizer=standardizer,
-                raw_train_x=raw_train_x,
-                raw_test_x=raw_test_x,
-                train_x=standardizer.transform(raw_train_x),
-                train_y=train_y,
-                test_y=test_y,
-            )
-        )
-    return datasets
+        ),
+        SplitSpec(
+            removal_fraction=cfg.split.removal_fraction,
+            seed=derive_seed(seed, "temporal", c),
+        ),
+    )
+    del graph
+    examples = build_examples(tp, tp.pair_universe)
+    del tp
+    train_ex, test_ex = train_test_split(
+        examples, cfg.split.train_fraction, derive_seed(seed, "split", c)
+    )
+    del examples
+    # the raw matrices are the containers' own read-only features
+    raw_train_x, train_y = to_arrays(train_ex)
+    raw_test_x, test_y = to_arrays(test_ex)
+    standardizer = Standardizer.fit(raw_train_x)
+    return ClientDataset(
+        client_id=c,
+        train_examples=train_ex,
+        test_examples=test_ex,
+        standardizer=standardizer,
+        raw_train_x=raw_train_x,
+        raw_test_x=raw_test_x,
+        train_x=standardizer.transform(raw_train_x),
+        train_y=train_y,
+        test_y=test_y,
+    )
 
 
 def pool_training_data(
@@ -626,7 +648,8 @@ def export_feature_tables(
     cfg: ExperimentConfig, seed: int, out_dir: str | Path
 ) -> list[Path]:
     """Write per-client train/test feature CSVs for one seed, all or none."""
-    datasets = build_client_datasets(cfg, seed)
+    with _stage("data", f"seed {seed}: "):
+        datasets = build_client_datasets(cfg, seed)
     return _write_staged(
         Path(out_dir),
         (
@@ -643,8 +666,9 @@ def export_synthetic_graphs(
     """Write one edge-list file per synthetic classroom for one seed, all or none."""
     if not isinstance(cfg.data, SyntheticSpec):
         raise StageError("data", "generate requires a synthetic data section")
-    graphs = _client_graphs(cfg, seed)
-    return _write_staged(
-        Path(out_dir),
-        ((f"client{c}.edges", to_edge_list(graph)) for c, graph in enumerate(graphs)),
-    )
+    with _stage("data", f"seed {seed}: "):
+        files = [
+            (f"client{c}.edges", to_edge_list(graph))
+            for c, graph in enumerate(_client_graphs(cfg, seed))
+        ]
+    return _write_staged(Path(out_dir), files)

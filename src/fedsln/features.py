@@ -5,14 +5,17 @@ earlier snapshot; a two-sample Kolmogorov-Smirnov statistic used to
 compare feature distributions between classrooms; and the helpers that
 turn a temporal snapshot pair into labeled, standardized examples.
 
-pair_features scores a whole (m, 2) pair array at once from the CSR
-adjacency: the common neighbors of each pair are the product of its two
-sorted rows, and the resource-allocation and Adamic-Adar sums are a
-sparse mat-vec over them with per-node weights 1/d and 1/log(d). The
-sums run from 0.0 over the common neighbors in ascending order, so every
-score equals, bit for bit, what the per-pair reference compute_features
-returns. Examples are one array-backed PairExamples container; a
-PairExample object is built only when one is indexed or iterated.
+pair_features scores a whole (m, 2) pair array from the CSR adjacency,
+in blocks of _PAIR_BLOCK pairs: the common neighbors of each pair are
+the product of its two sorted rows, and the resource-allocation and
+Adamic-Adar sums are a sparse mat-vec over them with per-node weights
+1/d and 1/log(d). The sums run from 0.0 over the common neighbors in
+ascending order, within one row, so every score equals, bit for bit,
+what the per-pair reference compute_features returns, whatever the
+block size. Examples are one array-backed PairExamples container; a
+PairExample object is built only when one is indexed or iterated, and
+to_arrays hands out the container's own feature matrix, read-only,
+rather than a copy.
 
 Every 0/0 corner (isolated endpoints, empty unions) is defined as 0.
 Adamic-Adar uses the natural logarithm; a common neighbor always has
@@ -95,8 +98,13 @@ def compute_features(graph: SlnGraph, u: int, v: int) -> FeatureVector:
     )
 
 
-# pairs scored per sparse row product; bounds the transient memory
-_PAIR_BLOCK = 1 << 14
+# Pairs scored per sparse row product. It bounds the transient memory:
+# on the wide benchmark classrooms (degree about 25) a block's row
+# products take about 15 MB here and 29 MB at 1 << 14, and no more time.
+# 1 << 12 halves them again but slowed the later Shapley stage: with no
+# larger block freed first, glibc's heap-trim threshold stays low, and
+# each Shapley call faulted its temporaries in afresh.
+_PAIR_BLOCK = 1 << 13
 
 
 def pair_features(graph: SlnGraph, pairs: np.ndarray) -> np.ndarray:
@@ -216,10 +224,16 @@ def build_examples(tp: TemporalPair, pairs: Iterable[Pair] | np.ndarray) -> Pair
 def to_arrays(
     examples: PairExamples | Sequence[PairExample],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Feature matrix (m, 6) and label vector (m,), both float64 copies."""
+    """Feature matrix (m, 6) and label vector (m,), both float64.
+
+    The matrix is the container's own features array, not a copy, and is
+    marked read-only, so the container and its caller share one
+    unchangeable matrix. The labels are a new float64 array.
+    """
     if not isinstance(examples, PairExamples):
         examples = PairExamples.from_examples(examples)
-    return examples.features.copy(), examples.labels.astype(np.float64)
+    examples.features.flags.writeable = False
+    return examples.features, examples.labels.astype(np.float64)
 
 
 def examples_to_csv(examples: Sequence[PairExample]) -> str:

@@ -11,9 +11,10 @@ This module covers edge-list ingestion and serialization, synthetic
 benchmark generation, the two-snapshot construction that poses link
 prediction as a supervised problem, and seeded splitting helpers. None of
 them allocates an n x n array: the stochastic block model draws its
-uniforms in blocks of rows of the strict upper triangle, and the negative
-sample maps each drawn open-pair rank to its pair through the sorted
-linked pairs.
+uniforms in blocks of rows of the strict upper triangle and reads each
+row's same-community partners at fixed offsets, and the negative sample
+maps each drawn open-pair rank to its pair through the sorted linked
+pairs.
 
 Outside input is validated where it enters: the SlnGraph constructor
 checks ranges, self-loops, sorted duplicate-free rows and symmetry;
@@ -436,7 +437,8 @@ def generate_synthetic(
     is linked independently with intra_p inside a community and inter_p
     across communities. Requires 0 <= inter_p <= intra_p <= 1. One
     uniform is drawn per pair in row-major upper-triangle order, in
-    blocks of rows; the draws equal one draw of all n(n-1)/2 at once.
+    blocks of rows; the draws equal one draw of all n(n-1)/2 at once,
+    and so do the edges.
     """
     if n_nodes < 0:
         raise GraphError("n_nodes must be non-negative")
@@ -446,22 +448,27 @@ def generate_synthetic(
         raise GraphError("need 0 <= inter_p <= intra_p <= 1")
     if n_nodes < 2:
         return SlnGraph.from_edges(n_nodes, [])
-    community = np.arange(n_nodes) % n_communities
     rng = derive_rng(seed, "sbm")
     rows_per_block = max(1, _SBM_BLOCK // n_nodes)
+    c = n_communities
     linked = []
     for start in range(0, n_nodes - 1, rows_per_block):
         rows = np.arange(start, min(start + rows_per_block, n_nodes - 1), dtype=np.int64)
         counts = n_nodes - 1 - rows
         offsets = np.cumsum(counts) - counts  # of each row's first pair in the block
         draws = rng.random(int(counts.sum()))
-        # inter_p <= intra_p, so every link is among the draws below intra_p
-        cand = np.flatnonzero(draws < intra_p)
-        row = np.searchsorted(offsets, cand, side="right") - 1
+        # row u's partner at in-row offset j is u + j + 1, in u's community
+        # exactly when j + 1 is a multiple of c: offsets c - 1, 2c - 1, ...
+        same = counts // c
+        firsts = np.cumsum(same) - same  # of each row's first partner in pos
+        pos = np.repeat(offsets + c - 1 - c * firsts, same)
+        pos += c * np.arange(pos.size, dtype=np.int64)
+        mask = draws < inter_p
+        mask[pos] = draws[pos] < intra_p
+        hit = np.flatnonzero(mask)
+        row = np.searchsorted(offsets, hit, side="right") - 1
         u = rows[row]
-        v = cand - offsets[row] + u + 1
-        hit = (community[u] == community[v]) | (draws[cand] < inter_p)
-        linked.append(u[hit] * n_nodes + v[hit])
+        linked.append(u * n_nodes + hit - offsets[row] + u + 1)
     return SlnGraph._from_upper_keys(n_nodes, np.concatenate(linked))
 
 

@@ -1,9 +1,15 @@
 """CLI behavior: subcommands, overrides, manifest replay, error exits."""
 
+import contextlib
+import io
 import json
 import re
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedsln.cli import _parse_override, build_parser, main
 from fedsln.config import ConfigError
@@ -54,6 +60,94 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+EDGE_LIST_CONFIG = """\
+[experiment]
+methods = fedavg
+seeds = 1
+
+[model]
+hidden_sizes = 4
+
+[data]
+source = edge_lists
+paths = {paths}
+
+[split]
+negatives_per_positive = 1.0
+
+[fedavg]
+global_rounds = 1
+local_steps = 2
+"""
+
+# a twelve-student ring with four chords: a classroom that builds
+GOOD_EDGES = "".join(f"s{i},s{(i + 1) % 12}\n" for i in range(12)) + (
+    "s0,s6\ns2,s8\ns3,s9\ns1,s5\n"
+)
+
+edge_tokens = st.text(alphabet="abxyz019", min_size=1, max_size=3)
+
+
+@st.composite
+def malformed_edge_lists(draw):
+    """Edge-list text with one bad line among good ones, and the bad line's
+    number; or a file without any edge, and None."""
+    kinds = ["self-loop", "one token", "empty token", "extra token", "no edge"]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "no edge":
+        return draw(st.sampled_from(["", "\n", "# only a comment\n", "  \n# a\n\n"])), None
+    good = st.tuples(edge_tokens, edge_tokens).filter(lambda t: t[0] != t[1]).map(",".join)
+    lines = draw(st.lists(good, max_size=5))
+    a, b, c = draw(edge_tokens), draw(edge_tokens), draw(edge_tokens)
+    sep = draw(st.sampled_from([",", " ", "\t", ", "]))
+    bad = {
+        "self-loop": f"{a}{sep}{a}",
+        "one token": a,
+        "empty token": draw(st.sampled_from([f"{a},", f",{a}", f"{a}, "])),
+        "extra token": f"{a}{sep}{b}{sep}{c}",
+    }[kind]
+    at = draw(st.integers(0, len(lines)))
+    lines.insert(at, bad)
+    return "\n".join(lines) + "\n", at + 1
+
+
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(malformed_edge_lists(), st.booleans())
+def test_malformed_edge_list_is_one_data_line(drawn, bad_first):
+    text, line_no = drawn
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "good.edges").write_text(GOOD_EDGES)
+        (tmp / "bad.edges").write_text(text)
+        names = ["bad.edges", "good.edges"] if bad_first else ["good.edges", "bad.edges"]
+        config = tmp / "exp.ini"
+        config.write_text(EDGE_LIST_CONFIG.format(paths=", ".join(str(tmp / n) for n in names)))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["train", "--config", str(config), "--output-dir", str(tmp / "run")])
+        assert code == 2
+        assert out.getvalue() == ""
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1, err.getvalue()
+        assert lines[0].startswith("fedsln: [data] seed 1: "), lines[0]
+        want = "cannot split an empty dataset" if line_no is None else f"line {line_no}: "
+        assert want in lines[0], lines[0]
+        assert not (tmp / "run").exists()
+
+
+def test_good_edge_list_trains(tmp_path, capsys):
+    """The classroom the malformed edge-list runs pair with builds and trains."""
+    (tmp_path / "good.edges").write_text(GOOD_EDGES)
+    paths = f"{tmp_path / 'good.edges'}, {tmp_path / 'good.edges'}"
+    config = tmp_path / "exp.ini"
+    config.write_text(EDGE_LIST_CONFIG.format(paths=paths))
+    code, _, err = run_cli(
+        capsys, "train", "--config", str(config), "--output-dir", str(tmp_path / "run")
+    )
+    assert code == 0, err
+    assert (tmp_path / "run" / "metrics.csv").exists()
 
 
 class TestParsing:
@@ -431,6 +525,30 @@ class TestErrors:
         assert len(lines) == 1, err
         assert lines[0].startswith("fedsln: [emit] "), lines[0]
         assert {p: p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()} == before
+
+    @pytest.mark.parametrize(
+        "command, overrides",
+        [
+            # no classroom has a link, so there is nothing to split
+            ("featurize", ["data.intra_p=0.0,0.0", "data.inter_p=0.0,0.0"]),
+            ("generate", ["data.inter_p=0.5,0.04"]),
+        ],
+    )
+    def test_export_data_failure_is_one_data_line(
+        self, config_path, tmp_path, capsys, command, overrides
+    ):
+        sets = [arg for kv in overrides for arg in ("--set", kv)]
+        code, stdout, err = run_cli(
+            capsys,
+            command, "--config", str(config_path), "--output-dir", str(tmp_path / "run"),
+            *sets,
+        )
+        assert code == 2
+        assert stdout == ""
+        lines = err.splitlines()
+        assert len(lines) == 1, err
+        assert lines[0].startswith("fedsln: [data] seed 1: "), lines[0]
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize(
         "method, where",

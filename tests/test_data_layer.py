@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fedsln.features import (
@@ -216,13 +216,21 @@ def test_adjacency_view_indexing():
 @CHECKED
 @given(
     st.integers(0, 40),
-    st.integers(1, 6),
+    # one community, a few, and more communities than nodes
+    st.one_of(st.integers(1, 6), st.integers(7, 60)),
     probabilities,
     probabilities,
+    st.booleans(),
     seeds,
 )
-def test_blocked_sbm_matches_one_shot_draw(n, k, p, q, seed):
+@example(40, 1, 0.3, 0.0, False, 1)  # every pair in one community
+@example(12, 50, 0.9, 0.3, False, 2)  # every pair across communities
+@example(30, 4, 1.0, 0.0, False, 3)  # each community complete, no pair across
+@example(30, 4, 0.5, 0.5, True, 4)  # intra_p = inter_p
+def test_blocked_sbm_matches_one_shot_draw(n, k, p, q, equal, seed):
     intra_p, inter_p = max(p, q), min(p, q)
+    if equal:
+        inter_p = intra_p
     graph = generate_synthetic(n, k, intra_p, inter_p, seed)
     assert graph.node_count == n
     assert graph.edges() == reference_sbm_edges(n, k, intra_p, inter_p, seed)
@@ -231,10 +239,18 @@ def test_blocked_sbm_matches_one_shot_draw(n, k, p, q, seed):
 def test_blocked_sbm_spans_several_blocks(monkeypatch):
     import fedsln.graphs as graphs_module
 
+    specs = [
+        (45, 4, 0.4, 0.05),
+        (45, 1, 0.4, 0.05),
+        (20, 50, 0.4, 0.05),
+        (45, 4, 0.3, 0.3),
+        (45, 4, 1.0, 0.0),
+    ]
     for block in (1, 7, 64):
         monkeypatch.setattr(graphs_module, "_SBM_BLOCK", block)
-        graph = generate_synthetic(45, 4, 0.4, 0.05, seed=3)
-        assert graph.edges() == reference_sbm_edges(45, 4, 0.4, 0.05, 3)
+        for n, k, intra_p, inter_p in specs:
+            graph = generate_synthetic(n, k, intra_p, inter_p, seed=3)
+            assert graph.edges() == reference_sbm_edges(n, k, intra_p, inter_p, 3)
 
 
 # --- pair universe ------------------------------------------------------
@@ -379,11 +395,16 @@ def test_pair_features_on_dense_communities(n, k, seed):
 def test_pair_features_across_blocks(monkeypatch):
     import fedsln.features as features_module
 
-    graph = generate_synthetic(30, 3, 0.7, 0.2, seed=4)
-    pairs = np.array([(u, v) for u in range(30) for v in range(u + 1, 30)], dtype=np.int64)
-    whole = pair_features(graph, pairs)
-    monkeypatch.setattr(features_module, "_PAIR_BLOCK", 7)
-    assert pair_features(graph, pairs).tobytes() == whole.tobytes()
+    # 8385 pairs: more than one block at every size, the default included
+    graph = generate_synthetic(130, 3, 0.3, 0.05, seed=4)
+    pairs = np.array([(u, v) for u in range(130) for v in range(u + 1, 130)], dtype=np.int64)
+    assert len(pairs) > features_module._PAIR_BLOCK
+    want = np.array([compute_features(graph, u, v) for u, v in pairs.tolist()])
+    for block in (1, 7, features_module._PAIR_BLOCK, len(pairs)):
+        monkeypatch.setattr(features_module, "_PAIR_BLOCK", block)
+        # one sparse product per pair at block size 1: every 16th pair will do
+        rows = slice(None, None, 16 if block == 1 else 1)
+        assert pair_features(graph, pairs[rows]).tobytes() == want[rows].tobytes(), block
 
 
 def test_degree_one_endpoints_and_degree_two_common_neighbor():

@@ -1,6 +1,9 @@
 """Driver-level tests: dataset assembly, privacy boundary, report emission."""
 
+import gc
 import json
+import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -119,6 +122,70 @@ class TestDatasets:
         assert np.allclose(x.mean(axis=0), 0.0, atol=1e-12)
         raw = np.concatenate([d.raw_train_x for d in datasets])
         assert np.array_equal(std.transform(raw), x)
+
+    def test_raw_features_are_the_containers_own_read_only_matrix(self, datasets):
+        for d in datasets:
+            splits = (
+                (d.raw_train_x, d.train_examples, d.train_y),
+                (d.raw_test_x, d.test_examples, d.test_y),
+            )
+            for raw, examples, y in splits:
+                assert np.shares_memory(raw, examples.features)
+                for matrix in (raw, examples.features):
+                    with pytest.raises(ValueError):
+                        matrix[0, 0] = 1.0
+                assert y.dtype == np.float64
+                assert np.array_equal(y, examples.labels.astype(np.float64))
+
+    def test_classrooms_are_built_one_at_a_time(self, cfg, monkeypatch):
+        # a graph's indptr lives exactly as long as the graph does
+        made = []
+        live_at_each_call = []
+        real = experiment.generate_synthetic
+
+        def tracked(*args):
+            gc.collect()
+            live_at_each_call.append(sum(ref() is not None for ref in made))
+            graph = real(*args)
+            made.append(weakref.ref(graph.indptr))
+            return graph
+
+        monkeypatch.setattr(experiment, "generate_synthetic", tracked)
+        build_client_datasets(cfg, seed=1)
+        assert live_at_each_call == [0, 0]
+
+
+def test_one_wide_classroom_keeps_its_arrays_once():
+    """Memory guard on the largest benchmark classroom.
+
+    What the build retains must be the arrays the dataset holds (the raw
+    matrices are the containers' features, so they are not counted
+    again), and the build's peak must stay within three times that.
+    """
+    wide = make_cfg(
+        data={"nodes": "3240", "communities": "12", "intra_p": "0.05", "inter_p": "0.004167"},
+        split={"negatives_per_positive": "1.0"},
+    )
+    build_client_datasets(make_cfg(), seed=1)  # first-call allocations stay out
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        (d,) = build_client_datasets(wide, seed=1)
+        gc.collect()
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    held = sum(
+        a.nbytes
+        for ex in (d.train_examples, d.test_examples)
+        for a in (ex.pairs, ex.features, ex.labels)
+    ) + sum(
+        a.nbytes
+        for a in (d.train_x, d.train_y, d.test_y, d.standardizer.mean, d.standardizer.std)
+    )
+    assert abs((current - start) - held) <= 0.05 * held
+    assert peak - start <= 3 * held
 
 
 class TestRunMethod:

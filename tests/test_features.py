@@ -135,6 +135,20 @@ class TestBuildExamples:
         assert x.dtype == np.float64 and y.dtype == np.float64
         assert set(y.tolist()) <= {0.0, 1.0}
 
+    def test_to_arrays_returns_the_containers_matrix_read_only(self):
+        tp = self._tp()
+        examples = build_examples(tp, tp.pair_universe)
+        before = examples.features.tobytes()
+        x, y = to_arrays(examples)
+        assert x is examples.features
+        assert not x.flags.writeable and not examples.features.flags.writeable
+        with pytest.raises(ValueError):
+            x[0, 0] = 1.0
+        assert x.tobytes() == before
+        # the labels are converted, so they are a new array
+        assert not np.shares_memory(y, examples.labels)
+        assert to_arrays(examples)[0] is x
+
     def test_to_arrays_matches_list_construction_exactly(self):
         def reference(examples):
             x = np.array([ex.features for ex in examples], dtype=np.float64).reshape(
@@ -150,6 +164,7 @@ class TestBuildExamples:
         tp = self._tp()
         for examples in (hand, build_examples(tp, tp.pair_universe), []):
             got, want = to_arrays(examples), reference(examples)
+            assert not got[0].flags.writeable
             for g, w in zip(got, want):
                 assert g.shape == w.shape and g.dtype == w.dtype
                 assert g.tobytes() == w.tobytes()
