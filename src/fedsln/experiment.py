@@ -1,10 +1,15 @@
 """End-to-end experiment driver and report emission.
 
 Per seed: synthesize or load one graph per classroom, build the temporal
-snapshots, featurize and standardize per client, then run the requested
-training regimes. Classrooms are built one at a time, so only one
-classroom's graphs are alive at once, and a dataset holds its feature
-matrices once: the raw matrices are its split containers' own. Metrics
+snapshots, featurize and fit a standardizer per client, then run the
+requested training regimes. Classrooms are built one at a time, so only
+one classroom's graphs are alive at once, and a dataset holds its feature
+matrices once: the raw matrices are its split containers' own. No
+training split is ever standardized as a whole: clients train on a
+features.StandardizedRows view of the raw matrix, which standardizes each
+batch as it is drawn, and the test split goes through its standardizer
+when it is scored. A data-stage failure names the seed and the classroom,
+and for edge lists the file. Metrics
 are collected per (method, client, seed); fairness spreads use the
 per-client rates averaged over seeds; explanations, when enabled,
 attribute the first seed's models.
@@ -47,6 +52,7 @@ from .config import ExperimentConfig, SyntheticSpec, config_to_manifest
 from .features import (
     FEATURE_NAMES,
     PairExamples,
+    StandardizedRows,
     Standardizer,
     build_examples,
     examples_to_csv,
@@ -121,8 +127,9 @@ class ClientDataset:
 
     raw_train_x and raw_test_x are train_examples.features and
     test_examples.features themselves, read-only, not copies; train_y
-    and test_y are the splits' labels as float64, and train_x is
-    raw_train_x through the classroom's standardizer.
+    and test_y are the splits' labels as float64, and standardizer is fit
+    on raw_train_x. No standardized copy of either split is kept: the
+    clients train on StandardizedRows(raw_train_x, standardizer).
     """
 
     client_id: int
@@ -131,7 +138,6 @@ class ClientDataset:
     standardizer: Standardizer
     raw_train_x: np.ndarray
     raw_test_x: np.ndarray
-    train_x: np.ndarray
     train_y: np.ndarray
     test_y: np.ndarray
 
@@ -188,15 +194,34 @@ def _client_graphs(cfg: ExperimentConfig, seed: int) -> Iterator[SlnGraph]:
             yield load_edge_list(Path(p).read_text())
 
 
-def build_client_datasets(cfg: ExperimentConfig, seed: int) -> list[ClientDataset]:
-    """Graphs -> temporal snapshots -> labeled, standardized splits.
+def _each_classroom(
+    cfg: ExperimentConfig, seed: int, build: Callable[[int, SlnGraph], object]
+) -> list:
+    """build(c, graph) for every classroom, in classroom order.
 
-    Classrooms are built one at a time: a graph is made only after the
-    previous classroom's graph, snapshots and universe are released.
+    A failure, in making the graph or in build, is a StageError tagged
+    data whose message starts `seed S: classroom C: `, with the file in
+    parentheses after C for edge lists.
     """
     graphs = _client_graphs(cfg, seed)
-    # next() hands each graph straight to the call, so no name keeps it alive
-    return [_client_dataset(cfg, seed, c, next(graphs)) for c in range(cfg.n_clients)]
+    built = []
+    for c in range(cfg.n_clients):
+        where = "" if isinstance(cfg.data, SyntheticSpec) else f" ({cfg.data.paths[c]})"
+        with _stage("data", f"seed {seed}: classroom {c}{where}: "):
+            # next() hands each graph straight to the call, so no name keeps it alive
+            built.append(build(c, next(graphs)))
+    return built
+
+
+def build_client_datasets(cfg: ExperimentConfig, seed: int) -> list[ClientDataset]:
+    """Graphs -> temporal snapshots -> labeled splits and their standardizers.
+
+    Classrooms are built one at a time: a graph is made only after the
+    previous classroom's graph, snapshots and universe are released. A
+    failure is one StageError naming the seed and the classroom (see
+    _each_classroom).
+    """
+    return _each_classroom(cfg, seed, functools.partial(_client_dataset, cfg, seed))
 
 
 def _client_dataset(
@@ -224,15 +249,13 @@ def _client_dataset(
     # the raw matrices are the containers' own read-only features
     raw_train_x, train_y = to_arrays(train_ex)
     raw_test_x, test_y = to_arrays(test_ex)
-    standardizer = Standardizer.fit(raw_train_x)
     return ClientDataset(
         client_id=c,
         train_examples=train_ex,
         test_examples=test_ex,
-        standardizer=standardizer,
+        standardizer=Standardizer.fit(raw_train_x),
         raw_train_x=raw_train_x,
         raw_test_x=raw_test_x,
-        train_x=standardizer.transform(raw_train_x),
         train_y=train_y,
         test_y=test_y,
     )
@@ -240,16 +263,18 @@ def _client_dataset(
 
 def pool_training_data(
     datasets: Sequence[ClientDataset],
-) -> tuple[Standardizer, np.ndarray, np.ndarray]:
+) -> tuple[Standardizer, StandardizedRows, np.ndarray]:
     """Concatenated training data under pooled statistics.
 
-    Only the centralized regime may call this; federated paths never
-    move raw examples across clients.
+    Returns the standardizer fit on the concatenated raw matrices, a
+    StandardizedRows view of that matrix through it, and the labels; the
+    pooled matrix is held raw only. Only the centralized regime may call
+    this; federated paths never move raw examples across clients.
     """
     x = np.concatenate([d.raw_train_x for d in datasets])
     y = np.concatenate([d.train_y for d in datasets])
     standardizer = Standardizer.fit(x)
-    return standardizer, standardizer.transform(x), y
+    return standardizer, StandardizedRows(x, standardizer), y
 
 
 def run_method(
@@ -293,7 +318,10 @@ def _run_method(
         steps = epochs_to_steps(clients[0].size, tcfg.batch_size, tcfg.epochs)
         tcfg = replace(tcfg, global_rounds=1, local_steps=steps)
     else:
-        clients = make_clients([(d.train_x, d.train_y) for d in datasets], seed)
+        clients = make_clients(
+            [(StandardizedRows(d.raw_train_x, d.standardizer), d.train_y) for d in datasets],
+            seed,
+        )
         standardizers = {d.client_id: d.standardizer for d in datasets}
 
     flags: set[str] = set()  # warnings of the fine-tune pass after the rounds
@@ -395,8 +423,7 @@ def run_experiment(
     first_datasets: list[ClientDataset] | None = None
 
     for seed in cfg.seeds:
-        with _stage("data", f"seed {seed}: "):
-            datasets = build_client_datasets(cfg, seed)
+        datasets = build_client_datasets(cfg, seed)
         if first_datasets is None:
             first_datasets = datasets
         for method in cfg.methods:
@@ -648,8 +675,7 @@ def export_feature_tables(
     cfg: ExperimentConfig, seed: int, out_dir: str | Path
 ) -> list[Path]:
     """Write per-client train/test feature CSVs for one seed, all or none."""
-    with _stage("data", f"seed {seed}: "):
-        datasets = build_client_datasets(cfg, seed)
+    datasets = build_client_datasets(cfg, seed)
     return _write_staged(
         Path(out_dir),
         (
@@ -666,9 +692,7 @@ def export_synthetic_graphs(
     """Write one edge-list file per synthetic classroom for one seed, all or none."""
     if not isinstance(cfg.data, SyntheticSpec):
         raise StageError("data", "generate requires a synthetic data section")
-    with _stage("data", f"seed {seed}: "):
-        files = [
-            (f"client{c}.edges", to_edge_list(graph))
-            for c, graph in enumerate(_client_graphs(cfg, seed))
-        ]
+    files = _each_classroom(
+        cfg, seed, lambda c, graph: (f"client{c}.edges", to_edge_list(graph))
+    )
     return _write_staged(Path(out_dir), files)

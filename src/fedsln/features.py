@@ -3,7 +3,7 @@
 Six neighborhood similarity scores per student pair, computed on the
 earlier snapshot; a two-sample Kolmogorov-Smirnov statistic used to
 compare feature distributions between classrooms; and the helpers that
-turn a temporal snapshot pair into labeled, standardized examples.
+turn a temporal snapshot pair into labeled examples and standardize them.
 
 pair_features scores a whole (m, 2) pair array from the CSR adjacency,
 in blocks of _PAIR_BLOCK pairs: the common neighbors of each pair are
@@ -17,6 +17,12 @@ PairExample object is built only when one is indexed or iterated, and
 to_arrays hands out the container's own feature matrix, read-only,
 rather than a copy.
 
+A training split is never standardized as a whole. StandardizedRows
+wraps the raw matrix and a Standardizer and standardizes the rows an
+index array draws, when it draws them; Standardizer.transform, which
+scoring uses, runs the same subtract-then-divide, so both give the same
+bits for a row.
+
 Every 0/0 corner (isolated endpoints, empty unions) is defined as 0.
 Adamic-Adar uses the natural logarithm; a common neighbor always has
 degree >= 2, so log never sees 1.
@@ -26,7 +32,7 @@ from __future__ import annotations
 
 import math
 from itertools import chain
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -39,6 +45,7 @@ __all__ = [
     "FeatureVector",
     "PairExample",
     "PairExamples",
+    "StandardizedRows",
     "Standardizer",
     "build_examples",
     "compute_features",
@@ -251,11 +258,16 @@ class Standardizer:
     """Per-feature z-scoring statistics from a training split.
 
     Constant features (std 0) are left uncentered-scaled by 1 so they
-    standardize to 0 without dividing by zero.
+    standardize to 0 without dividing by zero; `scale` is the std with
+    those zeros replaced by 1, computed once.
     """
 
     mean: np.ndarray
     std: np.ndarray
+    scale: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "scale", np.where(self.std == 0.0, 1.0, self.std))
 
     @classmethod
     def fit(cls, x: np.ndarray) -> "Standardizer":
@@ -265,9 +277,47 @@ class Standardizer:
         return cls(mean=x.mean(axis=0), std=x.std(axis=0))
 
     def transform(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        scale = np.where(self.std == 0.0, 1.0, self.std)
-        return (x - self.mean) / scale
+        """(x - mean) / scale as a new float64 array."""
+        return self._standardize(np.array(x, dtype=np.float64))
+
+    def _standardize(self, rows: np.ndarray) -> np.ndarray:
+        """(rows - mean) / scale, written over rows, a float64 array the
+        caller owns. Each element is one exactly rounded subtraction and
+        one exactly rounded division, so the bits do not depend on which
+        rows are standardized together."""
+        rows -= self.mean
+        rows /= self.scale
+        return rows
+
+
+class StandardizedRows:
+    """A raw feature matrix seen through a standardizer, one draw at a time.
+
+    view[idx] gathers the raw rows an index array (or one int) selects and
+    standardizes them, so it equals standardizer.transform(raw)[idx] bit
+    for bit while no standardized copy of the matrix is ever held. shape
+    and len are the raw matrix's.
+    """
+
+    __slots__ = ("raw", "standardizer")
+
+    def __init__(self, raw: np.ndarray, standardizer: Standardizer):
+        raw = np.asarray(raw, dtype=np.float64)
+        if raw.ndim != 2:
+            raise ValueError(f"need a 2-D feature matrix, got shape {raw.shape}")
+        self.raw = raw
+        self.standardizer = standardizer
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.raw.shape
+
+    def __len__(self) -> int:
+        return len(self.raw)
+
+    def __getitem__(self, idx) -> np.ndarray:
+        # take always gathers into a fresh array, which is standardized in place
+        return self.standardizer._standardize(self.raw.take(idx, axis=0))
 
 
 def ks_statistic(a: Sequence[float], b: Sequence[float]) -> float:

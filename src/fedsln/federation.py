@@ -1,6 +1,6 @@
 """Federated averaging over classroom clients, run in client shards.
 
-Each client owns its feature arrays plus persistent seeded batch streams
+Each client owns its training rows plus persistent seeded batch streams
 derived from (master seed, client id, slot); the server only ever sees
 parameter structures and train-split sizes.
 
@@ -68,7 +68,14 @@ __all__ = [
 
 @dataclass
 class ClientState:
-    """One classroom: private data, current local model, RNG streams."""
+    """One classroom: private data, current local model, RNG streams.
+
+    train_x is any (n, input) row source an index array selects from: an
+    ndarray, or the features.StandardizedRows view run_method passes,
+    which standardizes each batch as it is drawn, so no client holds a
+    standardized copy of its split. Every reader indexes rows or reads
+    shape.
+    """
 
     client_id: int
     train_x: np.ndarray

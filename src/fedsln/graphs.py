@@ -268,9 +268,14 @@ class SlnGraph:
         return list(map(tuple, self.edge_array().tolist()))
 
     def csr(self) -> sparse.csr_array:
-        """The adjacency matrix with unit weights, rows sorted."""
+        """The adjacency matrix with int8 unit weights, rows sorted.
+
+        With int8 the data arrays of features.pair_features' row products
+        take an eighth of their float64 size; a product with float64
+        weights upcasts each 1 to 1.0 exactly.
+        """
         n = self.node_count
-        data = np.ones(self.indices.size, dtype=np.float64)
+        data = np.ones(self.indices.size, dtype=np.int8)
         return sparse.csr_array((data, self.indices, self.indptr), shape=(n, n))
 
     @property

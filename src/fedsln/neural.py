@@ -16,9 +16,10 @@ Hidden units take softplus in one fused, in-place form: e = exp(-|z|),
 then max(z, 0) + log1p(e). `gradient` also takes the derivative, the
 sigmoid, from the same e: 1/(1+e) for z >= 0 and e/(1+e) for z < 0.
 `forward`, and so `mean_loss` and Shapley attribution, run the same
-kernel, so its hidden activations equal those of `gradient` bit for bit;
-the ALA window loss is taken from the probabilities of the gradient pass
-itself.
+kernel (as `_activations`, which the ALA learner also calls for the
+layers below its blend), so its hidden activations equal those of
+`gradient` bit for bit; the ALA window loss is taken from the
+probabilities of the gradient pass itself.
 
 `evaluate` alone applies np.logaddexp(0, z) instead. The two softplus
 forms agree to an ulp, but numpy's vectorized exp and the scalar exp
@@ -263,16 +264,37 @@ def _logaddexp_softplus(z: np.ndarray) -> np.ndarray:
     return np.logaddexp(0.0, z, out=z)
 
 
+def _check_shape(params: ModelParams, shape: tuple[int, ...]) -> None:
+    if len(shape) != 2 or shape[1] != params.input_dim:
+        raise ValueError(
+            f"expected inputs with {params.input_dim} features, got shape {shape}"
+        )
+
+
 def _as_matrix(params: ModelParams, x: np.ndarray) -> tuple[np.ndarray, bool]:
     x = np.asarray(x, dtype=np.float64)
     squeeze = x.ndim == 1
     if squeeze:
         x = x[None, :]
-    if x.ndim != 2 or x.shape[1] != params.input_dim:
-        raise ValueError(
-            f"expected inputs with {params.input_dim} features, got shape {x.shape}"
-        )
+    _check_shape(params, x.shape)
     return x, squeeze
+
+
+def _activations(
+    layers: Sequence[DenseLayer],
+    a: np.ndarray,
+    softplus: Callable[[np.ndarray], np.ndarray] = _softplus,
+) -> np.ndarray:
+    """The batch a through the hidden `layers`; `softplus` acts in place.
+
+    Under the fused softplus these are the activations `_gradient_into`
+    computes for the same layers, bit for bit.
+    """
+    for w, b in layers:
+        z = a @ w.T
+        z += b
+        a = softplus(z)
+    return a
 
 
 def _probabilities(
@@ -280,10 +302,7 @@ def _probabilities(
 ) -> np.ndarray:
     """Head probabilities for a checked batch; `softplus` acts in place."""
     *hidden, (head_w, head_b) = params.layers
-    for w, b in hidden:
-        z = a @ w.T
-        z += b
-        a = softplus(z)
+    a = _activations(hidden, a, softplus)
     z = a @ head_w.T
     z += head_b
     return expit(z[:, 0])
@@ -342,11 +361,11 @@ def _gradient_into(
     return p
 
 
-def _labels(y: np.ndarray, a: np.ndarray) -> np.ndarray:
+def _labels(y: np.ndarray, rows: int) -> np.ndarray:
     y = np.asarray(y, dtype=np.float64).reshape(-1)
     if y.size == 0:
         raise ValueError("gradient needs a non-empty batch")
-    if a.shape[0] != y.size:
+    if rows != y.size:
         raise ValueError("feature and label counts differ")
     return y
 
@@ -359,7 +378,7 @@ def gradient(params: ModelParams, x: np.ndarray, y: np.ndarray) -> ModelParams:
     written straight into one flat buffer.
     """
     a, _ = _as_matrix(params, x)
-    y = _labels(y, a)
+    y = _labels(y, len(a))
     flat = np.empty_like(params.flat)
     _gradient_into(params.layers, layer_views(flat, params.layer_dims), a, y)
     return ModelParams(flat, params.layer_dims)
@@ -463,8 +482,11 @@ def train_steps(
 ) -> ModelParams:
     """Run seeded mini-batch SGD steps; zero steps returns a copy.
 
-    Accepts either a Generator (a fresh stream is created) or an existing
-    BatchStream whose position carries over between calls.
+    x is any (n, input) row source that an index array selects from: an
+    ndarray, or a features.StandardizedRows view that standardizes each
+    batch as it is drawn. Only the drawn rows are ever converted, to
+    float64. Accepts either a Generator (a fresh stream is created) or an
+    existing BatchStream whose position carries over between calls.
     """
     n_steps = config.local_steps if steps is None else steps
     if n_steps < 0:
@@ -472,8 +494,8 @@ def train_steps(
     stream = (
         rng if isinstance(rng, BatchStream) else BatchStream(len(y), config.batch_size, rng)
     )
-    x, _ = _as_matrix(params, x)
-    y = _labels(y, x)
+    _check_shape(params, x.shape)
+    y = _labels(y, x.shape[0])
     if stream.clamped and flags is not None:
         flags.add("batch_size_clamped")
     # one working copy and one gradient buffer, each with its layer views,
@@ -489,7 +511,7 @@ def train_steps(
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(n_steps):
             idx = stream.next_indices()
-            _gradient_into(layers, grads, x[idx], y[idx])
+            _gradient_into(layers, grads, np.asarray(x[idx], dtype=np.float64), y[idx])
             grad *= lr
             flat -= grad
     return ModelParams(flat, dims)

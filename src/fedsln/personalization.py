@@ -9,10 +9,16 @@ and differ only in the hook they hand it or in what follows it:
   _meta_round, where each meta-step consumes one batch from each of
   three parallel client streams (meta, update, hessian) and
   approximates the Hessian-vector term with a central difference; the
-  same one-pass fine-tune follows;
+  same one-pass fine-tune follows. _meta_round runs perfedavg_hf_step's
+  arithmetic in place, in buffers allocated once per round, and gives
+  its bits;
 * adaptive local aggregation: the sync step is _ala_sync, which blends
   the top layers of the incoming global model elementwise with the
   client's previous local model through learnable weights in [0, 1].
+  The layers below the blend are the global model's throughout one
+  learn_ala_weights call, so the learner runs its subsample through
+  them once and then takes each update's loss and gradient over the
+  blended layers alone, with the bits of a full-depth pass.
 
 Each returns the per-client models and the round history; the two with
 a fine-tune pass add its warnings to an optional flags set, and scoring
@@ -35,6 +41,7 @@ from .federation import ClientState, RoundRecord, run_fedavg, synchronize
 from .neural import (
     ModelParams,
     TrainConfig,
+    _activations,
     _gradient_into,
     bce_loss,
     epochs_to_steps,
@@ -138,28 +145,53 @@ def perfedavg_hf_step(
 def _meta_round(
     client: ClientState, config: TrainConfig, *, flags: set[str] | None = None
 ) -> ModelParams:
-    """The meta-learning local step: config.local_steps meta-steps."""
-    params = client.params
+    """The meta-learning local step: config.local_steps meta-steps.
+
+    Each is perfedavg_hf_step's arithmetic, operation for operation, on
+    one working copy of the model, one probe model and four gradient
+    buffers that serve every step, so the result has its bits.
+    """
     upd = client.batch_stream("update", config.batch_size)
     meta = client.batch_stream("meta", config.batch_size)
     hess = client.batch_stream("hess", config.batch_size)
     # the three streams share one batch size and one train split
     if upd.clamped and flags is not None:
         flags.add("batch_size_clamped")
-    x, y = client.train_x, client.train_y
+    x, y = client.train_x, np.asarray(client.train_y, dtype=np.float64)
+    alpha, beta, delta = config.meta_inner, config.meta_outer, config.hf_delta
+    dims = client.params.layer_dims
+    w = client.params.flat.copy()
+    probe = np.empty_like(w)
+    step = np.empty_like(w)
+    g1, g2, plus, minus = (np.empty_like(w) for _ in range(4))
+    w_layers, probe_layers = layer_views(w, dims), layer_views(probe, dims)
+    g1s, g2s, pluss, minuss = (layer_views(g, dims) for g in (g1, g2, plus, minus))
+
+    def batch(stream):
+        idx = stream.next_indices()
+        return np.asarray(x[idx], dtype=np.float64), y[idx]
+
     # divergence is reported by aggregate
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(config.local_steps):
-            i1, i2, i3 = meta.next_indices(), upd.next_indices(), hess.next_indices()
-            params = perfedavg_hf_step(
-                params,
-                ((x[i1], y[i1]), (x[i2], y[i2]), (x[i3], y[i3])),
-                config.meta_inner,
-                config.meta_outer,
-                config.hf_delta,
-            )
-    client.params = params
-    return params
+            (x1, y1), (x2, y2), (x3, y3) = batch(meta), batch(upd), batch(hess)
+            _gradient_into(w_layers, g1s, x1, y1)
+            np.multiply(alpha, g1, out=probe)
+            np.subtract(w, probe, out=probe)  # w - alpha * g1
+            _gradient_into(probe_layers, g2s, x2, y2)
+            np.multiply(delta, g2, out=step)
+            np.add(w, step, out=probe)  # w + delta * g2
+            _gradient_into(probe_layers, pluss, x3, y3)
+            np.subtract(w, step, out=probe)  # w - delta * g2
+            _gradient_into(probe_layers, minuss, x3, y3)
+            d = np.subtract(plus, minus, out=plus)
+            d /= 2.0 * delta
+            d *= alpha
+            np.subtract(g2, d, out=d)  # g2 - alpha * d
+            d *= beta
+            w -= d
+    client.params = ModelParams(w, dims)
+    return client.params
 
 
 def run_perfedavg_hf(
@@ -213,6 +245,20 @@ def ala_init(
 ) -> ModelParams:
     """Blend: bottom layers copied from the global model, top layers
     local_prev*(1-W) + global*W elementwise (exact at W=0 and W=1)."""
+    tail = _blended_tail(local_prev, global_params, weights, top_layers)
+    flat = global_params.flat.copy()
+    flat[flat.size - tail.size :] = tail
+    return ModelParams(flat, global_params.layer_dims)
+
+
+def _blended_tail(
+    local_prev: ModelParams,
+    global_params: ModelParams,
+    weights: AlaWeights,
+    top_layers: int,
+) -> np.ndarray:
+    """The blended top layers, local_prev*(1-W) + global*W, as a new flat
+    buffer laid out as weights.flat."""
     if local_prev.layer_dims != global_params.layer_dims:
         raise ValueError("local and global parameter structures differ")
     base = _check_top_layers(global_params, top_layers)
@@ -222,9 +268,7 @@ def ala_init(
         raise ValueError("weight shapes do not match the blended layers")
     top = global_params.flat.size - weights.flat.size
     w = weights.flat
-    flat = global_params.flat.copy()
-    flat[top:] = local_prev.flat[top:] * (1.0 - w) + global_params.flat[top:] * w
-    return ModelParams(flat, global_params.layer_dims)
+    return local_prev.flat[top:] * (1.0 - w) + global_params.flat[top:] * w
 
 
 def learn_ala_weights(
@@ -242,9 +286,16 @@ def learn_ala_weights(
     split. Stops when the std of the last ala_window losses drops below
     ala_convergence_tol, or at the update cap. Weights are clipped to
     [0, 1] after every update.
+
+    The layers below the blend are the global model's in every update,
+    so the subsample goes through them once; each update then blends
+    only the top layers (ala_init's expression) and takes the loss and
+    the gradient over them from those fixed activations. The operations
+    on every blended layer are those of a full-depth pass, so the
+    weights are the same bits.
     """
     p = weights.n_layers if weights is not None else config.ala_top_layers
-    _check_top_layers(global_params, p)
+    base = _check_top_layers(global_params, p)
     n = client.size
     m = max(1, round_half_up(config.ala_data_fraction / 100.0 * n))
     idx = client.generator("ala-subsample").choice(n, size=m, replace=False)
@@ -253,19 +304,20 @@ def learn_ala_weights(
 
     w = weights.copy() if weights is not None else AlaWeights.ones_like(global_params, p)
     top = global_params.flat.size - w.flat.size
+    frozen = _activations(global_params.layers[:base], sx)
     # chain rule through the blend: dL/dW = dL/dtheta * (global - prev)
     spread = global_params.flat[top:] - local_prev.flat[top:]
-    grad = np.empty_like(global_params.flat)
-    grads = layer_views(grad, global_params.layer_dims)
+    grad = np.empty_like(w.flat)
+    grads = layer_views(grad, w.layer_dims)
     cap = config.ala_update_cap if max_updates is None else max_updates
     losses: list[float] = []
     for _ in range(cap):
-        blended = ala_init(local_prev, global_params, w, p)
+        blended = layer_views(_blended_tail(local_prev, global_params, w, p), w.layer_dims)
         # one pass gives both the window loss and the gradient
-        probs = _gradient_into(blended.layers, grads, sx, sy)
+        probs = _gradient_into(blended, grads, frozen, sy)
         losses.append(float(np.mean(bce_loss(probs, sy))))
         w = AlaWeights(
-            np.clip(w.flat - config.ala_weight_lr * (grad[top:] * spread), 0.0, 1.0),
+            np.clip(w.flat - config.ala_weight_lr * (grad * spread), 0.0, 1.0),
             w.layer_dims,
         )
         window = losses[-config.ala_window :]

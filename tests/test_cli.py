@@ -131,10 +131,47 @@ def test_malformed_edge_list_is_one_data_line(drawn, bad_first):
         assert out.getvalue() == ""
         lines = err.getvalue().splitlines()
         assert len(lines) == 1, err.getvalue()
-        assert lines[0].startswith("fedsln: [data] seed 1: "), lines[0]
+        classroom = names.index("bad.edges")
+        where = f"fedsln: [data] seed 1: classroom {classroom} ({tmp / 'bad.edges'}): "
+        assert lines[0].startswith(where), lines[0]
         want = "cannot split an empty dataset" if line_no is None else f"line {line_no}: "
         assert want in lines[0], lines[0]
         assert not (tmp / "run").exists()
+
+
+def test_self_loop_in_the_second_file_names_classroom_file_and_line(tmp_path, capsys):
+    (tmp_path / "good.edges").write_text(GOOD_EDGES)
+    (tmp_path / "bad.edges").write_text("x,y\na,a\n")
+    paths = f"{tmp_path / 'good.edges'}, {tmp_path / 'bad.edges'}"
+    config = tmp_path / "exp.ini"
+    config.write_text(EDGE_LIST_CONFIG.format(paths=paths))
+    code, out, err = run_cli(
+        capsys, "train", "--config", str(config), "--output-dir", str(tmp_path / "run")
+    )
+    assert code == 2 and out == ""
+    assert err.splitlines() == [
+        f"fedsln: [data] seed 1: classroom 1 ({tmp_path / 'bad.edges'}): "
+        "line 2: self-loop on 'a'"
+    ]
+    assert not (tmp_path / "run").exists()
+
+
+def test_too_small_synthetic_classroom_is_named(config_path, tmp_path, capsys):
+    # classroom 1 is a complete graph on four students: no unlinked pair
+    code, out, err = run_cli(
+        capsys,
+        "train", "--config", str(config_path), "--output-dir", str(tmp_path / "run"),
+        "--set", "data.nodes=40,4",
+        "--set", "data.communities=2,1",
+        "--set", "data.intra_p=0.4,1.0",
+        "--set", "data.inter_p=0.06,0.0",
+    )
+    assert code == 2 and out == ""
+    assert err.splitlines() == [
+        "fedsln: [data] seed 1: classroom 1: "
+        "requested 12 negatives but only 0 unlinked pairs exist"
+    ]
+    assert not (tmp_path / "run").exists()
 
 
 def test_good_edge_list_trains(tmp_path, capsys):
@@ -547,7 +584,7 @@ class TestErrors:
         assert stdout == ""
         lines = err.splitlines()
         assert len(lines) == 1, err
-        assert lines[0].startswith("fedsln: [data] seed 1: "), lines[0]
+        assert lines[0].startswith("fedsln: [data] seed 1: classroom 0: "), lines[0]
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize(

@@ -21,7 +21,7 @@ from fedsln.experiment import (
     run_experiment,
     run_method,
 )
-from fedsln.features import N_FEATURES
+from fedsln.features import N_FEATURES, StandardizedRows
 from fedsln.neural import (
     epochs_to_steps,
     evaluate,
@@ -78,20 +78,26 @@ def datasets(cfg):
     return build_client_datasets(cfg, seed=1)
 
 
+def every_row(view: StandardizedRows) -> np.ndarray:
+    return view[np.arange(len(view))]
+
+
 class TestDatasets:
     def test_shapes(self, datasets):
         assert [d.client_id for d in datasets] == [0, 1]
         for d in datasets:
-            assert d.train_x.shape == (len(d.train_examples), N_FEATURES)
+            assert d.raw_train_x.shape == (len(d.train_examples), N_FEATURES)
             assert d.raw_test_x.shape == (len(d.test_examples), N_FEATURES)
             assert d.train_y.shape == (len(d.train_examples),)
             assert len(d.train_examples) > len(d.test_examples) > 0
 
     def test_standardized_train_columns(self, datasets):
+        # what the clients train on: the raw split through its standardizer
         for d in datasets:
-            mean = d.train_x.mean(axis=0)
+            x = every_row(StandardizedRows(d.raw_train_x, d.standardizer))
+            mean = x.mean(axis=0)
             assert np.allclose(mean, 0.0, atol=1e-12)
-            std = d.train_x.std(axis=0)
+            std = x.std(axis=0)
             # constant raw columns stay constant; others become unit scale
             varying = d.raw_train_x.std(axis=0) > 0
             assert np.allclose(std[varying], 1.0, atol=1e-12)
@@ -100,14 +106,15 @@ class TestDatasets:
         out = run_method("fedavg", datasets, cfg, seed=1)
         for d in datasets:
             c = d.client_id
-            assert np.array_equal(d.standardizer.transform(d.raw_train_x), d.train_x)
             x = d.standardizer.transform(d.raw_test_x)
             assert out.reports[c] == evaluate(out.models[c], x, d.test_y)
 
     def test_deterministic(self, cfg, datasets):
         again = build_client_datasets(cfg, seed=1)
         for a, b in zip(datasets, again):
-            assert np.array_equal(a.train_x, b.train_x)
+            assert np.array_equal(a.raw_train_x, b.raw_train_x)
+            assert np.array_equal(a.standardizer.mean, b.standardizer.mean)
+            assert np.array_equal(a.standardizer.std, b.standardizer.std)
             assert np.array_equal(a.test_y, b.test_y)
             assert a.train_examples == b.train_examples
 
@@ -119,9 +126,16 @@ class TestDatasets:
         std, x, y = pool_training_data(datasets)
         n = sum(len(d.train_y) for d in datasets)
         assert x.shape == (n, N_FEATURES) and y.shape == (n,)
-        assert np.allclose(x.mean(axis=0), 0.0, atol=1e-12)
         raw = np.concatenate([d.raw_train_x for d in datasets])
-        assert np.array_equal(std.transform(raw), x)
+        # the pooled matrix is held raw, under the statistics fit on it
+        assert isinstance(x, StandardizedRows) and x.standardizer is std
+        assert np.array_equal(x.raw, raw)
+        assert np.array_equal(std.mean, raw.mean(axis=0))
+        assert np.array_equal(std.std, raw.std(axis=0))
+        rows = every_row(x)
+        assert np.allclose(rows.mean(axis=0), 0.0, atol=1e-12)
+        assert np.array_equal(std.transform(raw), rows)
+        assert np.array_equal(y, np.concatenate([d.train_y for d in datasets]))
 
     def test_raw_features_are_the_containers_own_read_only_matrix(self, datasets):
         for d in datasets:
@@ -160,7 +174,8 @@ def test_one_wide_classroom_keeps_its_arrays_once():
 
     What the build retains must be the arrays the dataset holds (the raw
     matrices are the containers' features, so they are not counted
-    again), and the build's peak must stay within three times that.
+    again, and no standardized copy is held), and the build's peak must
+    stay within three times that.
     """
     wide = make_cfg(
         data={"nodes": "3240", "communities": "12", "intra_p": "0.05", "inter_p": "0.004167"},
@@ -182,7 +197,7 @@ def test_one_wide_classroom_keeps_its_arrays_once():
         for a in (ex.pairs, ex.features, ex.labels)
     ) + sum(
         a.nbytes
-        for a in (d.train_x, d.train_y, d.test_y, d.standardizer.mean, d.standardizer.std)
+        for a in (d.train_y, d.test_y, d.standardizer.mean, d.standardizer.std, d.standardizer.scale)
     )
     assert abs((current - start) - held) <= 0.05 * held
     assert peak - start <= 3 * held
@@ -245,6 +260,36 @@ class TestRunMethod:
         else:
             for d in datasets:
                 assert out.standardizers[d.client_id] is d.standardizer
+
+    @pytest.mark.parametrize(
+        "method", ["centralized", "fedavg", "fedavg_ft", "perfedavg_hf", "fedala"]
+    )
+    def test_clients_train_on_the_raw_split(self, cfg, datasets, method, monkeypatch):
+        # no client holds a standardized copy: each reads the raw matrix
+        # through its serving standardizer, one drawn batch at a time
+        made = []
+        real = experiment.run_fedavg
+
+        def spy(clients, *args, **kwargs):
+            made.extend(clients)
+            return real(clients, *args, **kwargs)
+
+        monkeypatch.setattr(experiment, "run_fedavg", spy)
+        monkeypatch.setattr("fedsln.personalization.run_fedavg", spy)
+        out = run_method(method, datasets, cfg, seed=1)
+        assert made
+        for client in made:
+            assert isinstance(client.train_x, StandardizedRows)
+        if method == "centralized":
+            (client,) = made
+            assert client.train_x.standardizer is out.standardizers[0]
+            for d in datasets:
+                assert not np.shares_memory(client.train_x.raw, d.raw_train_x)
+        else:
+            assert len(made) == len(datasets)
+            for client, d in zip(made, datasets):
+                assert np.shares_memory(client.train_x.raw, d.raw_train_x)
+                assert client.train_x.standardizer is d.standardizer
 
     def test_unknown_method(self, cfg, datasets):
         with pytest.raises(ValueError, match="unknown method"):

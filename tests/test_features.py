@@ -8,12 +8,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from fedsln.features import (
     FEATURE_NAMES,
     FeatureVector,
     PairExample,
+    StandardizedRows,
     Standardizer,
     build_examples,
     compute_features,
@@ -205,6 +208,70 @@ class TestStandardizer:
     def test_fit_rejects_empty(self):
         with pytest.raises(ValueError):
             Standardizer.fit(np.empty((0, 6)))
+
+    def test_transform_leaves_its_input_alone(self):
+        x = np.arange(12.0).reshape(4, 3)
+        x.flags.writeable = False
+        z = Standardizer.fit(x).transform(x)
+        assert not np.shares_memory(z, x)
+        assert np.array_equal(x, np.arange(12.0).reshape(4, 3))
+
+
+@st.composite
+def raw_and_indices(draw):
+    """A raw matrix with a zero-std column and large values, and the index
+    arrays a stream draws from it: unsorted, repeated, one row, or an
+    epoch's short last batch."""
+    n = draw(st.integers(1, 50))
+    cols = draw(st.integers(1, 7))
+    seed = draw(st.integers(0, 2**16))
+    rng = np.random.default_rng(seed)
+    scale = draw(st.sampled_from([1.0, 1e3, 1e12, 1e300]))
+    raw = rng.normal(size=(n, cols)) * scale + draw(st.sampled_from([0.0, -7.5, 1e15]))
+    raw[:, draw(st.integers(0, cols - 1))] = draw(st.sampled_from([0.0, 3.25, -1e200]))
+    kind = draw(st.sampled_from(["unsorted", "repeated", "one", "short last"]))
+    if kind == "unsorted":
+        idx = rng.permutation(n)[: draw(st.integers(1, n))]
+    elif kind == "repeated":
+        idx = rng.integers(0, n, size=draw(st.integers(1, 2 * n)))
+    elif kind == "one":
+        idx = np.array([draw(st.integers(0, n - 1))])
+    else:
+        batch = draw(st.integers(1, n))
+        idx = rng.permutation(n)[(n - 1) // batch * batch :]
+    return raw, idx
+
+
+class TestStandardizedRows:
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(raw_and_indices(), st.booleans())
+    def test_rows_equal_the_transformed_matrix_bit_for_bit(self, drawn, other_statistics):
+        raw, idx = drawn
+        # at 1e300 the std overflows to inf; the two forms must still agree
+        with np.errstate(over="ignore", invalid="ignore"):
+            fit_on = raw[::-1] * 0.5 + 1.0 if other_statistics else raw
+            s = Standardizer.fit(fit_on)
+            view = StandardizedRows(raw, s)
+            got = view[idx]
+            want = s.transform(raw)[idx]
+        assert view.shape == raw.shape and len(view) == len(raw)
+        assert got.dtype == np.float64 and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_view_keeps_the_raw_matrix_and_never_writes_it(self):
+        raw = np.arange(20.0).reshape(5, 4)
+        raw.flags.writeable = False
+        s = Standardizer.fit(raw)
+        view = StandardizedRows(raw, s)
+        assert view.raw is raw
+        rows = view[np.array([4, 0, 4])]
+        assert not np.shares_memory(rows, raw)
+        assert np.array_equal(raw, np.arange(20.0).reshape(5, 4))
+        assert np.array_equal(view[2], s.transform(raw)[2])
+
+    def test_rejects_a_non_matrix(self):
+        with pytest.raises(ValueError, match="2-D"):
+            StandardizedRows(np.zeros(3), Standardizer(np.zeros(3), np.ones(3)))
 
 
 class TestKsStatistic:

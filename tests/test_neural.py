@@ -36,7 +36,7 @@ from fedsln.neural import (
     sgd_step,
     train_steps,
 )
-from fedsln.features import Standardizer
+from fedsln.features import StandardizedRows, Standardizer
 from fedsln.rng import derive_rng
 
 
@@ -329,6 +329,37 @@ class TestTrainSteps:
             slow = sgd_step(slow, gradient(slow, x[idx], y[idx]), learning_rate)
         assert np.array_equal(fast.flat, slow.flat)
         assert fast.flat is not params.flat
+
+    @pytest.mark.parametrize("n, batch_size", [(37, 8), (30, 7), (5, 9)])
+    def test_view_trains_like_the_materialized_matrix(self, n, batch_size):
+        # 37/8 and 30/7 end each epoch on a short batch; 9 > 5 is clamped
+        rng = derive_rng(n, "view")
+        raw = rng.normal(4.0, 30.0, size=(n, 6))
+        raw[:, 2] = 1.5  # a zero-std column
+        y = (rng.random(n) < 0.5).astype(float)
+        s = Standardizer.fit(raw)
+        params = init_params(derive_rng(n, "m"), hidden=(5, 3), input_dim=6)
+        cfg = TrainConfig(learning_rate=0.2, batch_size=batch_size)
+        steps = 3 * epochs_to_steps(n, batch_size, 1) + 1
+        flags_view, flags_matrix = set(), set()
+        on_view = train_steps(
+            params, StandardizedRows(raw, s), y, cfg, derive_rng(n, "s"),
+            steps=steps, flags=flags_view,
+        )
+        on_matrix = train_steps(
+            params, s.transform(raw), y, cfg, derive_rng(n, "s"),
+            steps=steps, flags=flags_matrix,
+        )
+        assert on_view.flat.tobytes() == on_matrix.flat.tobytes()
+        assert flags_view == flags_matrix
+
+    def test_rejects_rows_of_the_wrong_width(self):
+        params = init_params(0, hidden=(3,), input_dim=6)
+        view = StandardizedRows(np.zeros((4, 5)), Standardizer(np.zeros(5), np.ones(5)))
+        with pytest.raises(ValueError, match="6 features"):
+            train_steps(params, view, np.zeros(4), TrainConfig(), derive_rng(0, "s"))
+        with pytest.raises(ValueError, match="label counts differ"):
+            train_steps(params, np.zeros((4, 6)), np.zeros(3), TrainConfig(), derive_rng(0, "s"))
 
     def test_epochs_to_steps(self):
         assert epochs_to_steps(10, 3, 1) == 4

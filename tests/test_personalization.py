@@ -9,14 +9,21 @@ checked bitwise against the plain pipelines they must collapse to.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import expit
 
+from fedsln.features import StandardizedRows, Standardizer
 from fedsln.federation import make_clients, run_fedavg
+from fedsln.graphs import round_half_up
 from fedsln.neural import (
     DenseLayer,
     ModelParams,
     TrainConfig,
+    _gradient_into,
+    bce_loss,
     gradient,
+    layer_views,
     init_params,
     mean_loss,
     params_checksum,
@@ -24,6 +31,8 @@ from fedsln.neural import (
 )
 from fedsln.personalization import (
     AlaWeights,
+    _check_top_layers,
+    _meta_round,
     ala_init,
     ala_weights_to_csv,
     fine_tune,
@@ -50,6 +59,70 @@ def toy_clients(n_clients, seed=0, n=40, dim=6):
         cut = n - 10
         datasets.append((x[:cut], y[:cut]))
     return make_clients(datasets, seed)
+
+
+def view_clients(n_clients, seed=0, n=40):
+    """toy_clients whose rows are a StandardizedRows view of shifted,
+    scaled raw data, as run_method builds them."""
+    datasets = []
+    for c in toy_clients(n_clients, seed, n):
+        raw = c.train_x * 40.0 + 7.0
+        datasets.append((StandardizedRows(raw, Standardizer.fit(raw)), c.train_y))
+    return make_clients(datasets, seed)
+
+
+def reference_meta_round(client, config, *, flags=None):
+    """The meta-learning local step written with the public meta-step."""
+    params = client.params
+    upd = client.batch_stream("update", config.batch_size)
+    meta = client.batch_stream("meta", config.batch_size)
+    hess = client.batch_stream("hess", config.batch_size)
+    if upd.clamped and flags is not None:
+        flags.add("batch_size_clamped")
+    x, y = client.train_x, client.train_y
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(config.local_steps):
+            i1, i2, i3 = meta.next_indices(), upd.next_indices(), hess.next_indices()
+            params = perfedavg_hf_step(
+                params,
+                ((x[i1], y[i1]), (x[i2], y[i2]), (x[i3], y[i3])),
+                config.meta_inner,
+                config.meta_outer,
+                config.hf_delta,
+            )
+    client.params = params
+    return params
+
+
+def reference_learn_ala_weights(client, global_params, local_prev, config, *, weights=None, max_updates=None):
+    """The full-depth learner: every update blends a whole model and takes
+    its gradient through every layer."""
+    p = weights.n_layers if weights is not None else config.ala_top_layers
+    _check_top_layers(global_params, p)
+    n = client.size
+    m = max(1, round_half_up(config.ala_data_fraction / 100.0 * n))
+    idx = client.generator("ala-subsample").choice(n, size=m, replace=False)
+    sx = np.asarray(client.train_x[idx], dtype=np.float64)
+    sy = np.asarray(client.train_y[idx], dtype=np.float64)
+    w = weights.copy() if weights is not None else AlaWeights.ones_like(global_params, p)
+    top = global_params.flat.size - w.flat.size
+    spread = global_params.flat[top:] - local_prev.flat[top:]
+    grad = np.empty_like(global_params.flat)
+    grads = layer_views(grad, global_params.layer_dims)
+    cap = config.ala_update_cap if max_updates is None else max_updates
+    losses = []
+    for _ in range(cap):
+        blended = ala_init(local_prev, global_params, w, p)
+        probs = _gradient_into(blended.layers, grads, sx, sy)
+        losses.append(float(np.mean(bce_loss(probs, sy))))
+        w = AlaWeights(
+            np.clip(w.flat - config.ala_weight_lr * (grad[top:] * spread), 0.0, 1.0),
+            w.layer_dims,
+        )
+        window = losses[-config.ala_window :]
+        if len(window) == config.ala_window and float(np.std(window)) < config.ala_convergence_tol:
+            break
+    return w
 
 
 DUMMY_BATCH = (np.zeros((1, 1)), np.zeros(1))
@@ -228,6 +301,39 @@ class TestPerFedAvg:
             assert params_checksum(seq[cid]) == params_checksum(par[cid])
         assert [r.checksum for r in seq_hist] == [r.checksum for r in par_hist]
 
+    @settings(derandomize=True, deadline=None, max_examples=30)
+    @given(
+        hidden=st.lists(st.integers(1, 7), min_size=0, max_size=2),
+        batch_size=st.integers(1, 40),
+        local_steps=st.integers(0, 6),
+        rounds=st.integers(2, 3),
+        alpha=st.sampled_from([0.0, 0.01, 0.3]),
+        beta=st.sampled_from([0.0, 0.05, 2.0]),
+        delta=st.sampled_from([1e-5, 1e-3, 0.5]),
+        seed=st.integers(0, 2**16),
+        views=st.booleans(),
+    )
+    def test_in_place_round_matches_the_public_meta_step(
+        self, hidden, batch_size, local_steps, rounds, alpha, beta, delta, seed, views
+    ):
+        cfg = TrainConfig(
+            learning_rate=0.05,
+            batch_size=batch_size,
+            local_steps=local_steps,
+            global_rounds=rounds,
+            seed=seed,
+            hidden_sizes=tuple(hidden),
+            meta_inner=alpha,
+            meta_outer=beta,
+            hf_delta=delta,
+        )
+        make = view_clients if views else toy_clients
+        fast, fast_hist = run_fedavg(make(2, seed=seed % 50), cfg, local=_meta_round)
+        slow, slow_hist = run_fedavg(make(2, seed=seed % 50), cfg, local=reference_meta_round)
+        assert fast.flat.tobytes() == slow.flat.tobytes()
+        assert [r.checksum for r in fast_hist] == [r.checksum for r in slow_hist]
+        assert [r.warnings for r in fast_hist] == [r.warnings for r in slow_hist]
+
 
 def random_pair(seed, dims=(3, 4, 1)):
     rng = derive_rng(seed, "pair")
@@ -347,6 +453,47 @@ class TestLearnAlaWeights:
         b = learn_ala_weights(toy_clients(1, seed=9)[0], glob, prev, cfg)
         for la, lb in zip(a.layers, b.layers):
             assert np.array_equal(la.weights, lb.weights)
+
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(
+        hidden=st.lists(st.integers(1, 6), min_size=0, max_size=3),
+        top_pick=st.integers(0, 3),
+        max_updates=st.sampled_from([1, None]),
+        start=st.sampled_from(["ones", "drawn"]),
+        fraction=st.sampled_from([5.0, 50.0, 100.0]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_tail_learner_matches_the_full_depth_learner(
+        self, hidden, top_pick, max_updates, start, fraction, seed
+    ):
+        rng = derive_rng(seed, "ala-ref")
+        dims = (6, *hidden)
+        prev = init_params(rng, hidden=tuple(hidden), input_dim=6)
+        glob = init_params(rng, hidden=tuple(hidden), input_dim=6)
+        top_layers = 1 + top_pick % prev.n_layers  # every count from 1 to n
+        weights = None
+        if start == "drawn":
+            tail = AlaWeights.ones_like(glob, top_layers)
+            weights = AlaWeights(rng.random(tail.flat.size), tail.layer_dims)
+        cfg = TrainConfig(
+            ala_top_layers=top_layers,
+            ala_data_fraction=fraction,
+            ala_weight_lr=2.0,
+            ala_convergence_tol=1e-4,
+            ala_window=3,
+            ala_update_cap=12,
+        )
+        got = learn_ala_weights(
+            view_clients(1, seed=seed % 50)[0], glob, prev, cfg,
+            weights=weights, max_updates=max_updates,
+        )
+        want = reference_learn_ala_weights(
+            view_clients(1, seed=seed % 50)[0], glob, prev, cfg,
+            weights=weights, max_updates=max_updates,
+        )
+        assert got.layer_dims == want.layer_dims == glob.layer_dims[len(dims) - top_layers :]
+        assert got.flat.tobytes() == want.flat.tobytes()
 
 
 class TestRunFedala:
