@@ -17,8 +17,9 @@ defaults are the fields of ExperimentConfig, the data source's spec,
 SplitOptions, ExplainOptions or TrainConfig (method sections, with the
 per-method defaults of _METHOD_DEFAULTS). One parser reads INI text,
 --set text and typed manifest values alike. The fedavg_ft section
-configures only the fine-tuning pass; its federated phase runs under
-[fedavg]. Methods and seeds must be unique. A resolved configuration
+configures only the one-epoch fine-tuning pass, which reads its
+learning_rate and batch_size alone; the model it fine-tunes is the one
+[fedavg] trains. Methods and seeds must be unique. A resolved configuration
 round-trips through run_manifest.json, and load_config accepts either
 format (.json is a manifest). Every problem raises ConfigError, which the
 CLI prints as one ``fedsln: [config] message`` line.
@@ -192,7 +193,7 @@ class ExperimentConfig:
         if len(self.hidden_sizes) == 0 or any(h < 1 for h in self.hidden_sizes):
             raise ConfigError("hidden_sizes must be positive")
         # every method keeps a resolved TrainConfig, selected or not:
-        # fedavg_ft's federated phase borrows the fedavg entry.
+        # fedavg_ft fine-tunes the model the fedavg entry trains.
         for m in METHOD_NAMES:
             if m not in self.train:
                 self.train[m] = TrainConfig(hidden_sizes=self.hidden_sizes, **_METHOD_DEFAULTS[m])

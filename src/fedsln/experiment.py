@@ -12,7 +12,9 @@ when it is scored. A data-stage failure names the seed and the classroom,
 and for edge lists the file. Metrics
 are collected per (method, client, seed); fairness spreads use the
 per-client rates averaged over seeds; explanations, when enabled,
-attribute the first seed's models.
+attribute the first seed's models while its datasets are alive. No
+seed's datasets outlive its iteration. fedavg_ft fine-tunes the seed's
+fedavg model, so the FedAvg rounds run once per seed.
 
 The centralized regime is FedAvg with one client and one round: the
 pooled training data form a single pseudo-client with id 0 that uses
@@ -73,7 +75,6 @@ from .neural import (
     MetricsReport,
     ModelParams,
     NonFiniteParamsError,
-    TrainConfig,
     check_finite,
     epochs_to_steps,
     evaluate,
@@ -81,8 +82,8 @@ from .neural import (
 )
 from .personalization import (
     ala_weights_to_csv,
+    fine_tune_all,
     run_fedala,
-    run_fedavg_ft,
     run_perfedavg_hf,
 )
 from .rng import derive_rng, derive_seed
@@ -157,6 +158,7 @@ class MethodOutcome:
     """
 
     method: str
+    seed: int
     reports: dict[int, MetricsReport]
     models: dict[int, ModelParams]
     standardizers: dict[int, Standardizer]
@@ -284,8 +286,12 @@ def run_method(
     seed: int,
     *,
     max_workers: int | None = None,
+    fedavg: MethodOutcome | None = None,
 ) -> MethodOutcome:
     """Train one regime for one seed and score every client's test split.
+
+    fedavg_ft fine-tunes the global model of `fedavg`, this seed's fedavg
+    outcome (trained here if None), and reports its round history.
 
     A model that diverges to non-finite parameters stops the run with a
     StageError tagged train:<method>. Its message names the seed and
@@ -294,8 +300,11 @@ def run_method(
     """
     if method not in cfg.train:
         raise ValueError(f"unknown method {method!r}")
+    if fedavg is not None and (fedavg.method, fedavg.seed) != ("fedavg", seed):
+        wrong = f"seed {fedavg.seed}'s {fedavg.method}"
+        raise ValueError(f"need seed {seed}'s fedavg outcome, not {wrong}")
     try:
-        return _run_method(method, datasets, cfg, seed, max_workers)
+        return _run_method(method, datasets, cfg, seed, max_workers, fedavg)
     except NonFiniteParamsError as exc:
         raise StageError(f"train:{method}", f"seed {seed}: {exc}") from exc
 
@@ -306,11 +315,9 @@ def _run_method(
     cfg: ExperimentConfig,
     seed: int,
     max_workers: int | None,
+    fedavg: MethodOutcome | None,
 ) -> MethodOutcome:
-    def train_config(name: str) -> TrainConfig:
-        return replace(cfg.train[name], hidden_sizes=cfg.hidden_sizes, seed=seed)
-
-    tcfg = train_config(method)
+    tcfg = replace(cfg.train[method], hidden_sizes=cfg.hidden_sizes, seed=seed)
     if method == "centralized":
         pooled_std, pooled_x, pooled_y = pool_training_data(datasets)
         clients = [ClientState(0, pooled_x, pooled_y, seed)]
@@ -332,9 +339,11 @@ def _run_method(
         training = "pooled" if method == "centralized" else "federated"
     else:
         if method == "fedavg_ft":
-            models, history = run_fedavg_ft(
-                clients, train_config("fedavg"), tcfg, max_workers=max_workers, flags=flags
-            )
+            if fedavg is None:
+                fedavg = _run_method("fedavg", datasets, cfg, seed, max_workers, None)
+            global_params = fedavg.models[min(fedavg.models)]
+            models = fine_tune_all(global_params, clients, tcfg, flags=flags)
+            history = fedavg.history
         elif method == "perfedavg_hf":
             models, history = run_perfedavg_hf(
                 clients, tcfg, max_workers=max_workers, flags=flags
@@ -358,6 +367,7 @@ def _run_method(
         }
     return MethodOutcome(
         method,
+        seed,
         reports,
         models,
         standardizers,
@@ -419,34 +429,40 @@ def run_experiment(
     checkpoints: list[tuple[str, ModelParams, Standardizer | None]] = []
     extra_files: list[tuple[str, str]] = []
     warnings: set[str] = set()
-    first_seed_artifacts: dict[str, MethodOutcome] = {}
-    first_datasets: list[ClientDataset] | None = None
+    explanations: list[dict] = []
+    importance: dict[int, tuple[np.ndarray, tuple[int, ...]]] = {}
 
     for seed in cfg.seeds:
         datasets = build_client_datasets(cfg, seed)
-        if first_datasets is None:
-            first_datasets = datasets
-        for method in cfg.methods:
+        outcomes: dict[str, MethodOutcome] = {}
+        # fedavg_ft fine-tunes fedavg's model, so it trains last, on fedavg's outcome
+        for method in sorted(cfg.methods, key=lambda m: m == "fedavg_ft"):
             with _stage(f"train:{method}", f"seed {seed}: "):
-                outcome = run_method(
-                    method, datasets, cfg, seed, max_workers=max_workers
+                outcomes[method] = run_method(
+                    method, datasets, cfg, seed,
+                    max_workers=max_workers, fedavg=outcomes.get("fedavg"),
                 )
-            if method not in first_seed_artifacts:
-                first_seed_artifacts[method] = outcome
+        if cfg.explain.enabled and seed == cfg.seeds[0]:
+            with _stage("explain"):
+                explanations, importance = _explain(
+                    cfg, datasets, outcomes[cfg.explain.method], seed
+                )
+        del datasets  # released before the next seed is built
+        for method in cfg.methods:
+            outcome = outcomes[method]
             warnings.update(f"{method}: {w}" for w in outcome.warnings)
-            for d in datasets:
-                report = outcome.reports[d.client_id]
-                metrics.append((method, d.client_id, seed, report))
+            for client, report in outcome.reports.items():
+                metrics.append((method, client, seed, report))
                 tpr, fpr = rates_from_counts(report.tp, report.fp, report.tn, report.fn)
                 if tpr is None or fpr is None:
                     raise StageError(
                         "analysis",
-                        f"{method} seed {seed} client {d.client_id}: "
+                        f"{method} seed {seed} client {client}: "
                         "test split lacks a class, rates undefined",
                     )
-                rate_cells.setdefault((method, d.client_id), []).append((tpr, fpr))
-            checkpoints.extend(_method_checkpoints(outcome, seed))
-            extra_files.extend(_blend_weight_files(outcome, seed))
+                rate_cells.setdefault((method, client), []).append((tpr, fpr))
+            checkpoints.extend(_method_checkpoints(outcome))
+            extra_files.extend(_blend_weight_files(outcome))
 
     fairness: dict[str, FairnessReport] = {}
     with _stage("analysis"):
@@ -462,17 +478,6 @@ def run_experiment(
                 )
             fairness[method] = fairness_report(mean_rates)
 
-    explanations: list[dict] = []
-    importance: dict[int, tuple[np.ndarray, tuple[int, ...]]] = {}
-    if cfg.explain.enabled:
-        with _stage("explain"):
-            explanations, importance = _explain(
-                cfg,
-                first_datasets,
-                first_seed_artifacts[cfg.explain.method],
-                cfg.seeds[0],
-            )
-
     return RunReport(
         config=cfg,
         metrics=metrics,
@@ -486,27 +491,24 @@ def run_experiment(
 
 
 def _method_checkpoints(
-    outcome: MethodOutcome, seed: int
+    outcome: MethodOutcome,
 ) -> list[tuple[str, ModelParams, Standardizer | None]]:
+    prefix = f"models/{outcome.method}_seed{outcome.seed}"
     if outcome.training == "personalized":
         return [
-            (
-                f"models/{outcome.method}_seed{seed}_client{c}.ckpt",
-                params,
-                outcome.standardizers[c],
-            )
+            (f"{prefix}_client{c}.ckpt", params, outcome.standardizers[c])
             for c, params in sorted(outcome.models.items())
         ]
     c = min(outcome.models)
     standardizer = outcome.standardizers[c] if outcome.training == "pooled" else None
-    return [(f"models/{outcome.method}_seed{seed}.ckpt", outcome.models[c], standardizer)]
+    return [(f"{prefix}.ckpt", outcome.models[c], standardizer)]
 
 
-def _blend_weight_files(outcome: MethodOutcome, seed: int) -> list[tuple[str, str]]:
+def _blend_weight_files(outcome: MethodOutcome) -> list[tuple[str, str]]:
     if not outcome.ala_weights:
         return []
     return [
-        (f"models/fedala_seed{seed}_client{cid}_blend.csv", ala_weights_to_csv(w))
+        (f"models/fedala_seed{outcome.seed}_client{cid}_blend.csv", ala_weights_to_csv(w))
         for cid, w in sorted(outcome.ala_weights.items())
     ]
 

@@ -1,15 +1,17 @@
 """Per-client adaptation on top of the shared federated model.
 
-All three strategies run federation.run_fedavg, the one round loop,
-and differ only in the hook they hand it or in what follows it:
+Post-hoc fine-tuning is one step, fine_tune_all: exactly one seeded pass
+over each client's train split, starting from a given global model. It
+owns no rounds: experiment.run_method applies it to the seed's fedavg
+model for fedavg_ft, and run_perfedavg_hf applies it after its rounds.
+The two strategies with rounds of their own run federation.run_fedavg,
+the one round loop, and differ only in the hook they hand it:
 
-* post-hoc fine-tuning: plain FedAvg rounds, then exactly one seeded
-  pass over each client's train split;
 * Hessian-free per-client meta-learning: the local step is
   _meta_round, where each meta-step consumes one batch from each of
   three parallel client streams (meta, update, hessian) and
   approximates the Hessian-vector term with a central difference; the
-  same one-pass fine-tune follows. _meta_round runs perfedavg_hf_step's
+  one-pass fine-tune follows. _meta_round runs perfedavg_hf_step's
   arithmetic in place, in buffers allocated once per round, and gives
   its bits;
 * adaptive local aggregation: the sync step is _ala_sync, which blends
@@ -20,14 +22,15 @@ and differ only in the hook they hand it or in what follows it:
   them once and then takes each update's loss and gradient over the
   blended layers alone, with the bits of a full-depth pass.
 
-Each returns the per-client models and the round history; the two with
-a fine-tune pass add its warnings to an optional flags set, and scoring
-the models is experiment.run_method's job. The blend weights, AlaWeights,
-are a ModelParams laid out as the top layers they blend.
+Each returns the per-client models and the round history; the fine-tune
+step adds its warnings to an optional flags set, and scoring the models
+is experiment.run_method's job. The blend weights, AlaWeights, are a
+ModelParams laid out as the top layers they blend.
 
 Keeping the update batch on its own stream means the meta path with
-alpha = 0 consumes batches exactly like plain FedAvg, so the two
-pipelines coincide bit for bit under shared seeds.
+alpha = 0 consumes batches exactly like plain FedAvg, so its rounds
+give run_fedavg's global model bit for bit under shared seeds, and its
+models are that model's fine_tune_all.
 """
 
 from __future__ import annotations
@@ -58,10 +61,10 @@ __all__ = [
     "ala_init",
     "ala_weights_to_csv",
     "fine_tune",
+    "fine_tune_all",
     "learn_ala_weights",
     "perfedavg_hf_step",
     "run_fedala",
-    "run_fedavg_ft",
     "run_perfedavg_hf",
 ]
 
@@ -90,30 +93,19 @@ def fine_tune(
     )
 
 
-def run_fedavg_ft(
-    clients: Sequence[ClientState],
-    fed_config: TrainConfig,
-    ft_config: TrainConfig,
-    *,
-    max_workers: int | None = None,
-    flags: set[str] | None = None,
-) -> Personalized:
-    """FedAvg under fed_config, then one fine-tuning epoch per client under
-    ft_config; the fine-tune pass adds its warnings to flags."""
-    global_params, history = run_fedavg(clients, fed_config, max_workers=max_workers)
-    return _fine_tune_all(global_params, clients, ft_config, flags), history
-
-
-def _fine_tune_all(
+def fine_tune_all(
     global_params: ModelParams,
     clients: Sequence[ClientState],
     config: TrainConfig,
-    flags: set[str] | None,
+    *,
+    flags: set[str] | None = None,
 ) -> dict[int, ModelParams]:
-    """Fine-tune the global model on every client; each keeps its result."""
-    for client in clients:
-        client.params = fine_tune(global_params, client, config, flags=flags)
-    return {c.client_id: c.params for c in clients}
+    """Post-hoc personalization: fine_tune the global model on every client.
+
+    Returns each client's model by client id; a clamped batch size is
+    added to flags.
+    """
+    return {c.client_id: fine_tune(global_params, c, config, flags=flags) for c in clients}
 
 
 def perfedavg_hf_step(
@@ -206,7 +198,7 @@ def run_perfedavg_hf(
     global_params, history = run_fedavg(
         clients, config, local=_meta_round, max_workers=max_workers
     )
-    return _fine_tune_all(global_params, clients, config, flags), history
+    return fine_tune_all(global_params, clients, config, flags=flags), history
 
 
 class AlaWeights(ModelParams):

@@ -40,8 +40,8 @@ from fedsln.personalization import (
     ala_init,
     learn_ala_weights,
     perfedavg_hf_step,
+    fine_tune,
     run_fedala,
-    run_fedavg_ft,
     run_perfedavg_hf,
 )
 from fedsln.rng import derive_rng
@@ -335,7 +335,9 @@ def test_criterion_06_perfedavg_hf(capsys):
         seed=2, meta_inner=0.0,
     )
     meta, meta_hist = run_perfedavg_hf(toy_clients(2, seed=2), cfg)
-    ft, ft_hist = run_fedavg_ft(toy_clients(2, seed=2), cfg, cfg)
+    # fedavg_ft: plain FedAvg rounds, then one fine-tune pass per client
+    global_params, ft_hist = run_fedavg(toy_clients(2, seed=2), cfg)
+    ft = {c.client_id: fine_tune(global_params, c, cfg) for c in toy_clients(2, seed=2)}
     alpha_zero_ok = all(
         params_checksum(meta[cid]) == params_checksum(ft[cid]) for cid in meta
     ) and [r.checksum for r in meta_hist] == [r.checksum for r in ft_hist]

@@ -9,8 +9,10 @@ import importlib.util
 from pathlib import Path
 
 import fedsln.cli  # noqa: F401  the benchmark imports these before tracing
-import fedsln.experiment  # noqa: F401
+import fedsln.experiment as experiment
 import fedsln.neural
+import fedsln.personalization as personalization
+from fedsln.config import build_experiment_config
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -31,3 +33,61 @@ def test_tracer_installs_and_uninstalls():
     finally:
         tracer.uninstall()
     assert fedsln.neural.gradient is gradient
+
+
+def test_all_training_happens_inside_one_timed_run_method(monkeypatch):
+    # bench/worker.py times each experiment.run_method call and sums them
+    # as train_s; training outside those calls, or inside two nested ones,
+    # would silently misstate it
+    depth = 0
+    seen = []  # (what, timed calls enclosing it)
+    real_run = experiment.run_method
+
+    def timed_run(method, *args, **kwargs):
+        nonlocal depth
+        depth += 1
+        try:
+            return real_run(method, *args, **kwargs)
+        finally:
+            depth -= 1
+
+    def spy(name, real):
+        def wrapper(*args, **kwargs):
+            seen.append((name, depth))
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    fedavg_spy = spy("run_fedavg", experiment.run_fedavg)
+    monkeypatch.setattr(experiment, "run_method", timed_run)
+    monkeypatch.setattr(experiment, "run_fedavg", fedavg_spy)
+    monkeypatch.setattr(personalization, "run_fedavg", fedavg_spy)
+    monkeypatch.setattr(personalization, "fine_tune", spy("fine_tune", personalization.fine_tune))
+    cfg = build_experiment_config(
+        {
+            "experiment": {
+                "methods": "fedavg_ft,centralized,fedavg,perfedavg_hf,fedala",
+                "seeds": "1,2",
+            },
+            "model": {"hidden_sizes": "4"},
+            "data": {
+                "source": "synthetic",
+                "nodes": "40,50",
+                "communities": "2,3",
+                "intra_p": "0.4,0.35",
+                "inter_p": "0.06,0.04",
+            },
+            "split": {"negatives_per_positive": "2.0"},
+            "centralized": {"epochs": "1"},
+            **{
+                m: {"global_rounds": "1", "local_steps": "2"}
+                for m in ("fedavg", "perfedavg_hf", "fedala")
+            },
+        }
+    )
+    experiment.run_experiment(cfg, max_workers=1)
+    # per seed: four round loops (fedavg_ft reuses fedavg's), and one
+    # fine-tune per classroom for fedavg_ft and for perfedavg_hf
+    assert sorted(set(seen)) == [("fine_tune", 1), ("run_fedavg", 1)]
+    assert [name for name, _ in seen].count("run_fedavg") == 2 * 4
+    assert [name for name, _ in seen].count("fine_tune") == 2 * 2 * 2

@@ -299,7 +299,6 @@ class TestTrain:
             "--set", "data.communities=2",
             "--set", "data.intra_p=0.4",
             "--set", "data.inter_p=0.06",
-            "--set", "fedavg_ft.epochs=1",
         )
         assert code == 0
         models = out / "models"

@@ -30,6 +30,7 @@ from fedsln.neural import (
     params_checksum,
     train_steps,
 )
+from fedsln.personalization import fine_tune
 from fedsln.rng import derive_rng
 
 SPEED = {
@@ -45,7 +46,6 @@ SPEED = {
     "split": {"negatives_per_positive": "2.0"},
     "centralized": {"epochs": "2", "batch_size": "64"},
     "fedavg": {"global_rounds": "2", "local_steps": "5"},
-    "fedavg_ft": {"epochs": "1"},
     "perfedavg_hf": {"global_rounds": "2", "local_steps": "3"},
     "fedala": {
         "global_rounds": "2",
@@ -266,30 +266,66 @@ class TestRunMethod:
     )
     def test_clients_train_on_the_raw_split(self, cfg, datasets, method, monkeypatch):
         # no client holds a standardized copy: each reads the raw matrix
-        # through its serving standardizer, one drawn batch at a time
-        made = []
-        real = experiment.run_fedavg
+        # through its serving standardizer, one drawn batch at a time; that
+        # holds for the clients of the rounds and of the fine-tune pass
+        trained, tuned = [], []
+        real_fedavg, real_fine_tune = experiment.run_fedavg, fine_tune
 
-        def spy(clients, *args, **kwargs):
-            made.extend(clients)
-            return real(clients, *args, **kwargs)
+        def spy_fedavg(clients, *args, **kwargs):
+            trained.extend(clients)
+            return real_fedavg(clients, *args, **kwargs)
 
-        monkeypatch.setattr(experiment, "run_fedavg", spy)
-        monkeypatch.setattr("fedsln.personalization.run_fedavg", spy)
+        def spy_fine_tune(global_params, client, *args, **kwargs):
+            tuned.append(client)
+            return real_fine_tune(global_params, client, *args, **kwargs)
+
+        monkeypatch.setattr(experiment, "run_fedavg", spy_fedavg)
+        monkeypatch.setattr("fedsln.personalization.run_fedavg", spy_fedavg)
+        monkeypatch.setattr("fedsln.personalization.fine_tune", spy_fine_tune)
         out = run_method(method, datasets, cfg, seed=1)
-        assert made
-        for client in made:
+        assert trained
+        assert len(tuned) == (len(datasets) if method in ("fedavg_ft", "perfedavg_hf") else 0)
+        for client in trained + tuned:
             assert isinstance(client.train_x, StandardizedRows)
         if method == "centralized":
-            (client,) = made
+            (client,) = trained
             assert client.train_x.standardizer is out.standardizers[0]
             for d in datasets:
                 assert not np.shares_memory(client.train_x.raw, d.raw_train_x)
         else:
-            assert len(made) == len(datasets)
-            for client, d in zip(made, datasets):
-                assert np.shares_memory(client.train_x.raw, d.raw_train_x)
-                assert client.train_x.standardizer is d.standardizer
+            assert len(trained) == len(datasets)
+            for clients in (trained, tuned):
+                for client, d in zip(clients, datasets):
+                    assert np.shares_memory(client.train_x.raw, d.raw_train_x)
+                    assert client.train_x.standardizer is d.standardizer
+
+    def test_fedavg_ft_fine_tunes_fedavgs_model(self, cfg, datasets):
+        # each classroom's model is one fine-tune pass from fedavg's global
+        # model, whether fedavg's outcome is handed over or trained here
+        fedavg = run_method("fedavg", datasets, cfg, seed=1)
+        handed = run_method("fedavg_ft", datasets, cfg, seed=1, fedavg=fedavg)
+        alone = run_method("fedavg_ft", datasets, cfg, seed=1)
+        ft_cfg = replace(cfg.train["fedavg_ft"], hidden_sizes=cfg.hidden_sizes, seed=1)
+        clients = experiment.make_clients(
+            [(StandardizedRows(d.raw_train_x, d.standardizer), d.train_y) for d in datasets], 1
+        )
+        for client in clients:
+            expected = fine_tune(fedavg.models[0], client, ft_cfg)
+            for out in (handed, alone):
+                assert out.models[client.client_id].flat.tobytes() == expected.flat.tobytes()
+        assert sorted(handed.models) == sorted(alone.models) == [0, 1]
+        assert handed.history is fedavg.history and len(handed.history) == 2
+        assert [r.checksum for r in alone.history] == [r.checksum for r in fedavg.history]
+        assert handed.seed == alone.seed == 1
+        assert params_checksum(handed.models[0]) != params_checksum(handed.models[1])
+
+    def test_fedavg_ft_rejects_another_outcome(self, cfg, datasets):
+        fedala = run_method("fedala", datasets, cfg, seed=1)
+        with pytest.raises(ValueError, match="fedavg outcome, not seed 1's fedala"):
+            run_method("fedavg_ft", datasets, cfg, seed=1, fedavg=fedala)
+        fedavg = run_method("fedavg", datasets, cfg, seed=1)
+        with pytest.raises(ValueError, match="not seed 1's fedavg"):
+            run_method("fedavg_ft", datasets, cfg, seed=2, fedavg=fedavg)
 
     def test_unknown_method(self, cfg, datasets):
         with pytest.raises(ValueError, match="unknown method"):
@@ -384,6 +420,39 @@ class TestRunExperiment:
         blend = [rel for (rel, _text) in full_report.extra_files]
         assert "models/fedala_seed1_client0_blend.csv" in blend
         assert len(blend) == 4
+
+    @pytest.mark.parametrize("explain", ["false", "true"])
+    def test_no_seed_outlives_its_iteration(self, monkeypatch, explain):
+        # every array a ClientDataset holds is gone before the next seed is built
+        held = []
+        live_at_each_build = []
+        real = experiment.build_client_datasets
+
+        def tracked(cfg, seed):
+            gc.collect()
+            live_at_each_build.append(sum(ref() is not None for ref in held))
+            datasets = real(cfg, seed)
+            held.extend(
+                weakref.ref(a)
+                for d in datasets
+                for a in (d.raw_train_x, d.raw_test_x, d.train_y, d.test_y)
+            )
+            return datasets
+
+        monkeypatch.setattr(experiment, "build_client_datasets", tracked)
+        cfg = make_cfg(
+            experiment={"methods": "fedavg,fedavg_ft", "seeds": "1,2,3"},
+            explain={
+                "enabled": explain,
+                "method": "fedavg_ft",
+                "pairs_per_client": "1",
+                "background_size": "4",
+            },
+        )
+        report = run_experiment(cfg)
+        assert live_at_each_build == [0, 0, 0]
+        assert len(held) == 3 * 2 * 4
+        assert bool(report.explanations) == (explain == "true")
 
     def test_explain_method_must_be_selected(self):
         cfg = make_cfg(

@@ -5,7 +5,10 @@ is emitted with `--max-workers` 1, 2, 3 and 5 and without the flag (the
 CLI's default), and the SHA-256 of every
 file it writes (metrics, summary, fairness, Shapley reports, every
 checkpoint and blend-weight file; not run_manifest.json, which names
-the output directory) is compared with the constants below. The files
+the output directory) is compared with the constants below. The same run
+with fedavg_ft listed before fedavg gives the same digests once the rows of
+the method-ordered CSVs are put back in CONFIG_TEXT's order, and fedavg_ft
+alone gives the same four fedavg_ft checkpoints. The files
 `fedsln generate` and `fedsln featurize` write for the first seed, and
 the manifests of the two desk configs with the output directory they
 name, are frozen the same way. A change that alters the numbers on purpose
@@ -19,6 +22,8 @@ from pathlib import Path
 
 import pytest
 
+import fedsln.experiment as experiment
+import fedsln.personalization as personalization
 from fedsln.cli import main
 from fedsln.config import config_to_manifest, load_config
 
@@ -92,6 +97,11 @@ FROZEN_SHA256 = {
 }
 
 
+WORKERS = ["1", "2", "3", "5", pytest.param(None, id="default")]
+METHODS_LINE = "methods = centralized,fedavg,fedavg_ft,perfedavg_hf,fedala"
+METHODS = tuple(METHODS_LINE.split(" = ")[1].split(","))
+
+
 def emitted_digests(out_dir):
     return {
         path.relative_to(out_dir).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
@@ -100,7 +110,7 @@ def emitted_digests(out_dir):
     }
 
 
-@pytest.mark.parametrize("workers", ["1", "2", "3", "5", pytest.param(None, id="default")])
+@pytest.mark.parametrize("workers", WORKERS)
 def test_emitted_bytes_match_frozen_digests(tmp_path, capsys, workers):
     ini = tmp_path / "exp.ini"
     ini.write_text(CONFIG_TEXT)
@@ -110,6 +120,80 @@ def test_emitted_bytes_match_frozen_digests(tmp_path, capsys, workers):
     capsys.readouterr()
     assert code == 0
     assert emitted_digests(out) == FROZEN_SHA256
+
+
+
+
+def in_config_order(path):
+    """A method-ordered CSV's digest with its rows put back in CONFIG_TEXT's
+    method order (seed by seed, for metrics.csv). The row order follows
+    `methods` by design; the bytes of each row must not."""
+    header, *rows = path.read_text().splitlines(keepends=True)
+    rank = {m: i for i, m in enumerate(METHODS)}
+
+    def key(row):
+        cells = row.split(",")
+        return (int(cells[2]) if path.name == "metrics.csv" else 0, rank[cells[0]])
+
+    text = header + "".join(sorted(rows, key=key))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("workers", WORKERS)
+def test_fedavg_ft_before_fedavg_gives_the_same_bytes(tmp_path, capsys, workers):
+    # fedavg_ft is listed first and fedavg last; fedavg's rounds still come first
+    ini = tmp_path / "exp.ini"
+    ini.write_text(CONFIG_TEXT)
+    out = tmp_path / "out"
+    flag = [] if workers is None else ["--max-workers", workers]
+    methods = "fedavg_ft,centralized,perfedavg_hf,fedala,fedavg"
+    code = main(
+        ["report", "--config", str(ini), "--output-dir", str(out), "--methods", methods, *flag]
+    )
+    capsys.readouterr()
+    assert code == 0
+    digests = emitted_digests(out)
+    first = (out / "metrics.csv").read_text().splitlines()[1]
+    assert first.startswith("fedavg_ft,0,1,")
+    for name in ("metrics.csv", "summary.csv", "fairness.csv"):
+        digests[name] = in_config_order(out / name)
+    assert digests == FROZEN_SHA256
+
+
+@pytest.mark.parametrize("workers", WORKERS)
+def test_fedavg_ft_alone_gives_the_same_models(tmp_path, capsys, workers):
+    # without fedavg among the methods, fedavg_ft trains the rounds itself
+    ini = tmp_path / "exp.ini"
+    ini.write_text(CONFIG_TEXT)
+    out = tmp_path / "out"
+    flag = [] if workers is None else ["--max-workers", workers]
+    code = main(
+        ["train", "--config", str(ini), "--output-dir", str(out), "--methods", "fedavg_ft", *flag]
+    )
+    capsys.readouterr()
+    assert code == 0
+    models = {k: v for k, v in emitted_digests(out).items() if k.startswith("models/")}
+    assert models == {
+        k: v for k, v in FROZEN_SHA256.items() if k.startswith("models/fedavg_ft_")
+    }
+    assert len(models) == 4
+
+
+@pytest.mark.parametrize("methods", ["fedavg,fedavg_ft", "fedavg_ft,fedavg", "fedavg_ft"])
+def test_fedavg_rounds_run_once_per_seed(tmp_path, monkeypatch, methods):
+    seeds = []
+    real = experiment.run_fedavg
+
+    def spy(clients, config, **kwargs):
+        seeds.append(config.seed)
+        return real(clients, config, **kwargs)
+
+    monkeypatch.setattr(experiment, "run_fedavg", spy)
+    monkeypatch.setattr(personalization, "run_fedavg", spy)
+    ini = tmp_path / "exp.ini"
+    ini.write_text(CONFIG_TEXT.replace(METHODS_LINE, f"methods = {methods}"))
+    experiment.run_experiment(load_config(ini), max_workers=1)
+    assert seeds == [1, 2]
 
 
 # `fedsln generate` and `fedsln featurize` of CONFIG_TEXT's first seed

@@ -39,7 +39,6 @@ from fedsln.personalization import (
     learn_ala_weights,
     perfedavg_hf_step,
     run_fedala,
-    run_fedavg_ft,
     run_perfedavg_hf,
 )
 from fedsln.rng import derive_rng
@@ -250,22 +249,6 @@ class TestFineTune:
         fine_tune(start, client, TrainConfig(learning_rate=0.5, batch_size=4))
         assert params_checksum(start) == fingerprint
 
-    def test_run_fedavg_ft_structure(self):
-        clients = toy_clients(3, seed=4)
-        fed = TrainConfig(learning_rate=0.05, batch_size=8, local_steps=4, global_rounds=2, seed=4)
-        ft = TrainConfig(learning_rate=0.01, batch_size=4, seed=4)
-        client_params, history = run_fedavg_ft(clients, fed, ft)
-        assert sorted(client_params) == [0, 1, 2]
-        assert len(history) == 2
-        # each client model is one fine-tuning pass from the final global
-        global_params, _ = run_fedavg(toy_clients(3, seed=4), fed)
-        for client in toy_clients(3, seed=4):
-            expected = fine_tune(global_params, client, ft)
-            assert params_checksum(client_params[client.client_id]) == params_checksum(expected)
-        # personalization diverges the clients from one another
-        sums = {params_checksum(p) for p in client_params.values()}
-        assert len(sums) == 3
-
 
 class TestPerFedAvg:
     def test_alpha_zero_equals_fedavg_ft_bitwise(self):
@@ -273,10 +256,13 @@ class TestPerFedAvg:
             learning_rate=0.05, batch_size=8, local_steps=6, global_rounds=3, seed=2, meta_inner=0.0
         )
         meta, meta_hist = run_perfedavg_hf(toy_clients(2, seed=2), cfg)
-        ft, ft_hist = run_fedavg_ft(toy_clients(2, seed=2), cfg, cfg)
+        # fedavg_ft: plain FedAvg rounds, then one fine-tune pass per client
+        global_params, fed_hist = run_fedavg(toy_clients(2, seed=2), cfg)
+        ft = {c.client_id: fine_tune(global_params, c, cfg) for c in toy_clients(2, seed=2)}
+        assert sorted(meta) == sorted(ft) == [0, 1]
         for cid in meta:
             assert params_checksum(meta[cid]) == params_checksum(ft[cid])
-        assert [r.checksum for r in meta_hist] == [r.checksum for r in ft_hist]
+        assert [r.checksum for r in meta_hist] == [r.checksum for r in fed_hist]
 
     def test_meta_learning_reduces_loss(self):
         clients = toy_clients(2, seed=11)
