@@ -42,12 +42,11 @@ import numpy as np
 
 from .analysis import (
     FairnessReport,
-    ShapleyExplanation,
     fairness_report,
     global_importance,
     make_predictor,
     rates_from_counts,
-    shapley_values,
+    shapley_values_batch,
     svg_bar_chart,
 )
 from .config import ExperimentConfig, SyntheticSpec, config_to_manifest
@@ -384,35 +383,39 @@ def _explain(
     outcome: MethodOutcome,
     seed: int,
 ) -> tuple[list[dict], dict[int, tuple[np.ndarray, tuple[int, ...]]]]:
+    """Shapley records of each classroom's sampled test pairs, and its importance.
+
+    A failure is a StageError tagged explain whose message starts
+    `seed S: classroom C: `.
+    """
     records: list[dict] = []
     importance: dict[int, tuple[np.ndarray, tuple[int, ...]]] = {}
     for d in datasets:
-        predictor = make_predictor(
-            outcome.models[d.client_id], outcome.standardizers[d.client_id]
-        )
-        bg_rng = derive_rng(seed, "explain", "background", d.client_id)
-        n_bg = min(cfg.explain.background_size, len(d.raw_train_x))
-        background = d.raw_train_x[bg_rng.choice(len(d.raw_train_x), n_bg, replace=False)]
-        pair_rng = derive_rng(seed, "explain", "pairs", d.client_id)
-        n_pairs = min(cfg.explain.pairs_per_client, len(d.test_examples))
-        chosen = sorted(pair_rng.choice(len(d.test_examples), n_pairs, replace=False).tolist())
-        explanations: list[ShapleyExplanation] = []
-        for i in chosen:
-            ex = d.test_examples[i]
-            expl = shapley_values(predictor, np.asarray(ex.features), background)
-            explanations.append(expl)
-            records.append(
-                {
-                    "client": d.client_id,
-                    "u": ex.u,
-                    "v": ex.v,
-                    "label": ex.label,
-                    "base_value": expl.base_value,
-                    "predicted": expl.predicted,
-                    "phi": {name: val for name, val in zip(FEATURE_NAMES, expl.phi)},
-                }
-            )
-        importance[d.client_id] = global_importance(explanations)
+        c = d.client_id
+        with _stage("explain", f"seed {seed}: classroom {c}: "):
+            predictor = make_predictor(outcome.models[c], outcome.standardizers[c])
+            bg_rng = derive_rng(seed, "explain", "background", c)
+            n_bg = min(cfg.explain.background_size, len(d.raw_train_x))
+            background = d.raw_train_x[bg_rng.choice(len(d.raw_train_x), n_bg, replace=False)]
+            pair_rng = derive_rng(seed, "explain", "pairs", c)
+            n_pairs = min(cfg.explain.pairs_per_client, len(d.test_examples))
+            chosen = np.sort(pair_rng.choice(len(d.test_examples), n_pairs, replace=False))
+            explanations = shapley_values_batch(predictor, d.raw_test_x[chosen], background)
+            pairs = d.test_examples.pairs[chosen].tolist()
+            labels = d.test_examples.labels[chosen].tolist()
+            for (u, v), label, expl in zip(pairs, labels, explanations):
+                records.append(
+                    {
+                        "client": c,
+                        "u": u,
+                        "v": v,
+                        "label": label,
+                        "base_value": expl.base_value,
+                        "predicted": expl.predicted,
+                        "phi": dict(zip(FEATURE_NAMES, expl.phi)),
+                    }
+                )
+            importance[c] = global_importance(explanations)
     return records, importance
 
 
@@ -443,10 +446,9 @@ def run_experiment(
                     max_workers=max_workers, fedavg=outcomes.get("fedavg"),
                 )
         if cfg.explain.enabled and seed == cfg.seeds[0]:
-            with _stage("explain"):
-                explanations, importance = _explain(
-                    cfg, datasets, outcomes[cfg.explain.method], seed
-                )
+            explanations, importance = _explain(
+                cfg, datasets, outcomes[cfg.explain.method], seed
+            )
         del datasets  # released before the next seed is built
         for method in cfg.methods:
             outcome = outcomes[method]

@@ -107,10 +107,8 @@ def compute_features(graph: SlnGraph, u: int, v: int) -> FeatureVector:
 
 # Pairs scored per sparse row product. It bounds the transient memory:
 # on the wide benchmark classrooms (degree about 25) a block's row
-# products take about 15 MB here and 29 MB at 1 << 14, and no more time.
-# 1 << 12 halves them again but slowed the later Shapley stage: with no
-# larger block freed first, glibc's heap-trim threshold stays low, and
-# each Shapley call faulted its temporaries in afresh.
+# products take about 15 MB here and 29 MB at 1 << 14, and no more time;
+# 1 << 12 would halve them again.
 _PAIR_BLOCK = 1 << 13
 
 

@@ -1,7 +1,8 @@
 """Fairness arithmetic and exact attributions.
 
-Shapley values are checked against closed-form linear attributions and
-an independent permutation-enumeration oracle; fairness spreads against
+Shapley values are checked against closed-form linear attributions, an
+independent permutation-enumeration oracle and the per-mask and
+per-instance forms the batched engine replaced; fairness spreads against
 published per-classroom rate tables.
 """
 
@@ -13,18 +14,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedsln.analysis import (
+    SHAPLEY_CHUNK,
     FairnessReport,
     ShapleyExplanation,
+    _shapley_weights,
     confusion_counts,
     fairness_report,
     global_importance,
     make_predictor,
     rates_from_counts,
     shapley_values,
+    shapley_values_batch,
     svg_bar_chart,
 )
 from fedsln.features import FEATURE_NAMES, Standardizer
-from fedsln.neural import forward, init_params
+from fedsln.neural import init_params
 from fedsln.rng import derive_rng
 
 # per-classroom (TPR, FPR) reference rows used in the fairness fixtures
@@ -118,6 +122,51 @@ def permutation_shapley(predict, x, background):
     return phi / len(perms)
 
 
+def per_instance_shapley(predict, x, background):
+    """The one-instance form shapley_values_batch replaced: the whole
+    2^n x background hybrid of x in one predict call."""
+    x = np.asarray(x, dtype=np.float64).reshape(-1)
+    bg = np.asarray(background, dtype=np.float64)
+    n = x.size
+    n_subsets = 1 << n
+    in_subset = ((np.arange(n_subsets)[:, None] >> np.arange(n)) & 1).astype(bool)
+    hybrid = np.where(in_subset[:, None, :], x, bg).reshape(-1, n)
+    out = np.asarray(predict(hybrid), dtype=np.float64).reshape(n_subsets, -1)
+    v = out.mean(axis=1)
+    without = np.nonzero(~in_subset.T)[1].reshape(n, n_subsets // 2)
+    with_f = without | (1 << np.arange(n))[:, None]
+    weights = _shapley_weights(n)[in_subset.sum(axis=1)[without]]
+    phi = (weights * (v[with_f] - v[without])).sum(axis=1)
+    return ShapleyExplanation(
+        base_value=float(v[0]),
+        phi=tuple(float(p) for p in phi),
+        predicted=float(v[n_subsets - 1]),
+    )
+
+
+def rowwise_predictor(params):
+    """The network scored with correctly rounded elementwise operations
+    only (softsign hidden units), so a row's score cannot depend on the
+    rows scored beside it."""
+
+    def predict(h):
+        a = np.asarray(h, dtype=np.float64)
+        layers = params.layers
+        for k, layer in enumerate(layers):
+            z = np.repeat(layer.biases[None, :], len(a), axis=0)
+            for f in range(a.shape[1]):
+                z += a[:, f : f + 1] * layer.weights[:, f]
+            a = z if k == len(layers) - 1 else z / (1.0 + np.abs(z))
+        return a[:, 0]
+
+    return predict
+
+
+def row_keys(rows):
+    """Each row's bytes, so 0.0 and -0.0 count as different rows."""
+    return [r.tobytes() for r in np.ascontiguousarray(rows, dtype=np.float64)]
+
+
 def loop_shapley(predict, x, background):
     """The per-mask loop shapley_values replaced: the hybrid built one
     background copy at a time, phi accumulated one subset at a time."""
@@ -159,22 +208,60 @@ class TestShapley:
     @given(n=st.integers(1, 8), rows=st.integers(1, 12), seed=st.integers(0, 2**16))
     def test_matches_loop_reference(self, n, rows, seed):
         rng = derive_rng(seed, "shap-loop")
-        params = init_params(rng, hidden=(5,), input_dim=n)
+        predict = rowwise_predictor(init_params(rng, hidden=(5,), input_dim=n))
         x = rng.normal(size=n)
-        bg = rng.normal(size=(rows, n))
-        hybrids = []
+        # repeated background rows and zeroed cells; x shares no value with
+        # them, so rows of different subsets never coincide
+        pool = rng.normal(size=(max(1, rows // 2), n))
+        bg = pool[rng.integers(0, len(pool), rows)]
+        bg[rng.random((rows, n)) < 0.4] = 0.0
+        calls, hybrids = [], []
 
-        def predict(h):
+        def spy(h):
+            calls.append(h.copy())
+            return predict(h)
+
+        def spy_ref(h):
             hybrids.append(h.copy())
-            return forward(params, h)
+            return predict(h)
 
-        got = shapley_values(predict, x, bg)
-        ref = loop_shapley(predict, x, bg)
-        assert hybrids[0].tobytes() == hybrids[1].tobytes()
+        got = shapley_values(spy, x, bg)
+        ref = loop_shapley(spy_ref, x, bg)
         assert got.base_value == ref.base_value and got.predicted == ref.predicted
         # the weighted differences are summed in another order
         err = float(np.max(np.abs(np.subtract(got.phi, ref.phi))))
         assert err <= 1e-12 * float(np.max(np.abs(ref.phi))), err
+
+        # every distinct hybrid row is scored once, in full-size calls, and
+        # the padding repeats rows already sent
+        assert all(c.shape == (SHAPLEY_CHUNK, n) for c in calls)
+        distinct = set(row_keys(hybrids[0]))
+        sent = row_keys(np.concatenate(calls))
+        assert len(calls) == -(-len(distinct) // SHAPLEY_CHUNK)
+        assert len(set(sent[: len(distinct)])) == len(distinct)
+        assert set(sent) == distinct
+
+    @settings(derandomize=True, deadline=None, max_examples=25)
+    @given(
+        n_pairs=st.integers(1, 70),
+        n_bg=st.integers(2, 120),
+        pool=st.integers(1, 40),
+        zeros=st.floats(0.0, 0.9),
+        hidden=st.sampled_from([(8,), (5,), (32, 16), (16, 8, 4)]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_batch_matches_per_instance_bitwise(self, n_pairs, n_bg, pool, zeros, hidden, seed):
+        rng = derive_rng(seed, "shap-batch")
+        params = init_params(rng, hidden=hidden, input_dim=6)
+        predict = make_predictor(params, Standardizer.fit(rng.normal(size=(50, 6)) * 2.0))
+        # few distinct rows of small counts, many exact zeros, some -0.0
+        rows = np.round(rng.exponential(2.0, size=(pool, 6)), 1)
+        rows[rng.random((pool, 6)) < zeros] = 0.0
+        rows[rng.random((pool, 6)) < 0.2] *= -1.0
+        xs = rows[rng.integers(0, pool, n_pairs)]
+        bg = rows[rng.integers(0, pool, n_bg)]
+        got = shapley_values_batch(predict, xs, bg)
+        assert got == [per_instance_shapley(predict, x, bg) for x in xs]
 
     def test_linear_model_closed_form(self):
         # phi_f = c_f * (x_f - mean(background_f)), exactly
@@ -250,6 +337,10 @@ class TestShapley:
             shapley_values(predict, np.ones(3), np.ones((5, 2)))
         with pytest.raises(ValueError):
             shapley_values(linear_predictor(np.ones(21)), np.ones(21), np.ones((2, 21)))
+        with pytest.raises(ValueError):
+            shapley_values_batch(predict, np.empty((0, 3)), np.ones((5, 3)))
+        with pytest.raises(ValueError):
+            shapley_values(lambda h: predict(h)[:-1], np.ones(3), np.ones((5, 3)))
 
 
 class TestGlobalImportance:

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fedsln.experiment as experiment
 from fedsln.cli import _parse_override, build_parser, main
 from fedsln.config import ConfigError
 from fedsln.neural import load_checkpoint
@@ -625,6 +626,33 @@ class TestErrors:
                 lines[0],
             ), lines[0]
             assert not (tmp_path / "out").exists()
+
+    def test_explain_failure_names_seed_and_classroom(
+        self, config_path, tmp_path, capsys, monkeypatch
+    ):
+        real = experiment.make_predictor
+        built = []
+
+        def failing(x):
+            raise RuntimeError("scoring failed")
+
+        def make_predictor(params, standardizer):
+            # classrooms are explained in order, so the second predictor is classroom 1's
+            built.append(standardizer)
+            return failing if len(built) == 2 else real(params, standardizer)
+
+        monkeypatch.setattr(experiment, "make_predictor", make_predictor)
+        code, stdout, err = run_cli(
+            capsys,
+            "explain", "--config", str(config_path), "--output-dir", str(tmp_path / "run"),
+            "--method", "fedavg",
+            "--set", "explain.pairs_per_client=2",
+            "--set", "explain.background_size=16",
+        )
+        assert code == 2
+        assert stdout == ""
+        assert err.splitlines() == ["fedsln: [explain] seed 1: classroom 1: scoring failed"]
+        assert not (tmp_path / "run").exists()
 
     def test_generate_needs_synthetic(self, config_path, tmp_path, capsys):
         code, _, stderr = run_cli(
