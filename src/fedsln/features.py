@@ -241,13 +241,16 @@ def to_arrays(
     return examples.features, examples.labels.astype(np.float64)
 
 
-def examples_to_csv(examples: Sequence[PairExample]) -> str:
-    """CSV with columns u,v,<six features>,label; repr-precision floats."""
-    header = "u,v," + ",".join(FEATURE_NAMES) + ",label"
-    lines = [header]
-    for ex in examples:
-        feats = ",".join(repr(f) for f in ex.features)
-        lines.append(f"{ex.u},{ex.v},{feats},{ex.label}")
+def examples_to_csv(examples: PairExamples) -> str:
+    """CSV with columns u,v,<six features>,label; repr-precision floats.
+
+    Reads the container's pairs, features and labels arrays row by row.
+    """
+    lines = ["u,v," + ",".join(FEATURE_NAMES) + ",label"]
+    rows = zip(examples.pairs.tolist(), examples.features.tolist(), examples.labels.tolist())
+    for (u, v), features, label in rows:
+        feats = ",".join(map(repr, features))
+        lines.append(f"{u},{v},{feats},{label}")
     return "\n".join(lines) + "\n"
 
 

@@ -12,19 +12,22 @@ synchronize and local_round; the personalization methods pass their
 own sync or local step (see personalization.py).
 
 max_workers is the number of client shards. The clients are dealt
-round-robin into k = min(max_workers, len(clients)) shards. Shard 0 runs
-in the calling process; shards 1..k-1 each run in one child process,
-forked when run_fedavg starts, which keeps its clients' data, streams,
-generators, models and blend weights for the whole call. Each round the
-parent sends the global model to every child, and each child runs sync
-and local on its clients and sends back their local models and flags.
-When the rounds are done each child sends back its clients' mutable
-state, so the parent's ClientState objects end as a serial run leaves
-them; a hook's other side effects stay in the process that ran it. An
-exception in a child is re-raised in the parent; every child is joined
-before run_fedavg returns or raises, and a child whose parent has gone
-sees end-of-file on its pipe and exits. Where the fork start method is
-missing, k is 1. Results do not depend on k: every client draws only
+round-robin into k = min(max_workers, len(clients)) shards. The library
+default, None, is one shard. The CLI's default is one shard per client
+wherever more than one CPU is usable, and the OS spreads the shards over
+the CPUs: five clients dealt into two shards on two cores leave one core
+idle a third of every round. Shard 0 runs in the calling process;
+shards 1..k-1 each run in one child process, forked when run_fedavg
+starts, which keeps its clients' data, streams, generators, models and
+blend weights for the whole call. Each round the parent sends the global
+model to every child, and each child runs sync and local on its clients
+and sends back their local models and flags. When the rounds are done
+each child sends back its clients' mutable state, so the parent's
+ClientState objects end as a serial run leaves them; a hook's other
+side effects stay in the process that ran it. An exception in a child is
+re-raised in the parent; every child is joined before run_fedavg returns
+or raises, and a child whose parent has gone sees end-of-file on its
+pipe and exits. Where the fork start method is missing, k is 1. Results do not depend on k: every client draws only
 from its own streams, the aggregate is taken in client order, and
 OpenBLAS runs on one thread during the rounds (see _one_blas_thread).
 """
@@ -349,13 +352,15 @@ def _openblas_thread_functions():
 def _one_blas_thread():
     """Hold OpenBLAS to one thread for the rounds; forked shards inherit it.
 
-    The shards already occupy the CPUs, and the BLAS threads of several
-    processes on the same cores wait for each other (desk fedala, two
-    shards on two cores: 3.4 s serially, 7.0 s with two BLAS threads per
-    process). The thread count also changes the last bits of the large
-    products in the ALA weight learner, so holding it at one in every run
-    keeps the bytes equal for any max_workers and any OPENBLAS_NUM_THREADS.
-    Another BLAS, or one that cannot be found, is left as it is.
+    The shards already occupy the CPUs (by default the CLI runs one per
+    classroom, more shards than cores on a small host), and the BLAS
+    threads of several processes on the same cores wait for each other
+    (desk fedala, two shards on two cores: 3.4 s serially, 7.0 s with two
+    BLAS threads per process). The thread count also changes the last
+    bits of the large products in the ALA weight learner, so holding it at
+    one in every run keeps the bytes equal for any max_workers and any
+    OPENBLAS_NUM_THREADS. Another BLAS, or one that cannot be found, is
+    left as it is.
     """
     functions = _openblas_thread_functions()
     if functions is None:

@@ -14,7 +14,8 @@ holds the top layers).
 
 Hidden units take softplus in one fused, in-place form: e = exp(-|z|),
 then max(z, 0) + log1p(e). `gradient` also takes the derivative, the
-sigmoid, from the same e: 1/(1+e) for z >= 0 and e/(1+e) for z < 0.
+sigmoid, from the same e: max(e, z >= 0) / (1+e), which is 1/(1+e) for
+z >= 0 and e/(1+e) for z < 0 without a select.
 `forward`, and so `mean_loss` and Shapley attribution, run the same
 kernel (as `_activations`, which the ALA learner also calls for the
 layers below its blend), so its hidden activations equal those of
@@ -252,10 +253,12 @@ def _softplus_sigmoid(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """softplus(z), written over z, and its derivative sigmoid(z).
 
     Both come from one e = exp(-|z|): sigmoid is 1/(1+e) for z >= 0 and
-    e/(1+e) below, softplus is _softplus's.
+    e/(1+e) below, softplus is _softplus's. The numerator is the
+    branch-free max(e, z >= 0): e lies in [0, 1], so it is 1 where
+    z >= 0 (-0.0 included) and e below, and a NaN z keeps its NaN.
     """
     e = _exp_neg_abs(z)
-    sig = np.where(z < 0.0, e, 1.0)
+    sig = np.maximum(e, z >= 0.0)
     sig /= e + 1.0
     return _softplus(z, e), sig
 

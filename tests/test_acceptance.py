@@ -504,6 +504,7 @@ def desk_benchmark():
     t0 = time.perf_counter()
     means: dict[str, list[float]] = {m: [] for m in cfg.methods}
     ks_min = 1.0
+    workers = default_max_workers(cfg.n_clients)
     for seed in cfg.seeds:
         datasets = build_client_datasets(cfg, seed)
         for i, j in combinations(range(len(datasets)), 2):
@@ -512,7 +513,7 @@ def desk_benchmark():
                 ks_statistic(datasets[i].raw_train_x[:, ra], datasets[j].raw_train_x[:, ra]),
             )
         for method in cfg.methods:
-            out = run_method(method, datasets, cfg, seed, max_workers=default_max_workers())
+            out = run_method(method, datasets, cfg, seed, max_workers=workers)
             accs = [out.reports[c].accuracy for c in sorted(out.reports)]
             means[method].append(float(np.mean(accs)))
     return {

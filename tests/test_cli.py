@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import os
 import re
 import tempfile
 from pathlib import Path
@@ -12,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fedsln.experiment as experiment
-from fedsln.cli import _parse_override, build_parser, main
+import fedsln.federation as federation
+from fedsln.cli import SHARDS_PER_CPU, _parse_override, build_parser, default_max_workers, main
 from fedsln.config import ConfigError
 from fedsln.neural import load_checkpoint
 
@@ -207,6 +209,67 @@ class TestParsing:
             build_parser().parse_args(["train"])
 
 
+THREE_CLASSROOMS = (
+    "--set", "data.nodes=40,50,45",
+    "--set", "data.communities=2,3,2",
+    "--set", "data.intra_p=0.4,0.35,0.4",
+    "--set", "data.inter_p=0.06,0.04,0.05",
+)
+
+
+def set_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
+def spy_shard_counts(monkeypatch):
+    """The shard count of every run_fedavg call, read where its pool starts."""
+    counts = []
+    real = federation._ShardPool
+
+    class Spy(real):
+        def __init__(self, shards, *args):
+            counts.append(len(shards) + 1)  # shard 0 trains in the calling process
+            super().__init__(shards, *args)
+
+    monkeypatch.setattr(federation, "_ShardPool", Spy)
+    return counts
+
+
+def output_bytes(out_dir):
+    """Every emitted file but the manifest, which records its own output_dir."""
+    return {
+        path.relative_to(out_dir).as_posix(): path.read_bytes()
+        for path in sorted(out_dir.rglob("*"))
+        if path.is_file() and path.name != "run_manifest.json"
+    }
+
+
+class TestDefaultMaxWorkers:
+    @pytest.mark.parametrize(
+        "cpus, classrooms, want",
+        [
+            (1, 1, 1),
+            (1, 5, 1),
+            (2, 1, 1),
+            (2, 3, 3),
+            (2, 5, 5),
+            (2, 2 * SHARDS_PER_CPU, 2 * SHARDS_PER_CPU),
+            (2, 2 * SHARDS_PER_CPU + 1, 2 * SHARDS_PER_CPU),
+            (2, 10_000, 2 * SHARDS_PER_CPU),
+            (64, 10_000, 64 * SHARDS_PER_CPU),
+        ],
+    )
+    def test_one_shard_per_classroom_capped_per_cpu(self, monkeypatch, cpus, classrooms, want):
+        set_cpus(monkeypatch, cpus)
+        assert default_max_workers(classrooms) == want
+
+    @pytest.mark.parametrize("cpu_count, want", [(None, 1), (1, 1), (3, 5)])
+    def test_cpu_count_without_affinity(self, monkeypatch, cpu_count, want):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+        assert default_max_workers(5) == want
+
+
 class TestTrain:
     def test_train_writes_reports(self, config_path, tmp_path, capsys):
         out = tmp_path / "run"
@@ -287,6 +350,22 @@ class TestTrain:
         )
         assert code == 0
         assert (seq / "metrics.csv").read_bytes() == (par / "metrics.csv").read_bytes()
+
+    def test_default_runs_one_shard_per_classroom(
+        self, config_path, tmp_path, capsys, monkeypatch
+    ):
+        set_cpus(monkeypatch, 2)
+        shards = spy_shard_counts(monkeypatch)
+        default, serial = tmp_path / "default", tmp_path / "serial"
+        for out, flag in ((default, []), (serial, ["--max-workers", "1"])):
+            code, _, _ = run_cli(
+                capsys,
+                "train", "--config", str(config_path), "--output-dir", str(out),
+                "--methods", "fedavg,fedala", *THREE_CLASSROOMS, *flag,
+            )
+            assert code == 0
+        assert shards == [3, 3, 1, 1]
+        assert output_bytes(default) == output_bytes(serial)
 
     def test_one_classroom_checkpoint_layout(self, config_path, tmp_path, capsys):
         # a shared model embeds a standardizer only when it was trained on

@@ -16,6 +16,7 @@ from fedsln.features import (
     FEATURE_NAMES,
     FeatureVector,
     PairExample,
+    PairExamples,
     StandardizedRows,
     Standardizer,
     build_examples,
@@ -175,12 +176,17 @@ class TestBuildExamples:
         assert x.shape == (0, 6) and y.shape == (0,)
 
     def test_examples_to_csv(self):
-        ex = PairExample(0, 3, compute_features(G4, 0, 3), 0)
-        text = examples_to_csv([ex])
+        hand = [
+            PairExample(0, 3, compute_features(G4, 0, 3), 0),
+            PairExample(2, 5, FeatureVector(0.1, 2.5e-300, 7.0, 1e12, 0.75, -0.0), 1),
+        ]
+        text = examples_to_csv(PairExamples.from_examples(hand))
         lines = text.splitlines()
         assert lines[0] == "u,v," + ",".join(FEATURE_NAMES) + ",label"
         assert lines[1].startswith("0,3,0.5,")
         assert lines[1].endswith(",0")
+        assert lines[2] == "2,5,0.1,2.5e-300,7.0,1000000000000.0,0.75,-0.0,1"
+        assert examples_to_csv(PairExamples.from_examples([])) == lines[0] + "\n"
 
 
 class TestStandardizer:

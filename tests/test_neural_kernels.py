@@ -1,9 +1,10 @@
 """The fused softplus/sigmoid kernel and the flat-buffer gradient against
 the slow references they replaced.
 
-The references are np.logaddexp(0, z) for softplus, scipy's expit for the
-sigmoid, and a per-layer forward/backward pass that keeps one
-(weights, biases) pair of arrays per layer. Draws come from hypothesis
+The references are np.logaddexp(0, z) for softplus; scipy's expit, and
+the np.where select the kernel replaced, for the sigmoid; and a
+per-layer forward/backward pass that keeps one (weights, biases) pair of
+arrays per layer. Draws come from hypothesis
 and are derandomized, so every run checks the same examples.
 
 The two softplus paths are pinned bit for bit: `forward` runs the fused
@@ -58,6 +59,29 @@ def test_fused_sigmoid_matches_expit(z):
     # subnormal below z = -708; the absolute slack covers only that range
     np.testing.assert_allclose(sig, expit(z), rtol=1e-12, atol=TINY)
     assert np.all((sig >= 0.0) & (sig <= 1.0))
+
+
+def select_sigmoid(z):
+    """The sigmoid in the np.where form the branch-free select replaced."""
+    e = np.exp(-np.abs(z))
+    sig = np.where(z < 0.0, e, 1.0)
+    sig /= e + 1.0
+    return sig
+
+
+@CHECKED
+@given(z_arrays)
+def test_fused_sigmoid_matches_select_bitwise(z):
+    _, sig = _softplus_sigmoid(z.copy())
+    want = select_sigmoid(z)
+    assert sig.dtype == want.dtype and sig.tobytes() == want.tobytes()
+
+
+def test_fused_sigmoid_keeps_nan():
+    z = np.array([np.nan, -np.nan, 0.0, -1.0, 1.0])
+    _, sig = _softplus_sigmoid(z.copy())
+    assert np.isnan(sig[:2]).all() and np.isnan(select_sigmoid(z)[:2]).all()
+    assert sig[2:].tobytes() == select_sigmoid(z)[2:].tobytes()
 
 
 def reference_forward_backward(params, x, y):
