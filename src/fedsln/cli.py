@@ -158,11 +158,10 @@ def main(argv: list[str] | None = None) -> int:
                 workers = default_max_workers(cfg.n_clients)
             elif workers < 1:
                 raise ConfigError("--max-workers must be at least 1")
-            if args.command in ("explain", "report"):
-                explain_kwargs = {"enabled": True}
-                if getattr(args, "method", None):
-                    explain_kwargs["method"] = args.method
-                cfg = replace(cfg, explain=replace(cfg.explain, **explain_kwargs))
+            # only the subcommands that write Shapley reports compute them
+            enabled = "explain" in _EMIT_GROUPS[args.command]
+            method = getattr(args, "method", None) or cfg.explain.method
+            cfg = replace(cfg, explain=replace(cfg.explain, enabled=enabled, method=method))
             report = run_experiment(cfg, max_workers=workers)
             paths = emit_reports(report, include=_EMIT_GROUPS[args.command])
             for line in _metric_lines(report):

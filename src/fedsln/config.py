@@ -10,19 +10,20 @@ Grammar: INI-style sections of ``key = value`` lines, ``#`` comments.
                    edge_lists: paths (comma list of files)
     [split]        removal_fraction, train_fraction, negatives_per_positive
     [explain]      enabled, method, pairs_per_client, background_size
-    [<method>]     per-method hyperparameter overrides
+    [<method>]     the hyperparameters that method reads
 
 The option dataclasses are the one schema: a section's keys, types and
 defaults are the fields of ExperimentConfig, the data source's spec,
-SplitOptions, ExplainOptions or TrainConfig (method sections, with the
-per-method defaults of _METHOD_DEFAULTS). One parser reads INI text,
---set text and typed manifest values alike. The fedavg_ft section
-configures only the one-epoch fine-tuning pass, which reads its
-learning_rate and batch_size alone; the model it fine-tunes is the one
-[fedavg] trains. Methods and seeds must be unique. A resolved configuration
-round-trips through run_manifest.json, and load_config accepts either
-format (.json is a manifest). Every problem raises ConfigError, which the
-CLI prints as one ``fedsln: [config] message`` line.
+SplitOptions, ExplainOptions or TrainConfig. A method section takes only
+the TrainConfig fields its method reads, the keys of its _METHOD_DEFAULTS
+entry, and the manifest records exactly those. The fedavg_ft section
+configures only the one-epoch fine-tuning pass, so it takes learning_rate
+and batch_size alone; the model it fine-tunes is the one [fedavg] trains.
+One parser reads INI text, --set text and typed manifest values alike.
+Methods and seeds must be unique. A resolved configuration round-trips
+through run_manifest.json, and load_config accepts either format (.json
+is a manifest). Every problem raises ConfigError, which the CLI prints as
+one ``fedsln: [config] message`` line.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import configparser
 import json
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
-from typing import Any, get_args, get_origin, get_type_hints
+from typing import Any, Collection, get_args, get_origin, get_type_hints
 
 from .neural import DEFAULT_HIDDEN, TrainConfig
 
@@ -52,34 +53,23 @@ __all__ = [
 
 METHOD_NAMES = ("centralized", "fedavg", "fedavg_ft", "perfedavg_hf", "fedala")
 
-# Default hyperparameters per training regime.
+# Each method section's keys: every TrainConfig field its method reads, with
+# the method's default (meta_inner and meta_outer of None are learning_rate).
 _METHOD_DEFAULTS: dict[str, dict[str, Any]] = {
-    "centralized": {"learning_rate": 1e-3, "epochs": 200, "batch_size": 256},
-    "fedavg": {
-        "learning_rate": 1e-3,
-        "global_rounds": 30,
-        "local_steps": 200,
-        "batch_size": 256,
-    },
+    "centralized": {"learning_rate": 1e-3, "batch_size": 256, "epochs": 200},
+    "fedavg": {"learning_rate": 1e-3, "batch_size": 256, "global_rounds": 30, "local_steps": 200},
+    # the fine-tuning pass is always one epoch
     "fedavg_ft": {"learning_rate": 1e-4, "batch_size": 64},
     "perfedavg_hf": {
-        "learning_rate": 1e-2,
-        "batch_size": 256,
-        "local_steps": 350,
-        "global_rounds": 15,
+        "learning_rate": 1e-2, "batch_size": 256, "global_rounds": 15, "local_steps": 350,
+        "meta_inner": None, "meta_outer": None, "hf_delta": 1e-3,
     },
     "fedala": {
-        "learning_rate": 1e-2,
-        "global_rounds": 30,
-        "local_steps": 100,
-        "batch_size": 128,
-        "ala_top_layers": 2,
-        "ala_data_fraction": 80.0,
+        "learning_rate": 1e-2, "batch_size": 128, "global_rounds": 30, "local_steps": 100,
+        "ala_top_layers": 2, "ala_data_fraction": 80.0, "ala_weight_lr": 1.0,
+        "ala_convergence_tol": 1e-3, "ala_window": 10, "ala_update_cap": 50,
     },
 }
-
-# TrainConfig fields each run binds itself; method sections leave them out.
-_RUN_BOUND = ("seed", "hidden_sizes")
 
 # The ExperimentConfig fields that [experiment] and [model] hold.
 _TOP_SECTIONS = {"experiment": ("methods", "seeds", "output_dir"), "model": ("hidden_sizes",)}
@@ -229,14 +219,16 @@ def _parse(value: Any, hint: Any, context: str) -> Any:
     raise ConfigError(f"{context}: cannot parse {value!r} as {hint.__name__}")
 
 
-def _options(cls: type, section: dict, name: str, skip: tuple[str, ...] = ()) -> dict[str, Any]:
+def _options(
+    cls: type, section: dict, name: str, keys: Collection[str] | None = None
+) -> dict[str, Any]:
     """Keyword arguments for dataclass `cls` from one section.
 
-    Its keys must be fields of `cls` outside `skip`, and every such field
-    without a default must be given.
+    Its keys must be fields of `cls` (those named in `keys`, if given), and
+    every such field without a default must be given.
     """
     hints = get_type_hints(cls)
-    allowed = [f for f in fields(cls) if f.name not in skip]
+    allowed = [f for f in fields(cls) if keys is None or f.name in keys]
     unknown = set(section) - {f.name for f in allowed}
     if unknown:
         raise ConfigError(f"unknown keys in [{name}]: {sorted(unknown)}")
@@ -266,8 +258,7 @@ def build_experiment_config(raw: dict[str, dict[str, Any]]) -> ExperimentConfig:
 
     top: dict[str, Any] = {}
     for name, keys in _TOP_SECTIONS.items():
-        skip = tuple(f.name for f in fields(ExperimentConfig) if f.name not in keys)
-        top.update(_options(ExperimentConfig, raw.get(name, {}), name, skip))
+        top.update(_options(ExperimentConfig, raw.get(name, {}), name, keys))
     hidden = top.get("hidden_sizes", DEFAULT_HIDDEN)
 
     data = dict(raw.get("data", {}))
@@ -278,9 +269,8 @@ def build_experiment_config(raw: dict[str, dict[str, Any]]) -> ExperimentConfig:
     spec = spec_cls(**_options(spec_cls, data, "data"))
 
     train: dict[str, TrainConfig] = {}
-    for method in METHOD_NAMES:
-        values = _options(TrainConfig, raw.get(method, {}), method, skip=_RUN_BOUND)
-        values = {**_METHOD_DEFAULTS[method], **values}
+    for method, defaults in _METHOD_DEFAULTS.items():
+        values = {**defaults, **_options(TrainConfig, raw.get(method, {}), method, defaults)}
         try:
             train[method] = TrainConfig(hidden_sizes=hidden, **values)
         except ValueError as exc:
@@ -335,8 +325,8 @@ def config_to_manifest(cfg: ExperimentConfig) -> dict[str, Any]:
         "split": asdict(cfg.split),
         "explain": asdict(cfg.explain),
         **{
-            method: {k: v for k, v in asdict(cfg.train[method]).items() if k not in _RUN_BOUND}
-            for method in METHOD_NAMES
+            method: {k: getattr(cfg.train[method], k) for k in keys}
+            for method, keys in _METHOD_DEFAULTS.items()
         },
     }
 

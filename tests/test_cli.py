@@ -420,6 +420,34 @@ class TestOtherCommands:
         assert (out / "importance_client1.svg").exists()
         assert not (out / "metrics.csv").exists()
 
+    @pytest.mark.parametrize(
+        "command, calls", [("train", 0), ("fairness", 0), ("explain", 1), ("report", 1)]
+    )
+    def test_only_the_subcommands_that_write_shapley_reports_explain(
+        self, config_path, tmp_path, capsys, monkeypatch, command, calls
+    ):
+        seen = []
+        real = experiment._explain
+
+        def spy(*args, **kwargs):
+            seen.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(experiment, "_explain", spy)
+        out = tmp_path / "run"
+        code, _, _ = run_cli(
+            capsys,
+            command, "--config", str(config_path), "--output-dir", str(out),
+            "--set", "explain.enabled=true",
+            "--set", "explain.method=fedavg",
+            "--set", "explain.pairs_per_client=2",
+            "--set", "explain.background_size=16",
+        )
+        assert code == 0
+        assert len(seen) == calls
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert manifest["explain"]["enabled"] is (calls == 1)
+
     def test_explain_method_not_selected_fails(self, config_path, tmp_path, capsys):
         code, _, stderr = run_cli(
             capsys,
@@ -486,6 +514,11 @@ class TestWarnings:
     def test_batch_larger_than_train_split_is_reported(
         self, config_path, tmp_path, capsys, method
     ):
+        # centralized and fedavg_ft read no round counts: CONFIG_TEXT's
+        # [centralized] epochs and [fedavg] rounds keep them short
+        rounds = [] if method in ("centralized", "fedavg_ft") else [
+            "--set", f"{method}.global_rounds=1", "--set", f"{method}.local_steps=2"
+        ]
         code, _, err = run_cli(
             capsys,
             "train",
@@ -497,10 +530,7 @@ class TestWarnings:
             method,
             "--set",
             f"{method}.batch_size=100000",
-            "--set",
-            f"{method}.global_rounds=1",
-            "--set",
-            f"{method}.local_steps=2",
+            *rounds,
         )
         assert code == 0
         assert err.splitlines() == [f"warning: {method}: batch_size_clamped"]
@@ -533,6 +563,23 @@ class TestErrors:
         )
         assert code == 2
         assert "unknown config sections" in stderr
+
+    @pytest.mark.parametrize(
+        "setting", ["centralized.local_steps=10", "fedavg_ft.epochs=5", "fedavg.hf_delta=0.1"]
+    )
+    def test_a_key_the_method_does_not_read_is_one_config_line(
+        self, config_path, tmp_path, capsys, setting
+    ):
+        code, out, stderr = run_cli(
+            capsys,
+            "train", "--config", str(config_path),
+            "--output-dir", str(tmp_path / "run"),
+            "--set", setting,
+        )
+        section, key = setting.split("=")[0].split(".")
+        assert code == 2
+        assert out == ""
+        assert stderr.splitlines() == [f"fedsln: [config] unknown keys in [{section}]: ['{key}']"]
 
     def test_config_errors_carry_the_stage_tag(self, config_path, tmp_path, capsys):
         code, _, stderr = run_cli(

@@ -1,5 +1,7 @@
 """Config grammar: parsing, defaults, validation, manifest round-trip."""
 
+import functools
+import hashlib
 import json
 from dataclasses import fields
 
@@ -21,7 +23,20 @@ from fedsln.config import (
     manifest_to_config,
     read_raw_sections,
 )
+from fedsln.experiment import run_experiment
 from fedsln.neural import TrainConfig
+
+# the TrainConfig fields each method reads, and so the keys its section takes
+METHOD_KEYS = {
+    "centralized": ["learning_rate", "batch_size", "epochs"],
+    "fedavg": ["learning_rate", "batch_size", "global_rounds", "local_steps"],
+    "fedavg_ft": ["learning_rate", "batch_size"],
+    "perfedavg_hf": ["learning_rate", "batch_size", "global_rounds", "local_steps",
+                     "meta_inner", "meta_outer", "hf_delta"],
+    "fedala": ["learning_rate", "batch_size", "global_rounds", "local_steps",
+               "ala_top_layers", "ala_data_fraction", "ala_weight_lr",
+               "ala_convergence_tol", "ala_window", "ala_update_cap"],
+}
 
 SYNTH = {
     "source": "synthetic",
@@ -229,7 +244,8 @@ class TestValues:
         text = build_experiment_config(
             minimal_raw(
                 explain={"enabled": "yes", "pairs_per_client": "3"},
-                perfedavg_hf={"meta_inner": "0.5", "ala_data_fraction": "40"},
+                perfedavg_hf={"meta_inner": "0.5"},
+                fedala={"ala_data_fraction": "40"},
             )
         )
         typed = build_experiment_config(
@@ -237,12 +253,13 @@ class TestValues:
                 "data": {"nodes": [40, 50], "communities": [2, 3],
                          "intra_p": [0.4, 0.3], "inter_p": [0.05, 0.02]},
                 "explain": {"enabled": True, "pairs_per_client": 3},
-                "perfedavg_hf": {"meta_inner": 0.5, "ala_data_fraction": 40},
+                "perfedavg_hf": {"meta_inner": 0.5},
+                "fedala": {"ala_data_fraction": 40},
             }
         )
         assert text == typed
         assert typed.train["perfedavg_hf"].meta_inner == 0.5
-        assert typed.train["perfedavg_hf"].ala_data_fraction == 40.0
+        assert typed.train["fedala"].ala_data_fraction == 40.0
 
     @pytest.mark.parametrize(
         "section, key, value",
@@ -272,6 +289,90 @@ class TestValues:
             build_experiment_config(minimal_raw(fedala={"seed": "3"}))
 
 
+class TestMethodSchema:
+    """A method section takes exactly the keys its method reads."""
+
+    @pytest.mark.parametrize(
+        "method, key",
+        [(m, f.name) for m in METHOD_NAMES for f in fields(TrainConfig)
+         if f.name not in METHOD_KEYS[m]],
+    )
+    def test_a_key_the_method_does_not_read_is_unknown(self, method, key):
+        with pytest.raises(ConfigError, match=rf"unknown keys in \[{method}\]: \['{key}'\]"):
+            build_experiment_config(minimal_raw(**{method: {key: "1"}}))
+
+    def test_manifest_records_exactly_the_keys_read(self):
+        manifest = config_to_manifest(build_experiment_config(minimal_raw()))
+        assert {m: sorted(manifest[m]) for m in METHOD_NAMES} == {
+            m: sorted(keys) for m, keys in METHOD_KEYS.items()
+        }
+
+    def test_a_manifest_naming_an_unread_key_is_refused(self):
+        manifest = config_to_manifest(build_experiment_config(minimal_raw()))
+        manifest["fedavg_ft"]["epochs"] = 200
+        with pytest.raises(ConfigError, match=r"unknown keys in \[fedavg_ft\]: \['epochs'\]"):
+            manifest_to_config(manifest)
+        del manifest["fedavg_ft"]["epochs"]
+        assert manifest_to_config(manifest) == build_experiment_config(minimal_raw())
+
+
+# Two small classrooms and a few steps of each method: about 10 ms a run.
+TINY = {
+    "model": {"hidden_sizes": "4"},
+    "data": {"nodes": "30,36", "communities": "2,3",
+             "intra_p": "0.4,0.35", "inter_p": "0.06,0.04"},
+    "split": {"negatives_per_positive": "2.0"},
+    "centralized": {"epochs": "2", "batch_size": "32"},
+    "fedavg": {"global_rounds": "2", "local_steps": "3", "batch_size": "32"},
+    "fedavg_ft": {"batch_size": "16"},
+    "perfedavg_hf": {"global_rounds": "2", "local_steps": "3", "batch_size": "32"},
+    "fedala": {"global_rounds": "2", "local_steps": "3", "batch_size": "32"},
+}
+# A value off TINY's (or the method's default) for every key. The first full
+# loss window of the ALA learner already varies by less than the default
+# tolerance, so a larger tolerance changes nothing; one no window meets does.
+OFF_DEFAULT = {
+    "learning_rate": "0.5",
+    "batch_size": "8",
+    "epochs": "3",
+    "global_rounds": "3",
+    "local_steps": "4",
+    "meta_inner": "0.5",
+    "meta_outer": "0.5",
+    "hf_delta": "0.5",
+    "ala_top_layers": "1",
+    "ala_data_fraction": "50",
+    "ala_weight_lr": "0.1",
+    "ala_convergence_tol": "1e-12",
+    "ala_window": "2",
+    "ala_update_cap": "1",
+}
+
+
+@functools.lru_cache(maxsize=None)
+def tiny_run_digests(method, key=None):
+    """SHA-256 of a TINY run's metrics and of its checkpoints and blend files."""
+    raw = {name: dict(section) for name, section in TINY.items()}
+    raw["experiment"] = {"methods": method}
+    if key is not None:
+        raw[method][key] = OFF_DEFAULT[key]
+    report = run_experiment(build_experiment_config(raw), max_workers=1)
+    models = hashlib.sha256()
+    for name, params, _ in report.checkpoints:
+        models.update(name.encode() + params.flat.tobytes())
+    for name, text in report.extra_files:
+        models.update(name.encode() + text.encode())
+    return hashlib.sha256(repr(report.metrics).encode()).hexdigest(), models.hexdigest()
+
+
+@pytest.mark.parametrize("method, key", [(m, k) for m, keys in METHOD_KEYS.items() for k in keys])
+def test_every_key_a_method_takes_changes_its_run(method, key):
+    metrics, models = tiny_run_digests(method, key)
+    base_metrics, base_models = tiny_run_digests(method)
+    assert metrics != base_metrics
+    assert models != base_models
+
+
 # every key each section accepts, plus one it does not
 SECTION_KEYS = {
     "experiment": ["methods", "seeds", "output_dir"],
@@ -279,7 +380,7 @@ SECTION_KEYS = {
     "data": ["source", "nodes", "communities", "intra_p", "inter_p", "paths"],
     "split": [f.name for f in fields(SplitOptions)],
     "explain": [f.name for f in fields(ExplainOptions)],
-    **{m: [f.name for f in fields(TrainConfig)] for m in METHOD_NAMES},
+    **METHOD_KEYS,
 }
 TEXTS = st.sampled_from(
     ["", " ", "0", "1", "-1", "0.5", "1e400", "nan", "yes", "off", "1,2", "3, 3", ",",
@@ -318,25 +419,28 @@ def test_drawn_sections_give_a_config_or_a_config_error(raw):
 
 
 FRACTIONS = st.floats(0.0, 1.0)
-TRAIN_OVERRIDES = st.fixed_dictionaries(
-    {},
-    optional={
-        "learning_rate": st.floats(0.0, 10.0),
-        "batch_size": st.integers(1, 512),
-        "local_steps": st.integers(0, 1000),
-        "global_rounds": st.integers(0, 100),
-        "epochs": st.integers(0, 500),
-        "meta_inner": st.none() | st.floats(0.0, 1.0),
-        "meta_outer": st.none() | st.floats(0.0, 1.0),
-        "hf_delta": st.floats(1e-9, 1.0),
-        "ala_top_layers": st.integers(1, 4),
-        "ala_data_fraction": st.floats(0.0, 100.0, exclude_min=True),
-        "ala_weight_lr": st.floats(0.0, 10.0),
-        "ala_convergence_tol": st.floats(0.0, 1.0),
-        "ala_window": st.integers(1, 50),
-        "ala_update_cap": st.integers(1, 500),
-    },
-)
+TRAIN_VALUES = {
+    "learning_rate": st.floats(0.0, 10.0),
+    "batch_size": st.integers(1, 512),
+    "local_steps": st.integers(0, 1000),
+    "global_rounds": st.integers(0, 100),
+    "epochs": st.integers(0, 500),
+    "meta_inner": st.none() | st.floats(0.0, 1.0),
+    "meta_outer": st.none() | st.floats(0.0, 1.0),
+    "hf_delta": st.floats(1e-9, 1.0),
+    "ala_top_layers": st.integers(1, 4),
+    "ala_data_fraction": st.floats(0.0, 100.0, exclude_min=True),
+    "ala_weight_lr": st.floats(0.0, 10.0),
+    "ala_convergence_tol": st.floats(0.0, 1.0),
+    "ala_window": st.integers(1, 50),
+    "ala_update_cap": st.integers(1, 500),
+}
+
+
+def train_overrides(method):
+    """Values for the keys `method` reads; a manifest records no others."""
+    keys = METHOD_KEYS[method]
+    return st.fixed_dictionaries({}, optional={k: TRAIN_VALUES[k] for k in keys})
 
 
 @st.composite
@@ -372,7 +476,7 @@ def drawn_configs(draw):
             pairs_per_client=draw(st.integers(1, 1000)),
             background_size=draw(st.integers(1, 1000)),
         ),
-        train={m: TrainConfig(hidden_sizes=hidden, **draw(TRAIN_OVERRIDES)) for m in overridden},
+        train={m: TrainConfig(hidden_sizes=hidden, **draw(train_overrides(m))) for m in overridden},
     )
 
 

@@ -219,8 +219,8 @@ def test_exported_bytes_match_frozen_digests(tmp_path, capsys):
 
 # run_manifest.json text, as emit_reports writes it, of each shipped desk config
 FROZEN_MANIFEST_SHA256 = {
-    "bench/configs/desk.ini": "97225b92ed1de23a4b7524f2f3de0b9aa2f0f796a8009d3b5348eb9ef1b53095",
-    "configs/desk_benchmark.ini": "2f1191f5726ae11c99a5e5fe37e062272fd28c6093e7274dc2566818a8069ece",
+    "bench/configs/desk.ini": "074aba6bbb236adce7ea1a5e20c5530f73f77942bf91e86db42a83c479f6aae0",
+    "configs/desk_benchmark.ini": "25a14419e0151985f2177bcc5ebbcc76093d9bd24208b4f677a30d1878c05a52",
 }
 
 
