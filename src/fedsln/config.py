@@ -183,10 +183,14 @@ class ExperimentConfig:
         if len(self.hidden_sizes) == 0 or any(h < 1 for h in self.hidden_sizes):
             raise ConfigError("hidden_sizes must be positive")
         # every method keeps a resolved TrainConfig, selected or not:
-        # fedavg_ft fine-tunes the model the fedavg entry trains.
-        for m in METHOD_NAMES:
-            if m not in self.train:
-                self.train[m] = TrainConfig(hidden_sizes=self.hidden_sizes, **_METHOD_DEFAULTS[m])
+        # fedavg_ft fine-tunes the model the fedavg entry trains. The dict
+        # is a new one, so the caller's is left as it was.
+        defaults = {
+            m: TrainConfig(hidden_sizes=self.hidden_sizes, **_METHOD_DEFAULTS[m])
+            for m in METHOD_NAMES
+            if m not in self.train
+        }
+        object.__setattr__(self, "train", {**self.train, **defaults})
 
     @property
     def n_clients(self) -> int:

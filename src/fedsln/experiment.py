@@ -153,7 +153,9 @@ class MethodOutcome:
     the pooled data, one file with the pooled standardizer), "federated"
     (one global model, one file without a standardizer) or
     "personalized" (one model and one file per classroom, with the
-    classroom's standardizer).
+    classroom's standardizer). `warnings` is ("batch_size_clamped",)
+    when the method's batch size exceeds a split it trained on, derived
+    from the config and the split sizes (see _run_method), else ().
     """
 
     method: str
@@ -207,11 +209,30 @@ def _each_classroom(
     graphs = _client_graphs(cfg, seed)
     built = []
     for c in range(cfg.n_clients):
-        where = "" if isinstance(cfg.data, SyntheticSpec) else f" ({cfg.data.paths[c]})"
-        with _stage("data", f"seed {seed}: classroom {c}{where}: "):
+        with _stage("data", f"{_classroom(cfg, seed, c)}: "):
             # next() hands each graph straight to the call, so no name keeps it alive
             built.append(build(c, next(graphs)))
     return built
+
+
+def _classroom(cfg: ExperimentConfig, seed: int, c: int) -> str:
+    """`seed S: classroom C`, with the file in parentheses for edge lists."""
+    where = "" if isinstance(cfg.data, SyntheticSpec) else f" ({cfg.data.paths[c]})"
+    return f"seed {seed}: classroom {c}{where}"
+
+
+def _check_test_splits(
+    cfg: ExperimentConfig, seed: int, datasets: Sequence[ClientDataset]
+) -> None:
+    """Every test split needs both classes for its AUC; a StageError tagged
+    data names the first classroom whose split lacks one."""
+    for d in datasets:
+        for label, name in ((1.0, "positive"), (0.0, "negative")):
+            if not np.any(d.test_y == label):
+                raise StageError(
+                    "data",
+                    f"{_classroom(cfg, seed, d.client_id)}: test split has no {name} pairs",
+                )
 
 
 def build_client_datasets(cfg: ExperimentConfig, seed: int) -> list[ClientDataset]:
@@ -330,7 +351,6 @@ def _run_method(
         )
         standardizers = {d.client_id: d.standardizer for d in datasets}
 
-    flags: set[str] = set()  # warnings of the fine-tune pass after the rounds
     if method in ("centralized", "fedavg"):
         global_params, history = run_fedavg(clients, tcfg, max_workers=max_workers)
         # aggregate has checked every model that went into the global one
@@ -341,12 +361,10 @@ def _run_method(
             if fedavg is None:
                 fedavg = _run_method("fedavg", datasets, cfg, seed, max_workers, None)
             global_params = fedavg.models[min(fedavg.models)]
-            models = fine_tune_all(global_params, clients, tcfg, flags=flags)
+            models = fine_tune_all(global_params, clients, tcfg)
             history = fedavg.history
         elif method == "perfedavg_hf":
-            models, history = run_perfedavg_hf(
-                clients, tcfg, max_workers=max_workers, flags=flags
-            )
+            models, history = run_perfedavg_hf(clients, tcfg, max_workers=max_workers)
         elif method == "fedala":
             models, history = run_fedala(clients, tcfg, max_workers=max_workers)
         else:
@@ -359,6 +377,13 @@ def _run_method(
     for d in datasets:
         x = standardizers[d.client_id].transform(d.raw_test_x)
         reports[d.client_id] = evaluate(models[d.client_id], x, d.test_y)
+    # A batch is clamped iff it exceeds a split that some pass draws from.
+    # The fine-tune pass of fedavg_ft and perfedavg_hf always runs; rounds
+    # run only if there is one. fedavg_ft inherits its fedavg's warning.
+    passes = method in ("fedavg_ft", "perfedavg_hf") or tcfg.global_rounds >= 1
+    clamped = passes and any(tcfg.batch_size > c.size for c in clients)
+    if method == "fedavg_ft":
+        clamped = clamped or bool(fedavg.warnings)
     ala_weights = None
     if method == "fedala":
         ala_weights = {
@@ -372,7 +397,7 @@ def _run_method(
         standardizers,
         training,
         history,
-        tuple(sorted(flags.union(*(r.warnings for r in history)))),
+        ("batch_size_clamped",) if clamped else (),
         ala_weights=ala_weights,
     )
 
@@ -437,6 +462,7 @@ def run_experiment(
 
     for seed in cfg.seeds:
         datasets = build_client_datasets(cfg, seed)
+        _check_test_splits(cfg, seed, datasets)
         outcomes: dict[str, MethodOutcome] = {}
         # fedavg_ft fine-tunes fedavg's model, so it trains last, on fedavg's outcome
         for method in sorted(cfg.methods, key=lambda m: m == "fedavg_ft"):
@@ -455,13 +481,8 @@ def run_experiment(
             warnings.update(f"{method}: {w}" for w in outcome.warnings)
             for client, report in outcome.reports.items():
                 metrics.append((method, client, seed, report))
+                # _check_test_splits has made both rates defined
                 tpr, fpr = rates_from_counts(report.tp, report.fp, report.tn, report.fn)
-                if tpr is None or fpr is None:
-                    raise StageError(
-                        "analysis",
-                        f"{method} seed {seed} client {client}: "
-                        "test split lacks a class, rates undefined",
-                    )
                 rate_cells.setdefault((method, client), []).append((tpr, fpr))
             checkpoints.extend(_method_checkpoints(outcome))
             extra_files.extend(_blend_weight_files(outcome))

@@ -5,11 +5,12 @@ derived from (master seed, client id, slot); the server only ever sees
 parameter structures and train-split sizes.
 
 run_fedavg is the package's one federated round loop. A round calls
-sync(client, global_params) and then local(client, config, flags=flags)
-on every client, then aggregates the local models in client-id order,
-weighted by train-split size. Plain FedAvg uses the defaults,
-synchronize and local_round; the personalization methods pass their
-own sync or local step (see personalization.py).
+sync(client, global_params) and then local(client, config) on every
+client, then aggregates the local models in client-id order, weighted
+by train-split size. A local step returns the client's new model and
+nothing else. Plain FedAvg uses the defaults, synchronize and
+local_round; the personalization methods pass their own sync or local
+step (see personalization.py).
 
 max_workers is the number of client shards. The clients are dealt
 round-robin into k = min(max_workers, len(clients)) shards. The library
@@ -21,8 +22,8 @@ shards 1..k-1 each run in one child process, forked when run_fedavg
 starts, which keeps its clients' data, streams, generators, models and
 blend weights for the whole call. Each round the parent sends the global
 model to every child, and each child runs sync and local on its clients
-and sends back their local models and flags. When the rounds are done
-each child sends back its clients' mutable state, so the parent's
+and sends back their local models. When the rounds are done each child
+sends back its clients' mutable state, so the parent's
 ClientState objects end as a serial run leaves them; a hook's other
 side effects stay in the process that ran it. An exception in a child is
 re-raised in the parent; every child is joined before run_fedavg returns
@@ -128,21 +129,13 @@ def synchronize(client: ClientState, global_params: ModelParams) -> None:
     client.params = global_params.copy()
 
 
-def local_round(
-    client: ClientState, config: TrainConfig, *, flags: set[str] | None = None
-) -> ModelParams:
+def local_round(client: ClientState, config: TrainConfig) -> ModelParams:
     """config.local_steps SGD steps on the client's persistent stream."""
     if client.params is None:
         raise ValueError("client must be synchronized before local training")
     stream = client.batch_stream("update", config.batch_size)
     client.params = train_steps(
-        client.params,
-        client.train_x,
-        client.train_y,
-        config,
-        stream,
-        steps=config.local_steps,
-        flags=flags,
+        client.params, client.train_x, client.train_y, config, stream, steps=config.local_steps
     )
     return client.params
 
@@ -185,11 +178,10 @@ class RoundRecord:
     round_index: int
     checksum: str
     wall_clock: float
-    warnings: tuple[str, ...] = ()
 
 
 SyncFn = Callable[[ClientState, ModelParams], None]
-LocalFn = Callable[..., ModelParams]
+LocalFn = Callable[[ClientState, TrainConfig], ModelParams]
 
 
 def _train_shard(
@@ -198,12 +190,11 @@ def _train_shard(
     config: TrainConfig,
     sync: SyncFn,
     local: LocalFn,
-    flags: set[str],
 ) -> list[ModelParams]:
     """One round on one shard: sync every client, then train every client."""
     for client in shard:
         sync(client, global_params)
-    return [local(client, config, flags=flags) for client in shard]
+    return [local(client, config) for client in shard]
 
 
 def _client_state(client: ClientState) -> tuple:
@@ -238,9 +229,7 @@ def _serve_shard(conn, inherited, shard, config, sync, local) -> None:
             if global_params is None:
                 reply = ("state", [_client_state(c) for c in shard])
             else:
-                flags: set[str] = set()
-                trained = _train_shard(shard, global_params, config, sync, local, flags)
-                reply = ("round", trained, flags)
+                reply = ("round", _train_shard(shard, global_params, config, sync, local))
             payload = pickle.dumps(reply)
         except Exception as exc:
             reply = ("error", _portable(exc))
@@ -292,9 +281,9 @@ class _ShardPool:
         for conn in self.conns:
             conn.send(global_params)
 
-    def results(self) -> list[list]:
-        """Per child, [its clients' local models, the round's flags]."""
-        return [self._receive(i) for i in range(len(self.conns))]
+    def results(self) -> list[list[ModelParams]]:
+        """Per child, its clients' local models."""
+        return [self._receive(i)[0] for i in range(len(self.conns))]
 
     def restore(self) -> None:
         """Copy every child's client state into the parent's clients."""
@@ -397,11 +386,11 @@ def run_fedavg(
 ) -> tuple[ModelParams, list[RoundRecord]]:
     """config.global_rounds federated rounds with full participation.
 
-    Each round: sync(client, global_params) then local(client, config,
-    flags=flags) on every client, then the size-weighted aggregate. The
-    defaults give plain FedAvg. max_workers (default 1) is the number of
-    client shards, all but one in a forked child (see the module
-    docstring); it never changes the result. Returns the final global
+    Each round: sync(client, global_params) then local(client, config) on
+    every client, then the size-weighted aggregate. The defaults give
+    plain FedAvg. max_workers (default 1) is the number of client shards,
+    all but one in a forked child (see the module docstring); it never
+    changes the result. Returns the final global
     model and one record per round; zero rounds returns the seeded
     initial model.
     """
@@ -419,19 +408,16 @@ def run_fedavg(
         for r in range(config.global_rounds):
             start = time.perf_counter()
             pool.train(global_params)
-            flags: set[str] = set()
             local_params: list = [None] * len(clients)
-            local_params[0::k] = _train_shard(shards[0], global_params, config, sync, local, flags)
-            for j, (trained, shard_flags) in enumerate(pool.results(), start=1):
+            local_params[0::k] = _train_shard(shards[0], global_params, config, sync, local)
+            for j, trained in enumerate(pool.results(), start=1):
                 local_params[j::k] = trained
-                flags |= shard_flags
             global_params = aggregate(local_params, sizes, round_index=r, client_ids=ids)
             history.append(
                 RoundRecord(
                     round_index=r,
                     checksum=params_checksum(global_params),
                     wall_clock=time.perf_counter() - start,
-                    warnings=tuple(sorted(flags)),
                 )
             )
         pool.restore()

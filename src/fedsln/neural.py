@@ -448,8 +448,7 @@ class BatchStream:
 
     Shuffles a permutation of the dataset, emits consecutive chunks of
     batch_size (the final chunk of an epoch may be shorter), reshuffles
-    on exhaustion. A batch_size above the dataset size is clamped and
-    flagged.
+    on exhaustion. A batch_size above the dataset size is clamped to it.
     """
 
     def __init__(self, n: int, batch_size: int, rng: np.random.Generator):
@@ -458,7 +457,6 @@ class BatchStream:
         if batch_size < 1:
             raise ValueError("batch_size must be positive")
         self.n = n
-        self.clamped = batch_size > n
         self.batch_size = min(batch_size, n)
         self.rng = rng
         self._order = np.empty(0, dtype=np.int64)
@@ -481,7 +479,6 @@ def train_steps(
     rng: np.random.Generator | BatchStream,
     *,
     steps: int | None = None,
-    flags: set[str] | None = None,
 ) -> ModelParams:
     """Run seeded mini-batch SGD steps; zero steps returns a copy.
 
@@ -499,8 +496,6 @@ def train_steps(
     )
     _check_shape(params, x.shape)
     y = _labels(y, x.shape[0])
-    if stream.clamped and flags is not None:
-        flags.add("batch_size_clamped")
     # one working copy and one gradient buffer, each with its layer views,
     # serve every step; the update is sgd_step's arithmetic, in place
     dims = params.layer_dims

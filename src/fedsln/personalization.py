@@ -22,9 +22,9 @@ the one round loop, and differ only in the hook they hand it:
   them once and then takes each update's loss and gradient over the
   blended layers alone, with the bits of a full-depth pass.
 
-Each returns the per-client models and the round history; the fine-tune
-step adds its warnings to an optional flags set, and scoring the models
-is experiment.run_method's job. The blend weights, AlaWeights, are a
+Each returns the per-client models and the round history; scoring the
+models, and warning of a batch size clamped to a split, is
+experiment.run_method's job. The blend weights, AlaWeights, are a
 ModelParams laid out as the top layers they blend.
 
 Keeping the update batch on its own stream means the meta path with
@@ -73,39 +73,26 @@ GradFn = Callable[[ModelParams, np.ndarray, np.ndarray], ModelParams]
 Personalized = tuple[dict[int, ModelParams], list[RoundRecord]]
 
 
-def fine_tune(
-    global_params: ModelParams,
-    client: ClientState,
-    config: TrainConfig,
-    *,
-    flags: set[str] | None = None,
-) -> ModelParams:
+def fine_tune(global_params: ModelParams, client: ClientState, config: TrainConfig) -> ModelParams:
     """Exactly one seeded epoch of SGD on the client's train split.
 
     The stream is drawn afresh from the client's "finetune" generator, so
     repeated calls give the same model; divergence is reported by
-    run_method's finiteness check. A clamped batch size is added to flags.
+    run_method's finiteness check.
     """
     rng = derive_rng(client.seed, "client", client.client_id, "finetune")
     steps = epochs_to_steps(client.size, config.batch_size, 1)
-    return train_steps(
-        global_params, client.train_x, client.train_y, config, rng, steps=steps, flags=flags
-    )
+    return train_steps(global_params, client.train_x, client.train_y, config, rng, steps=steps)
 
 
 def fine_tune_all(
-    global_params: ModelParams,
-    clients: Sequence[ClientState],
-    config: TrainConfig,
-    *,
-    flags: set[str] | None = None,
+    global_params: ModelParams, clients: Sequence[ClientState], config: TrainConfig
 ) -> dict[int, ModelParams]:
     """Post-hoc personalization: fine_tune the global model on every client.
 
-    Returns each client's model by client id; a clamped batch size is
-    added to flags.
+    Returns each client's model by client id.
     """
-    return {c.client_id: fine_tune(global_params, c, config, flags=flags) for c in clients}
+    return {c.client_id: fine_tune(global_params, c, config) for c in clients}
 
 
 def perfedavg_hf_step(
@@ -134,9 +121,7 @@ def perfedavg_hf_step(
     return ModelParams(w - beta * (g2 - alpha * d), dims)
 
 
-def _meta_round(
-    client: ClientState, config: TrainConfig, *, flags: set[str] | None = None
-) -> ModelParams:
+def _meta_round(client: ClientState, config: TrainConfig) -> ModelParams:
     """The meta-learning local step: config.local_steps meta-steps.
 
     Each is perfedavg_hf_step's arithmetic, operation for operation, on
@@ -146,9 +131,6 @@ def _meta_round(
     upd = client.batch_stream("update", config.batch_size)
     meta = client.batch_stream("meta", config.batch_size)
     hess = client.batch_stream("hess", config.batch_size)
-    # the three streams share one batch size and one train split
-    if upd.clamped and flags is not None:
-        flags.add("batch_size_clamped")
     x, y = client.train_x, np.asarray(client.train_y, dtype=np.float64)
     alpha, beta, delta = config.meta_inner, config.meta_outer, config.hf_delta
     dims = client.params.layer_dims
@@ -191,14 +173,12 @@ def run_perfedavg_hf(
     config: TrainConfig,
     *,
     max_workers: int | None = None,
-    flags: set[str] | None = None,
 ) -> Personalized:
-    """Federated meta-learning rounds, then one fine-tune epoch each; the
-    fine-tune pass adds its warnings to flags."""
+    """Federated meta-learning rounds, then one fine-tune epoch each."""
     global_params, history = run_fedavg(
         clients, config, local=_meta_round, max_workers=max_workers
     )
-    return fine_tune_all(global_params, clients, config, flags=flags), history
+    return fine_tune_all(global_params, clients, config), history
 
 
 class AlaWeights(ModelParams):

@@ -190,6 +190,45 @@ def test_good_edge_list_trains(tmp_path, capsys):
     assert (tmp_path / "run" / "metrics.csv").exists()
 
 
+def test_one_class_test_split_fails_before_any_method_trains(tmp_path, capsys, monkeypatch):
+    # tiny's two edges and its unlinked pairs leave its test split one-class
+    (tmp_path / "good.edges").write_text(GOOD_EDGES)
+    (tmp_path / "tiny.edges").write_text("a,b\nc,d\n")
+    paths = f"{tmp_path / 'good.edges'}, {tmp_path / 'tiny.edges'}"
+    config = tmp_path / "exp.ini"
+    config.write_text(EDGE_LIST_CONFIG.format(paths=paths))
+    trained = []
+    monkeypatch.setattr(experiment, "run_fedavg", lambda *a, **k: trained.append(a))
+    code, out, err = run_cli(
+        capsys, "train", "--config", str(config), "--output-dir", str(tmp_path / "run"),
+        "--methods", "fedavg,centralized",
+    )
+    assert code == 2 and out == ""
+    assert err.splitlines() == [
+        f"fedsln: [data] seed 1: classroom 1 ({tmp_path / 'tiny.edges'}): "
+        "test split has no positive pairs"
+    ]
+    assert trained == []
+    assert not (tmp_path / "run").exists()
+    # the classroom's tables can still be written and inspected
+    code, _, err = run_cli(
+        capsys, "featurize", "--config", str(config), "--output-dir", str(tmp_path / "feat")
+    )
+    assert code == 0, err
+    assert (tmp_path / "feat" / "features" / "features_client1_test.csv").exists()
+
+
+def test_test_split_without_negatives_is_one_data_line(config_path, tmp_path, capsys):
+    code, out, err = run_cli(
+        capsys, "train", "--config", str(config_path), "--output-dir", str(tmp_path / "run"),
+        "--set", "split.negatives_per_positive=0",
+    )
+    assert code == 2 and out == ""
+    assert err.splitlines() == [
+        "fedsln: [data] seed 1: classroom 0: test split has no negative pairs"
+    ]
+
+
 class TestParsing:
     def test_override_grammar(self):
         assert _parse_override("fedavg.learning_rate=0.5") == (
@@ -534,6 +573,59 @@ class TestWarnings:
         )
         assert code == 0
         assert err.splitlines() == [f"warning: {method}: batch_size_clamped"]
+
+    def train_warnings(self, capsys, config_path, tmp_path, *argv):
+        code, _, err = run_cli(
+            capsys,
+            "train", "--config", str(config_path), "--output-dir", str(tmp_path / "out"),
+            *argv,
+        )
+        assert code == 0, err
+        return err.splitlines()
+
+    def test_fedavg_without_rounds_draws_no_batch(self, config_path, tmp_path, capsys):
+        assert self.train_warnings(
+            capsys, config_path, tmp_path,
+            "--set", "fedavg.global_rounds=0",
+            "--set", "fedavg.batch_size=100000",
+        ) == []
+
+    def test_perfedavg_hf_fine_tunes_without_rounds(self, config_path, tmp_path, capsys):
+        assert self.train_warnings(
+            capsys, config_path, tmp_path,
+            "--methods", "perfedavg_hf",
+            "--set", "perfedavg_hf.global_rounds=0",
+            "--set", "perfedavg_hf.batch_size=100000",
+        ) == ["warning: perfedavg_hf: batch_size_clamped"]
+
+    def test_fedavg_ft_inherits_the_warning_of_fedavgs_rounds(
+        self, config_path, tmp_path, capsys
+    ):
+        # fedavg trains for fedavg_ft but is not reported on its own
+        assert self.train_warnings(
+            capsys, config_path, tmp_path,
+            "--methods", "fedavg_ft",
+            "--set", "fedavg.batch_size=100000",
+        ) == ["warning: fedavg_ft: batch_size_clamped"]
+
+    # the three train splits hold 408, 449 and 247 rows; with three shards
+    # the smallest classroom trains in a child
+    @pytest.mark.parametrize("workers", ["1", "3"])
+    @pytest.mark.parametrize(
+        "batch, want", [(247, []), (248, ["warning: fedavg: batch_size_clamped"])]
+    )
+    def test_a_batch_exceeding_one_classroom_warns_under_any_shard_count(
+        self, config_path, tmp_path, capsys, workers, batch, want
+    ):
+        assert self.train_warnings(
+            capsys, config_path, tmp_path,
+            "--max-workers", workers,
+            "--set", "data.nodes=40,50,30",
+            "--set", "data.communities=2,3,2",
+            "--set", "data.intra_p=0.4,0.35,0.4",
+            "--set", "data.inter_p=0.06,0.04,0.06",
+            "--set", f"fedavg.batch_size={batch}",
+        ) == want
 
 
 class TestErrors:

@@ -81,6 +81,13 @@ class TestBuild:
         assert cfg.train["fedala"].ala_top_layers == 2
         assert cfg.train["fedala"].ala_data_fraction == 80.0
 
+    def test_the_callers_train_dict_is_left_alone(self):
+        mine = {"fedavg": TrainConfig()}
+        cfg = ExperimentConfig(data=SyntheticSpec((40,), (2,), (0.4,), (0.05,)), train=mine)
+        assert list(mine) == ["fedavg"]
+        assert set(cfg.train) == set(METHOD_NAMES)
+        assert cfg.train["fedavg"] is mine["fedavg"]
+
     def test_meta_rates_default_to_learning_rate(self):
         cfg = build_experiment_config(minimal_raw())
         tc = cfg.train["perfedavg_hf"]

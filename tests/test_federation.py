@@ -230,7 +230,6 @@ class TestRunFedavg:
         for record in history:
             assert re.fullmatch(r"[0-9a-f]{64}", record.checksum)
             assert record.wall_clock >= 0.0
-            assert record.warnings == ()
         assert history[-1].checksum == params_checksum(final)
         assert history[0].checksum != history[1].checksum
 
@@ -241,16 +240,14 @@ class TestRunFedavg:
             calls.append(("sync", client.client_id))
             synchronize(client, global_params)
 
-        def local(client, config, *, flags):
+        def local(client, config):
             calls.append(("local", client.client_id))
-            flags.add(f"client{client.client_id}")
-            return local_round(client, config, flags=flags)
+            return local_round(client, config)
 
         cfg = TrainConfig(learning_rate=0.05, batch_size=8, local_steps=3, global_rounds=2, seed=6)
         hooked, hooked_hist = run_fedavg(toy_clients(2, seed=6), cfg, sync=sync, local=local)
         plain, plain_hist = run_fedavg(toy_clients(2, seed=6), cfg)
         assert calls == [("sync", 0), ("sync", 1), ("local", 0), ("local", 1)] * 2
-        assert [r.warnings for r in hooked_hist] == [("client0", "client1")] * 2
         assert [r.checksum for r in hooked_hist] == [r.checksum for r in plain_hist]
         assert params_checksum(hooked) == params_checksum(plain)
 
@@ -307,7 +304,7 @@ def run_hooked(method, sizes, seed, batch_size, max_workers):
     final, history = run_fedavg(clients, cfg, max_workers=max_workers, **SHARD_HOOKS[method](cfg))
     return (
         final.flat.tolist(),
-        [(r.round_index, r.checksum, r.warnings) for r in history],
+        [(r.round_index, r.checksum) for r in history],
         [client_snapshot(c) for c in clients],
     )
 
@@ -322,8 +319,7 @@ class TestShards:
         max_workers=st.integers(1, 6),
     )
     def test_sharded_run_equals_in_process(self, method, sizes, seed, batch_size, max_workers):
-        # a 16-row batch is clamped on the smaller clients, so warnings
-        # cross from the children too
+        # a 16-row batch is clamped on the smaller clients
         serial = run_hooked(method, sizes, seed, batch_size, None)
         sharded = run_hooked(method, sizes, seed, batch_size, max_workers)
         assert sharded == serial
@@ -332,10 +328,10 @@ class TestShards:
     @pytest.mark.parametrize("failing_client", [0, 1])
     def test_hook_error_is_raised_in_parent(self, failing_client):
         # with two shards client 0 trains in the parent and client 1 in a child
-        def local(client, config, *, flags):
+        def local(client, config):
             if client.client_id == failing_client:
                 raise KeyError(f"client {client.client_id} refuses")
-            return local_round(client, config, flags=flags)
+            return local_round(client, config)
 
         cfg = TrainConfig(learning_rate=0.05, batch_size=8, local_steps=3, global_rounds=2, seed=2)
         with pytest.raises(KeyError, match=f"client {failing_client} refuses"):
@@ -347,10 +343,10 @@ class TestShards:
             def __init__(self, a, b):
                 super().__init__(f"{a}-{b}")
 
-        def local(client, config, *, flags):
+        def local(client, config):
             if client.client_id == 1:
                 raise Odd("x", client.client_id)
-            return local_round(client, config, flags=flags)
+            return local_round(client, config)
 
         cfg = TrainConfig(batch_size=8, local_steps=1, global_rounds=1, seed=2)
         with pytest.raises(RuntimeError, match="^Odd: x-1$"):
@@ -367,7 +363,7 @@ class TestShards:
     def test_bytes_do_not_depend_on_the_blas_thread_count(self):
         # a full-batch step on 3000 rows is large enough for OpenBLAS to
         # split its products across threads, which changes their last bits
-        def full_batch(client, config, *, flags):
+        def full_batch(client, config):
             grad = gradient(client.params, client.train_x, client.train_y)
             client.params = ModelParams(client.params.flat - 0.5 * grad.flat, grad.layer_dims)
             return client.params
@@ -406,12 +402,12 @@ class TestShards:
             data = [(rng.normal(size=(30, 6)), (rng.random(30) > 0.5) * 1.0)
                     for _ in range(3)]
 
-            def local(client, config, *, flags):
+            def local(client, config):
                 if client.client_id == 0:
                     pids = [p.pid for p in multiprocessing.active_children()]
                     print(" ".join(map(str, pids)), flush=True)
                     os._exit(0)
-                return local_round(client, config, flags=flags)
+                return local_round(client, config)
 
             run_fedavg(make_clients(data, 1), TrainConfig(batch_size=8), local=local,
                        max_workers=3)

@@ -258,16 +258,10 @@ class TestBatchStream:
         assert not np.array_equal(first, second)
         assert sorted(second.tolist()) == list(range(32))
 
-    def test_oversized_batch_clamps_and_flags(self):
+    def test_oversized_batch_clamps(self):
         stream = BatchStream(5, 100, derive_rng(0, "s"))
-        assert stream.clamped and stream.batch_size == 5
-        flags = set()
-        params = random_model(derive_rng(0, "m"))
-        x = derive_rng(1, "x").normal(size=(5, 6))
-        y = np.zeros(5)
-        cfg = TrainConfig(local_steps=1, batch_size=100)
-        train_steps(params, x, y, cfg, stream, flags=flags)
-        assert flags == {"batch_size_clamped"}
+        assert stream.batch_size == 5
+        assert sorted(stream.next_indices().tolist()) == list(range(5))
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
@@ -341,17 +335,11 @@ class TestTrainSteps:
         params = init_params(derive_rng(n, "m"), hidden=(5, 3), input_dim=6)
         cfg = TrainConfig(learning_rate=0.2, batch_size=batch_size)
         steps = 3 * epochs_to_steps(n, batch_size, 1) + 1
-        flags_view, flags_matrix = set(), set()
         on_view = train_steps(
-            params, StandardizedRows(raw, s), y, cfg, derive_rng(n, "s"),
-            steps=steps, flags=flags_view,
+            params, StandardizedRows(raw, s), y, cfg, derive_rng(n, "s"), steps=steps
         )
-        on_matrix = train_steps(
-            params, s.transform(raw), y, cfg, derive_rng(n, "s"),
-            steps=steps, flags=flags_matrix,
-        )
+        on_matrix = train_steps(params, s.transform(raw), y, cfg, derive_rng(n, "s"), steps=steps)
         assert on_view.flat.tobytes() == on_matrix.flat.tobytes()
-        assert flags_view == flags_matrix
 
     def test_rejects_rows_of_the_wrong_width(self):
         params = init_params(0, hidden=(3,), input_dim=6)
