@@ -24,12 +24,11 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .features import FEATURE_NAMES, Standardizer
-from .neural import ModelParams, confusion_counts, forward
+from .neural import ModelParams, forward
 
 __all__ = [
     "FairnessReport",
     "ShapleyExplanation",
-    "confusion_counts",
     "fairness_report",
     "global_importance",
     "make_predictor",

@@ -9,16 +9,19 @@ Grammar: INI-style sections of ``key = value`` lines, ``#`` comments.
                    (comma lists, one entry per client)
                    edge_lists: paths (comma list of files)
     [split]        removal_fraction, train_fraction, negatives_per_positive
-    [explain]      enabled, method, pairs_per_client, background_size
+    [explain]      method, pairs_per_client, background_size
     [<method>]     the hyperparameters that method reads
 
 The option dataclasses are the one schema: a section's keys, types and
 defaults are the fields of ExperimentConfig, the data source's spec,
-SplitOptions, ExplainOptions or TrainConfig. A method section takes only
-the TrainConfig fields its method reads, the keys of its _METHOD_DEFAULTS
-entry, and the manifest records exactly those. The fedavg_ft section
-configures only the one-epoch fine-tuning pass, so it takes learning_rate
-and batch_size alone; the model it fine-tunes is the one [fedavg] trains.
+SplitOptions, ExplainOptions or TrainConfig. [explain] takes every
+ExplainOptions field but enabled, which whoever runs the experiment
+sets (the CLI subcommand), so no file or manifest holds it. A method
+section takes only the TrainConfig fields its method reads, the keys of
+its _METHOD_DEFAULTS entry, and the manifest records exactly those. The
+fedavg_ft section configures only the one-epoch fine-tuning pass, so it
+takes learning_rate and batch_size alone; the model it fine-tunes is the
+one [fedavg] trains.
 One parser reads INI text, --set text and typed manifest values alike.
 Methods and seeds must be unique. A resolved configuration round-trips
 through run_manifest.json, and load_config accepts either format (.json
@@ -74,11 +77,11 @@ _METHOD_DEFAULTS: dict[str, dict[str, Any]] = {
 # The ExperimentConfig fields that [experiment] and [model] hold.
 _TOP_SECTIONS = {"experiment": ("methods", "seeds", "output_dir"), "model": ("hidden_sizes",)}
 
-_BOOL_WORDS = {"true": True, "yes": True, "on": True, "1": True,
-               "false": False, "no": False, "off": False, "0": False}
+# The ExplainOptions fields that [explain] holds.
+_EXPLAIN_KEYS = ("method", "pairs_per_client", "background_size")
 
 # Typed (manifest) values each scalar field type accepts; bool is not an int here.
-_TYPED = {bool: (bool,), int: (int,), float: (int, float), str: (str,)}
+_TYPED = {int: (int,), float: (int, float), str: (str,)}
 
 
 class ConfigError(ValueError):
@@ -140,7 +143,10 @@ class SplitOptions:
 
 @dataclass(frozen=True)
 class ExplainOptions:
-    """Shapley reporting knobs; explanations use the first seed's models."""
+    """Shapley reporting knobs; explanations use the first seed's models.
+
+    enabled is not a file key: the CLI sets it from the subcommand.
+    """
 
     enabled: bool = False
     method: str = "fedala"
@@ -214,11 +220,9 @@ def _parse(value: Any, hint: Any, context: str) -> Any:
     if type(None) in get_args(hint):
         hint = next(arg for arg in get_args(hint) if arg is not type(None))
     try:
-        if isinstance(value, str) and hint is bool:
-            return _BOOL_WORDS[value.strip().lower()]
         if isinstance(value, str) or type(value) in _TYPED[hint]:
             return hint(value)
-    except (KeyError, ValueError, OverflowError):
+    except (ValueError, OverflowError):
         pass
     raise ConfigError(f"{context}: cannot parse {value!r} as {hint.__name__}")
 
@@ -283,7 +287,9 @@ def build_experiment_config(raw: dict[str, dict[str, Any]]) -> ExperimentConfig:
     return ExperimentConfig(
         data=spec,
         split=SplitOptions(**_options(SplitOptions, raw.get("split", {}), "split")),
-        explain=ExplainOptions(**_options(ExplainOptions, raw.get("explain", {}), "explain")),
+        explain=ExplainOptions(
+            **_options(ExplainOptions, raw.get("explain", {}), "explain", _EXPLAIN_KEYS)
+        ),
         train=train,
         **top,
     )
@@ -327,7 +333,7 @@ def config_to_manifest(cfg: ExperimentConfig) -> dict[str, Any]:
         **{name: {k: getattr(cfg, k) for k in keys} for name, keys in _TOP_SECTIONS.items()},
         "data": {"source": source, **asdict(cfg.data)},
         "split": asdict(cfg.split),
-        "explain": asdict(cfg.explain),
+        "explain": {k: getattr(cfg.explain, k) for k in _EXPLAIN_KEYS},
         **{
             method: {k: getattr(cfg.train[method], k) for k in keys}
             for method, keys in _METHOD_DEFAULTS.items()

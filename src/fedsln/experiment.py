@@ -181,20 +181,17 @@ class RunReport:
     warnings: tuple[str, ...]
 
 
-def _client_graphs(cfg: ExperimentConfig, seed: int) -> Iterator[SlnGraph]:
-    """Each classroom's graph in classroom order, made when it is reached."""
+def _graph(cfg: ExperimentConfig, seed: int, c: int) -> SlnGraph:
+    """Classroom c's graph for one seed: synthesized, or read from its file."""
     if isinstance(cfg.data, SyntheticSpec):
-        for c in range(cfg.n_clients):
-            yield generate_synthetic(
-                cfg.data.nodes[c],
-                cfg.data.communities[c],
-                cfg.data.intra_p[c],
-                cfg.data.inter_p[c],
-                derive_seed(seed, "graph", c),
-            )
-    else:
-        for p in cfg.data.paths:
-            yield load_edge_list(Path(p).read_text())
+        return generate_synthetic(
+            cfg.data.nodes[c],
+            cfg.data.communities[c],
+            cfg.data.intra_p[c],
+            cfg.data.inter_p[c],
+            derive_seed(seed, "graph", c),
+        )
+    return load_edge_list(Path(cfg.data.paths[c]).read_text())
 
 
 def _each_classroom(
@@ -206,12 +203,11 @@ def _each_classroom(
     data whose message starts `seed S: classroom C: `, with the file in
     parentheses after C for edge lists.
     """
-    graphs = _client_graphs(cfg, seed)
     built = []
     for c in range(cfg.n_clients):
         with _stage("data", f"{_classroom(cfg, seed, c)}: "):
-            # next() hands each graph straight to the call, so no name keeps it alive
-            built.append(build(c, next(graphs)))
+            # the graph goes straight to the call, so no name keeps it alive
+            built.append(build(c, _graph(cfg, seed, c)))
     return built
 
 

@@ -11,9 +11,8 @@ the product of its two sorted rows, and the resource-allocation and
 Adamic-Adar sums are a sparse mat-vec over them with per-node weights
 1/d and 1/log(d). The sums run from 0.0 over the common neighbors in
 ascending order, within one row, so every score equals, bit for bit,
-what the per-pair reference compute_features returns, whatever the
-block size. Examples are one array-backed PairExamples container; a
-PairExample object is built only when one is indexed or iterated, and
+the same sums taken pair by pair over neighbor sets, whatever the
+block size. Examples are one array-backed PairExamples container, and
 to_arrays hands out the container's own feature matrix, read-only,
 rather than a copy.
 
@@ -31,9 +30,8 @@ degree >= 2, so log never sees 1.
 from __future__ import annotations
 
 import math
-from itertools import chain
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -42,13 +40,11 @@ from .graphs import GraphError, Pair, SlnGraph, TemporalPair, as_pairs
 __all__ = [
     "FEATURE_NAMES",
     "N_FEATURES",
-    "FeatureVector",
     "PairExample",
     "PairExamples",
     "StandardizedRows",
     "Standardizer",
     "build_examples",
-    "compute_features",
     "examples_to_csv",
     "ks_statistic",
     "pair_features",
@@ -66,43 +62,16 @@ FEATURE_NAMES = (
 N_FEATURES = len(FEATURE_NAMES)
 
 
-class FeatureVector(NamedTuple):
-    jaccard: float
-    adamic_adar: float
-    resource_allocation: float
-    preferential_attachment: float
-    cosine: float
-    dice: float
-
-
+# bench/checks.py reads examples one pair at a time through this record
 @dataclass(frozen=True)
 class PairExample:
-    """One candidate link: endpoints, features at t-1, label at t."""
+    """One candidate link: endpoints, its six features at t-1 in
+    FEATURE_NAMES order, label at t."""
 
     u: int
     v: int
-    features: FeatureVector
+    features: tuple[float, ...]
     label: int
-
-
-def compute_features(graph: SlnGraph, u: int, v: int) -> FeatureVector:
-    """The per-pair reference: all six scores from the two neighbor sets."""
-    if u == v:
-        raise ValueError(f"feature pair must have distinct endpoints, got ({u}, {v})")
-    nu, nv = graph.neighbors(u), graph.neighbors(v)
-    du, dv = len(nu), len(nv)
-    common = sorted(nu & nv)
-    nc = len(common)
-    union = du + dv - nc
-    degs = [graph.degree(n) for n in common]
-    return FeatureVector(
-        jaccard=nc / union if union else 0.0,
-        adamic_adar=sum((1.0 / math.log(d) for d in degs), 0.0),
-        resource_allocation=sum((1.0 / d for d in degs), 0.0),
-        preferential_attachment=float(du * dv),
-        cosine=nc / math.sqrt(du * dv) if du and dv else 0.0,
-        dice=2.0 * nc / (du + dv) if du + dv else 0.0,
-    )
 
 
 # Pairs scored per sparse row product. It bounds the transient memory:
@@ -113,10 +82,7 @@ _PAIR_BLOCK = 1 << 13
 
 
 def pair_features(graph: SlnGraph, pairs: np.ndarray) -> np.ndarray:
-    """The six scores of every row (u, v) of a pair array, as (m, 6) float64.
-
-    Equal bit for bit to compute_features applied pair by pair.
-    """
+    """The six scores of every row (u, v) of a pair array, as (m, 6) float64."""
     pairs = as_pairs(pairs)
     same = pairs[:, 0] == pairs[:, 1]
     if same.any():
@@ -126,7 +92,7 @@ def pair_features(graph: SlnGraph, pairs: np.ndarray) -> np.ndarray:
     if outside.any():
         raise GraphError(f"pair {tuple(pairs[int(np.argmax(outside))].tolist())} out of range")
     deg = graph.degrees()
-    # the same scalar expressions compute_features evaluates per neighbor
+    # the scalar terms a per-pair sum over neighbor sets adds, one per degree
     ra_weight = np.divide(1.0, deg, out=np.zeros(deg.size), where=deg > 0)
     uniq, inverse = np.unique(deg, return_inverse=True)
     aa_weight = np.array(
@@ -167,34 +133,22 @@ class PairExamples:
     features: np.ndarray
     labels: np.ndarray
 
-    @classmethod
-    def from_examples(cls, examples: Sequence[PairExample]) -> "PairExamples":
-        m = len(examples)
-        pairs = np.fromiter(
-            chain.from_iterable((ex.u, ex.v) for ex in examples), dtype=np.int64, count=2 * m
-        ).reshape(m, 2)
-        features = np.fromiter(
-            chain.from_iterable(ex.features for ex in examples),
-            dtype=np.float64,
-            count=m * N_FEATURES,
-        ).reshape(m, N_FEATURES)
-        labels = np.fromiter((ex.label for ex in examples), dtype=np.int64, count=m)
-        return cls(pairs, features, labels)
-
     def __len__(self) -> int:
         return len(self.labels)
 
     def __getitem__(self, index):
+        # bench/worker.py reads the int index, one sampled pair at a time
         if isinstance(index, (int, np.integer)):
             u, v = self.pairs[index].tolist()
-            features = FeatureVector(*self.features[index].tolist())
+            features = tuple(self.features[index].tolist())
             return PairExample(u, v, features, int(self.labels[index]))
         return PairExamples(self.pairs[index], self.features[index], self.labels[index])
 
+    # bench/checks.py iterates every example to look pairs up by endpoints
     def __iter__(self) -> Iterator[PairExample]:
         rows = zip(self.pairs.tolist(), self.features.tolist(), self.labels.tolist())
         for (u, v), features, label in rows:
-            yield PairExample(u, v, FeatureVector(*features), label)
+            yield PairExample(u, v, tuple(features), label)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PairExamples):
@@ -226,17 +180,13 @@ def build_examples(tp: TemporalPair, pairs: Iterable[Pair] | np.ndarray) -> Pair
     )
 
 
-def to_arrays(
-    examples: PairExamples | Sequence[PairExample],
-) -> tuple[np.ndarray, np.ndarray]:
+def to_arrays(examples: PairExamples) -> tuple[np.ndarray, np.ndarray]:
     """Feature matrix (m, 6) and label vector (m,), both float64.
 
     The matrix is the container's own features array, not a copy, and is
     marked read-only, so the container and its caller share one
     unchangeable matrix. The labels are a new float64 array.
     """
-    if not isinstance(examples, PairExamples):
-        examples = PairExamples.from_examples(examples)
     examples.features.flags.writeable = False
     return examples.features, examples.labels.astype(np.float64)
 

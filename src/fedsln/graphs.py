@@ -112,6 +112,7 @@ def _lookup(sorted_keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
     return sorted_keys[pos] == queries
 
 
+# bench/worker.py reads the snapshots' neighbor sets through this view
 class _Rows(Sequence[frozenset[int]]):
     """Read-only view of a graph's rows as neighbor sets, built on access."""
 
@@ -227,27 +228,20 @@ class SlnGraph:
         if not 0 <= u < self.node_count:
             raise GraphError(f"node {u} out of range")
 
+    # bench/worker.py samples neighbor sets through adjacency
     @property
     def adjacency(self) -> Sequence[frozenset[int]]:
         """Neighbor sets by node, each built from its CSR row on access."""
         return _Rows(self)
 
+    # the row _Rows builds; bench/worker.py reads it through adjacency
     def neighbors(self, u: int) -> frozenset[int]:
         self._check_node(u)
         return frozenset(self.indices[self.indptr[u] : self.indptr[u + 1]].tolist())
 
-    def degree(self, u: int) -> int:
-        self._check_node(u)
-        return int(self.indptr[u + 1] - self.indptr[u])
-
     def degrees(self) -> np.ndarray:
         """Degree of every node, int64."""
         return np.diff(self.indptr)
-
-    def has_edge(self, u: int, v: int) -> bool:
-        self._check_node(v)
-        self._check_node(u)
-        return bool(self.has_edges(np.array([[u, v]], dtype=np.int64))[0])
 
     def has_edges(self, pairs: np.ndarray) -> np.ndarray:
         """Whether each row (u, v) of a pair array is linked; bool (m,)."""
@@ -262,10 +256,6 @@ class SlnGraph:
         rows = np.repeat(np.arange(self.node_count, dtype=np.int64), self.degrees())
         upper = rows < self.indices
         return np.column_stack([rows[upper], self.indices[upper]])
-
-    def edges(self) -> list[Pair]:
-        """All edges as (u, v) with u < v, sorted lexicographically."""
-        return list(map(tuple, self.edge_array().tolist()))
 
     def csr(self) -> sparse.csr_array:
         """The adjacency matrix with int8 unit weights, rows sorted.
@@ -309,7 +299,7 @@ def load_edge_list(source: str | Iterable[str]) -> SlnGraph:
 
 def to_edge_list(graph: SlnGraph) -> str:
     """Serialize as sorted ``u,v`` lines over dense indices."""
-    lines = [f"{u},{v}" for u, v in graph.edges()]
+    lines = [f"{u},{v}" for u, v in graph.edge_array().tolist()]
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -408,14 +398,11 @@ def temporal_split(
     return TemporalPair(graph_prev, graph_now, universe, removed)
 
 
-def train_test_split(
-    items: Sequence[T], train_fraction: float, seed: int
-) -> tuple[Sequence[T], Sequence[T]]:
+def train_test_split(items: T, train_fraction: float, seed: int) -> tuple[T, T]:
     """Seeded shuffle followed by a round-half-up prefix split.
 
-    A list, tuple or range splits into two lists; anything else (an
-    ndarray, a PairExamples container) is indexed with the two index
-    arrays.
+    items is anything an index array selects from, such as an ndarray or
+    a PairExamples container; it is indexed with the two index arrays.
     """
     if len(items) == 0:
         raise ValueError("cannot split an empty dataset")
@@ -423,10 +410,7 @@ def train_test_split(
         raise ValueError("train_fraction must lie in (0, 1)")
     order = derive_rng(seed, "train-test").permutation(len(items))
     n_train = round_half_up(train_fraction * len(items))
-    train, test = order[:n_train], order[n_train:]
-    if isinstance(items, (list, tuple, range)):
-        return [items[i] for i in train], [items[i] for i in test]
-    return items[train], items[test]
+    return items[order[:n_train]], items[order[n_train:]]
 
 
 def generate_synthetic(

@@ -326,15 +326,19 @@ def run_fedala(
     """Adaptive-blend federated rounds; clients keep their last local state.
 
     Blending weights get a full learning pass the first time a client
-    blends and a single refresh update in every later round.
+    blends and a single refresh update in every later round. A client
+    that never trained (zero rounds) is served the global model, which
+    is then the seeded initial model, as in FedAvg.
     """
-    _global, history = run_fedavg(
+    global_params, history = run_fedavg(
         clients,
         config,
         sync=functools.partial(_ala_sync, config=config),
         max_workers=max_workers,
     )
-    return {c.client_id: c.params for c in clients}, history
+    return {
+        c.client_id: global_params if c.params is None else c.params for c in clients
+    }, history
 
 
 def ala_weights_to_csv(weights: AlaWeights) -> str:

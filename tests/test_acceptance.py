@@ -21,7 +21,7 @@ from fedsln.cli import default_max_workers
 from fedsln.cli import main as cli_main
 from fedsln.config import load_config
 from fedsln.experiment import build_client_datasets, run_method
-from fedsln.features import FEATURE_NAMES, Standardizer, compute_features, ks_statistic
+from fedsln.features import FEATURE_NAMES, Standardizer, ks_statistic, pair_features
 from fedsln.federation import aggregate, make_clients, run_fedavg
 from fedsln.graphs import SlnGraph
 from fedsln.neural import (
@@ -102,11 +102,11 @@ def test_criterion_01_feature_oracle_sweep(capsys):
         p = float(rng.uniform(0.1, 0.9))
         edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
         graph = SlnGraph.from_edges(n, edges)
-        for u in range(n):
-            for v in range(u + 1, n):
-                got = compute_features(graph, u, v)
-                worst = max(worst, float(np.max(np.abs(got - brute_features(graph, u, v)))))
-                symmetric = symmetric and np.array_equal(got, compute_features(graph, v, u))
+        pairs = np.array([(u, v) for u in range(n) for v in range(u + 1, n)], dtype=np.int64)
+        got = pair_features(graph, pairs)
+        for (u, v), row in zip(pairs.tolist(), got):
+            worst = max(worst, float(np.max(np.abs(row - brute_features(graph, u, v)))))
+        symmetric = symmetric and np.array_equal(got, pair_features(graph, pairs[:, ::-1]))
     elapsed = time.perf_counter() - t0
     verdict(capsys, 
         1,
@@ -122,9 +122,9 @@ def test_criterion_02_hand_graph_fixtures(capsys):
         (0, 1): np.array([1 / 3, 1 / log(3), 1 / 3, 4.0, 0.5, 0.5]),
         (1, 3): np.array([0.5, 1 / log(3), 1 / 3, 2.0, 1 / sqrt(2), 2 / 3]),
     }
+    got = pair_features(g4, np.array(list(expected), dtype=np.int64))
     worst = max(
-        float(np.max(np.abs(compute_features(g4, *pair) - want)))
-        for pair, want in expected.items()
+        float(np.max(np.abs(row - want))) for row, want in zip(got, expected.values())
     )
     verdict(capsys, 2, "twelve tabulated hand-graph feature values", worst <= 1e-9,
             f"max_err={worst:.1e}")

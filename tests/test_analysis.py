@@ -18,7 +18,6 @@ from fedsln.analysis import (
     FairnessReport,
     ShapleyExplanation,
     _shapley_weights,
-    confusion_counts,
     fairness_report,
     global_importance,
     make_predictor,
@@ -28,7 +27,7 @@ from fedsln.analysis import (
     svg_bar_chart,
 )
 from fedsln.features import FEATURE_NAMES, Standardizer
-from fedsln.neural import init_params
+from fedsln.neural import confusion_counts, init_params
 from fedsln.rng import derive_rng
 
 # per-classroom (TPR, FPR) reference rows used in the fairness fixtures

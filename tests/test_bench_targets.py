@@ -1,11 +1,16 @@
-"""Every function the benchmark's tracer wraps must still exist.
+"""Every function the benchmark's tracer wraps, and everything its output
+checks read, must still exist.
 
 bench/tracing.py wraps fedsln functions by name and raises MissingTarget
-when one is gone, which fails the traced benchmark run. This test loads
-the tracer by path and installs it, so a rename fails here first.
+when one is gone, which fails the traced benchmark run. bench/worker.py
+samples neighbor sets and examples while the data are built, and
+bench/checks.py reads the examples and the explain settings after the
+run. These tests load those files by path and run them, so a rename or a
+deletion they depend on fails here first.
 """
 
 import importlib.util
+import sys
 from pathlib import Path
 
 import fedsln.cli  # noqa: F401  the benchmark imports these before tracing
@@ -14,19 +19,21 @@ import fedsln.neural
 import fedsln.personalization as personalization
 from fedsln.config import build_experiment_config
 
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
-def load_tracing():
-    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+def load_bench(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    # a dataclass looks its module up in sys.modules while it is defined
+    sys.modules[spec.name] = module
     spec.loader.exec_module(module)
     return module
 
 
 def test_tracer_installs_and_uninstalls():
     gradient = fedsln.neural.gradient
-    tracer = load_tracing().Tracer()
+    tracer = load_bench("tracing").Tracer()
     tracer.install()  # raises MissingTarget naming every missing name
     try:
         assert fedsln.neural.gradient is not gradient
@@ -91,3 +98,23 @@ def test_all_training_happens_inside_one_timed_run_method(monkeypatch):
     assert sorted(set(seen)) == [("fine_tune", 1), ("run_fedavg", 1)]
     assert [name for name, _ in seen].count("run_fedavg") == 2 * 4
     assert [name for name, _ in seen].count("fine_tune") == 2 * 2 * 2
+
+
+def test_the_output_checks_pass_on_a_benchmark_workload(tmp_path, capsys):
+    # the meta_explain workload reads every piece of the per-pair example
+    # view and the neighbor-set view that the checks use, and explains
+    worker, checks = load_bench("worker"), load_bench("checks")
+    workloads = load_bench("workloads")
+    seed = 2
+    timers = worker.StageTimers(experiment, 0.0, seed, stop_after_setup=False)
+    timers.install()
+    try:
+        code = fedsln.cli.main(workloads.WORKLOADS["meta_explain"].argv(seed, tmp_path))
+    finally:
+        timers.uninstall()
+    capsys.readouterr()
+    assert code == 0
+    assert timers.cfg.explain.enabled
+    chk, _hashes = checks.check_run(tmp_path, timers.cfg, seed, timers.datasets, timers.samples)
+    assert chk.count > 0
+    assert chk.failures == []

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import fedsln.experiment as experiment
 import fedsln.federation as federation
 from fedsln.cli import SHARDS_PER_CPU, _parse_override, build_parser, default_max_workers, main
-from fedsln.config import ConfigError
+from fedsln.config import ConfigError, config_to_manifest, load_config
 from fedsln.neural import load_checkpoint
 
 CONFIG_TEXT = """\
@@ -406,6 +406,25 @@ class TestTrain:
         assert shards == [3, 3, 1, 1]
         assert output_bytes(default) == output_bytes(serial)
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_fedala_without_rounds_serves_the_initial_global_model(
+        self, config_path, tmp_path, capsys, workers
+    ):
+        out = tmp_path / "run"
+        code, _, stderr = run_cli(
+            capsys,
+            "train", "--config", str(config_path), "--output-dir", str(out),
+            "--methods", "fedavg,fedala", "--max-workers", workers,
+            "--set", "fedavg.global_rounds=0",
+            "--set", "fedala.global_rounds=0",
+        )
+        assert code == 0, stderr
+        fedavg, _ = load_checkpoint(out / "models/fedavg_seed1.ckpt")
+        for c in (0, 1):
+            fedala, _ = load_checkpoint(out / f"models/fedala_seed1_client{c}.ckpt")
+            assert fedala.flat.tobytes() == fedavg.flat.tobytes()
+        assert not list((out / "models").glob("*_blend.csv"))
+
     def test_one_classroom_checkpoint_layout(self, config_path, tmp_path, capsys):
         # a shared model embeds a standardizer only when it was trained on
         # pooled data, even where the one classroom's own is the only one
@@ -477,7 +496,6 @@ class TestOtherCommands:
         code, _, _ = run_cli(
             capsys,
             command, "--config", str(config_path), "--output-dir", str(out),
-            "--set", "explain.enabled=true",
             "--set", "explain.method=fedavg",
             "--set", "explain.pairs_per_client=2",
             "--set", "explain.background_size=16",
@@ -485,7 +503,7 @@ class TestOtherCommands:
         assert code == 0
         assert len(seen) == calls
         manifest = json.loads((out / "run_manifest.json").read_text())
-        assert manifest["explain"]["enabled"] is (calls == 1)
+        assert sorted(manifest["explain"]) == ["background_size", "method", "pairs_per_client"]
 
     def test_explain_method_not_selected_fails(self, config_path, tmp_path, capsys):
         code, _, stderr = run_cli(
@@ -672,6 +690,30 @@ class TestErrors:
         assert code == 2
         assert out == ""
         assert stderr.splitlines() == [f"fedsln: [config] unknown keys in [{section}]: ['{key}']"]
+
+    @pytest.mark.parametrize("source", ["ini", "manifest", "set"])
+    def test_explain_enabled_is_refused_in_every_source(
+        self, config_path, tmp_path, capsys, source
+    ):
+        # the subcommand alone decides whether Shapley reports are computed
+        path, argv = config_path, []
+        if source == "ini":
+            config_path.write_text(CONFIG_TEXT + "\n[explain]\nenabled = true\n")
+        elif source == "manifest":
+            manifest = config_to_manifest(load_config(config_path))
+            manifest["explain"]["enabled"] = True
+            path = tmp_path / "run_manifest.json"
+            path.write_text(json.dumps(manifest))
+        else:
+            argv = ["--set", "explain.enabled=true"]
+        code, out, stderr = run_cli(
+            capsys,
+            "explain", "--config", str(path), "--output-dir", str(tmp_path / "run"), *argv,
+        )
+        assert code == 2
+        assert out == ""
+        assert stderr.splitlines() == ["fedsln: [config] unknown keys in [explain]: ['enabled']"]
+        assert not (tmp_path / "run").exists()
 
     def test_config_errors_carry_the_stage_tag(self, config_path, tmp_path, capsys):
         code, _, stderr = run_cli(

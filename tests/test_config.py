@@ -250,7 +250,7 @@ class TestValues:
     def test_text_and_typed_values_agree(self):
         text = build_experiment_config(
             minimal_raw(
-                explain={"enabled": "yes", "pairs_per_client": "3"},
+                explain={"pairs_per_client": "3"},
                 perfedavg_hf={"meta_inner": "0.5"},
                 fedala={"ala_data_fraction": "40"},
             )
@@ -259,7 +259,7 @@ class TestValues:
             {
                 "data": {"nodes": [40, 50], "communities": [2, 3],
                          "intra_p": [0.4, 0.3], "inter_p": [0.05, 0.02]},
-                "explain": {"enabled": True, "pairs_per_client": 3},
+                "explain": {"pairs_per_client": 3},
                 "perfedavg_hf": {"meta_inner": 0.5},
                 "fedala": {"ala_data_fraction": 40},
             }
@@ -271,8 +271,8 @@ class TestValues:
     @pytest.mark.parametrize(
         "section, key, value",
         [
-            ("explain", "enabled", 1),  # a number is not a bool
-            ("explain", "enabled", "maybe"),
+            ("split", "removal_fraction", True),  # a bool is not a number
+            ("split", "negatives_per_positive", "five"),
             ("explain", "pairs_per_client", 2.5),  # nor a fraction an int
             ("explain", "pairs_per_client", True),
             ("explain", "method", 3),
@@ -287,6 +287,18 @@ class TestValues:
     def test_wrong_types_are_config_errors(self, section, key, value):
         with pytest.raises(ConfigError, match=rf"{section}\.{key}: "):
             build_experiment_config(minimal_raw(**{section: {key: value}}))
+
+    def test_explain_enabled_is_not_a_file_key(self):
+        # whoever runs the experiment sets it; the CLI, from the subcommand
+        refused = r"unknown keys in \[explain\]: \['enabled'\]"
+        for value in ("true", True):
+            with pytest.raises(ConfigError, match=refused):
+                build_experiment_config(minimal_raw(explain={"enabled": value}))
+        manifest = config_to_manifest(build_experiment_config(minimal_raw()))
+        assert sorted(manifest["explain"]) == ["background_size", "method", "pairs_per_client"]
+        manifest["explain"]["enabled"] = False
+        with pytest.raises(ConfigError, match=refused):
+            manifest_to_config(manifest)
 
     def test_unknown_keys_name_the_section(self):
         with pytest.raises(ConfigError, match=r"unknown keys in \[fedavg\]: \['momentum'\]"):
@@ -386,7 +398,7 @@ SECTION_KEYS = {
     "model": ["hidden_sizes"],
     "data": ["source", "nodes", "communities", "intra_p", "inter_p", "paths"],
     "split": [f.name for f in fields(SplitOptions)],
-    "explain": [f.name for f in fields(ExplainOptions)],
+    "explain": ["method", "pairs_per_client", "background_size"],
     **METHOD_KEYS,
 }
 TEXTS = st.sampled_from(
@@ -478,7 +490,6 @@ def drawn_configs(draw):
             negatives_per_positive=draw(st.floats(0.0, 50.0)),
         ),
         explain=ExplainOptions(
-            enabled=draw(st.booleans()),
             method=draw(st.sampled_from(METHOD_NAMES)),
             pairs_per_client=draw(st.integers(1, 1000)),
             background_size=draw(st.integers(1, 1000)),

@@ -4,8 +4,8 @@ Each reference below is the per-edge or per-pair construction the CSR
 layer stands in for: a one-shot triu_indices draw for the stochastic
 block model, a dense n x n matrix for the pair universe, Python sets for
 the temporal split, neighbor sets for the graph accessors, and
-compute_features called pair by pair for the feature matrix. Results
-must agree bit for bit. Draws come from hypothesis and are derandomized,
+compute_features, the per-pair scores over neighbor sets, called pair by
+pair for the feature matrix. Results must agree bit for bit. Draws come from hypothesis and are derandomized,
 so every run checks the same examples.
 """
 
@@ -21,7 +21,6 @@ from fedsln.features import (
     PairExample,
     PairExamples,
     build_examples,
-    compute_features,
     pair_features,
     to_arrays,
 )
@@ -57,7 +56,7 @@ def reference_sbm_edges(n, k, intra_p, inter_p, seed):
 
 def reference_universe(graph, ratio, seed):
     """Open pairs ranked through a dense n x n linked matrix."""
-    positives = graph.edges()
+    positives = tuples(graph.edge_array())
     n_neg = round_half_up(ratio * len(positives))
     n = graph.node_count
     linked = np.zeros((n, n), dtype=bool)
@@ -80,7 +79,7 @@ def reference_split(graph, universe, spec):
     order = derive_rng(spec.seed, "temporal-removal").permutation(len(universe))
     removed = [universe[i] for i in order[:k]]
     removed_set = set(removed)
-    return removed, [e for e in graph.edges() if e not in removed_set]
+    return removed, [e for e in tuples(graph.edge_array()) if e not in removed_set]
 
 
 def reference_adjacency(n, edges):
@@ -93,6 +92,28 @@ def reference_adjacency(n, edges):
 
 def tuples(pairs):
     return [tuple(p) for p in pairs.tolist()]
+
+
+def compute_features(graph, u, v):
+    """The per-pair reference: all six scores from the two neighbor sets,
+    in FEATURE_NAMES order. Each sum runs from 0.0 over the common
+    neighbors in ascending order."""
+    if u == v:
+        raise ValueError(f"feature pair must have distinct endpoints, got ({u}, {v})")
+    nu, nv = graph.neighbors(u), graph.neighbors(v)
+    du, dv = len(nu), len(nv)
+    common = sorted(nu & nv)
+    nc = len(common)
+    union = du + dv - nc
+    degs = [len(graph.neighbors(w)) for w in common]
+    return (
+        nc / union if union else 0.0,
+        sum((1.0 / math.log(d) for d in degs), 0.0),
+        sum((1.0 / d for d in degs), 0.0),
+        float(du * dv),
+        nc / math.sqrt(du * dv) if du and dv else 0.0,
+        2.0 * nc / (du + dv) if du + dv else 0.0,
+    )
 
 
 # --- strategies ---------------------------------------------------------
@@ -126,16 +147,15 @@ def test_csr_accessors_match_neighbor_sets(drawn):
     adj = reference_adjacency(n, edges)
     assert graph.node_count == n
     assert graph.edge_count == sum(len(s) for s in adj) // 2
-    assert graph.edges() == sorted((u, v) for u in range(n) for v in adj[u] if u < v)
+    assert tuples(graph.edge_array()) == sorted(
+        (u, v) for u in range(n) for v in adj[u] if u < v
+    )
     assert list(graph.adjacency) == [frozenset(s) for s in adj]
     for u in range(n):
         assert graph.neighbors(u) == adj[u]
         assert graph.adjacency[u] == adj[u]
-        assert graph.degree(u) == len(adj[u])
         row = graph.indices[graph.indptr[u] : graph.indptr[u + 1]].tolist()
         assert row == sorted(adj[u])
-        for v in range(n):
-            assert graph.has_edge(u, v) == (v in adj[u])
     assert graph.degrees().tolist() == [len(s) for s in adj]
     if n:
         pairs = np.array([(u, v) for u in range(n) for v in range(n)], dtype=np.int64)
@@ -149,7 +169,7 @@ def test_constructor_accepts_what_from_edges_builds(drawn):
     n, edges = drawn
     graph = SlnGraph.from_edges(n, edges)
     again = SlnGraph(n, graph.indptr.tolist(), graph.indices.tolist())
-    assert again.edges() == graph.edges()
+    assert again.edge_array().tobytes() == graph.edge_array().tobytes()
 
 
 def test_constructor_validates_outside_arrays():
@@ -185,8 +205,7 @@ def test_from_edges_validates_in_input_order():
 def test_empty_and_one_node_graphs():
     for n in (0, 1):
         graph = SlnGraph.from_edges(n, [])
-        assert graph.edges() == [] and graph.edge_count == 0
-        assert graph.edge_array().shape == (0, 2)
+        assert graph.edge_array().shape == (0, 2) and graph.edge_count == 0
         assert list(graph.adjacency) == [frozenset()] * n
         assert sample_pair_universe(graph, 0.0, seed=1).shape == (0, 2)
         assert sample_pair_universe(graph, 3.0, seed=1).shape == (0, 2)
@@ -233,7 +252,7 @@ def test_blocked_sbm_matches_one_shot_draw(n, k, p, q, equal, seed):
         inter_p = intra_p
     graph = generate_synthetic(n, k, intra_p, inter_p, seed)
     assert graph.node_count == n
-    assert graph.edges() == reference_sbm_edges(n, k, intra_p, inter_p, seed)
+    assert tuples(graph.edge_array()) == reference_sbm_edges(n, k, intra_p, inter_p, seed)
 
 
 def test_blocked_sbm_spans_several_blocks(monkeypatch):
@@ -250,7 +269,7 @@ def test_blocked_sbm_spans_several_blocks(monkeypatch):
         monkeypatch.setattr(graphs_module, "_SBM_BLOCK", block)
         for n, k, intra_p, inter_p in specs:
             graph = generate_synthetic(n, k, intra_p, inter_p, seed=3)
-            assert graph.edges() == reference_sbm_edges(n, k, intra_p, inter_p, 3)
+            assert tuples(graph.edge_array()) == reference_sbm_edges(n, k, intra_p, inter_p, 3)
 
 
 # --- pair universe ------------------------------------------------------
@@ -318,7 +337,7 @@ def test_array_split_matches_set_split(inputs):
     tp = temporal_split(graph, universe, spec)
     assert tuples(tp.removed_pairs) == removed
     assert tuples(tp.pair_universe) == universe
-    assert tp.graph_prev.edges() == kept
+    assert tuples(tp.graph_prev.edge_array()) == kept
     assert tp.graph_now is graph
 
 
@@ -435,14 +454,16 @@ def test_build_examples_matches_per_pair_reference(inputs, order_seed):
     pairs = [universe[i] for i in order]
     examples = build_examples(tp, pairs)
     assert len(examples) == len(pairs)
+    linked = graph.has_edges(np.array(pairs, dtype=np.int64).reshape(-1, 2)).tolist()
     want = [
-        PairExample(u, v, compute_features(tp.graph_prev, u, v), int(graph.has_edge(u, v)))
-        for u, v in pairs
+        PairExample(u, v, compute_features(tp.graph_prev, u, v), int(label))
+        for (u, v), label in zip(pairs, linked)
     ]
     assert list(examples) == want
     assert [examples[i] for i in range(len(pairs))] == want
     x, y = to_arrays(examples)
-    ref_x, ref_y = to_arrays(want)
+    ref_x = np.array([ex.features for ex in want], dtype=np.float64).reshape(-1, N_FEATURES)
+    ref_y = np.array(linked, dtype=np.float64)
     assert x.tobytes() == ref_x.tobytes() and y.tobytes() == ref_y.tobytes()
 
 
@@ -461,10 +482,13 @@ def test_examples_container_split_and_equality():
     examples = build_examples(tp, tp.pair_universe)
     listed = list(examples)
     train, test = train_test_split(examples, 0.8, seed=5)
-    list_train, list_test = train_test_split(listed, 0.8, seed=5)
+    train_idx, test_idx = train_test_split(np.arange(len(examples)), 0.8, seed=5)
     assert isinstance(train, PairExamples) and isinstance(test, PairExamples)
-    assert list(train) == list_train and list(test) == list_test
-    assert train == PairExamples.from_examples(list_train)
+    assert list(train) == [listed[i] for i in train_idx]
+    assert list(test) == [listed[i] for i in test_idx]
+    assert train == PairExamples(
+        examples.pairs[train_idx], examples.features[train_idx], examples.labels[train_idx]
+    )
     assert train != test
     assert examples[-1] == listed[-1]
     assert all(isinstance(f, float) for f in examples[0].features)

@@ -68,6 +68,11 @@ def make_cfg(**patches):
     return build_experiment_config(raw)
 
 
+def explaining(cfg, enabled=True):
+    """cfg with Shapley reports on, as the explain and report subcommands set it."""
+    return replace(cfg, explain=replace(cfg.explain, enabled=enabled))
+
+
 @pytest.fixture(scope="module")
 def cfg():
     return make_cfg()
@@ -371,14 +376,9 @@ class TestPrivacyBoundary:
 def full_report():
     cfg = make_cfg(
         experiment={"methods": "centralized,fedavg,fedala", "seeds": "1,2"},
-        explain={
-            "enabled": "true",
-            "method": "fedala",
-            "pairs_per_client": "2",
-            "background_size": "16",
-        },
+        explain={"method": "fedala", "pairs_per_client": "2", "background_size": "16"},
     )
-    return run_experiment(cfg)
+    return run_experiment(explaining(cfg))
 
 
 class TestRunExperiment:
@@ -442,14 +442,9 @@ class TestRunExperiment:
         monkeypatch.setattr(experiment, "build_client_datasets", tracked)
         cfg = make_cfg(
             experiment={"methods": "fedavg,fedavg_ft", "seeds": "1,2,3"},
-            explain={
-                "enabled": explain,
-                "method": "fedavg_ft",
-                "pairs_per_client": "1",
-                "background_size": "4",
-            },
+            explain={"method": "fedavg_ft", "pairs_per_client": "1", "background_size": "4"},
         )
-        report = run_experiment(cfg)
+        report = run_experiment(explaining(cfg, enabled=explain == "true"))
         assert live_at_each_build == [0, 0, 0]
         assert len(held) == 3 * 2 * 4
         assert bool(report.explanations) == (explain == "true")
@@ -457,10 +452,10 @@ class TestRunExperiment:
     def test_explain_method_must_be_selected(self):
         cfg = make_cfg(
             experiment={"methods": "fedavg"},
-            explain={"enabled": "true", "method": "fedala"},
+            explain={"method": "fedala"},
         )
         with pytest.raises(StageError, match=r"\[config\]") as err:
-            run_experiment(cfg)
+            run_experiment(explaining(cfg))
         assert err.value.stage == "config"
 
     def test_data_stage_error(self):

@@ -1,7 +1,8 @@
 """Feature oracles: hand-worked fixtures plus brute-force sweeps.
 
 The brute-force reference below recomputes each score straight from raw
-neighbor sets with no shared code path, so agreement is meaningful.
+neighbor sets with no shared code path, so its agreement with
+pair_features, the shipped kernel, is meaningful.
 """
 
 import math
@@ -14,20 +15,32 @@ from scipy import stats
 
 from fedsln.features import (
     FEATURE_NAMES,
-    FeatureVector,
-    PairExample,
     PairExamples,
     StandardizedRows,
     Standardizer,
     build_examples,
-    compute_features,
     examples_to_csv,
     ks_statistic,
+    pair_features,
     to_arrays,
 )
 from fedsln.graphs import SlnGraph, SplitSpec, generate_synthetic, temporal_split
 
 G4 = SlnGraph.from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
+
+
+def features_of(graph, u, v):
+    """pair_features of the one pair (u, v), by feature name."""
+    row = pair_features(graph, np.array([[u, v]], dtype=np.int64))[0]
+    return dict(zip(FEATURE_NAMES, row.tolist()))
+
+
+def all_pairs(n, ordered=False):
+    """Every pair of distinct nodes below n, u < v unless ordered."""
+    return np.array(
+        [(u, v) for u in range(n) for v in range(n) if u < v or (ordered and u != v)],
+        dtype=np.int64,
+    ).reshape(-1, 2)
 
 
 def brute_force(graph, u, v):
@@ -48,25 +61,35 @@ def brute_force(graph, u, v):
     return out
 
 
+def hand_examples(rows):
+    """A PairExamples container from ((u, v), features, label) rows."""
+    pairs, features, labels = zip(*rows) if rows else ((), (), ())
+    return PairExamples(
+        np.array(pairs, dtype=np.int64).reshape(-1, 2),
+        np.array(features, dtype=np.float64).reshape(-1, len(FEATURE_NAMES)),
+        np.array(labels, dtype=np.int64),
+    )
+
+
 class TestHandFixtures:
     # twelve tabulated values on G4: pair (0,3) shares {2}, pair (0,1) shares {2}
     def test_pair_0_3(self):
-        fv = compute_features(G4, 0, 3)
-        assert fv.jaccard == pytest.approx(0.5, abs=1e-9)
-        assert fv.adamic_adar == pytest.approx(1 / math.log(3), abs=1e-9)
-        assert fv.resource_allocation == pytest.approx(1 / 3, abs=1e-9)
-        assert fv.preferential_attachment == pytest.approx(2.0, abs=1e-9)
-        assert fv.cosine == pytest.approx(1 / math.sqrt(2), abs=1e-9)
-        assert fv.dice == pytest.approx(2 / 3, abs=1e-9)
+        fv = features_of(G4, 0, 3)
+        assert fv["jaccard"] == pytest.approx(0.5, abs=1e-9)
+        assert fv["adamic_adar"] == pytest.approx(1 / math.log(3), abs=1e-9)
+        assert fv["resource_allocation"] == pytest.approx(1 / 3, abs=1e-9)
+        assert fv["preferential_attachment"] == pytest.approx(2.0, abs=1e-9)
+        assert fv["cosine"] == pytest.approx(1 / math.sqrt(2), abs=1e-9)
+        assert fv["dice"] == pytest.approx(2 / 3, abs=1e-9)
 
     def test_pair_0_1(self):
-        fv = compute_features(G4, 0, 1)
-        assert fv.jaccard == pytest.approx(1 / 3, abs=1e-9)
-        assert fv.adamic_adar == pytest.approx(1 / math.log(3), abs=1e-9)
-        assert fv.resource_allocation == pytest.approx(1 / 3, abs=1e-9)
-        assert fv.preferential_attachment == pytest.approx(4.0, abs=1e-9)
-        assert fv.cosine == pytest.approx(0.5, abs=1e-9)
-        assert fv.dice == pytest.approx(0.5, abs=1e-9)
+        fv = features_of(G4, 0, 1)
+        assert fv["jaccard"] == pytest.approx(1 / 3, abs=1e-9)
+        assert fv["adamic_adar"] == pytest.approx(1 / math.log(3), abs=1e-9)
+        assert fv["resource_allocation"] == pytest.approx(1 / 3, abs=1e-9)
+        assert fv["preferential_attachment"] == pytest.approx(4.0, abs=1e-9)
+        assert fv["cosine"] == pytest.approx(0.5, abs=1e-9)
+        assert fv["dice"] == pytest.approx(0.5, abs=1e-9)
 
 
 class TestBruteForceSweep:
@@ -74,37 +97,33 @@ class TestBruteForceSweep:
         for seed in range(200):
             n = 3 + seed % 10  # sizes 3..12
             g = generate_synthetic(n, 1 + seed % 3, 0.6, 0.2, seed)
-            for u in range(n):
-                for v in range(u + 1, n):
-                    fv = compute_features(g, u, v)
-                    ref = brute_force(g, u, v)
-                    for name in FEATURE_NAMES:
-                        assert abs(getattr(fv, name) - ref[name]) < 1e-12, (
-                            seed,
-                            u,
-                            v,
-                            name,
-                        )
+            pairs = all_pairs(n)
+            for (u, v), row in zip(pairs.tolist(), pair_features(g, pairs).tolist()):
+                ref = brute_force(g, u, v)
+                for name, got in zip(FEATURE_NAMES, row):
+                    assert abs(got - ref[name]) < 1e-12, (seed, u, v, name)
 
     def test_symmetry_exact(self):
         for seed in range(40):
             g = generate_synthetic(10, 2, 0.5, 0.1, seed)
-            for u in range(10):
-                for v in range(u + 1, 10):
-                    assert compute_features(g, u, v) == compute_features(g, v, u)
+            pairs = all_pairs(10)
+            x = pair_features(g, pairs)
+            assert x.tobytes() == pair_features(g, pairs[:, ::-1]).tobytes()
 
     def test_isolated_pair_all_zero_except_pa(self):
         g = SlnGraph.from_edges(4, [(0, 1)])
-        fv = compute_features(g, 2, 3)
-        assert fv == (0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+        assert list(features_of(g, 2, 3).values()) == [0.0] * 6
 
     def test_rejects_identical_endpoints(self):
         with pytest.raises(ValueError):
-            compute_features(G4, 1, 1)
+            pair_features(G4, np.array([[1, 1]]))
 
     def test_all_values_are_floats(self):
-        fv = compute_features(SlnGraph.from_edges(3, [(0, 1)]), 0, 2)
-        assert all(isinstance(x, float) for x in fv)
+        g = SlnGraph.from_edges(3, [(0, 1)])
+        assert pair_features(g, np.array([[0, 2]])).dtype == np.float64
+        tp = temporal_split(g, [(0, 1), (0, 2)], SplitSpec(seed=0))
+        example = build_examples(tp, tp.pair_universe)[1]
+        assert all(isinstance(x, float) for x in example.features)
 
 
 class TestBuildExamples:
@@ -118,7 +137,7 @@ class TestBuildExamples:
         by_pair = {(e.u, e.v): e for e in examples}
         assert by_pair[(0, 1)].label == 1  # edge in graph_now though removed in prev
         assert by_pair[(0, 3)].label == 0
-        assert by_pair[(0, 1)].features == compute_features(tp.graph_prev, 0, 1)
+        assert by_pair[(0, 1)].features == tuple(features_of(tp.graph_prev, 0, 1).values())
 
     def test_order_preserved(self):
         tp = self._tp()
@@ -160,33 +179,37 @@ class TestBuildExamples:
             )
             return x, np.array([ex.label for ex in examples], dtype=np.float64)
 
-        hand = [
-            PairExample(0, 1, FeatureVector(1 / 3, 1 / math.log(3), 1 / 3, 4.0, 0.5, 0.5), 1),
-            PairExample(1, 3, FeatureVector(0.0, 0.0, 0.0, 0.0, 0.0, 0.0), 0),
-            PairExample(2, 5, FeatureVector(0.1, 2.5e-300, 7.0, 1e12, 0.75, -0.0), 1),
-        ]
+        hand = hand_examples(
+            [
+                ((0, 1), (1 / 3, 1 / math.log(3), 1 / 3, 4.0, 0.5, 0.5), 1),
+                ((1, 3), (0.0, 0.0, 0.0, 0.0, 0.0, 0.0), 0),
+                ((2, 5), (0.1, 2.5e-300, 7.0, 1e12, 0.75, -0.0), 1),
+            ]
+        )
         tp = self._tp()
-        for examples in (hand, build_examples(tp, tp.pair_universe), []):
+        for examples in (hand, build_examples(tp, tp.pair_universe), hand_examples([])):
             got, want = to_arrays(examples), reference(examples)
             assert not got[0].flags.writeable
             for g, w in zip(got, want):
                 assert g.shape == w.shape and g.dtype == w.dtype
                 assert g.tobytes() == w.tobytes()
-        x, y = to_arrays([])
+        x, y = to_arrays(hand_examples([]))
         assert x.shape == (0, 6) and y.shape == (0,)
 
     def test_examples_to_csv(self):
-        hand = [
-            PairExample(0, 3, compute_features(G4, 0, 3), 0),
-            PairExample(2, 5, FeatureVector(0.1, 2.5e-300, 7.0, 1e12, 0.75, -0.0), 1),
-        ]
-        text = examples_to_csv(PairExamples.from_examples(hand))
+        hand = hand_examples(
+            [
+                ((0, 3), tuple(features_of(G4, 0, 3).values()), 0),
+                ((2, 5), (0.1, 2.5e-300, 7.0, 1e12, 0.75, -0.0), 1),
+            ]
+        )
+        text = examples_to_csv(hand)
         lines = text.splitlines()
         assert lines[0] == "u,v," + ",".join(FEATURE_NAMES) + ",label"
         assert lines[1].startswith("0,3,0.5,")
         assert lines[1].endswith(",0")
         assert lines[2] == "2,5,0.1,2.5e-300,7.0,1000000000000.0,0.75,-0.0,1"
-        assert examples_to_csv(PairExamples.from_examples([])) == lines[0] + "\n"
+        assert examples_to_csv(hand_examples([])) == lines[0] + "\n"
 
 
 class TestStandardizer:

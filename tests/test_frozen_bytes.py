@@ -219,8 +219,8 @@ def test_exported_bytes_match_frozen_digests(tmp_path, capsys):
 
 # run_manifest.json text, as emit_reports writes it, of each shipped desk config
 FROZEN_MANIFEST_SHA256 = {
-    "bench/configs/desk.ini": "074aba6bbb236adce7ea1a5e20c5530f73f77942bf91e86db42a83c479f6aae0",
-    "configs/desk_benchmark.ini": "25a14419e0151985f2177bcc5ebbcc76093d9bd24208b4f677a30d1878c05a52",
+    "bench/configs/desk.ini": "3ec8a1ba410de2e9f13a320c8491d52a5f9528bb80ce64ad9e033109f632a36e",
+    "configs/desk_benchmark.ini": "ae89d13ddeb966f64d507a2afe88e0624d53677510e0cdd33058f83e112ab958",
 }
 
 

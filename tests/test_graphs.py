@@ -33,6 +33,11 @@ def tuples(pairs):
     return [tuple(p) for p in pairs.tolist()]
 
 
+def edges(graph):
+    """A graph's edges as sorted (u, v) tuples, u < v."""
+    return tuples(graph.edge_array())
+
+
 def test_round_half_up():
     assert round_half_up(0.0) == 0
     assert round_half_up(0.5) == 1
@@ -46,10 +51,9 @@ class TestSlnGraph:
         assert G4.node_count == 4
         assert G4.edge_count == 4
         assert G4.neighbors(2) == frozenset({0, 1, 3})
-        assert G4.degree(3) == 1
-        assert G4.has_edge(0, 1) and G4.has_edge(1, 0)
-        assert not G4.has_edge(0, 3)
-        assert G4.edges() == [(0, 1), (0, 2), (1, 2), (2, 3)]
+        assert G4.degrees().tolist() == [2, 2, 3, 1]
+        assert G4.has_edges(np.array([[0, 1], [1, 0], [0, 3]])).tolist() == [True, True, False]
+        assert edges(G4) == [(0, 1), (0, 2), (1, 2), (2, 3)]
 
     def test_rejects_self_loop(self):
         with pytest.raises(GraphError):
@@ -71,14 +75,14 @@ class TestSlnGraph:
         with pytest.raises(GraphError):
             G4.neighbors(4)
         with pytest.raises(GraphError):
-            G4.has_edge(0, -1)
+            G4.has_edges(np.array([[0, -1]]))
 
 
 class TestEdgeList:
     def test_comma_and_whitespace_separators(self):
         g = load_edge_list("a,b\nb c\n")
         assert g.node_count == 3
-        assert g.edges() == [(0, 1), (1, 2)]
+        assert edges(g) == [(0, 1), (1, 2)]
         assert g.node_labels == ("a", "b", "c")
 
     def test_comments_and_blank_lines(self):
@@ -88,7 +92,7 @@ class TestEdgeList:
     def test_first_seen_index_order(self):
         g = load_edge_list("z,y\nx,z\n")
         assert g.node_labels == ("z", "y", "x")
-        assert g.edges() == [(0, 1), (0, 2)]
+        assert edges(g) == [(0, 1), (0, 2)]
 
     def test_empty_input(self):
         g = load_edge_list("")
@@ -109,7 +113,7 @@ class TestEdgeList:
         text = to_edge_list(G4)
         assert text == "0,1\n0,2\n1,2\n2,3\n"
         again = load_edge_list(text)
-        assert again.edges() == G4.edges()
+        assert edges(again) == edges(G4)
 
     def test_to_edge_list_empty(self):
         assert to_edge_list(SlnGraph.from_edges(0, [])) == ""
@@ -121,7 +125,7 @@ class TestTemporalSplit:
         # two of them are edges, so graph_prev keeps 4 - 2 = 2 edges
         tp = temporal_split(G4, ALL_PAIRS_4, SplitSpec(removal_fraction=0.5, seed=2))
         assert tuples(tp.removed_pairs) == [(2, 3), (0, 1), (0, 3)]
-        assert tp.graph_prev.edges() == [(0, 2), (1, 2)]
+        assert edges(tp.graph_prev) == [(0, 2), (1, 2)]
 
     def test_line_graph_frozen(self):
         # frozen: none of the selected pairs happen to be edges here,
@@ -131,29 +135,28 @@ class TestTemporalSplit:
         tp = temporal_split(line, uni, SplitSpec(removal_fraction=0.2, seed=3))
         assert len(tp.removed_pairs) == 6  # round_half_up(0.2 * 28)
         assert tuples(tp.removed_pairs) == [(3, 6), (1, 6), (0, 2), (3, 5), (5, 7), (2, 7)]
-        assert tp.graph_prev.edges() == line.edges()
+        assert edges(tp.graph_prev) == edges(line)
 
     def test_fraction_zero_is_identity(self):
         tp = temporal_split(G4, ALL_PAIRS_4, SplitSpec(removal_fraction=0.0, seed=1))
         assert tuples(tp.removed_pairs) == []
-        assert tp.graph_prev.edges() == G4.edges()
+        assert edges(tp.graph_prev) == edges(G4)
 
     def test_fraction_one_unlinks_whole_universe(self):
         tp = temporal_split(G4, ALL_PAIRS_4, SplitSpec(removal_fraction=1.0, seed=1))
         assert set(tuples(tp.removed_pairs)) == set(ALL_PAIRS_4)
-        for u, v in ALL_PAIRS_4:
-            assert not tp.graph_prev.has_edge(u, v)
+        assert not tp.graph_prev.has_edges(np.array(ALL_PAIRS_4)).any()
 
     def test_prev_edges_subset_of_now(self):
         for seed in range(30):
             g = generate_synthetic(15, 3, 0.5, 0.1, seed)
             uni = tuple((u, v) for u in range(15) for v in range(u + 1, 15))
             tp = temporal_split(g, uni, SplitSpec(removal_fraction=0.3, seed=seed))
-            assert set(tp.graph_prev.edges()) <= set(g.edges())
+            assert set(edges(tp.graph_prev)) <= set(edges(g))
             # edges outside the selection always survive
             removed = set(tuples(tp.removed_pairs))
-            survivors = set(g.edges()) - removed
-            assert survivors == set(tp.graph_prev.edges())
+            survivors = set(edges(g)) - removed
+            assert survivors == set(edges(tp.graph_prev))
 
     def test_reproducible(self):
         a = temporal_split(G4, ALL_PAIRS_4, SplitSpec(seed=11))
@@ -175,39 +178,39 @@ class TestTemporalSplit:
 
 class TestTrainTestSplit:
     def test_frozen_assignment(self):
-        train, test = train_test_split(list(range(10)), 0.8, seed=9)
-        assert train == [8, 9, 5, 3, 6, 0, 2, 1]
-        assert test == [7, 4]
+        train, test = train_test_split(np.arange(10), 0.8, seed=9)
+        assert train.tolist() == [8, 9, 5, 3, 6, 0, 2, 1]
+        assert test.tolist() == [7, 4]
 
     def test_partition_property(self):
         for seed in range(25):
-            items = list(range(37))
+            items = np.arange(37)
             train, test = train_test_split(items, 0.8, seed)
             assert len(train) == 30  # round_half_up(29.6)
-            assert sorted(train + test) == items
+            assert sorted(train.tolist() + test.tolist()) == items.tolist()
 
     def test_rejects_degenerate_inputs(self):
         with pytest.raises(ValueError):
-            train_test_split([], 0.8, 0)
+            train_test_split(np.arange(0), 0.8, 0)
         with pytest.raises(ValueError):
-            train_test_split([1, 2], 1.0, 0)
+            train_test_split(np.arange(2), 1.0, 0)
         with pytest.raises(ValueError):
-            train_test_split([1, 2], 0.0, 0)
+            train_test_split(np.arange(2), 0.0, 0)
 
 
 class TestGenerateSynthetic:
     def test_frozen_fingerprint(self):
         g = generate_synthetic(20, 2, 0.8, 0.1, seed=5)
         assert g.edge_count == 82
-        assert g.edges()[:5] == [(0, 2), (0, 4), (0, 6), (0, 8), (0, 10)]
+        assert edges(g)[:5] == [(0, 2), (0, 4), (0, 6), (0, 8), (0, 10)]
 
     def test_validity_sweep(self):
         for seed in range(20):
             g = generate_synthetic(12, 3, 0.6, 0.05, seed)
             # construction re-checks symmetry and self-loop invariants
             assert g.node_count == 12
-            for u, v in g.edges():
-                assert u < v and g.has_edge(v, u)
+            for u, v in edges(g):
+                assert u < v and g.has_edges(np.array([[v, u]]))[0]
 
     def test_edge_probability_extremes(self):
         full = generate_synthetic(10, 1, 1.0, 1.0, seed=0)
@@ -218,7 +221,7 @@ class TestGenerateSynthetic:
     def test_intra_denser_than_inter(self):
         # same community pairs should dominate when intra_p >> inter_p
         g = generate_synthetic(60, 2, 0.9, 0.02, seed=1)
-        same = sum(1 for u, v in g.edges() if u % 2 == v % 2)
+        same = sum(1 for u, v in edges(g) if u % 2 == v % 2)
         cross = g.edge_count - same
         assert same > 5 * cross
 
@@ -233,14 +236,14 @@ class TestGenerateSynthetic:
     def test_reproducible(self):
         a = generate_synthetic(30, 3, 0.4, 0.05, seed=7)
         b = generate_synthetic(30, 3, 0.4, 0.05, seed=7)
-        assert a.edges() == b.edges()
+        assert edges(a) == edges(b)
 
 
 class TestPairUniverse:
     def test_g4_counts(self):
         uni = tuples(sample_pair_universe(G4, 0.5, seed=1))
         assert len(uni) == 6  # 4 positives + round_half_up(2.0) negatives
-        assert uni[:4] == G4.edges()
+        assert uni[:4] == edges(G4)
         assert set(uni[4:]) <= {(0, 3), (1, 3)}
 
     def test_negatives_are_unlinked_and_unique(self):
@@ -252,12 +255,11 @@ class TestPairUniverse:
             neg = uni[g.edge_count :]
             assert len(neg) == round_half_up(2.0 * g.edge_count)
             assert len(set(neg)) == len(neg)
-            for u, v in neg:
-                assert not g.has_edge(u, v)
+            assert not g.has_edges(np.array(neg)).any()
 
     def test_too_many_negatives(self):
         with pytest.raises(GraphError):
             sample_pair_universe(G4, 100.0, seed=0)
 
     def test_ratio_zero(self):
-        assert tuples(sample_pair_universe(G4, 0.0, seed=0)) == G4.edges()
+        assert tuples(sample_pair_universe(G4, 0.0, seed=0)) == edges(G4)
