@@ -2,8 +2,8 @@
 
 Subcommands:
 
-    generate   write synthetic edge lists for one seed
-    featurize  write per-client feature CSVs for one seed
+    generate   write synthetic edge lists for the first seed
+    featurize  write per-client feature CSVs for the first seed
     train      run the experiment; write metrics, fairness, models, manifest
     fairness   run the experiment; write only fairness.csv and the manifest
     explain    run with Shapley reporting; write importance, explanations, SVGs
@@ -29,6 +29,7 @@ from .config import (
     read_raw_sections,
 )
 from .experiment import (
+    RunReport,
     StageError,
     emit_reports,
     export_feature_tables,
@@ -104,19 +105,18 @@ def default_max_workers(n_classrooms: int) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # no abbreviations: --seed and --method would quietly mean --seeds and --methods
     parser = argparse.ArgumentParser(
         prog="fedsln",
         description="federated link prediction workbench for social learning networks",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    gen = sub.add_parser("generate", help="write synthetic edge lists")
-    _add_common(gen)
-    gen.add_argument("--seed", type=int, help="experiment seed (default: first)")
-
-    feat = sub.add_parser("featurize", help="write per-client feature CSVs")
-    _add_common(feat)
-    feat.add_argument("--seed", type=int, help="experiment seed (default: first)")
+    for name, help_text in (
+        ("generate", "write synthetic edge lists"),
+        ("featurize", "write per-client feature CSVs"),
+    ):
+        _add_common(sub.add_parser(name, help=help_text, allow_abbrev=False))
 
     for name, help_text in (
         ("train", "train and write metrics, fairness, models"),
@@ -124,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("explain", "train and write Shapley reports"),
         ("report", "train and write every report group"),
     ):
-        cmd = sub.add_parser(name, help=help_text)
+        cmd = sub.add_parser(name, help=help_text, allow_abbrev=False)
         _add_common(cmd)
         cmd.add_argument(
             "--max-workers",
@@ -133,8 +133,6 @@ def build_parser() -> argparse.ArgumentParser:
             "process; never changes the output (default: one per classroom "
             f"when more than one CPU is usable, at most {SHARDS_PER_CPU} per CPU)",
         )
-        if name == "explain":
-            cmd.add_argument("--method", help="override [explain] method")
     return parser
 
 
@@ -144,7 +142,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = _load(args)
         if args.command in ("generate", "featurize"):
-            seed = args.seed if args.seed is not None else cfg.seeds[0]
+            seed = cfg.seeds[0]
             out = Path(cfg.output_dir) / (
                 "data" if args.command == "generate" else "features"
             )
@@ -160,8 +158,7 @@ def main(argv: list[str] | None = None) -> int:
                 raise ConfigError("--max-workers must be at least 1")
             # only the subcommands that write Shapley reports compute them
             enabled = "explain" in _EMIT_GROUPS[args.command]
-            method = getattr(args, "method", None) or cfg.explain.method
-            cfg = replace(cfg, explain=replace(cfg.explain, enabled=enabled, method=method))
+            cfg = replace(cfg, explain=replace(cfg.explain, enabled=enabled))
             report = run_experiment(cfg, max_workers=workers)
             paths = emit_reports(report, include=_EMIT_GROUPS[args.command])
             for line in _metric_lines(report):
@@ -179,15 +176,12 @@ def main(argv: list[str] | None = None) -> int:
     return 0
 
 
-def _metric_lines(report) -> list[str]:
-    if not report.metrics:
-        return []
-    per_method: dict[str, list[float]] = {}
-    for method, _client, _seed, m in report.metrics:
-        per_method.setdefault(method, []).append(m.auc)
+def _metric_lines(report: RunReport) -> list[str]:
     lines = []
     for method in report.config.methods:
-        aucs = per_method.get(method, [])
+        # summed seed by seed, classrooms in order within each seed
+        by_seed = zip(*report.classroom_metrics(method).values())
+        aucs = [m.auc for reports in by_seed for m in reports]
         mean = sum(aucs) / len(aucs)
         lines.append(f"{method}: mean test AUC {mean:.4f} over {len(aucs)} cells")
     return lines

@@ -9,12 +9,17 @@ training split is ever standardized as a whole: clients train on a
 features.StandardizedRows view of the raw matrix, which standardizes each
 batch as it is drawn, and the test split goes through its standardizer
 when it is scored. A data-stage failure names the seed and the classroom,
-and for edge lists the file. Metrics
-are collected per (method, client, seed); fairness spreads use the
-per-client rates averaged over seeds; explanations, when enabled,
-attribute the first seed's models while its datasets are alive. No
-seed's datasets outlive its iteration. fedavg_ft fine-tunes the seed's
-fedavg model, so the FedAvg rounds run once per seed.
+and for edge lists the file. Explanations, when enabled, attribute the
+first seed's models while its datasets are alive. No seed's datasets
+outlive its iteration. fedavg_ft fine-tunes the seed's fedavg model, so
+the FedAvg rounds run once per seed.
+
+A run's results are its MethodOutcomes, one per (seed, method), and every
+report is read off them when it is emitted: metrics.csv row by row,
+summary.csv and fairness.csv from each method's per-classroom metrics
+across seeds (RunReport.classroom_metrics; fairness spreads use the
+per-classroom rates averaged over seeds), and the models group from each
+outcome's models and blend weights.
 
 The centralized regime is FedAvg with one client and one round: the
 pooled training data form a single pseudo-client with id 0 that uses
@@ -41,7 +46,6 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .analysis import (
-    FairnessReport,
     fairness_report,
     global_importance,
     make_predictor,
@@ -171,14 +175,29 @@ class MethodOutcome:
 
 @dataclass
 class RunReport:
+    """A run's outcomes, seed-major and in config.methods order within a
+    seed (metrics.csv's row order), plus the first seed's Shapley records
+    and per-classroom importance when explanations were enabled."""
+
     config: ExperimentConfig
-    metrics: list[tuple[str, int, int, MetricsReport]]
-    fairness: dict[str, FairnessReport]
+    outcomes: list[MethodOutcome]
     explanations: list[dict]
     importance: dict[int, tuple[np.ndarray, tuple[int, ...]]]
-    checkpoints: list[tuple[str, ModelParams, Standardizer | None]]
-    extra_files: list[tuple[str, str]]
-    warnings: tuple[str, ...]
+
+    def classroom_metrics(self, method: str) -> dict[int, list[MetricsReport]]:
+        """method's MetricsReport per classroom, classrooms sorted, each
+        classroom's reports in seed order."""
+        cells: dict[int, list[MetricsReport]] = {}
+        for outcome in self.outcomes:
+            if outcome.method == method:
+                for client, metrics in outcome.reports.items():
+                    cells.setdefault(client, []).append(metrics)
+        return dict(sorted(cells.items()))
+
+    @property
+    def warnings(self) -> tuple[str, ...]:
+        """Every outcome's warning as `method: warning`, sorted, once each."""
+        return tuple(sorted({f"{o.method}: {w}" for o in self.outcomes for w in o.warnings}))
 
 
 def _graph(cfg: ExperimentConfig, seed: int, c: int) -> SlnGraph:
@@ -448,14 +467,7 @@ def run_experiment(
         raise StageError(
             "config", f"explain method {cfg.explain.method!r} is not among the methods"
         )
-    metrics: list[tuple[str, int, int, MetricsReport]] = []
-    rate_cells: dict[tuple[str, int], list[tuple[float, float]]] = {}
-    checkpoints: list[tuple[str, ModelParams, Standardizer | None]] = []
-    extra_files: list[tuple[str, str]] = []
-    warnings: set[str] = set()
-    explanations: list[dict] = []
-    importance: dict[int, tuple[np.ndarray, tuple[int, ...]]] = {}
-
+    report = RunReport(config=cfg, outcomes=[], explanations=[], importance={})
     for seed in cfg.seeds:
         datasets = build_client_datasets(cfg, seed)
         _check_test_splits(cfg, seed, datasets)
@@ -468,45 +480,12 @@ def run_experiment(
                     max_workers=max_workers, fedavg=outcomes.get("fedavg"),
                 )
         if cfg.explain.enabled and seed == cfg.seeds[0]:
-            explanations, importance = _explain(
+            report.explanations, report.importance = _explain(
                 cfg, datasets, outcomes[cfg.explain.method], seed
             )
         del datasets  # released before the next seed is built
-        for method in cfg.methods:
-            outcome = outcomes[method]
-            warnings.update(f"{method}: {w}" for w in outcome.warnings)
-            for client, report in outcome.reports.items():
-                metrics.append((method, client, seed, report))
-                # _check_test_splits has made both rates defined
-                tpr, fpr = rates_from_counts(report.tp, report.fp, report.tn, report.fn)
-                rate_cells.setdefault((method, client), []).append((tpr, fpr))
-            checkpoints.extend(_method_checkpoints(outcome))
-            extra_files.extend(_blend_weight_files(outcome))
-
-    fairness: dict[str, FairnessReport] = {}
-    with _stage("analysis"):
-        for method in cfg.methods:
-            mean_rates = []
-            for d in sorted({cid for (m, cid) in rate_cells if m == method}):
-                cell = rate_cells[(method, d)]
-                mean_rates.append(
-                    (
-                        float(np.mean([r[0] for r in cell])),
-                        float(np.mean([r[1] for r in cell])),
-                    )
-                )
-            fairness[method] = fairness_report(mean_rates)
-
-    return RunReport(
-        config=cfg,
-        metrics=metrics,
-        fairness=fairness,
-        explanations=explanations,
-        importance=importance,
-        checkpoints=checkpoints,
-        extra_files=extra_files,
-        warnings=tuple(sorted(warnings)),
-    )
+        report.outcomes.extend(outcomes[method] for method in cfg.methods)
+    return report
 
 
 def _method_checkpoints(
@@ -538,30 +517,27 @@ def _fmt(x: float) -> str:
 
 def _metrics_csv(report: RunReport) -> str:
     lines = ["method,client,seed,accuracy,loss,auc"]
-    for method, client, seed, m in report.metrics:
-        lines.append(
-            f"{method},{client},{seed},{_fmt(m.accuracy)},{_fmt(m.mean_loss)},{_fmt(m.auc)}"
-        )
+    for o in report.outcomes:
+        for client, m in o.reports.items():
+            lines.append(
+                f"{o.method},{client},{o.seed},{_fmt(m.accuracy)},{_fmt(m.mean_loss)},{_fmt(m.auc)}"
+            )
     return "\n".join(lines) + "\n"
 
 
 def _summary_csv(report: RunReport) -> str:
-    cells: dict[tuple[str, int], list[MetricsReport]] = {}
-    for method, client, _seed, m in report.metrics:
-        cells.setdefault((method, client), []).append(m)
     lines = [
         "method,client,accuracy_mean,accuracy_std,loss_mean,loss_std,auc_mean,auc_std"
     ]
     for method in report.config.methods:
-        for (m_name, client) in sorted(k for k in cells if k[0] == method):
-            ms = cells[(m_name, client)]
+        for client, ms in report.classroom_metrics(method).items():
             acc = [m.accuracy for m in ms]
             loss = [m.mean_loss for m in ms]
             aucs = [m.auc for m in ms]
             lines.append(
                 ",".join(
                     [
-                        m_name,
+                        method,
                         str(client),
                         _fmt(np.mean(acc)),
                         _fmt(np.std(acc)),
@@ -579,7 +555,12 @@ def _fairness_csv(report: RunReport) -> str:
     # the final row per method carries the spreads in the rate columns
     lines = ["method,client,tpr,fpr"]
     for method in report.config.methods:
-        fr = report.fairness[method]
+        mean_rates = []
+        for ms in report.classroom_metrics(method).values():
+            # run_experiment's _check_test_splits has made both rates defined
+            rates = [rates_from_counts(m.tp, m.fp, m.tn, m.fn) for m in ms]
+            mean_rates.append(tuple(float(np.mean(rate)) for rate in zip(*rates)))
+        fr = fairness_report(mean_rates)
         for client, (tpr, fpr) in enumerate(fr.client_rates):
             lines.append(f"{method},{client},{_fmt(tpr)},{_fmt(fpr)}")
         lines.append(f"{method},range,{_fmt(fr.tpr_range)},{_fmt(fr.fpr_range)}")
@@ -634,11 +615,13 @@ def _report_files(
                 values.tolist(), FEATURE_NAMES, title=f"classroom {client}: mean |phi|"
             )
     if "models" in groups:
-        for rel, params, standardizer in report.checkpoints:
-            yield rel, functools.partial(
-                save_checkpoint, params=params, standardizer=standardizer
-            )
-        yield from report.extra_files
+        for outcome in report.outcomes:
+            for rel, params, standardizer in _method_checkpoints(outcome):
+                yield rel, functools.partial(
+                    save_checkpoint, params=params, standardizer=standardizer
+                )
+        for outcome in report.outcomes:
+            yield from _blend_weight_files(outcome)
     if "manifest" in groups:
         yield "run_manifest.json", json.dumps(
             config_to_manifest(report.config), indent=2, sort_keys=True

@@ -213,11 +213,11 @@ def ala_init(
     local_prev: ModelParams,
     global_params: ModelParams,
     weights: AlaWeights,
-    top_layers: int,
 ) -> ModelParams:
-    """Blend: bottom layers copied from the global model, top layers
-    local_prev*(1-W) + global*W elementwise (exact at W=0 and W=1)."""
-    tail = _blended_tail(local_prev, global_params, weights, top_layers)
+    """Blend: bottom layers copied from the global model, top
+    weights.n_layers layers local_prev*(1-W) + global*W elementwise
+    (exact at W=0 and W=1)."""
+    tail = _blended_tail(local_prev, global_params, weights)
     flat = global_params.flat.copy()
     flat[flat.size - tail.size :] = tail
     return ModelParams(flat, global_params.layer_dims)
@@ -227,15 +227,12 @@ def _blended_tail(
     local_prev: ModelParams,
     global_params: ModelParams,
     weights: AlaWeights,
-    top_layers: int,
 ) -> np.ndarray:
     """The blended top layers, local_prev*(1-W) + global*W, as a new flat
     buffer laid out as weights.flat."""
     if local_prev.layer_dims != global_params.layer_dims:
         raise ValueError("local and global parameter structures differ")
-    base = _check_top_layers(global_params, top_layers)
-    if weights.n_layers != top_layers:
-        raise ValueError("one weight layer per blended layer required")
+    base = _check_top_layers(global_params, weights.n_layers)
     if weights.layer_dims != global_params.layer_dims[base:]:
         raise ValueError("weight shapes do not match the blended layers")
     top = global_params.flat.size - weights.flat.size
@@ -284,7 +281,7 @@ def learn_ala_weights(
     cap = config.ala_update_cap if max_updates is None else max_updates
     losses: list[float] = []
     for _ in range(cap):
-        blended = layer_views(_blended_tail(local_prev, global_params, w, p), w.layer_dims)
+        blended = layer_views(_blended_tail(local_prev, global_params, w), w.layer_dims)
         # one pass gives both the window loss and the gradient
         probs = _gradient_into(blended, grads, frozen, sy)
         losses.append(float(np.mean(bce_loss(probs, sy))))
@@ -312,9 +309,7 @@ def _ala_sync(client: ClientState, global_params: ModelParams, config: TrainConf
         weights=client.ala_weights,
         max_updates=None if first_blend else 1,
     )
-    client.params = ala_init(
-        client.params, global_params, client.ala_weights, config.ala_top_layers
-    )
+    client.params = ala_init(client.params, global_params, client.ala_weights)
 
 
 def run_fedala(

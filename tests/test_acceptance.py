@@ -228,7 +228,7 @@ def test_criterion_05_fedala_reductions(capsys):
     base = len(glob.layers) - top
 
     ones = AlaWeights.ones_like(glob, top)
-    w1 = ala_init(prev, glob, ones, top)
+    w1 = ala_init(prev, glob, ones)
     ones_exact = all(
         np.array_equal(a.weights, b.weights) and np.array_equal(a.biases, b.biases)
         for a, b in zip(w1.layers, glob.layers)
@@ -238,7 +238,7 @@ def test_criterion_05_fedala_reductions(capsys):
         [DenseLayer(np.zeros_like(l.weights), np.zeros_like(l.biases))
          for l in glob.layers[base:]]
     )
-    w0 = ala_init(prev, glob, zeros, top)
+    w0 = ala_init(prev, glob, zeros)
     zeros_exact = all(
         np.array_equal(a.weights, b.weights) and np.array_equal(a.biases, b.biases)
         for a, b in zip(w0.layers[base:], prev.layers[base:])

@@ -247,6 +247,22 @@ class TestParsing:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["train"])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["generate", "--seed", "2"],
+            ["featurize", "--seed", "2"],
+            ["explain", "--method", "fedavg"],
+        ],
+        ids=["generate-seed", "featurize-seed", "explain-method"],
+    )
+    def test_removed_flags_are_usage_errors(self, capsys, argv):
+        # not prefixes of --seeds and --methods either: abbreviations are off
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--config", "unread.ini"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 THREE_CLASSROOMS = (
     "--set", "data.nodes=40,50,45",
@@ -467,7 +483,7 @@ class TestOtherCommands:
         code, _, _ = run_cli(
             capsys,
             "explain", "--config", str(config_path), "--output-dir", str(out),
-            "--method", "fedavg",
+            "--set", "explain.method=fedavg",
             "--set", "explain.pairs_per_client=2",
             "--set", "explain.background_size=16",
         )
@@ -510,7 +526,7 @@ class TestOtherCommands:
             capsys,
             "explain", "--config", str(config_path),
             "--output-dir", str(tmp_path / "run"),
-            "--method", "fedala",
+            "--set", "explain.method=fedala",
         )
         assert code == 2
         assert "[config]" in stderr
@@ -555,9 +571,9 @@ class TestOtherCommands:
         a = tmp_path / "a"
         b = tmp_path / "b"
         run_cli(capsys, "generate", "--config", str(config_path),
-                "--output-dir", str(a), "--seed", "1")
+                "--output-dir", str(a), "--seeds", "1")
         run_cli(capsys, "generate", "--config", str(config_path),
-                "--output-dir", str(b), "--seed", "2")
+                "--output-dir", str(b), "--seeds", "2")
         assert (a / "data" / "client0.edges").read_text() != (
             b / "data" / "client0.edges"
         ).read_text()
@@ -815,7 +831,7 @@ class TestErrors:
         (out / folder / target).unlink()
         (out / folder / target).mkdir()
         before = {p: p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
-        code, stdout, err = run_cli(capsys, *argv, "--seed", "2")
+        code, stdout, err = run_cli(capsys, *argv, "--seeds", "2")
         assert code == 2
         assert stdout == ""
         lines = err.splitlines()
@@ -905,7 +921,7 @@ class TestErrors:
         code, stdout, err = run_cli(
             capsys,
             "explain", "--config", str(config_path), "--output-dir", str(tmp_path / "run"),
-            "--method", "fedavg",
+            "--set", "explain.method=fedavg",
             "--set", "explain.pairs_per_client=2",
             "--set", "explain.background_size=16",
         )

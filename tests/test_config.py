@@ -370,18 +370,20 @@ OFF_DEFAULT = {
 
 @functools.lru_cache(maxsize=None)
 def tiny_run_digests(method, key=None):
-    """SHA-256 of a TINY run's metrics and of its checkpoints and blend files."""
+    """SHA-256 of a TINY run's metrics and of its models and blend weights."""
     raw = {name: dict(section) for name, section in TINY.items()}
     raw["experiment"] = {"methods": method}
     if key is not None:
         raw[method][key] = OFF_DEFAULT[key]
     report = run_experiment(build_experiment_config(raw), max_workers=1)
+    metrics = []
     models = hashlib.sha256()
-    for name, params, _ in report.checkpoints:
-        models.update(name.encode() + params.flat.tobytes())
-    for name, text in report.extra_files:
-        models.update(name.encode() + text.encode())
-    return hashlib.sha256(repr(report.metrics).encode()).hexdigest(), models.hexdigest()
+    for o in report.outcomes:
+        metrics.extend((o.method, c, o.seed, m) for c, m in o.reports.items())
+        # every model, and every fedala blend, of each classroom
+        for c, params in [*o.models.items(), *(o.ala_weights or {}).items()]:
+            models.update(f"{o.method} {o.seed} {c}".encode() + params.flat.tobytes())
+    return hashlib.sha256(repr(metrics).encode()).hexdigest(), models.hexdigest()
 
 
 @pytest.mark.parametrize("method, key", [(m, k) for m, keys in METHOD_KEYS.items() for k in keys])

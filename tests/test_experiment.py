@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import fedsln.experiment as experiment
+from fedsln.analysis import fairness_report, rates_from_counts
 from fedsln.config import build_experiment_config
 from fedsln.experiment import (
     StageError,
@@ -372,6 +373,15 @@ class TestPrivacyBoundary:
         assert calls == [2, 2]
 
 
+def seed_mean_fairness(report, method):
+    """fairness_report of method's per-classroom rates averaged over seeds."""
+    mean_rates = []
+    for ms in report.classroom_metrics(method).values():
+        rates = [rates_from_counts(m.tp, m.fp, m.tn, m.fn) for m in ms]
+        mean_rates.append(tuple(float(np.mean(column)) for column in zip(*rates)))
+    return fairness_report(mean_rates)
+
+
 @pytest.fixture(scope="module")
 def full_report():
     cfg = make_cfg(
@@ -383,20 +393,24 @@ def full_report():
 
 class TestRunExperiment:
     def test_metrics_grid(self, full_report):
-        rows = {(m, c, s) for (m, c, s, _rep) in full_report.metrics}
-        assert len(full_report.metrics) == 3 * 2 * 2
-        assert rows == {
+        cells = [(o.method, c, o.seed) for o in full_report.outcomes for c in o.reports]
+        assert len(cells) == 3 * 2 * 2
+        assert set(cells) == {
             (m, c, s)
             for m in ("centralized", "fedavg", "fedala")
             for c in (0, 1)
             for s in (1, 2)
         }
 
-    def test_fairness_per_method(self, full_report):
-        assert sorted(full_report.fairness) == ["centralized", "fedala", "fedavg"]
-        for fr in full_report.fairness.values():
-            assert len(fr.client_rates) == 2
-            assert 0.0 <= fr.tpr_range <= 1.0
+    def test_fairness_per_method(self, full_report, tmp_path):
+        emit_reports(full_report, tmp_path, include=["fairness"])
+        rows = [l.split(",") for l in (tmp_path / "fairness.csv").read_text().splitlines()[1:]]
+        assert sorted({r[0] for r in rows}) == ["centralized", "fedala", "fedavg"]
+        for method in ("centralized", "fedala", "fedavg"):
+            # two classrooms' rates, then the spreads
+            assert [r[1] for r in rows if r[0] == method] == ["0", "1", "range"]
+            tpr_range = next(float(r[2]) for r in rows if r[:2] == [method, "range"])
+            assert 0.0 <= tpr_range <= 1.0
 
     def test_explanations_first_seed_only(self, full_report):
         assert sorted(full_report.importance) == [0, 1]
@@ -411,13 +425,16 @@ class TestRunExperiment:
                 rec["predicted"], abs=1e-9
             )
 
-    def test_checkpoint_listing(self, full_report):
-        names = [rel for (rel, _p, _s) in full_report.checkpoints]
+    def test_checkpoint_listing(self, full_report, tmp_path):
+        written = emit_reports(full_report, tmp_path, include=["models"])
+        files = [p.relative_to(tmp_path).as_posix() for p in written]
+        names = [rel for rel in files if rel.endswith(".ckpt")]
         assert "models/centralized_seed1.ckpt" in names
         assert "models/fedavg_seed2.ckpt" in names
         assert "models/fedala_seed1_client0.ckpt" in names
         assert len(names) == 2 * (1 + 1 + 2)
-        blend = [rel for (rel, _text) in full_report.extra_files]
+        # every checkpoint is listed before every blend-weight file
+        blend = files[len(names):]
         assert "models/fedala_seed1_client0_blend.csv" in blend
         assert len(blend) == 4
 
@@ -484,7 +501,7 @@ class TestEmit:
         emit_reports(full_report, tmp_path, include=["metrics"])
         lines = (tmp_path / "metrics.csv").read_text().splitlines()
         assert lines[0] == "method,client,seed,accuracy,loss,auc"
-        assert len(lines) == 1 + len(full_report.metrics)
+        assert len(lines) == 1 + sum(len(o.reports) for o in full_report.outcomes)
         first = lines[1].split(",")
         assert first[0] == "centralized" and first[1] == "0" and first[2] == "1"
         float(first[3]), float(first[4]), float(first[5])
@@ -496,7 +513,7 @@ class TestEmit:
         lines = (tmp_path / "fairness.csv").read_text().splitlines()
         range_rows = [l for l in lines if l.split(",")[1] == "range"]
         assert len(range_rows) == 3
-        fr = full_report.fairness["fedavg"]
+        fr = seed_mean_fairness(full_report, "fedavg")
         assert f"fedavg,range,{float(fr.tpr_range)!r},{float(fr.fpr_range)!r}" in lines
 
     def test_include_filters(self, full_report, tmp_path):
@@ -548,8 +565,10 @@ class TestEmit:
     def test_target_named_twice_moves_nothing(self, full_report, tmp_path):
         emit_reports(full_report, tmp_path, include=["metrics"])
         before = (tmp_path / "metrics.csv").read_bytes()
-        twice = replace(full_report, metrics=[], extra_files=[("a.csv", "1\n"), ("a.csv", "2\n")])
-        with pytest.raises(StageError, match=r"\[emit\] .*a\.csv would be written twice"):
+        fedavg = next(o for o in full_report.outcomes if (o.method, o.seed) == ("fedavg", 1))
+        twice = replace(full_report, outcomes=[fedavg, fedavg])
+        twice_named = r"\[emit\] .*fedavg_seed1\.ckpt would be written twice"
+        with pytest.raises(StageError, match=twice_named):
             emit_reports(twice, tmp_path, include=["metrics", "models"])
         assert (tmp_path / "metrics.csv").read_bytes() == before
         files = sorted(p.name for p in tmp_path.rglob("*") if p.is_file())
@@ -560,8 +579,7 @@ class TestEmit:
         path = tmp_path / "models" / "centralized_seed1.ckpt"
         params, standardizer = load_checkpoint(path)
         wanted = next(
-            p for (rel, p, _s) in full_report.checkpoints
-            if rel.endswith("centralized_seed1.ckpt")
+            o.models[0] for o in full_report.outcomes if (o.method, o.seed) == ("centralized", 1)
         )
         assert params_checksum(params) == params_checksum(wanted)
         assert standardizer is not None

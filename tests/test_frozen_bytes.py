@@ -8,7 +8,9 @@ checkpoint and blend-weight file; not run_manifest.json, which names
 the output directory) is compared with the constants below. The same run
 with fedavg_ft listed before fedavg gives the same digests once the rows of
 the method-ordered CSVs are put back in CONFIG_TEXT's order, and fedavg_ft
-alone gives the same four fedavg_ft checkpoints. The files
+alone gives the same four fedavg_ft checkpoints. A report assembled from
+`run_method` outcomes by hand emits the same metrics, fairness and model
+files. The files
 `fedsln generate` and `fedsln featurize` write for the first seed, and
 the manifests of the two desk configs with the output directory they
 name, are frozen the same way. A change that alters the numbers on purpose
@@ -179,6 +181,31 @@ def test_fedavg_ft_alone_gives_the_same_models(tmp_path, capsys, workers):
     assert len(models) == 4
 
 
+def test_a_report_of_run_method_outcomes_gives_the_same_bytes(tmp_path):
+    # a library caller's own outcomes, seed-major in CONFIG_TEXT's method
+    # order, emit what the run's report does
+    ini = tmp_path / "exp.ini"
+    ini.write_text(CONFIG_TEXT)
+    cfg = load_config(ini)
+    outcomes = []
+    for seed in cfg.seeds:
+        datasets = experiment.build_client_datasets(cfg, seed)
+        trained = {}
+        for method in cfg.methods:
+            trained[method] = experiment.run_method(
+                method, datasets, cfg, seed, fedavg=trained.get("fedavg")
+            )
+        outcomes.extend(trained.values())
+    report = experiment.RunReport(cfg, outcomes, [], {})
+    out = tmp_path / "out"
+    experiment.emit_reports(report, out, include=("metrics", "fairness", "models"))
+    assert emitted_digests(out) == {
+        k: v
+        for k, v in FROZEN_SHA256.items()
+        if k in ("metrics.csv", "summary.csv", "fairness.csv") or k.startswith("models/")
+    }
+
+
 @pytest.mark.parametrize("methods", ["fedavg,fedavg_ft", "fedavg_ft,fedavg", "fedavg_ft"])
 def test_fedavg_rounds_run_once_per_seed(tmp_path, monkeypatch, methods):
     seeds = []
@@ -224,8 +251,9 @@ FROZEN_MANIFEST_SHA256 = {
 }
 
 
-@pytest.mark.parametrize("config, digest", sorted(FROZEN_MANIFEST_SHA256.items()))
-def test_manifest_bytes_match_frozen_digests(config, digest):
+# the ids are the config paths alone, so a changed digest renames no case
+@pytest.mark.parametrize("config", sorted(FROZEN_MANIFEST_SHA256))
+def test_manifest_bytes_match_frozen_digests(config):
     manifest = config_to_manifest(load_config(ROOT / config))
     text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    assert hashlib.sha256(text.encode()).hexdigest() == FROZEN_MANIFEST_SHA256[config]

@@ -109,7 +109,7 @@ def reference_learn_ala_weights(client, global_params, local_prev, config, *, we
     cap = config.ala_update_cap if max_updates is None else max_updates
     losses = []
     for _ in range(cap):
-        blended = ala_init(local_prev, global_params, w, p)
+        blended = ala_init(local_prev, global_params, w)
         probs = _gradient_into(blended.layers, grads, sx, sy)
         losses.append(float(np.mean(bce_loss(probs, sy))))
         w = AlaWeights(
@@ -329,14 +329,14 @@ class TestAlaInit:
     def test_all_ones_returns_global_exactly(self):
         prev, glob = random_pair(0)
         w = AlaWeights.ones_like(glob, 2)
-        out = ala_init(prev, glob, w, 2)
+        out = ala_init(prev, glob, w)
         assert np.array_equal(flatten(out), flatten(glob))
 
     def test_all_zeros_returns_prev_on_top_global_below(self):
         prev, glob = random_pair(1)
         w = AlaWeights.ones_like(glob, 1)
         zero = AlaWeights.from_layers([DenseLayer(np.zeros_like(l.weights), np.zeros_like(l.biases)) for l in w.layers])
-        out = ala_init(prev, glob, zero, 1)
+        out = ala_init(prev, glob, zero)
         assert np.array_equal(out.layers[-1].weights, prev.layers[-1].weights)
         assert np.array_equal(out.layers[-1].biases, prev.layers[-1].biases)
         assert np.array_equal(out.layers[0].weights, glob.layers[0].weights)
@@ -349,7 +349,7 @@ class TestAlaInit:
                 for l in glob.layers[-2:]
             ]
         )
-        out = ala_init(prev, glob, half, 2)
+        out = ala_init(prev, glob, half)
         for i in (-2, -1):
             expected = 0.5 * prev.layers[i].weights + 0.5 * glob.layers[i].weights
             assert np.allclose(out.layers[i].weights, expected, atol=1e-12)
@@ -360,11 +360,10 @@ class TestAlaInit:
 
     def test_validation(self):
         prev, glob = random_pair(3)
-        w = AlaWeights.ones_like(glob, 1)
-        with pytest.raises(ValueError):
-            ala_init(prev, glob, w, 2)  # weight count mismatch
-        with pytest.raises(ValueError):
-            ala_init(prev, glob, w, 99)
+        # one 3 -> 1 layer of weights; the model's top layer is 4 -> 1
+        w = AlaWeights(np.ones(4), (3, 1))
+        with pytest.raises(ValueError, match="weight shapes do not match"):
+            ala_init(prev, glob, w)
         with pytest.raises(ValueError):
             AlaWeights.from_layers([DenseLayer(np.array([[1.5]]), np.array([0.0]))])
 
@@ -393,7 +392,7 @@ class TestLearnAlaWeights:
 
         grid = np.linspace(0.0, 1.0, 2001)
         losses = [
-            mean_loss(ala_init(prev, glob, AlaWeights.from_layers([DenseLayer(np.array([[w]]), np.array([0.0]))]), 1), x, y)
+            mean_loss(ala_init(prev, glob, AlaWeights.from_layers([DenseLayer(np.array([[w]]), np.array([0.0]))])), x, y)
             for w in grid
         ]
         best = grid[int(np.argmin(losses))]
