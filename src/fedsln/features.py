@@ -7,14 +7,15 @@ turn a temporal snapshot pair into labeled examples and standardize them.
 
 pair_features scores a whole (m, 2) pair array from the CSR adjacency,
 in blocks of _PAIR_BLOCK pairs: the common neighbors of each pair are
-the product of its two sorted rows, and the resource-allocation and
-Adamic-Adar sums are a sparse mat-vec over them with per-node weights
-1/d and 1/log(d). The sums run from 0.0 over the common neighbors in
-ascending order, within one row, so every score equals, bit for bit,
-the same sums taken pair by pair over neighbor sets, whatever the
-block size. Examples are one array-backed PairExamples container, and
-to_arrays hands out the container's own feature matrix, read-only,
-rather than a copy.
+the entries of its shorter sorted row that are linked to the other
+endpoint, looked up in the graph's sorted edge keys, and the
+resource-allocation and Adamic-Adar sums are np.bincount over them with
+per-node weights 1/d and 1/log(d). The sums run from 0.0 over each pair's common neighbors
+in ascending order, so every score equals, bit for bit, the same sums
+taken pair by pair over neighbor sets, whatever the block size.
+Examples are one array-backed PairExamples container, and to_arrays
+hands out the container's own feature matrix, read-only, rather than a
+copy.
 
 A training split is never standardized as a whole. StandardizedRows
 wraps the raw matrix and a Standardizer and standardizes the rows an
@@ -74,11 +75,27 @@ class PairExample:
     label: int
 
 
-# Pairs scored per sparse row product. It bounds the transient memory:
-# on the wide benchmark classrooms (degree about 25) a block's row
-# products take about 15 MB here and 29 MB at 1 << 14, and no more time;
-# 1 << 12 would halve them again.
+# Pairs scored per block. It bounds the transient memory: on the wide
+# benchmark classrooms (degree about 25) a block's arrays over the walked
+# neighbors peak at 4 to 8 MB, twice that at 1 << 14; smaller blocks
+# take no less time.
 _PAIR_BLOCK = 1 << 13
+
+
+def _common_neighbors(
+    graph: SlnGraph, a: np.ndarray, b: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The common neighbors of each pair (a[i], b[i]) as (owner, w): w runs
+    over a[i]'s row in ascending order and is kept where (b[i], w) is an
+    edge, and owner is i, so the entries come grouped by pair."""
+    starts = graph.indptr[a]
+    lengths = graph.indptr[a + 1] - starts
+    owner = np.repeat(np.arange(len(a)), lengths)
+    # an entry's position in indices: its row start plus its offset in the row
+    walked = np.arange(owner.size) + np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+    w = graph.indices[walked]
+    common = graph._linked(b[owner], w)
+    return owner[common], w[common]
 
 
 def pair_features(graph: SlnGraph, pairs: np.ndarray) -> np.ndarray:
@@ -98,21 +115,21 @@ def pair_features(graph: SlnGraph, pairs: np.ndarray) -> np.ndarray:
     aa_weight = np.array(
         [1.0 / math.log(d) if d > 1 else 0.0 for d in uniq.tolist()], dtype=np.float64
     )[inverse]
-    adj = graph.csr()
     out = np.zeros((len(pairs), N_FEATURES), dtype=np.float64)
     for start in range(0, len(pairs), _PAIR_BLOCK):
         block = pairs[start : start + _PAIR_BLOCK]
         u, v = block[:, 0], block[:, 1]
-        # canonical CSR times canonical CSR keeps each row's columns sorted,
-        # so the mat-vecs below add the weights in ascending neighbor order
-        common = adj[u].multiply(adj[v])
-        nc = np.diff(common.indptr)
         du, dv = deg[u], deg[v]
+        shorter = du <= dv
+        owner, w = _common_neighbors(graph, np.where(shorter, u, v), np.where(shorter, v, u))
+        m = len(block)
+        nc = np.bincount(owner, minlength=m)
         union = du + dv - nc
         x = out[start : start + _PAIR_BLOCK]
         np.divide(nc, union, out=x[:, 0], where=union > 0)
-        x[:, 1] = common @ aa_weight
-        x[:, 2] = common @ ra_weight
+        # bincount adds each pair's weights from 0.0 in ascending neighbor order
+        x[:, 1] = np.bincount(owner, weights=aa_weight[w], minlength=m)
+        x[:, 2] = np.bincount(owner, weights=ra_weight[w], minlength=m)
         x[:, 3] = du * dv
         np.divide(nc, np.sqrt(x[:, 3]), out=x[:, 4], where=(du > 0) & (dv > 0))
         np.divide(2.0 * nc, du + dv, out=x[:, 5], where=du + dv > 0)

@@ -311,35 +311,43 @@ class _ShardPool:
 
 
 @functools.lru_cache(maxsize=None)
-def _openblas_thread_functions():
-    """(get, set) of the thread count of the OpenBLAS this process has
-    loaded, or None when it has none or the functions cannot be found."""
+def _thread_functions_of(path: str):
+    """(get, set) of the thread count of the OpenBLAS at path, or None
+    when it cannot be loaded or the functions cannot be found."""
+    try:
+        lib = ctypes.CDLL(path)
+    except OSError:
+        return None
+    # the plain names, and those of 64-bit-integer and scipy-openblas builds
+    for prefix, suffix in (("", ""), ("", "64_"), ("scipy_", "64_"), ("scipy_", "")):
+        get = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}", None)
+        put = getattr(lib, f"{prefix}openblas_set_num_threads{suffix}", None)
+        if get is not None and put is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            return get, put
+    return None
+
+
+def _openblas_thread_functions() -> list:
+    """(get, set) of the thread count of every OpenBLAS this process has
+    mapped now, in path order; empty when it has none that can be found.
+
+    numpy and scipy each bring their own copy, so a process can hold two."""
     try:
         maps = Path("/proc/self/maps").read_text()
     except OSError:
-        return None
+        return []
     paths = sorted(
         {line.split(maxsplit=5)[5] for line in maps.splitlines() if "openblas" in line.lower()}
     )
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        # the plain names, and those of 64-bit-integer and scipy-openblas builds
-        for prefix, suffix in (("", ""), ("", "64_"), ("scipy_", "64_"), ("scipy_", "")):
-            get = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}", None)
-            put = getattr(lib, f"{prefix}openblas_set_num_threads{suffix}", None)
-            if get is not None and put is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                put.argtypes, put.restype = [ctypes.c_int], None
-                return get, put
-    return None
+    return [f for f in map(_thread_functions_of, paths) if f is not None]
 
 
 @contextlib.contextmanager
 def _one_blas_thread():
-    """Hold OpenBLAS to one thread for the rounds; forked shards inherit it.
+    """Hold every OpenBLAS to one thread for the rounds; forked shards
+    inherit it.
 
     The shards already occupy the CPUs (by default the CLI runs one per
     classroom, more shards than cores on a small host), and the BLAS
@@ -348,20 +356,18 @@ def _one_blas_thread():
     BLAS threads per process). The thread count also changes the last
     bits of the large products in the ALA weight learner, so holding it at
     one in every run keeps the bytes equal for any max_workers and any
-    OPENBLAS_NUM_THREADS. Another BLAS, or one that cannot be found, is
-    left as it is.
+    OPENBLAS_NUM_THREADS. Each copy gets its own count back on exit.
+    Another BLAS, or one that cannot be found, is left as it is.
     """
     functions = _openblas_thread_functions()
-    if functions is None:
-        yield
-        return
-    get, put = functions
-    before = get()
-    put(1)
+    before = [get() for get, _ in functions]
+    for _, put in functions:
+        put(1)
     try:
         yield
     finally:
-        put(before)
+        for (_, put), count in zip(functions, before):
+            put(count)
 
 
 def _shard_count(max_workers: int | None, n_clients: int) -> int:

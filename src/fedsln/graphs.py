@@ -36,7 +36,6 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
-from scipy import sparse
 
 from .rng import derive_rng
 
@@ -143,7 +142,10 @@ class SlnGraph:
     Row u of the CSR arrays (indptr, indices) lists u's neighbors in
     ascending order, and every edge appears in both endpoints' rows. The
     constructor takes the arrays from outside and validates them;
-    from_edges builds them from an edge list.
+    from_edges builds them from an edge list. _keys, the sorted
+    u * node_count + w of every row entry, answers each edge lookup with
+    one searchsorted: has_edges, and the common neighbors that
+    features.pair_features finds by walking rows, go through _linked.
     """
 
     __slots__ = ("node_count", "indptr", "indices", "node_labels", "_keys")
@@ -249,24 +251,17 @@ class SlnGraph:
         out = ~_in_range(self.node_count, pairs)
         if out.any():
             raise GraphError(f"pair {tuple(pairs[int(np.argmax(out))].tolist())} out of range")
-        return _lookup(self._keys, pair_keys(self.node_count, pairs))
+        return self._linked(pairs[:, 0], pairs[:, 1])
+
+    def _linked(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Whether each (u[i], v[i]) is an edge; the nodes must be in range."""
+        return _lookup(self._keys, u * self.node_count + v)
 
     def edge_array(self) -> np.ndarray:
         """All edges as an (E, 2) int64 array, u < v, sorted lexicographically."""
         rows = np.repeat(np.arange(self.node_count, dtype=np.int64), self.degrees())
         upper = rows < self.indices
         return np.column_stack([rows[upper], self.indices[upper]])
-
-    def csr(self) -> sparse.csr_array:
-        """The adjacency matrix with int8 unit weights, rows sorted.
-
-        With int8 the data arrays of features.pair_features' row products
-        take an eighth of their float64 size; a product with float64
-        weights upcasts each 1 to 1.0 exactly.
-        """
-        n = self.node_count
-        data = np.ones(self.indices.size, dtype=np.int8)
-        return sparse.csr_array((data, self.indices, self.indptr), shape=(n, n))
 
     @property
     def edge_count(self) -> int:

@@ -4,6 +4,13 @@ The default architecture is 6 -> 32 -> 16 -> 1 with softplus hidden
 units and a sigmoid output head; weights start Glorot-uniform, biases at
 zero.
 
+The head sigmoid is 1 / (1 + exp(-z)) with the C library's exp, which
+numpy reaches through its complex exp: numpy vectorizes float64 exp,
+whose last bit differs from libm's on a few percent of inputs, but not
+complex exp, and cexp(x + 0i) is exp(x). It equals scipy.special.expit
+bit for bit for z >= -709; below, where p < 1.2e-308, glibc's cexp
+scales its argument and p may move by one subnormal step.
+
 Parameters live in one contiguous float64 vector, `ModelParams.flat`,
 laid out exactly as the checkpoint stores them: per layer, row-major
 weights then biases. `ModelParams.layers` hands out per-layer views into
@@ -58,7 +65,6 @@ from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import expit
 
 from .features import Standardizer
 from .rng import derive_rng
@@ -263,6 +269,24 @@ def _softplus_sigmoid(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _softplus(z, e), sig
 
 
+def _sigmoid(z: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-z)) as a new float64 array, exp being libm's. A NaN
+    gives a NaN, its sign bit not kept.
+
+    Below z = -709.78 exp(-z) overflows to inf and p is 0, as in expit,
+    but numpy's overflow flag is raised. expit is silent there, so every
+    caller holds np.errstate(over="ignore"): the training loops already
+    hold it around many calls, and entering it per call would cost a
+    quarter of the sigmoid's time.
+    """
+    c = np.zeros(z.shape, dtype=np.complex128)
+    e = c.real
+    np.negative(z, out=e)
+    np.exp(c, out=c)
+    e += 1.0
+    return np.divide(1.0, e)
+
+
 def _logaddexp_softplus(z: np.ndarray) -> np.ndarray:
     return np.logaddexp(0.0, z, out=z)
 
@@ -308,7 +332,8 @@ def _probabilities(
     a = _activations(hidden, a, softplus)
     z = a @ head_w.T
     z += head_b
-    return expit(z[:, 0])
+    with np.errstate(over="ignore"):
+        return _sigmoid(z[:, 0])
 
 
 def forward(params: ModelParams, x: np.ndarray) -> np.ndarray | float:
@@ -339,7 +364,8 @@ def _gradient_into(
     a is a float64 (m, input) batch with m >= 1 and y its m float64
     labels; grads are layer views into one flat buffer, overwritten.
     Returns the batch's head probabilities, equal to `forward`'s bit for
-    bit, so a caller that wants the loss needs no second pass.
+    bit, so a caller that wants the loss needs no second pass. The caller
+    holds np.errstate(over="ignore"), which the head sigmoid needs.
     """
     acts = [a]
     sigs = []  # softplus' = sigmoid, per hidden layer
@@ -352,7 +378,7 @@ def _gradient_into(
     head_w, head_b = layers[-1]
     z = acts[-1] @ head_w.T
     z += head_b
-    p = expit(z[:, 0])
+    p = _sigmoid(z[:, 0])
 
     delta = ((p - y) / y.size)[:, None]
     for i in range(len(layers) - 1, -1, -1):
@@ -383,7 +409,8 @@ def gradient(params: ModelParams, x: np.ndarray, y: np.ndarray) -> ModelParams:
     a, _ = _as_matrix(params, x)
     y = _labels(y, len(a))
     flat = np.empty_like(params.flat)
-    _gradient_into(params.layers, layer_views(flat, params.layer_dims), a, y)
+    with np.errstate(over="ignore"):
+        _gradient_into(params.layers, layer_views(flat, params.layer_dims), a, y)
     return ModelParams(flat, params.layer_dims)
 
 

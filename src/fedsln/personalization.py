@@ -283,7 +283,8 @@ def learn_ala_weights(
     for _ in range(cap):
         blended = layer_views(_blended_tail(local_prev, global_params, w), w.layer_dims)
         # one pass gives both the window loss and the gradient
-        probs = _gradient_into(blended, grads, frozen, sy)
+        with np.errstate(over="ignore"):
+            probs = _gradient_into(blended, grads, frozen, sy)
         losses.append(float(np.mean(bce_loss(probs, sy))))
         w = AlaWeights(
             np.clip(w.flat - config.ala_weight_lr * (grad * spread), 0.0, 1.0),

@@ -421,7 +421,7 @@ def test_pair_features_across_blocks(monkeypatch):
     want = np.array([compute_features(graph, u, v) for u, v in pairs.tolist()])
     for block in (1, 7, features_module._PAIR_BLOCK, len(pairs)):
         monkeypatch.setattr(features_module, "_PAIR_BLOCK", block)
-        # one sparse product per pair at block size 1: every 16th pair will do
+        # one block per pair at block size 1: every 16th pair will do
         rows = slice(None, None, 16 if block == 1 else 1)
         assert pair_features(graph, pairs[rows]).tobytes() == want[rows].tobytes(), block
 

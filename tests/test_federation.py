@@ -1,6 +1,7 @@
 """Federated averaging: aggregation algebra, reductions, scheduling, client shards."""
 
 import functools
+import json
 import multiprocessing
 import os
 import re
@@ -359,7 +360,7 @@ class TestShards:
             run_fedavg(toy_clients(4, seed=5), cfg, max_workers=4)
         assert multiprocessing.active_children() == []
 
-    @pytest.mark.skipif(_openblas_thread_functions() is None, reason="needs OpenBLAS")
+    @pytest.mark.skipif(not _openblas_thread_functions(), reason="needs OpenBLAS")
     def test_bytes_do_not_depend_on_the_blas_thread_count(self):
         # a full-batch step on 3000 rows is large enough for OpenBLAS to
         # split its products across threads, which changes their last bits
@@ -368,20 +369,54 @@ class TestShards:
             client.params = ModelParams(client.params.flat - 0.5 * grad.flat, grad.layer_dims)
             return client.params
 
-        get, put = _openblas_thread_functions()
-        before = get()
+        functions = _openblas_thread_functions()
+        before = [get() for get, _ in functions]
         cfg = TrainConfig(global_rounds=3, seed=3)
         runs = []
         try:
             for threads in (1, 2):
-                put(threads)
+                for _, put in functions:
+                    put(threads)
                 clients = sized_clients([3000, 3200], seed=3)
                 final, history = run_fedavg(clients, cfg, local=full_batch)
-                assert get() == threads
+                assert [get() for get, _ in functions] == [threads] * len(functions)
                 runs.append([r.checksum for r in history])
         finally:
-            put(before)
+            for (_, put), count in zip(functions, before):
+                put(count)
         assert runs[0] == runs[1]
+
+    def test_every_mapped_openblas_is_held_to_one_thread(self):
+        # scipy.linalg maps scipy's OpenBLAS beside numpy's; both must read
+        # one thread inside the context and their own counts after it
+        pytest.importorskip("scipy.linalg")
+        script = textwrap.dedent(
+            """
+            import json
+            import scipy.linalg
+            from fedsln.federation import _one_blas_thread, _openblas_thread_functions
+
+            functions = _openblas_thread_functions()
+            for count, (_, put) in enumerate(functions, start=2):
+                put(count)
+            before = [get() for get, _ in functions]
+            with _one_blas_thread():
+                inside = [get() for get, _ in functions]
+            print(json.dumps([before, inside, [get() for get, _ in functions]]))
+            """
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=f"{src}{os.pathsep}{os.environ.get('PYTHONPATH', '')}")
+        out = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert out.returncode == 0, out.stderr
+        before, inside, after = json.loads(out.stdout)
+        if len(before) < 2:
+            pytest.skip("needs numpy and scipy each with their own OpenBLAS")
+        assert before == list(range(2, len(before) + 2))
+        assert inside == [1] * len(before)
+        assert after == before
 
     def test_rejects_fewer_than_one_worker(self):
         with pytest.raises(ValueError, match="max_workers must be at least 1"):

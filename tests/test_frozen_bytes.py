@@ -15,11 +15,16 @@ files. The files
 the manifests of the two desk configs with the output directory they
 name, are frozen the same way. A change that alters the numbers on purpose
 must update these constants and say so, with the old and new values, in
-CHANGES.md.
+CHANGES.md. The report run is also made in a fresh interpreter, which
+must end it with no scipy module loaded and the same digests.
 """
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -124,6 +129,32 @@ def test_emitted_bytes_match_frozen_digests(tmp_path, capsys, workers):
     assert emitted_digests(out) == FROZEN_SHA256
 
 
+
+
+def test_a_report_run_loads_no_scipy(tmp_path):
+    # scipy is the tests' outside reference, not a dependency of a run
+    ini = tmp_path / "exp.ini"
+    ini.write_text(CONFIG_TEXT)
+    out = tmp_path / "out"
+    script = textwrap.dedent(
+        """
+        import json, sys
+        from fedsln.cli import main
+
+        code = main(sys.argv[1:])
+        print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+        sys.exit(code)
+        """
+    )
+    src = ROOT / "src"
+    env = dict(os.environ, PYTHONPATH=f"{src}{os.pathsep}{os.environ.get('PYTHONPATH', '')}")
+    done = subprocess.run(
+        [sys.executable, "-c", script, "report", "--config", str(ini), "--output-dir", str(out)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == []
+    assert emitted_digests(out) == FROZEN_SHA256
 
 
 def in_config_order(path):

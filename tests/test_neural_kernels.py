@@ -2,7 +2,8 @@
 the slow references they replaced.
 
 The references are np.logaddexp(0, z) for softplus; scipy's expit, and
-the np.where select the kernel replaced, for the sigmoid; and a
+the np.where select the kernel replaced, for the sigmoid; scipy's expit
+for the head sigmoid, which must equal it bit for bit; and a
 per-layer forward/backward pass that keeps one (weights, biases) pair of
 arrays per layer. Draws come from hypothesis
 and are derandomized, so every run checks the same examples.
@@ -18,8 +19,12 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.special import expit
 
+from fedsln.federation import make_clients
 from fedsln.neural import (
+    DenseLayer,
     ModelParams,
+    TrainConfig,
+    _sigmoid,
     _softplus_sigmoid,
     auc,
     bce_loss,
@@ -28,7 +33,9 @@ from fedsln.neural import (
     forward,
     gradient,
     init_params,
+    train_steps,
 )
+from fedsln.personalization import _meta_round, learn_ala_weights
 from fedsln.rng import derive_rng
 
 TINY = np.finfo(np.float64).tiny  # smallest normal float64
@@ -82,6 +89,62 @@ def test_fused_sigmoid_keeps_nan():
     _, sig = _softplus_sigmoid(z.copy())
     assert np.isnan(sig[:2]).all() and np.isnan(select_sigmoid(z)[:2]).all()
     assert sig[2:].tobytes() == select_sigmoid(z)[2:].tobytes()
+
+
+head_z_values = st.one_of(
+    st.floats(min_value=-709.0),  # +inf included
+    st.floats(-TINY, TINY),  # zeros and subnormals
+    st.sampled_from([-np.inf, 0.0, -0.0, 5e-324, -5e-324, 709.0, -709.0, 745.0, 800.0]),
+)
+
+
+@CHECKED
+@given(hnp.arrays(np.float64, hnp.array_shapes(max_dims=1, max_side=64), elements=head_z_values))
+def test_head_sigmoid_matches_expit_bitwise(z):
+    p = _sigmoid(z)
+    assert p.dtype == np.float64 and p.tobytes() == expit(z).tobytes()
+
+
+@CHECKED
+@given(st.integers(0, 2**32 - 1), st.sampled_from([1e-3, 1.0, 30.0, 709.0]))
+def test_head_sigmoid_matches_expit_on_full_mantissas(seed, scale):
+    # hypothesis favours short floats; numpy's float64 exp differs from
+    # libm's on a few percent of uniform draws, which these reach
+    z = derive_rng(seed, "head-sigmoid").uniform(-scale, scale, 4096)
+    assert _sigmoid(z).tobytes() == expit(z).tobytes()
+
+
+@CHECKED
+@given(hnp.arrays(np.float64, st.integers(1, 64), elements=st.floats(-709.79, -709.0)))
+def test_head_sigmoid_moves_at_most_one_subnormal_step_below_minus_709(z):
+    # glibc's cexp scales its argument above 709, so exp(-z) there is
+    # not libm's exp to the bit; p < 1.2e-308 is all that can move
+    with np.errstate(over="ignore"):
+        assert np.max(np.abs(_sigmoid(z) - expit(z))) <= 5e-324
+
+
+def test_head_sigmoid_limits_and_nan():
+    z = np.array([800.0, -800.0, np.inf, -np.inf, np.nan, -np.nan])
+    with np.errstate(over="ignore"):
+        p = _sigmoid(z)
+    assert p[:4].tolist() == [1.0, 0.0, 1.0, 0.0]
+    assert np.isnan(p[4:]).all()
+
+
+def test_every_path_to_the_head_sigmoid_is_silent_on_overflow():
+    # head logits of +-800: exp(800) overflows inside the sigmoid, which
+    # expit does silently; the suite turns a RuntimeWarning into an error
+    params = ModelParams.from_layers([DenseLayer(np.array([[800.0]]), np.array([0.0]))])
+    x, y = np.array([[1.0], [-1.0]]), np.array([1.0, 0.0])
+    cfg = TrainConfig(batch_size=2, local_steps=1, ala_top_layers=1, ala_update_cap=2)
+    assert forward(params, x).tolist() == [1.0, 0.0]
+    assert evaluate(params, x, y).auc == 1.0
+    gradient(params, x, y)
+    train_steps(params, x, y, cfg, derive_rng(0, "silent"))
+    (client,) = make_clients([(x, y)], seed=0)
+    learn_ala_weights(client, params, params, cfg)
+    client.params = params
+    _meta_round(client, cfg)
 
 
 def reference_forward_backward(params, x, y):
