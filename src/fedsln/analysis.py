@@ -90,7 +90,7 @@ def make_predictor(
     """Model plus its training-split standardization as one callable."""
 
     def predict(x: np.ndarray) -> np.ndarray:
-        return forward(params, standardizer.transform(np.atleast_2d(x)))
+        return forward(params, standardizer.transform(x))
 
     return predict
 

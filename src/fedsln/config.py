@@ -192,11 +192,13 @@ class ExperimentConfig:
         # fedavg_ft fine-tunes the model the fedavg entry trains. The dict
         # is a new one, so the caller's is left as it was.
         defaults = {
-            m: TrainConfig(hidden_sizes=self.hidden_sizes, **_METHOD_DEFAULTS[m])
-            for m in METHOD_NAMES
-            if m not in self.train
+            m: TrainConfig(**_METHOD_DEFAULTS[m]) for m in METHOD_NAMES if m not in self.train
         }
         object.__setattr__(self, "train", {**self.train, **defaults})
+        layers = len(self.hidden_sizes) + 1  # the hidden layers and the head
+        top = self.train["fedala"].ala_top_layers
+        if top > layers:
+            raise ConfigError(f"[fedala]: ala_top_layers {top} exceeds the model's {layers} layers")
 
     @property
     def n_clients(self) -> int:
@@ -267,7 +269,6 @@ def build_experiment_config(raw: dict[str, dict[str, Any]]) -> ExperimentConfig:
     top: dict[str, Any] = {}
     for name, keys in _TOP_SECTIONS.items():
         top.update(_options(ExperimentConfig, raw.get(name, {}), name, keys))
-    hidden = top.get("hidden_sizes", DEFAULT_HIDDEN)
 
     data = dict(raw.get("data", {}))
     source = _parse(data.pop("source", "synthetic"), str, "data.source")
@@ -280,7 +281,7 @@ def build_experiment_config(raw: dict[str, dict[str, Any]]) -> ExperimentConfig:
     for method, defaults in _METHOD_DEFAULTS.items():
         values = {**defaults, **_options(TrainConfig, raw.get(method, {}), method, defaults)}
         try:
-            train[method] = TrainConfig(hidden_sizes=hidden, **values)
+            train[method] = TrainConfig(**values)
         except ValueError as exc:
             raise ConfigError(f"[{method}]: {exc}") from exc
 

@@ -25,8 +25,8 @@ The centralized regime is FedAvg with one client and one round: the
 pooled training data form a single pseudo-client with id 0 that uses
 the standard stream derivations, and its one round takes as many SGD
 steps as its epochs need. Every method thus trains through
-federation.run_fedavg and reports a round history (one record for
-centralized).
+federation.run_fedavg, from the one start model run_method derives from
+the seed, and reports a round history (one record for centralized).
 
 run_method picks once, per classroom, the model that serves it and the
 standardizer its features go through (see MethodOutcome); scoring,
@@ -56,6 +56,7 @@ from .analysis import (
 from .config import ExperimentConfig, SyntheticSpec, config_to_manifest
 from .features import (
     FEATURE_NAMES,
+    N_FEATURES,
     PairExamples,
     StandardizedRows,
     Standardizer,
@@ -81,6 +82,7 @@ from .neural import (
     check_finite,
     epochs_to_steps,
     evaluate,
+    init_params,
     save_checkpoint,
 )
 from .personalization import (
@@ -283,6 +285,10 @@ def _client_dataset(
         examples, cfg.split.train_fraction, derive_seed(seed, "split", c)
     )
     del examples
+    # before the fit and the class checks: a train_fraction near 0 or 1 empties a split
+    for split, part in (("train", train_ex), ("test", test_ex)):
+        if len(part) == 0:
+            raise ValueError(f"{split} split is empty at train_fraction {cfg.split.train_fraction}")
     # the raw matrices are the containers' own read-only features
     raw_train_x, train_y = to_arrays(train_ex)
     raw_test_x, test_y = to_arrays(test_ex)
@@ -320,7 +326,7 @@ def run_method(
     cfg: ExperimentConfig,
     seed: int,
     *,
-    max_workers: int | None = None,
+    max_workers: int = 1,
     fedavg: MethodOutcome | None = None,
 ) -> MethodOutcome:
     """Train one regime for one seed and score every client's test split.
@@ -349,10 +355,12 @@ def _run_method(
     datasets: Sequence[ClientDataset],
     cfg: ExperimentConfig,
     seed: int,
-    max_workers: int | None,
+    max_workers: int,
     fedavg: MethodOutcome | None,
 ) -> MethodOutcome:
-    tcfg = replace(cfg.train[method], hidden_sizes=cfg.hidden_sizes, seed=seed)
+    tcfg = cfg.train[method]
+    # every method of one seed starts from the same global model
+    start = init_params(derive_rng(seed, "init"), cfg.hidden_sizes, N_FEATURES)
     if method == "centralized":
         pooled_std, pooled_x, pooled_y = pool_training_data(datasets)
         clients = [ClientState(0, pooled_x, pooled_y, seed)]
@@ -367,7 +375,7 @@ def _run_method(
         standardizers = {d.client_id: d.standardizer for d in datasets}
 
     if method in ("centralized", "fedavg"):
-        global_params, history = run_fedavg(clients, tcfg, max_workers=max_workers)
+        global_params, history = run_fedavg(clients, tcfg, start, max_workers=max_workers)
         # aggregate has checked every model that went into the global one
         models = {d.client_id: global_params for d in datasets}
         training = "pooled" if method == "centralized" else "federated"
@@ -379,9 +387,9 @@ def _run_method(
             models = fine_tune_all(global_params, clients, tcfg)
             history = fedavg.history
         elif method == "perfedavg_hf":
-            models, history = run_perfedavg_hf(clients, tcfg, max_workers=max_workers)
+            models, history = run_perfedavg_hf(clients, tcfg, start, max_workers=max_workers)
         elif method == "fedala":
-            models, history = run_fedala(clients, tcfg, max_workers=max_workers)
+            models, history = run_fedala(clients, tcfg, start, max_workers=max_workers)
         else:
             raise ValueError(f"unknown method {method!r}")
         # every personalized model is checked before any model is scored
@@ -459,9 +467,7 @@ def _explain(
     return records, importance
 
 
-def run_experiment(
-    cfg: ExperimentConfig, *, max_workers: int | None = None
-) -> RunReport:
+def run_experiment(cfg: ExperimentConfig, *, max_workers: int = 1) -> RunReport:
     """Execute every method for every seed; nothing is written to disk."""
     if cfg.explain.enabled and cfg.explain.method not in cfg.methods:
         raise StageError(

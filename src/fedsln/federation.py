@@ -4,7 +4,8 @@ Each client owns its training rows plus persistent seeded batch streams
 derived from (master seed, client id, slot); the server only ever sees
 parameter structures and train-split sizes.
 
-run_fedavg is the package's one federated round loop. A round calls
+run_fedavg is the package's one federated round loop. It starts from
+the global model its caller hands it and never writes into it. A round calls
 sync(client, global_params) and then local(client, config) on every
 client, then aggregates the local models in client-id order, weighted
 by train-split size. A local step returns the client's new model and
@@ -14,7 +15,7 @@ step (see personalization.py).
 
 max_workers is the number of client shards. The clients are dealt
 round-robin into k = min(max_workers, len(clients)) shards. The library
-default, None, is one shard. The CLI's default is one shard per client
+default is one shard. The CLI's default is one shard per client
 wherever more than one CPU is usable, and the OS spreads the shards over
 the CPUs: five clients dealt into two shards on two cores leave one core
 idle a third of every round. Shard 0 runs in the calling process;
@@ -53,7 +54,6 @@ from .neural import (
     ModelParams,
     TrainConfig,
     check_finite,
-    init_params,
     params_checksum,
     train_steps,
 )
@@ -135,7 +135,7 @@ def local_round(client: ClientState, config: TrainConfig) -> ModelParams:
         raise ValueError("client must be synchronized before local training")
     stream = client.batch_stream("update", config.batch_size)
     client.params = train_steps(
-        client.params, client.train_x, client.train_y, config, stream, steps=config.local_steps
+        client.params, client.train_x, client.train_y, config, stream, config.local_steps
     )
     return client.params
 
@@ -370,9 +370,7 @@ def _one_blas_thread():
             put(count)
 
 
-def _shard_count(max_workers: int | None, n_clients: int) -> int:
-    if max_workers is None:
-        return 1
+def _shard_count(max_workers: int, n_clients: int) -> int:
     if max_workers < 1:
         raise ValueError("max_workers must be at least 1")
     if "fork" not in multiprocessing.get_all_start_methods():
@@ -385,34 +383,33 @@ def _shard_count(max_workers: int | None, n_clients: int) -> int:
 def run_fedavg(
     clients: Sequence[ClientState],
     config: TrainConfig,
+    start: ModelParams,
     sync: SyncFn = synchronize,
     local: LocalFn = local_round,
     *,
-    max_workers: int | None = None,
+    max_workers: int = 1,
 ) -> tuple[ModelParams, list[RoundRecord]]:
-    """config.global_rounds federated rounds with full participation.
+    """config.global_rounds federated rounds with full participation,
+    starting from the global model `start`, which is never written to.
 
     Each round: sync(client, global_params) then local(client, config) on
     every client, then the size-weighted aggregate. The defaults give
-    plain FedAvg. max_workers (default 1) is the number of client shards,
-    all but one in a forked child (see the module docstring); it never
-    changes the result. Returns the final global
-    model and one record per round; zero rounds returns the seeded
-    initial model.
+    plain FedAvg. max_workers is the number of client shards, all but
+    one in a forked child (see the module docstring); it never changes
+    the result. Returns the final global model and one record per round;
+    zero rounds returns `start`.
     """
     if len(clients) == 0:
         raise ValueError("need at least one client")
     k = _shard_count(max_workers, len(clients))
-    global_params = init_params(
-        derive_rng(config.seed, "init"), config.hidden_sizes, clients[0].train_x.shape[1]
-    )
+    global_params = start
     sizes = [c.size for c in clients]
     ids = [c.client_id for c in clients]
     shards = [list(clients[j::k]) for j in range(k)]
     history: list[RoundRecord] = []
     with _one_blas_thread(), _ShardPool(shards[1:], config, sync, local) as pool:
         for r in range(config.global_rounds):
-            start = time.perf_counter()
+            began = time.perf_counter()
             pool.train(global_params)
             local_params: list = [None] * len(clients)
             local_params[0::k] = _train_shard(shards[0], global_params, config, sync, local)
@@ -423,7 +420,7 @@ def run_fedavg(
                 RoundRecord(
                     round_index=r,
                     checksum=params_checksum(global_params),
-                    wall_clock=time.perf_counter() - start,
+                    wall_clock=time.perf_counter() - began,
                 )
             )
         pool.restore()

@@ -67,7 +67,6 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .features import Standardizer
-from .rng import derive_rng
 
 __all__ = [
     "DEFAULT_HIDDEN",
@@ -222,12 +221,11 @@ def check_finite(params: ModelParams, what: str) -> None:
 
 
 def init_params(
-    seed: int | np.random.Generator,
+    rng: np.random.Generator,
     hidden: tuple[int, ...] = DEFAULT_HIDDEN,
     input_dim: int = 6,
 ) -> ModelParams:
-    """Seeded Glorot-uniform weights, zero biases."""
-    rng = derive_rng(seed, "init") if isinstance(seed, int) else seed
+    """Glorot-uniform weights drawn from rng, layer by layer; zero biases."""
     dims = tuple(int(d) for d in (input_dim, *hidden, 1))
     params = ModelParams(np.zeros(flat_size(dims)), dims)
     for weights, _biases in params.layers:
@@ -292,19 +290,17 @@ def _logaddexp_softplus(z: np.ndarray) -> np.ndarray:
 
 
 def _check_shape(params: ModelParams, shape: tuple[int, ...]) -> None:
-    if len(shape) != 2 or shape[1] != params.input_dim:
+    d = params.input_dim
+    if len(shape) != 2 or shape[1] != d:
         raise ValueError(
-            f"expected inputs with {params.input_dim} features, got shape {shape}"
+            f"expected an (m, {d}) batch of inputs with {d} features, got shape {shape}"
         )
 
 
-def _as_matrix(params: ModelParams, x: np.ndarray) -> tuple[np.ndarray, bool]:
+def _as_matrix(params: ModelParams, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
-    squeeze = x.ndim == 1
-    if squeeze:
-        x = x[None, :]
     _check_shape(params, x.shape)
-    return x, squeeze
+    return x
 
 
 def _activations(
@@ -336,24 +332,20 @@ def _probabilities(
         return _sigmoid(z[:, 0])
 
 
-def forward(params: ModelParams, x: np.ndarray) -> np.ndarray | float:
-    """Predicted link probability; accepts one row or a batch."""
-    a, squeeze = _as_matrix(params, x)
-    p = _probabilities(params, a, _softplus)
-    return float(p[0]) if squeeze else p
+def forward(params: ModelParams, x: np.ndarray) -> np.ndarray:
+    """Predicted link probability of every row of an (m, input) batch."""
+    return _probabilities(params, _as_matrix(params, x), _softplus)
 
 
-def bce_loss(p: np.ndarray | float, y: np.ndarray | float) -> np.ndarray | float:
+def bce_loss(p: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Binary cross entropy with probabilities clamped to [eps, 1-eps]."""
     p = np.clip(np.asarray(p, dtype=np.float64), LOSS_EPS, 1.0 - LOSS_EPS)
     y = np.asarray(y, dtype=np.float64)
-    out = -(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))
-    return float(out) if out.ndim == 0 else out
+    return -(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))
 
 
 def mean_loss(params: ModelParams, x: np.ndarray, y: np.ndarray) -> float:
-    p = forward(params, np.atleast_2d(x))
-    return float(np.mean(bce_loss(p, y)))
+    return float(np.mean(bce_loss(forward(params, x), y)))
 
 
 def _gradient_into(
@@ -406,7 +398,7 @@ def gradient(params: ModelParams, x: np.ndarray, y: np.ndarray) -> ModelParams:
     exact gradient wherever the loss clamp is inactive. The result is
     written straight into one flat buffer.
     """
-    a, _ = _as_matrix(params, x)
+    a = _as_matrix(params, x)
     y = _labels(y, len(a))
     flat = np.empty_like(params.flat)
     with np.errstate(over="ignore"):
@@ -435,8 +427,6 @@ class TrainConfig:
     local_steps: int = 100
     global_rounds: int = 30
     epochs: int = 200
-    seed: int = 0
-    hidden_sizes: tuple[int, ...] = DEFAULT_HIDDEN
     meta_inner: float | None = None
     meta_outer: float | None = None
     hf_delta: float = 1e-3
@@ -503,24 +493,20 @@ def train_steps(
     x: np.ndarray,
     y: np.ndarray,
     config: TrainConfig,
-    rng: np.random.Generator | BatchStream,
-    *,
-    steps: int | None = None,
+    stream: BatchStream,
+    steps: int,
 ) -> ModelParams:
-    """Run seeded mini-batch SGD steps; zero steps returns a copy.
+    """Run `steps` mini-batch SGD steps on batches drawn from `stream`;
+    zero steps returns a copy.
 
     x is any (n, input) row source that an index array selects from: an
     ndarray, or a features.StandardizedRows view that standardizes each
     batch as it is drawn. Only the drawn rows are ever converted, to
-    float64. Accepts either a Generator (a fresh stream is created) or an
-    existing BatchStream whose position carries over between calls.
+    float64. The stream's position carries over between calls; its
+    indices must lie below n.
     """
-    n_steps = config.local_steps if steps is None else steps
-    if n_steps < 0:
+    if steps < 0:
         raise ValueError("steps must be non-negative")
-    stream = (
-        rng if isinstance(rng, BatchStream) else BatchStream(len(y), config.batch_size, rng)
-    )
     _check_shape(params, x.shape)
     y = _labels(y, x.shape[0])
     # one working copy and one gradient buffer, each with its layer views,
@@ -534,7 +520,7 @@ def train_steps(
     # A diverging run overflows here; aggregate and run_method report it as
     # NonFiniteParamsError.
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(n_steps):
+        for _ in range(steps):
             idx = stream.next_indices()
             _gradient_into(layers, grads, np.asarray(x[idx], dtype=np.float64), y[idx])
             grad *= lr
@@ -612,11 +598,11 @@ def evaluate(params: ModelParams, x: np.ndarray, y: np.ndarray) -> MetricsReport
     and the reported figures must put ties where an outside recomputation
     with logaddexp puts them. A last-bit difference could split one.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    x = _as_matrix(params, x)
     y = np.asarray(y, dtype=np.float64).reshape(-1)
     if x.shape[0] != y.size or y.size == 0:
         raise ValueError("evaluation needs matching, non-empty features and labels")
-    p = _probabilities(params, _as_matrix(params, x)[0], _logaddexp_softplus)
+    p = _probabilities(params, x, _logaddexp_softplus)
     tp, fp, tn, fn = confusion_counts(p, y)
     return MetricsReport(
         accuracy=(tp + tn) / y.size,

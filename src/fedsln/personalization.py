@@ -42,6 +42,7 @@ import numpy as np
 
 from .federation import ClientState, RoundRecord, run_fedavg, synchronize
 from .neural import (
+    BatchStream,
     ModelParams,
     TrainConfig,
     _activations,
@@ -81,8 +82,9 @@ def fine_tune(global_params: ModelParams, client: ClientState, config: TrainConf
     run_method's finiteness check.
     """
     rng = derive_rng(client.seed, "client", client.client_id, "finetune")
+    stream = BatchStream(client.size, config.batch_size, rng)
     steps = epochs_to_steps(client.size, config.batch_size, 1)
-    return train_steps(global_params, client.train_x, client.train_y, config, rng, steps=steps)
+    return train_steps(global_params, client.train_x, client.train_y, config, stream, steps)
 
 
 def fine_tune_all(
@@ -171,12 +173,13 @@ def _meta_round(client: ClientState, config: TrainConfig) -> ModelParams:
 def run_perfedavg_hf(
     clients: Sequence[ClientState],
     config: TrainConfig,
+    start: ModelParams,
     *,
-    max_workers: int | None = None,
+    max_workers: int = 1,
 ) -> Personalized:
-    """Federated meta-learning rounds, then one fine-tune epoch each."""
+    """Federated meta-learning rounds from `start`, then one fine-tune epoch each."""
     global_params, history = run_fedavg(
-        clients, config, local=_meta_round, max_workers=max_workers
+        clients, config, start, local=_meta_round, max_workers=max_workers
     )
     return fine_tune_all(global_params, clients, config), history
 
@@ -316,19 +319,21 @@ def _ala_sync(client: ClientState, global_params: ModelParams, config: TrainConf
 def run_fedala(
     clients: Sequence[ClientState],
     config: TrainConfig,
+    start: ModelParams,
     *,
-    max_workers: int | None = None,
+    max_workers: int = 1,
 ) -> Personalized:
-    """Adaptive-blend federated rounds; clients keep their last local state.
+    """Adaptive-blend federated rounds from `start`; clients keep their last local state.
 
     Blending weights get a full learning pass the first time a client
     blends and a single refresh update in every later round. A client
     that never trained (zero rounds) is served the global model, which
-    is then the seeded initial model, as in FedAvg.
+    is then `start`, as in FedAvg.
     """
     global_params, history = run_fedavg(
         clients,
         config,
+        start,
         sync=functools.partial(_ala_sync, config=config),
         max_workers=max_workers,
     )

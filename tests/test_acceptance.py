@@ -25,6 +25,7 @@ from fedsln.features import FEATURE_NAMES, Standardizer, ks_statistic, pair_feat
 from fedsln.federation import aggregate, make_clients, run_fedavg
 from fedsln.graphs import SlnGraph
 from fedsln.neural import (
+    DEFAULT_HIDDEN,
     DenseLayer,
     ModelParams,
     TrainConfig,
@@ -58,8 +59,8 @@ def verdict(capsys, num: int, label: str, ok: bool, detail: str = "") -> None:
     assert ok, line
 
 
-def flatten(params):
-    return np.concatenate([np.concatenate([l.weights.ravel(), l.biases]) for l in params.layers])
+def start_model(seed, hidden=DEFAULT_HIDDEN, dim=6):
+    return init_params(derive_rng(seed, "init"), hidden, dim)
 
 
 def toy_clients(n_clients, seed=0, n=40, dim=6):
@@ -165,7 +166,7 @@ def test_criterion_03_gradient_matches_finite_differences(capsys):
         params = init_params(rng, hidden, dim)
         x = rng.normal(size=(m, dim))
         y = (rng.random(m) < 0.5).astype(float)
-        got = flatten(gradient(params, x, y))
+        got = gradient(params, x, y).flat
         want = fd_gradient(params, x, y)
         worst = max(worst, float(np.linalg.norm(got - want) / max(np.linalg.norm(want), 1e-12)))
     elapsed = time.perf_counter() - t0
@@ -193,20 +194,20 @@ def test_criterion_04_aggregation_algebra(capsys):
         for m, v in ((two, 3.0), (three, 4.4))
     )
 
-    cfg = TrainConfig(learning_rate=0.05, batch_size=8, local_steps=7, global_rounds=4, seed=4)
-    fed, _ = run_fedavg(toy_clients(1, seed=4), cfg)
+    cfg = TrainConfig(learning_rate=0.05, batch_size=8, local_steps=7, global_rounds=4)
+    fed, _ = run_fedavg(toy_clients(1, seed=4), cfg, start_model(4))
     solo = toy_clients(1, seed=4)[0]
     seq = train_steps(
-        init_params(derive_rng(4, "init"), cfg.hidden_sizes, 6),
+        start_model(4),
         solo.train_x, solo.train_y, cfg,
         solo.batch_stream("update", cfg.batch_size),
-        steps=cfg.global_rounds * cfg.local_steps,
+        cfg.global_rounds * cfg.local_steps,
     )
-    solo_err = float(np.max(np.abs(flatten(fed) - flatten(seq))))
+    solo_err = float(np.max(np.abs(fed.flat - seq.flat)))
 
-    cfg2 = TrainConfig(learning_rate=0.05, batch_size=8, local_steps=5, global_rounds=3, seed=9)
-    g_seq, h_seq = run_fedavg(toy_clients(3, seed=9), cfg2)
-    g_par, h_par = run_fedavg(toy_clients(3, seed=9), cfg2, max_workers=3)
+    cfg2 = TrainConfig(learning_rate=0.05, batch_size=8, local_steps=5, global_rounds=3)
+    g_seq, h_seq = run_fedavg(toy_clients(3, seed=9), cfg2, start_model(9))
+    g_par, h_par = run_fedavg(toy_clients(3, seed=9), cfg2, start_model(9), max_workers=3)
     order_ok = params_checksum(g_seq) == params_checksum(g_par) and [
         r.checksum for r in h_seq
     ] == [r.checksum for r in h_par]
@@ -248,11 +249,11 @@ def test_criterion_05_fedala_reductions(capsys):
     )
 
     cfg = TrainConfig(
-        learning_rate=0.05, batch_size=8, local_steps=6, global_rounds=4, seed=5,
+        learning_rate=0.05, batch_size=8, local_steps=6, global_rounds=4,
         ala_top_layers=3, ala_weight_lr=0.0,
     )
-    _ala, ala_hist = run_fedala(toy_clients(2, seed=5), cfg)
-    _fed, hist = run_fedavg(toy_clients(2, seed=5), cfg)
+    _ala, ala_hist = run_fedala(toy_clients(2, seed=5), cfg, start_model(5))
+    _fed, hist = run_fedavg(toy_clients(2, seed=5), cfg, start_model(5))
     trajectory_ok = [r.checksum for r in ala_hist] == [r.checksum for r in hist]
 
     bounded = True
@@ -326,17 +327,17 @@ def test_criterion_06_perfedavg_hf(capsys):
     for delta in (1e-2, 1e-3, 1e-4):
         plus = gradient(ModelParams(params.flat + delta * v.flat, params.layer_dims), x, y)
         minus = gradient(ModelParams(params.flat - delta * v.flat, params.layer_dims), x, y)
-        errors.append(float(np.linalg.norm((flatten(plus) - flatten(minus)) / (2 * delta) - hv)))
+        errors.append(float(np.linalg.norm((plus.flat - minus.flat) / (2 * delta) - hv)))
     r1, r2 = errors[0] / errors[1], errors[1] / errors[2]
     ratios_ok = 50 < r1 < 200 and 50 < r2 < 200
 
     cfg = TrainConfig(
         learning_rate=0.05, batch_size=8, local_steps=6, global_rounds=3,
-        seed=2, meta_inner=0.0,
+        meta_inner=0.0,
     )
-    meta, meta_hist = run_perfedavg_hf(toy_clients(2, seed=2), cfg)
+    meta, meta_hist = run_perfedavg_hf(toy_clients(2, seed=2), cfg, start_model(2))
     # fedavg_ft: plain FedAvg rounds, then one fine-tune pass per client
-    global_params, ft_hist = run_fedavg(toy_clients(2, seed=2), cfg)
+    global_params, ft_hist = run_fedavg(toy_clients(2, seed=2), cfg, start_model(2))
     ft = {c.client_id: fine_tune(global_params, c, cfg) for c in toy_clients(2, seed=2)}
     alpha_zero_ok = all(
         params_checksum(meta[cid]) == params_checksum(ft[cid]) for cid in meta

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import fedsln.cli  # noqa: F401  the benchmark imports these before tracing
 import fedsln.experiment as experiment
+import fedsln.federation as federation
 import fedsln.neural
 import fedsln.personalization as personalization
 from fedsln.config import build_experiment_config
@@ -33,13 +34,21 @@ def load_bench(name):
 
 def test_tracer_installs_and_uninstalls():
     gradient = fedsln.neural.gradient
+    hooks = (federation.synchronize, federation.local_round)
+    assert federation.run_fedavg.__defaults__ == hooks
     tracer = load_bench("tracing").Tracer()
     tracer.install()  # raises MissingTarget naming every missing name
     try:
         assert fedsln.neural.gradient is not gradient
+        # the tracer swaps only __defaults__: hooks made keyword-only would
+        # run untraced and read as zero seconds
+        traced = federation.run_fedavg.__defaults__
+        assert all(t is not h for t, h in zip(traced, hooks))
+        assert [t.__wrapped__ for t in traced] == list(hooks)
     finally:
         tracer.uninstall()
     assert fedsln.neural.gradient is gradient
+    assert federation.run_fedavg.__defaults__ == hooks
 
 
 def test_all_training_happens_inside_one_timed_run_method(monkeypatch):

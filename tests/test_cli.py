@@ -229,6 +229,26 @@ def test_test_split_without_negatives_is_one_data_line(config_path, tmp_path, ca
     ]
 
 
+@pytest.mark.parametrize(
+    "fraction, split",
+    # classroom 0 has 510 pairs at seed 1: 0.9999 of them round to all 510,
+    # and 0.0001 of them to none
+    [("0.9999", "test"), ("0.0001", "train")],
+)
+def test_an_empty_split_is_one_data_line(config_path, tmp_path, capsys, fraction, split):
+    # featurize writes no empty table either
+    for command in ("train", "featurize"):
+        code, out, err = run_cli(
+            capsys, command, "--config", str(config_path), "--output-dir", str(tmp_path / "run"),
+            "--set", f"split.train_fraction={fraction}",
+        )
+        assert code == 2 and out == ""
+        assert err.splitlines() == [
+            f"fedsln: [data] seed 1: classroom 0: {split} split is empty at train_fraction {fraction}"
+        ]
+        assert not (tmp_path / "run").exists()
+
+
 class TestParsing:
     def test_override_grammar(self):
         assert _parse_override("fedavg.learning_rate=0.5") == (

@@ -6,7 +6,7 @@ import json
 from dataclasses import fields
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fedsln.config import (
@@ -107,7 +107,8 @@ class TestBuild:
         assert cfg.hidden_sizes == (8, 4)
         assert cfg.split.train_fraction == 0.7
         assert cfg.train["fedavg"].learning_rate == 0.5
-        assert cfg.train["fedavg"].hidden_sizes == (8, 4)
+        # the model's shape is the experiment's alone
+        assert not hasattr(cfg.train["fedavg"], "hidden_sizes")
 
     def test_edge_list_source(self):
         cfg = build_experiment_config({"data": {"source": "edge_lists", "paths": "a.txt, b.txt"}})
@@ -184,6 +185,15 @@ class TestValidation:
             ExperimentConfig(data=data, output_dir="")
         with pytest.raises(ConfigError):
             ExperimentConfig(data=data, hidden_sizes=(0,))
+        # one hidden layer and the head: a blend covers at most two layers
+        fits = {"fedala": TrainConfig(ala_top_layers=2)}
+        ExperimentConfig(data=data, hidden_sizes=(4,), train=fits)
+        with pytest.raises(
+            ConfigError, match=r"^\[fedala\]: ala_top_layers 3 exceeds the model's 2 layers$"
+        ):
+            build_experiment_config(
+                minimal_raw(model={"hidden_sizes": "4"}, fedala={"ala_top_layers": "3"})
+            )
 
 
 class TestFiles:
@@ -313,8 +323,10 @@ class TestMethodSchema:
 
     @pytest.mark.parametrize(
         "method, key",
-        [(m, f.name) for m in METHOD_NAMES for f in fields(TrainConfig)
-         if f.name not in METHOD_KEYS[m]],
+        # seed and hidden_sizes are set per run and per experiment, by no method
+        [(m, key) for m in METHOD_NAMES
+         for key in (*(f.name for f in fields(TrainConfig)), "seed", "hidden_sizes")
+         if key not in METHOD_KEYS[m]],
     )
     def test_a_key_the_method_does_not_read_is_unknown(self, method, key):
         with pytest.raises(ConfigError, match=rf"unknown keys in \[{method}\]: \['{key}'\]"):
@@ -325,6 +337,10 @@ class TestMethodSchema:
         assert {m: sorted(manifest[m]) for m in METHOD_NAMES} == {
             m: sorted(keys) for m, keys in METHOD_KEYS.items()
         }
+        # and every TrainConfig field is some method's key
+        method_keys = set().union(*METHOD_KEYS.values())
+        assert {f.name for f in fields(TrainConfig)} == method_keys
+        assert len(method_keys) == 14
 
     def test_a_manifest_naming_an_unread_key_is_refused(self):
         manifest = config_to_manifest(build_experiment_config(minimal_raw()))
@@ -480,6 +496,9 @@ def drawn_configs(draw):
     methods = draw(st.lists(st.sampled_from(METHOD_NAMES), min_size=1, unique=True))
     seeds = draw(st.lists(st.integers(-2**40, 2**40), min_size=1, max_size=4, unique=True))
     overridden = draw(st.lists(st.sampled_from(METHOD_NAMES), unique=True))
+    train = {m: TrainConfig(**draw(train_overrides(m))) for m in overridden}
+    # the blend covers at most the model's layers
+    assume("fedala" not in train or train["fedala"].ala_top_layers <= len(hidden) + 1)
     return ExperimentConfig(
         data=data,
         methods=tuple(methods),
@@ -496,7 +515,7 @@ def drawn_configs(draw):
             pairs_per_client=draw(st.integers(1, 1000)),
             background_size=draw(st.integers(1, 1000)),
         ),
-        train={m: TrainConfig(hidden_sizes=hidden, **draw(train_overrides(m))) for m in overridden},
+        train=train,
     )
 
 

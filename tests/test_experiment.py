@@ -24,6 +24,7 @@ from fedsln.experiment import (
 )
 from fedsln.features import N_FEATURES, StandardizedRows
 from fedsln.neural import (
+    BatchStream,
     epochs_to_steps,
     evaluate,
     init_params,
@@ -224,15 +225,15 @@ class TestRunMethod:
         # pseudo-client's init and update stream
         datasets = build_client_datasets(cfg, seed)
         out = run_method("centralized", datasets, cfg, seed=seed)
-        tcfg = replace(cfg.train["centralized"], hidden_sizes=cfg.hidden_sizes, seed=seed)
+        tcfg = cfg.train["centralized"]
         _std, x, y = pool_training_data(datasets)
         expected = train_steps(
-            init_params(derive_rng(seed, "init"), tcfg.hidden_sizes, N_FEATURES),
+            init_params(derive_rng(seed, "init"), cfg.hidden_sizes, N_FEATURES),
             x,
             y,
             tcfg,
-            derive_rng(seed, "client", 0, "update"),
-            steps=epochs_to_steps(len(y), tcfg.batch_size, tcfg.epochs),
+            BatchStream(len(y), tcfg.batch_size, derive_rng(seed, "client", 0, "update")),
+            epochs_to_steps(len(y), tcfg.batch_size, tcfg.epochs),
         )
         assert out.models[0].flat.tobytes() == expected.flat.tobytes()
         assert len(out.history) == 1
@@ -311,7 +312,7 @@ class TestRunMethod:
         fedavg = run_method("fedavg", datasets, cfg, seed=1)
         handed = run_method("fedavg_ft", datasets, cfg, seed=1, fedavg=fedavg)
         alone = run_method("fedavg_ft", datasets, cfg, seed=1)
-        ft_cfg = replace(cfg.train["fedavg_ft"], hidden_sizes=cfg.hidden_sizes, seed=1)
+        ft_cfg = cfg.train["fedavg_ft"]
         clients = experiment.make_clients(
             [(StandardizedRows(d.raw_train_x, d.standardizer), d.train_y) for d in datasets], 1
         )

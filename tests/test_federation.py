@@ -26,6 +26,7 @@ from fedsln.federation import (
     synchronize,
 )
 from fedsln.neural import (
+    DEFAULT_HIDDEN,
     DenseLayer,
     ModelParams,
     NonFiniteParamsError,
@@ -39,8 +40,8 @@ from fedsln.personalization import _ala_sync, _meta_round
 from fedsln.rng import derive_rng
 
 
-def flatten(params):
-    return np.concatenate([np.concatenate([l.weights.ravel(), l.biases]) for l in params.layers])
+def start_model(seed, hidden=DEFAULT_HIDDEN, dim=6):
+    return init_params(derive_rng(seed, "init"), hidden, dim)
 
 
 def toy_dataset(seed, n=40, dim=6):
@@ -73,23 +74,23 @@ class TestAggregate:
         # sizes 1 and 3: result = 0.25*a + 0.75*b, checked to 1e-12
         a, b = const_model(0.0), const_model(4.0)
         out = aggregate([a, b], [1, 3])
-        assert np.allclose(flatten(out), 3.0, atol=1e-12)
+        assert np.allclose(out.flat, 3.0, atol=1e-12)
 
     def test_three_way_fixture(self):
         models = [const_model(v) for v in (1.0, 2.0, 6.0)]
         out = aggregate(models, [2, 3, 5])
         expected = (2 * 1.0 + 3 * 2.0 + 5 * 6.0) / 10
-        assert np.allclose(flatten(out), expected, atol=1e-12)
+        assert np.allclose(out.flat, expected, atol=1e-12)
 
     def test_equal_sizes_is_plain_mean(self):
-        models = [init_params(s, hidden=(3,), input_dim=4) for s in range(3)]
+        models = [start_model(s, hidden=(3,), dim=4) for s in range(3)]
         out = aggregate(models, [7, 7, 7])
-        expected = np.mean([flatten(m) for m in models], axis=0)
-        assert np.allclose(flatten(out), expected, atol=1e-12)
+        expected = np.mean([m.flat for m in models], axis=0)
+        assert np.allclose(out.flat, expected, atol=1e-12)
 
     def test_single_client_is_identity(self):
-        m = init_params(3, hidden=(3,), input_dim=4)
-        assert np.array_equal(flatten(aggregate([m], [5])), flatten(m))
+        m = start_model(3, hidden=(3,), dim=4)
+        assert np.array_equal(aggregate([m], [5]).flat, m.flat)
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -104,9 +105,9 @@ class TestAggregate:
 
     def test_weights_sum_preserved(self):
         # aggregating copies of one model returns that model
-        m = init_params(1, hidden=(4,), input_dim=5)
+        m = start_model(1, hidden=(4,), dim=5)
         out = aggregate([m, m.copy(), m.copy()], [1, 2, 9])
-        assert np.allclose(flatten(out), flatten(m), atol=1e-12)
+        assert np.allclose(out.flat, m.flat, atol=1e-12)
 
     def test_validation(self):
         m = const_model(1.0)
@@ -129,9 +130,9 @@ class TestAggregate:
             aggregate([bad, const_model(1.0)], [1, 1], round_index=4, client_ids=[7, 8])
 
     def test_run_fedavg_names_the_diverged_round_and_client(self):
-        cfg = TrainConfig(learning_rate=1e200, batch_size=8, local_steps=3, global_rounds=3, seed=0)
+        cfg = TrainConfig(learning_rate=1e200, batch_size=8, local_steps=3, global_rounds=3)
         with pytest.raises(NonFiniteParamsError, match=r"^round \d+: client \d+ has non-finite"):
-            run_fedavg(toy_clients(2), cfg)
+            run_fedavg(toy_clients(2), cfg, start_model(0))
 
 
 class TestClientState:
@@ -168,16 +169,16 @@ class TestClientState:
 class TestSynchronize:
     def test_copies_not_aliases(self):
         c = toy_clients(1)[0]
-        g = init_params(0)
+        g = start_model(0)
         synchronize(c, g)
         c.params.layers[0].weights[0, 0] += 1.0
         assert g.layers[0].weights[0, 0] != c.params.layers[0].weights[0, 0]
 
     def test_dimension_mismatch(self):
         c = toy_clients(1)[0]
-        synchronize(c, init_params(0, hidden=(4,), input_dim=6))
+        synchronize(c, start_model(0, hidden=(4,)))
         with pytest.raises(ValueError):
-            synchronize(c, init_params(0, hidden=(5,), input_dim=6))
+            synchronize(c, start_model(0, hidden=(5,)))
 
     def test_local_round_requires_sync(self):
         c = toy_clients(1)[0]
@@ -190,43 +191,45 @@ class TestRunFedavg:
         # one client, aggregation weights collapse: K rounds of s steps
         # must match K*s sequential steps on the same stream, to 1e-12
         clients = toy_clients(1, seed=3)
-        cfg = TrainConfig(learning_rate=0.1, batch_size=8, local_steps=7, global_rounds=4, seed=3)
-        final, history = run_fedavg(clients, cfg)
+        cfg = TrainConfig(learning_rate=0.1, batch_size=8, local_steps=7, global_rounds=4)
+        final, history = run_fedavg(clients, cfg, start_model(3))
 
         ref_client = toy_clients(1, seed=3)[0]
-        initial = init_params(derive_rng(3, "init"), cfg.hidden_sizes, 6)
+        initial = start_model(3)
         stream = ref_client.batch_stream("update", cfg.batch_size)
         expected = train_steps(
-            initial, ref_client.train_x, ref_client.train_y, cfg, stream, steps=28
+            initial, ref_client.train_x, ref_client.train_y, cfg, stream, 28
         )
-        assert np.max(np.abs(flatten(final) - flatten(expected))) < 1e-12
+        assert np.max(np.abs(final.flat - expected.flat)) < 1e-12
         assert len(history) == 4
 
     def test_scheduling_order_independence(self):
-        cfg = TrainConfig(learning_rate=0.05, batch_size=8, local_steps=5, global_rounds=3, seed=1)
-        seq, seq_hist = run_fedavg(toy_clients(3, seed=1), cfg)
-        par, par_hist = run_fedavg(toy_clients(3, seed=1), cfg, max_workers=3)
+        cfg = TrainConfig(learning_rate=0.05, batch_size=8, local_steps=5, global_rounds=3)
+        seq, seq_hist = run_fedavg(toy_clients(3, seed=1), cfg, start_model(1))
+        par, par_hist = run_fedavg(toy_clients(3, seed=1), cfg, start_model(1), max_workers=3)
         assert params_checksum(seq) == params_checksum(par)
         assert [r.checksum for r in seq_hist] == [r.checksum for r in par_hist]
 
     def test_rerun_reproducible(self):
-        cfg = TrainConfig(learning_rate=0.05, batch_size=8, local_steps=5, global_rounds=2, seed=9)
-        a, _ = run_fedavg(toy_clients(2, seed=9), cfg)
-        b, _ = run_fedavg(toy_clients(2, seed=9), cfg)
+        cfg = TrainConfig(learning_rate=0.05, batch_size=8, local_steps=5, global_rounds=2)
+        a, _ = run_fedavg(toy_clients(2, seed=9), cfg, start_model(9))
+        b, _ = run_fedavg(toy_clients(2, seed=9), cfg, start_model(9))
         assert params_checksum(a) == params_checksum(b)
 
     def test_zero_rounds_returns_initial(self):
         clients = toy_clients(2, seed=4)
-        cfg = TrainConfig(global_rounds=0, seed=4)
-        final, history = run_fedavg(clients, cfg)
-        expected = init_params(derive_rng(4, "init"), cfg.hidden_sizes, 6)
-        assert np.array_equal(flatten(final), flatten(expected))
+        cfg = TrainConfig(global_rounds=0)
+        start = start_model(4)
+        final, history = run_fedavg(clients, cfg, start)
+        expected = start_model(4)
+        assert np.array_equal(final.flat, expected.flat)
+        assert final.flat.tobytes() == start.flat.tobytes()
         assert history == []
 
     def test_round_records_shape(self):
         clients = toy_clients(2, seed=6)
-        cfg = TrainConfig(learning_rate=0.05, batch_size=8, local_steps=3, global_rounds=2, seed=6)
-        final, history = run_fedavg(clients, cfg)
+        cfg = TrainConfig(learning_rate=0.05, batch_size=8, local_steps=3, global_rounds=2)
+        final, history = run_fedavg(clients, cfg, start_model(6))
         assert [r.round_index for r in history] == [0, 1]
         for record in history:
             assert re.fullmatch(r"[0-9a-f]{64}", record.checksum)
@@ -245,16 +248,18 @@ class TestRunFedavg:
             calls.append(("local", client.client_id))
             return local_round(client, config)
 
-        cfg = TrainConfig(learning_rate=0.05, batch_size=8, local_steps=3, global_rounds=2, seed=6)
-        hooked, hooked_hist = run_fedavg(toy_clients(2, seed=6), cfg, sync=sync, local=local)
-        plain, plain_hist = run_fedavg(toy_clients(2, seed=6), cfg)
+        cfg = TrainConfig(learning_rate=0.05, batch_size=8, local_steps=3, global_rounds=2)
+        hooked, hooked_hist = run_fedavg(
+            toy_clients(2, seed=6), cfg, start_model(6), sync=sync, local=local
+        )
+        plain, plain_hist = run_fedavg(toy_clients(2, seed=6), cfg, start_model(6))
         assert calls == [("sync", 0), ("sync", 1), ("local", 0), ("local", 1)] * 2
         assert [r.checksum for r in hooked_hist] == [r.checksum for r in plain_hist]
         assert params_checksum(hooked) == params_checksum(plain)
 
     def test_requires_clients(self):
         with pytest.raises(ValueError):
-            run_fedavg([], TrainConfig())
+            run_fedavg([], TrainConfig(), start_model(0))
 
 
 # --- client shards: forked children must reproduce the in-process run --------
@@ -296,13 +301,17 @@ def run_hooked(method, sizes, seed, batch_size, max_workers):
         batch_size=batch_size,
         local_steps=3,
         global_rounds=2,
-        seed=seed,
-        hidden_sizes=(4,),
         ala_top_layers=1,
         ala_update_cap=4,
     )
     clients = sized_clients(sizes, seed)
-    final, history = run_fedavg(clients, cfg, max_workers=max_workers, **SHARD_HOOKS[method](cfg))
+    start = start_model(seed, hidden=(4,))
+    before = start.flat.copy()
+    final, history = run_fedavg(
+        clients, cfg, start, max_workers=max_workers, **SHARD_HOOKS[method](cfg)
+    )
+    # no round, in the parent or in a shard, writes into the start model
+    assert start.flat.tobytes() == before.tobytes()
     return (
         final.flat.tolist(),
         [(r.round_index, r.checksum) for r in history],
@@ -321,7 +330,7 @@ class TestShards:
     )
     def test_sharded_run_equals_in_process(self, method, sizes, seed, batch_size, max_workers):
         # a 16-row batch is clamped on the smaller clients
-        serial = run_hooked(method, sizes, seed, batch_size, None)
+        serial = run_hooked(method, sizes, seed, batch_size, 1)
         sharded = run_hooked(method, sizes, seed, batch_size, max_workers)
         assert sharded == serial
         assert multiprocessing.active_children() == []
@@ -334,9 +343,9 @@ class TestShards:
                 raise KeyError(f"client {client.client_id} refuses")
             return local_round(client, config)
 
-        cfg = TrainConfig(learning_rate=0.05, batch_size=8, local_steps=3, global_rounds=2, seed=2)
+        cfg = TrainConfig(learning_rate=0.05, batch_size=8, local_steps=3, global_rounds=2)
         with pytest.raises(KeyError, match=f"client {failing_client} refuses"):
-            run_fedavg(toy_clients(3, seed=2), cfg, local=local, max_workers=2)
+            run_fedavg(toy_clients(3, seed=2), cfg, start_model(2), local=local, max_workers=2)
         assert multiprocessing.active_children() == []
 
     def test_unpicklable_error_keeps_type_name_and_message(self):
@@ -349,15 +358,15 @@ class TestShards:
                 raise Odd("x", client.client_id)
             return local_round(client, config)
 
-        cfg = TrainConfig(batch_size=8, local_steps=1, global_rounds=1, seed=2)
+        cfg = TrainConfig(batch_size=8, local_steps=1, global_rounds=1)
         with pytest.raises(RuntimeError, match="^Odd: x-1$"):
-            run_fedavg(toy_clients(2, seed=2), cfg, local=local, max_workers=2)
+            run_fedavg(toy_clients(2, seed=2), cfg, start_model(2), local=local, max_workers=2)
         assert multiprocessing.active_children() == []
 
     def test_divergence_closes_every_child(self):
-        cfg = TrainConfig(learning_rate=1e200, batch_size=8, local_steps=3, global_rounds=2, seed=5)
+        cfg = TrainConfig(learning_rate=1e200, batch_size=8, local_steps=3, global_rounds=2)
         with pytest.raises(NonFiniteParamsError, match=r"round 0: client 0 "):
-            run_fedavg(toy_clients(4, seed=5), cfg, max_workers=4)
+            run_fedavg(toy_clients(4, seed=5), cfg, start_model(5), max_workers=4)
         assert multiprocessing.active_children() == []
 
     @pytest.mark.skipif(not _openblas_thread_functions(), reason="needs OpenBLAS")
@@ -371,14 +380,14 @@ class TestShards:
 
         functions = _openblas_thread_functions()
         before = [get() for get, _ in functions]
-        cfg = TrainConfig(global_rounds=3, seed=3)
+        cfg = TrainConfig(global_rounds=3)
         runs = []
         try:
             for threads in (1, 2):
                 for _, put in functions:
                     put(threads)
                 clients = sized_clients([3000, 3200], seed=3)
-                final, history = run_fedavg(clients, cfg, local=full_batch)
+                final, history = run_fedavg(clients, cfg, start_model(3), local=full_batch)
                 assert [get() for get, _ in functions] == [threads] * len(functions)
                 runs.append([r.checksum for r in history])
         finally:
@@ -420,7 +429,7 @@ class TestShards:
 
     def test_rejects_fewer_than_one_worker(self):
         with pytest.raises(ValueError, match="max_workers must be at least 1"):
-            run_fedavg(toy_clients(2), TrainConfig(), max_workers=0)
+            run_fedavg(toy_clients(2), TrainConfig(), start_model(0), max_workers=0)
 
     @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
     def test_children_exit_when_the_parent_dies(self, tmp_path):
@@ -431,7 +440,7 @@ class TestShards:
             import multiprocessing, os, sys
             import numpy as np
             from fedsln.federation import local_round, make_clients, run_fedavg
-            from fedsln.neural import TrainConfig
+            from fedsln.neural import TrainConfig, init_params
 
             rng = np.random.default_rng(0)
             data = [(rng.normal(size=(30, 6)), (rng.random(30) > 0.5) * 1.0)
@@ -444,8 +453,8 @@ class TestShards:
                     os._exit(0)
                 return local_round(client, config)
 
-            run_fedavg(make_clients(data, 1), TrainConfig(batch_size=8), local=local,
-                       max_workers=3)
+            run_fedavg(make_clients(data, 1), TrainConfig(batch_size=8),
+                       init_params(np.random.default_rng(1)), local=local, max_workers=3)
             """
         )
         src = Path(__file__).resolve().parents[1] / "src"

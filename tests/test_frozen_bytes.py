@@ -242,9 +242,9 @@ def test_fedavg_rounds_run_once_per_seed(tmp_path, monkeypatch, methods):
     seeds = []
     real = experiment.run_fedavg
 
-    def spy(clients, config, **kwargs):
-        seeds.append(config.seed)
-        return real(clients, config, **kwargs)
+    def spy(clients, config, start, **kwargs):
+        seeds.append(clients[0].seed)
+        return real(clients, config, start, **kwargs)
 
     monkeypatch.setattr(experiment, "run_fedavg", spy)
     monkeypatch.setattr(personalization, "run_fedavg", spy)

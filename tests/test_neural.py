@@ -80,15 +80,17 @@ class TestForward:
         x = np.array([0.4, -0.6])
         h = np.logaddexp(0.0, w1 @ x + b1)
         expected = float(expit((w2 @ h + b2)[0]))
-        assert forward(params, x) == pytest.approx(expected, abs=1e-15)
+        assert forward(params, x[None, :])[0] == pytest.approx(expected, abs=1e-15)
 
     def test_batch_and_row_agree(self):
         params = random_model(derive_rng(0, "m"))
         x = derive_rng(1, "x").normal(size=(4, 6))
         batch = forward(params, x)
-        rows = [forward(params, x[i]) for i in range(4)]
-        assert np.allclose(batch, rows, atol=1e-15)
-        assert isinstance(rows[0], float)
+        rows = [forward(params, x[i : i + 1]) for i in range(4)]
+        assert np.allclose(batch, np.concatenate(rows), atol=1e-15)
+        # a row is a one-row batch; a bare row is refused
+        with pytest.raises(ValueError, match=r"expected an \(m, 6\) batch .* got shape \(6,\)"):
+            forward(params, x[0])
 
     def test_outputs_are_probabilities(self):
         params = random_model(derive_rng(3, "m"))
@@ -104,7 +106,7 @@ class TestForward:
 
 class TestInit:
     def test_glorot_bounds_and_zero_biases(self):
-        params = init_params(7)
+        params = init_params(derive_rng(7, "init"))
         dims = params.layer_dims
         assert dims == (6, 32, 16, 1)
         for layer in params.layers:
@@ -114,9 +116,9 @@ class TestInit:
             assert np.all(layer.biases == 0.0)
 
     def test_seed_reproducibility(self):
-        a = flatten(init_params(11))
-        b = flatten(init_params(11))
-        c = flatten(init_params(12))
+        a = flatten(init_params(derive_rng(11, "init")))
+        b = flatten(init_params(derive_rng(11, "init")))
+        c = flatten(init_params(derive_rng(12, "init")))
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
@@ -273,17 +275,18 @@ class TestTrainSteps:
         rng = derive_rng(0, "data")
         x = np.vstack([rng.normal(-2.0, 0.5, size=(60, 6)), rng.normal(2.0, 0.5, size=(60, 6))])
         y = np.concatenate([np.zeros(60), np.ones(60)])
-        params = init_params(1, hidden=(8,), input_dim=6)
+        params = init_params(derive_rng(1, "init"), hidden=(8,), input_dim=6)
         before = mean_loss(params, x, y)
         cfg = TrainConfig(learning_rate=0.5, batch_size=32, local_steps=200)
-        after_params = train_steps(params, x, y, cfg, derive_rng(2, "steps"))
+        stream = BatchStream(len(y), cfg.batch_size, derive_rng(2, "steps"))
+        after_params = train_steps(params, x, y, cfg, stream, cfg.local_steps)
         assert mean_loss(after_params, x, y) < before * 0.5
 
     def test_zero_steps_returns_equal_copy(self):
         params = random_model(derive_rng(0, "m"))
         x = derive_rng(1, "x").normal(size=(4, 6))
         y = np.zeros(4)
-        out = train_steps(params, x, y, TrainConfig(), derive_rng(0, "s"), steps=0)
+        out = train_steps(params, x, y, TrainConfig(), BatchStream(4, 128, derive_rng(0, "s")), 0)
         assert out is not params
         assert np.array_equal(flatten(out), flatten(params))
 
@@ -292,8 +295,8 @@ class TestTrainSteps:
         x = derive_rng(1, "x").normal(size=(16, 6))
         y = (derive_rng(2, "y").random(16) < 0.5).astype(float)
         cfg = TrainConfig(learning_rate=0.05, batch_size=4, local_steps=12)
-        a = train_steps(params.copy(), x, y, cfg, derive_rng(7, "s"))
-        b = train_steps(params.copy(), x, y, cfg, derive_rng(7, "s"))
+        a = train_steps(params.copy(), x, y, cfg, BatchStream(16, 4, derive_rng(7, "s")), 12)
+        b = train_steps(params.copy(), x, y, cfg, BatchStream(16, 4, derive_rng(7, "s")), 12)
         assert np.array_equal(flatten(a), flatten(b))
 
     @settings(derandomize=True, deadline=None, max_examples=60)
@@ -314,7 +317,9 @@ class TestTrainSteps:
         y = (rng.random(n) < 0.5).astype(float)
         params = init_params(derive_rng(seed, "m"), hidden=tuple(hidden), input_dim=4)
         cfg = TrainConfig(learning_rate=learning_rate, batch_size=batch_size)
-        fast = train_steps(params, x, y, cfg, derive_rng(seed, "s"), steps=steps)
+        fast = train_steps(
+            params, x, y, cfg, BatchStream(n, batch_size, derive_rng(seed, "s")), steps
+        )
 
         stream = BatchStream(n, batch_size, derive_rng(seed, "s"))
         slow = params
@@ -336,18 +341,22 @@ class TestTrainSteps:
         cfg = TrainConfig(learning_rate=0.2, batch_size=batch_size)
         steps = 3 * epochs_to_steps(n, batch_size, 1) + 1
         on_view = train_steps(
-            params, StandardizedRows(raw, s), y, cfg, derive_rng(n, "s"), steps=steps
+            params, StandardizedRows(raw, s), y, cfg,
+            BatchStream(n, batch_size, derive_rng(n, "s")), steps,
         )
-        on_matrix = train_steps(params, s.transform(raw), y, cfg, derive_rng(n, "s"), steps=steps)
+        on_matrix = train_steps(
+            params, s.transform(raw), y, cfg, BatchStream(n, batch_size, derive_rng(n, "s")), steps
+        )
         assert on_view.flat.tobytes() == on_matrix.flat.tobytes()
 
     def test_rejects_rows_of_the_wrong_width(self):
-        params = init_params(0, hidden=(3,), input_dim=6)
+        params = init_params(derive_rng(0, "init"), hidden=(3,), input_dim=6)
         view = StandardizedRows(np.zeros((4, 5)), Standardizer(np.zeros(5), np.ones(5)))
+        stream = BatchStream(4, 128, derive_rng(0, "s"))
         with pytest.raises(ValueError, match="6 features"):
-            train_steps(params, view, np.zeros(4), TrainConfig(), derive_rng(0, "s"))
+            train_steps(params, view, np.zeros(4), TrainConfig(), stream, 100)
         with pytest.raises(ValueError, match="label counts differ"):
-            train_steps(params, np.zeros((4, 6)), np.zeros(3), TrainConfig(), derive_rng(0, "s"))
+            train_steps(params, np.zeros((4, 6)), np.zeros(3), TrainConfig(), stream, 100)
 
     def test_epochs_to_steps(self):
         assert epochs_to_steps(10, 3, 1) == 4

@@ -21,6 +21,7 @@ from scipy.special import expit
 
 from fedsln.federation import make_clients
 from fedsln.neural import (
+    BatchStream,
     DenseLayer,
     ModelParams,
     TrainConfig,
@@ -140,7 +141,7 @@ def test_every_path_to_the_head_sigmoid_is_silent_on_overflow():
     assert forward(params, x).tolist() == [1.0, 0.0]
     assert evaluate(params, x, y).auc == 1.0
     gradient(params, x, y)
-    train_steps(params, x, y, cfg, derive_rng(0, "silent"))
+    train_steps(params, x, y, cfg, BatchStream(2, 2, derive_rng(0, "silent")), cfg.local_steps)
     (client,) = make_clients([(x, y)], seed=0)
     learn_ala_weights(client, params, params, cfg)
     client.params = params

@@ -17,6 +17,7 @@ from fedsln.features import StandardizedRows, Standardizer
 from fedsln.federation import make_clients, run_fedavg
 from fedsln.graphs import round_half_up
 from fedsln.neural import (
+    DEFAULT_HIDDEN,
     DenseLayer,
     ModelParams,
     TrainConfig,
@@ -44,8 +45,8 @@ from fedsln.personalization import (
 from fedsln.rng import derive_rng
 
 
-def flatten(params):
-    return np.concatenate([np.concatenate([l.weights.ravel(), l.biases]) for l in params.layers])
+def start_model(seed, hidden=DEFAULT_HIDDEN, dim=6):
+    return init_params(derive_rng(seed, "init"), hidden, dim)
 
 
 def toy_clients(n_clients, seed=0, n=40, dim=6):
@@ -199,7 +200,7 @@ class TestMetaStep:
         for delta in (1e-2, 1e-3, 1e-4):
             plus = gradient(ModelParams(params.flat + delta * v.flat, params.layer_dims), x, y)
             minus = gradient(ModelParams(params.flat - delta * v.flat, params.layer_dims), x, y)
-            approx = (flatten(plus) - flatten(minus)) / (2 * delta)
+            approx = (plus.flat - minus.flat) / (2 * delta)
             errors.append(np.linalg.norm(approx - hv))
         assert 50 < errors[0] / errors[1] < 200
         assert 50 < errors[1] / errors[2] < 200
@@ -208,8 +209,8 @@ class TestMetaStep:
 class TestFineTune:
     def test_one_epoch_matches_manual_replay(self):
         client = toy_clients(1, seed=7)[0]
-        cfg = TrainConfig(learning_rate=0.1, batch_size=8, seed=7)
-        start = init_params(3)
+        cfg = TrainConfig(learning_rate=0.1, batch_size=8)
+        start = start_model(3)
         tuned = fine_tune(start, client, cfg)
 
         rng = derive_rng(client.seed, "client", client.client_id, "finetune")
@@ -228,8 +229,8 @@ class TestFineTune:
     def test_repeat_calls_match_manual_replay(self, batch_size):
         client = toy_clients(1, seed=3)[0]
         assert client.size == 30
-        cfg = TrainConfig(learning_rate=0.1, batch_size=batch_size, seed=3)
-        start = init_params(6)
+        cfg = TrainConfig(learning_rate=0.1, batch_size=batch_size)
+        start = start_model(6)
         order = derive_rng(client.seed, "client", client.client_id, "finetune").permutation(30)
         params = start.copy()
         for lo in range(0, 30, batch_size):
@@ -242,7 +243,7 @@ class TestFineTune:
 
     def test_does_not_mutate_global(self):
         client = toy_clients(1, seed=1)[0]
-        start = init_params(3)
+        start = start_model(3)
         fingerprint = params_checksum(start)
         fine_tune(start, client, TrainConfig(learning_rate=0.5, batch_size=4))
         assert params_checksum(start) == fingerprint
@@ -251,11 +252,11 @@ class TestFineTune:
 class TestPerFedAvg:
     def test_alpha_zero_equals_fedavg_ft_bitwise(self):
         cfg = TrainConfig(
-            learning_rate=0.05, batch_size=8, local_steps=6, global_rounds=3, seed=2, meta_inner=0.0
+            learning_rate=0.05, batch_size=8, local_steps=6, global_rounds=3, meta_inner=0.0
         )
-        meta, meta_hist = run_perfedavg_hf(toy_clients(2, seed=2), cfg)
+        meta, meta_hist = run_perfedavg_hf(toy_clients(2, seed=2), cfg, start_model(2))
         # fedavg_ft: plain FedAvg rounds, then one fine-tune pass per client
-        global_params, fed_hist = run_fedavg(toy_clients(2, seed=2), cfg)
+        global_params, fed_hist = run_fedavg(toy_clients(2, seed=2), cfg, start_model(2))
         ft = {c.client_id: fine_tune(global_params, c, cfg) for c in toy_clients(2, seed=2)}
         assert sorted(meta) == sorted(ft) == [0, 1]
         for cid in meta:
@@ -264,23 +265,25 @@ class TestPerFedAvg:
 
     def test_meta_learning_reduces_loss(self):
         clients = toy_clients(2, seed=11)
-        cfg = TrainConfig(learning_rate=0.05, batch_size=8, local_steps=10, global_rounds=5, seed=11)
-        initial = init_params(derive_rng(11, "init"), cfg.hidden_sizes, 6)
-        client_params, _ = run_perfedavg_hf(clients, cfg)
+        cfg = TrainConfig(learning_rate=0.05, batch_size=8, local_steps=10, global_rounds=5)
+        initial = start_model(11)
+        client_params, _ = run_perfedavg_hf(clients, cfg, initial)
         x, y = clients[0].train_x, clients[0].train_y
         assert mean_loss(client_params[0], x, y) < mean_loss(initial, x, y)
 
     def test_reproducible(self):
-        cfg = TrainConfig(learning_rate=0.05, batch_size=8, local_steps=4, global_rounds=2, seed=3)
-        a, _ = run_perfedavg_hf(toy_clients(2, seed=3), cfg)
-        b, _ = run_perfedavg_hf(toy_clients(2, seed=3), cfg)
+        cfg = TrainConfig(learning_rate=0.05, batch_size=8, local_steps=4, global_rounds=2)
+        a, _ = run_perfedavg_hf(toy_clients(2, seed=3), cfg, start_model(3))
+        b, _ = run_perfedavg_hf(toy_clients(2, seed=3), cfg, start_model(3))
         for cid in a:
             assert params_checksum(a[cid]) == params_checksum(b[cid])
 
     def test_threaded_matches_sequential(self):
-        cfg = TrainConfig(learning_rate=0.05, batch_size=8, local_steps=4, global_rounds=2, seed=6)
-        seq, seq_hist = run_perfedavg_hf(toy_clients(3, seed=6), cfg)
-        par, par_hist = run_perfedavg_hf(toy_clients(3, seed=6), cfg, max_workers=3)
+        cfg = TrainConfig(learning_rate=0.05, batch_size=8, local_steps=4, global_rounds=2)
+        seq, seq_hist = run_perfedavg_hf(toy_clients(3, seed=6), cfg, start_model(6))
+        par, par_hist = run_perfedavg_hf(
+            toy_clients(3, seed=6), cfg, start_model(6), max_workers=3
+        )
         for cid in seq:
             assert params_checksum(seq[cid]) == params_checksum(par[cid])
         assert [r.checksum for r in seq_hist] == [r.checksum for r in par_hist]
@@ -305,15 +308,16 @@ class TestPerFedAvg:
             batch_size=batch_size,
             local_steps=local_steps,
             global_rounds=rounds,
-            seed=seed,
-            hidden_sizes=tuple(hidden),
             meta_inner=alpha,
             meta_outer=beta,
             hf_delta=delta,
         )
         make = view_clients if views else toy_clients
-        fast, fast_hist = run_fedavg(make(2, seed=seed % 50), cfg, local=_meta_round)
-        slow, slow_hist = run_fedavg(make(2, seed=seed % 50), cfg, local=reference_meta_round)
+        start = start_model(seed, hidden=tuple(hidden))
+        fast, fast_hist = run_fedavg(make(2, seed=seed % 50), cfg, start, local=_meta_round)
+        slow, slow_hist = run_fedavg(
+            make(2, seed=seed % 50), cfg, start, local=reference_meta_round
+        )
         assert fast.flat.tobytes() == slow.flat.tobytes()
         assert [r.checksum for r in fast_hist] == [r.checksum for r in slow_hist]
 
@@ -330,7 +334,7 @@ class TestAlaInit:
         prev, glob = random_pair(0)
         w = AlaWeights.ones_like(glob, 2)
         out = ala_init(prev, glob, w)
-        assert np.array_equal(flatten(out), flatten(glob))
+        assert np.array_equal(out.flat, glob.flat)
 
     def test_all_zeros_returns_prev_on_top_global_below(self):
         prev, glob = random_pair(1)
@@ -485,18 +489,17 @@ class TestRunFedala:
             batch_size=8,
             local_steps=6,
             global_rounds=4,
-            seed=5,
             ala_top_layers=3,
             ala_weight_lr=0.0,
         )
-        _, ala_hist = run_fedala(toy_clients(2, seed=5), cfg)
-        fed, hist = run_fedavg(toy_clients(2, seed=5), cfg)
+        _, ala_hist = run_fedala(toy_clients(2, seed=5), cfg, start_model(5))
+        fed, hist = run_fedavg(toy_clients(2, seed=5), cfg, start_model(5))
         assert [r.checksum for r in ala_hist] == [r.checksum for r in hist]
 
     def test_clients_keep_local_states(self):
         clients = toy_clients(2, seed=12)
-        cfg = TrainConfig(learning_rate=0.05, batch_size=8, local_steps=5, global_rounds=3, seed=12)
-        client_params, history = run_fedala(clients, cfg)
+        cfg = TrainConfig(learning_rate=0.05, batch_size=8, local_steps=5, global_rounds=3)
+        client_params, history = run_fedala(clients, cfg, start_model(12))
         # final per-client parameters are the last local states, which
         # differ from the aggregated global of the final round
         for cid, params in client_params.items():
@@ -506,16 +509,19 @@ class TestRunFedala:
         assert clients[0].ala_weights is not None
 
     def test_reproducible(self):
-        cfg = TrainConfig(learning_rate=0.05, batch_size=8, local_steps=4, global_rounds=3, seed=1)
-        a, _ = run_fedala(toy_clients(2, seed=1), cfg)
-        b, _ = run_fedala(toy_clients(2, seed=1), cfg)
+        cfg = TrainConfig(learning_rate=0.05, batch_size=8, local_steps=4, global_rounds=3)
+        a, _ = run_fedala(toy_clients(2, seed=1), cfg, start_model(1))
+        b, _ = run_fedala(toy_clients(2, seed=1), cfg, start_model(1))
         for cid in a:
             assert params_checksum(a[cid]) == params_checksum(b[cid])
 
     def test_threaded_matches_sequential(self):
-        cfg = TrainConfig(learning_rate=0.05, batch_size=8, local_steps=4, global_rounds=3, seed=2)
-        seq, seq_hist = run_fedala(toy_clients(3, seed=2), cfg)
-        par, par_hist = run_fedala(toy_clients(3, seed=2), cfg, max_workers=3)
+        cfg = TrainConfig(learning_rate=0.05, batch_size=8, local_steps=4, global_rounds=3)
+        seq, seq_hist = run_fedala(toy_clients(3, seed=2), cfg, start_model(2))
+        start = start_model(2)
+        before = start.flat.copy()
+        par, par_hist = run_fedala(toy_clients(3, seed=2), cfg, start, max_workers=3)
+        assert start.flat.tobytes() == before.tobytes()
         for cid in seq:
             assert params_checksum(seq[cid]) == params_checksum(par[cid])
         assert [r.checksum for r in seq_hist] == [r.checksum for r in par_hist]
