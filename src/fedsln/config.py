@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import configparser
 import json
+import math
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Any, Collection, get_args, get_origin, get_type_hints
@@ -209,7 +210,8 @@ def _parse(value: Any, hint: Any, context: str) -> Any:
     """Parse INI or --set text, or a typed manifest value, as `hint`.
 
     Lists come as comma text or JSON arrays. ``float | None`` parses as
-    float; such a field stays None only when its key is left out.
+    float; such a field stays None only when its key is left out. A float
+    must be finite: nan, inf, 1e400 and a JSON NaN are refused here.
     """
     if get_origin(hint) is tuple:
         if isinstance(value, str):
@@ -222,11 +224,14 @@ def _parse(value: Any, hint: Any, context: str) -> Any:
     if type(None) in get_args(hint):
         hint = next(arg for arg in get_args(hint) if arg is not type(None))
     try:
-        if isinstance(value, str) or type(value) in _TYPED[hint]:
-            return hint(value)
+        parsed = hint(value) if isinstance(value, str) or type(value) in _TYPED[hint] else None
     except (ValueError, OverflowError):
-        pass
-    raise ConfigError(f"{context}: cannot parse {value!r} as {hint.__name__}")
+        parsed = None
+    if parsed is None:
+        raise ConfigError(f"{context}: cannot parse {value!r} as {hint.__name__}")
+    if hint is float and not math.isfinite(parsed):
+        raise ConfigError(f"{context}: expected a finite number, got {value!r}")
+    return parsed
 
 
 def _options(

@@ -6,12 +6,13 @@ parameter structures and train-split sizes.
 
 run_fedavg is the package's one federated round loop. It starts from
 the global model its caller hands it and never writes into it. A round calls
-sync(client, global_params) and then local(client, config) on every
-client, then aggregates the local models in client-id order, weighted
-by train-split size. A local step returns the client's new model and
-nothing else. Plain FedAvg uses the defaults, synchronize and
-local_round; the personalization methods pass their own sync or local
-step (see personalization.py).
+local(client, global_params, config) on every client, then aggregates
+the local models in client-id order, weighted by train-split size. The
+hook is the whole client step: handed the global model, it leaves the
+client's new model in client.params and returns it. Plain FedAvg
+uses the default, local_round, which synchronizes and then takes SGD
+steps; the personalization methods pass their own hook (see
+personalization.py).
 
 max_workers is the number of client shards. The clients are dealt
 round-robin into k = min(max_workers, len(clients)) shards. The library
@@ -22,7 +23,7 @@ idle a third of every round. Shard 0 runs in the calling process;
 shards 1..k-1 each run in one child process, forked when run_fedavg
 starts, which keeps its clients' data, streams, generators, models and
 blend weights for the whole call. Each round the parent sends the global
-model to every child, and each child runs sync and local on its clients
+model to every child, and each child runs local on its clients in turn
 and sends back their local models. When the rounds are done each child
 sends back its clients' mutable state, so the parent's
 ClientState objects end as a serial run leaves them; a hook's other
@@ -129,10 +130,11 @@ def synchronize(client: ClientState, global_params: ModelParams) -> None:
     client.params = global_params.copy()
 
 
-def local_round(client: ClientState, config: TrainConfig) -> ModelParams:
-    """config.local_steps SGD steps on the client's persistent stream."""
-    if client.params is None:
-        raise ValueError("client must be synchronized before local training")
+def local_round(
+    client: ClientState, global_params: ModelParams, config: TrainConfig
+) -> ModelParams:
+    """synchronize, then config.local_steps SGD steps on the client's persistent stream."""
+    synchronize(client, global_params)
     stream = client.batch_stream("update", config.batch_size)
     client.params = train_steps(
         client.params, client.train_x, client.train_y, config, stream, config.local_steps
@@ -180,21 +182,7 @@ class RoundRecord:
     wall_clock: float
 
 
-SyncFn = Callable[[ClientState, ModelParams], None]
-LocalFn = Callable[[ClientState, TrainConfig], ModelParams]
-
-
-def _train_shard(
-    shard: Sequence[ClientState],
-    global_params: ModelParams,
-    config: TrainConfig,
-    sync: SyncFn,
-    local: LocalFn,
-) -> list[ModelParams]:
-    """One round on one shard: sync every client, then train every client."""
-    for client in shard:
-        sync(client, global_params)
-    return [local(client, config) for client in shard]
+LocalFn = Callable[[ClientState, ModelParams, TrainConfig], ModelParams]
 
 
 def _client_state(client: ClientState) -> tuple:
@@ -212,7 +200,7 @@ def _portable(exc: Exception) -> Exception:
     return exc
 
 
-def _serve_shard(conn, inherited, shard, config, sync, local) -> None:
+def _serve_shard(conn, inherited, shard, config, local) -> None:
     """Child side: one round per global model received; None asks for the
     clients' state. Ends after the state, after an error, or at end-of-file."""
     # an interrupt reaches the parent too, and the parent stops its children
@@ -229,7 +217,7 @@ def _serve_shard(conn, inherited, shard, config, sync, local) -> None:
             if global_params is None:
                 reply = ("state", [_client_state(c) for c in shard])
             else:
-                reply = ("round", _train_shard(shard, global_params, config, sync, local))
+                reply = ("round", [local(c, global_params, config) for c in shard])
             payload = pickle.dumps(reply)
         except Exception as exc:
             reply = ("error", _portable(exc))
@@ -245,7 +233,7 @@ def _serve_shard(conn, inherited, shard, config, sync, local) -> None:
 class _ShardPool:
     """Forked children that each hold one shard of the clients."""
 
-    def __init__(self, shards, config, sync, local):
+    def __init__(self, shards, config, local):
         self.shards = shards
         self.conns = []
         self.procs = []
@@ -258,7 +246,7 @@ class _ShardPool:
                 self.conns.append(mine)
                 proc = ctx.Process(
                     target=_serve_shard,
-                    args=(theirs, list(self.conns), shard, config, sync, local),
+                    args=(theirs, list(self.conns), shard, config, local),
                 )
                 proc.start()
                 self.procs.append(proc)
@@ -378,13 +366,12 @@ def _shard_count(max_workers: int, n_clients: int) -> int:
     return min(max_workers, n_clients)
 
 
-# sync and local are positional-or-keyword so that their defaults live in
-# __defaults__, where bench/tracing.py swaps in its timing wrappers.
+# local is positional-or-keyword so that its default lives in __defaults__,
+# where bench/tracing.py swaps in its timing wrapper.
 def run_fedavg(
     clients: Sequence[ClientState],
     config: TrainConfig,
     start: ModelParams,
-    sync: SyncFn = synchronize,
     local: LocalFn = local_round,
     *,
     max_workers: int = 1,
@@ -392,12 +379,11 @@ def run_fedavg(
     """config.global_rounds federated rounds with full participation,
     starting from the global model `start`, which is never written to.
 
-    Each round: sync(client, global_params) then local(client, config) on
-    every client, then the size-weighted aggregate. The defaults give
-    plain FedAvg. max_workers is the number of client shards, all but
-    one in a forked child (see the module docstring); it never changes
-    the result. Returns the final global model and one record per round;
-    zero rounds returns `start`.
+    Each round: local(client, global_params, config) on every client,
+    then the size-weighted aggregate. The default gives plain FedAvg.
+    max_workers is the number of client shards, all but one in a forked
+    child (see the module docstring); it never changes the result. Returns
+    the final global model and one record per round; zero rounds return `start`.
     """
     if len(clients) == 0:
         raise ValueError("need at least one client")
@@ -407,12 +393,12 @@ def run_fedavg(
     ids = [c.client_id for c in clients]
     shards = [list(clients[j::k]) for j in range(k)]
     history: list[RoundRecord] = []
-    with _one_blas_thread(), _ShardPool(shards[1:], config, sync, local) as pool:
+    with _one_blas_thread(), _ShardPool(shards[1:], config, local) as pool:
         for r in range(config.global_rounds):
             began = time.perf_counter()
             pool.train(global_params)
             local_params: list = [None] * len(clients)
-            local_params[0::k] = _train_shard(shards[0], global_params, config, sync, local)
+            local_params[0::k] = [local(c, global_params, config) for c in shards[0]]
             for j, trained in enumerate(pool.results(), start=1):
                 local_params[j::k] = trained
             global_params = aggregate(local_params, sizes, round_index=r, client_ids=ids)

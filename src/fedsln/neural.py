@@ -642,16 +642,23 @@ def save_checkpoint(
 
 
 def load_checkpoint(path: str | Path) -> tuple[ModelParams, Standardizer | None]:
-    """Read a checkpoint; rejects foreign, truncated, padded or non-finite files."""
+    """Read a checkpoint; every rejection is a ValueError naming the path."""
     raw = Path(path).read_bytes()
+    try:
+        return _parse_checkpoint(raw)
+    except ValueError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
+
+
+def _parse_checkpoint(raw: bytes) -> tuple[ModelParams, Standardizer | None]:
     if raw[: len(_MAGIC)] != _MAGIC:
-        raise ValueError(f"{path}: not a model checkpoint")
+        raise ValueError("not a model checkpoint")
     off = len(_MAGIC)
 
     def read(n_bytes: int) -> bytes:
         nonlocal off
         if off + n_bytes > len(raw):
-            raise ValueError(f"{path}: truncated checkpoint")
+            raise ValueError("truncated checkpoint")
         off += n_bytes
         return raw[off - n_bytes : off]
 
@@ -660,13 +667,17 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, Standardizer | None]
     dims = (in_dim, *outs)
     flat = np.frombuffer(read(8 * flat_size(dims)), dtype="<f8").astype(np.float64)
     (has_std,) = struct.unpack("<B", read(1))
+    if has_std not in (0, 1):
+        raise ValueError(f"standardizer flag {has_std} is neither 0 nor 1")
     standardizer = None
     if has_std:
         mean = np.frombuffer(read(8 * in_dim), dtype="<f8").copy()
         std = np.frombuffer(read(8 * in_dim), dtype="<f8").copy()
+        if not (np.isfinite(mean).all() and np.isfinite(std).all() and (std >= 0.0).all()):
+            raise ValueError("standardizer needs a finite mean and a finite std >= 0")
         standardizer = Standardizer(mean=mean, std=std)
     if off != len(raw):
-        raise ValueError(f"{path}: trailing bytes in checkpoint")
+        raise ValueError("trailing bytes in checkpoint")
     if not np.isfinite(flat).all():
-        raise NonFiniteParamsError(f"{path}: non-finite parameters in checkpoint")
+        raise NonFiniteParamsError("non-finite parameters in checkpoint")
     return ModelParams(flat, dims), standardizer

@@ -5,22 +5,23 @@ over each client's train split, starting from a given global model. It
 owns no rounds: experiment.run_method applies it to the seed's fedavg
 model for fedavg_ft, and run_perfedavg_hf applies it after its rounds.
 The two strategies with rounds of their own run federation.run_fedavg,
-the one round loop, and differ only in the hook they hand it:
+the one round loop, and differ only in the local step they hand it:
 
 * Hessian-free per-client meta-learning: the local step is
-  _meta_round, where each meta-step consumes one batch from each of
-  three parallel client streams (meta, update, hessian) and
-  approximates the Hessian-vector term with a central difference; the
-  one-pass fine-tune follows. _meta_round runs perfedavg_hf_step's
-  arithmetic in place, in buffers allocated once per round, and gives
-  its bits;
-* adaptive local aggregation: the sync step is _ala_sync, which blends
+  _meta_round, which starts from the global model; each meta-step
+  consumes one batch from each of three parallel client streams (meta,
+  update, hessian) and approximates the Hessian-vector term with a
+  central difference; the one-pass fine-tune follows. _meta_round runs
+  perfedavg_hf_step's arithmetic in place, in buffers allocated once per
+  round, and gives its bits;
+* adaptive local aggregation: the local step is _ala_round, which blends
   the top layers of the incoming global model elementwise with the
-  client's previous local model through learnable weights in [0, 1].
-  The layers below the blend are the global model's throughout one
-  learn_ala_weights call, so the learner runs its subsample through
-  them once and then takes each update's loss and gradient over the
-  blended layers alone, with the bits of a full-depth pass.
+  client's previous local model through learnable weights in [0, 1],
+  then runs federation.local_round from the blend. The layers below the
+  blend are the global model's throughout one learn_ala_weights call, so
+  the learner runs its subsample through them once and then takes each
+  update's loss and gradient over the blended layers alone, with the
+  bits of a full-depth pass.
 
 Each returns the per-client models and the round history; scoring the
 models, and warning of a batch size clamped to a split, is
@@ -35,12 +36,11 @@ models are that model's fine_tune_all.
 
 from __future__ import annotations
 
-import functools
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .federation import ClientState, RoundRecord, run_fedavg, synchronize
+from .federation import ClientState, RoundRecord, local_round, run_fedavg
 from .neural import (
     BatchStream,
     ModelParams,
@@ -123,8 +123,10 @@ def perfedavg_hf_step(
     return ModelParams(w - beta * (g2 - alpha * d), dims)
 
 
-def _meta_round(client: ClientState, config: TrainConfig) -> ModelParams:
-    """The meta-learning local step: config.local_steps meta-steps.
+def _meta_round(
+    client: ClientState, global_params: ModelParams, config: TrainConfig
+) -> ModelParams:
+    """The meta-learning local step: config.local_steps meta-steps from the global model.
 
     Each is perfedavg_hf_step's arithmetic, operation for operation, on
     one working copy of the model, one probe model and four gradient
@@ -135,8 +137,8 @@ def _meta_round(client: ClientState, config: TrainConfig) -> ModelParams:
     hess = client.batch_stream("hess", config.batch_size)
     x, y = client.train_x, np.asarray(client.train_y, dtype=np.float64)
     alpha, beta, delta = config.meta_inner, config.meta_outer, config.hf_delta
-    dims = client.params.layer_dims
-    w = client.params.flat.copy()
+    dims = global_params.layer_dims
+    w = global_params.flat.copy()
     probe = np.empty_like(w)
     step = np.empty_like(w)
     g1, g2, plus, minus = (np.empty_like(w) for _ in range(4))
@@ -299,21 +301,20 @@ def learn_ala_weights(
     return w
 
 
-def _ala_sync(client: ClientState, global_params: ModelParams, config: TrainConfig) -> None:
-    if client.params is None:
-        # first round: no previous local model, plain copy
-        synchronize(client, global_params)
-        return
-    first_blend = client.ala_weights is None
-    client.ala_weights = learn_ala_weights(
-        client,
-        global_params,
-        client.params,
-        config,
-        weights=client.ala_weights,
-        max_updates=None if first_blend else 1,
-    )
-    client.params = ala_init(client.params, global_params, client.ala_weights)
+def _ala_round(
+    client: ClientState, global_params: ModelParams, config: TrainConfig
+) -> ModelParams:
+    """The adaptive-blend local step: local_round from the global model blended
+    into the client's previous one, or from the global model in its first round."""
+    start = global_params
+    if client.params is not None:
+        cap = None if client.ala_weights is None else 1  # a full pass the first time
+        client.ala_weights = learn_ala_weights(
+            client, global_params, client.params, config,
+            weights=client.ala_weights, max_updates=cap,
+        )
+        start = ala_init(client.params, global_params, client.ala_weights)
+    return local_round(client, start, config)
 
 
 def run_fedala(
@@ -331,11 +332,7 @@ def run_fedala(
     is then `start`, as in FedAvg.
     """
     global_params, history = run_fedavg(
-        clients,
-        config,
-        start,
-        sync=functools.partial(_ala_sync, config=config),
-        max_workers=max_workers,
+        clients, config, start, local=_ala_round, max_workers=max_workers
     )
     return {
         c.client_id: global_params if c.params is None else c.params for c in clients

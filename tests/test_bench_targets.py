@@ -13,6 +13,8 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import fedsln.cli  # noqa: F401  the benchmark imports these before tracing
 import fedsln.experiment as experiment
 import fedsln.federation as federation
@@ -34,21 +36,42 @@ def load_bench(name):
 
 def test_tracer_installs_and_uninstalls():
     gradient = fedsln.neural.gradient
-    hooks = (federation.synchronize, federation.local_round)
+    hooks = (federation.local_round,)
     assert federation.run_fedavg.__defaults__ == hooks
     tracer = load_bench("tracing").Tracer()
     tracer.install()  # raises MissingTarget naming every missing name
     try:
         assert fedsln.neural.gradient is not gradient
-        # the tracer swaps only __defaults__: hooks made keyword-only would
+        # the tracer swaps only __defaults__: a hook made keyword-only would
         # run untraced and read as zero seconds
-        traced = federation.run_fedavg.__defaults__
-        assert all(t is not h for t, h in zip(traced, hooks))
-        assert [t.__wrapped__ for t in traced] == list(hooks)
+        (traced,) = federation.run_fedavg.__defaults__
+        assert traced is not hooks[0]
+        assert traced.__wrapped__ is hooks[0]
     finally:
         tracer.uninstall()
     assert fedsln.neural.gradient is gradient
     assert federation.run_fedavg.__defaults__ == hooks
+
+
+def test_tracer_times_the_fedala_local_step_and_its_synchronize():
+    # _ala_round reaches local_round through the personalization module's
+    # name for it, which the tracer swaps too; local_round synchronizes
+    x = np.linspace(-1.0, 1.0, 60).reshape(20, 3)
+    y = (x[:, 0] > 0.0) * 1.0
+    clients = federation.make_clients([(x, y), (x[::-1], y[::-1])], seed=3)
+    cfg = fedsln.neural.TrainConfig(batch_size=4, local_steps=2, global_rounds=3)
+    start = fedsln.neural.init_params(np.random.default_rng(3), (4,), 3)
+    tracer = load_bench("tracing").Tracer()
+    tracer.install()
+    try:
+        personalization.run_fedala(clients, cfg, start)
+    finally:
+        tracer.uninstall()
+    names = [tracer.names[index] for index, *_ in tracer.spans]
+    assert names.count("federation.local_round") == 2 * 3
+    syncs = [span for span in tracer.spans if tracer.names[span[0]] == "federation.synchronize"]
+    assert len(syncs) == 2 * 3
+    assert all(names[parent] == "federation.local_round" for *_, parent in syncs)
 
 
 def test_all_training_happens_inside_one_timed_run_method(monkeypatch):

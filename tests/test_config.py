@@ -3,10 +3,12 @@
 import functools
 import hashlib
 import json
-from dataclasses import fields
+import math
+import re
+from dataclasses import fields, is_dataclass
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fedsln.config import (
@@ -298,6 +300,39 @@ class TestValues:
         with pytest.raises(ConfigError, match=rf"{section}\.{key}: "):
             build_experiment_config(minimal_raw(**{section: {key: value}}))
 
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("fedavg", "learning_rate", "nan"),
+            ("fedala", "ala_weight_lr", "inf"),
+            ("perfedavg_hf", "hf_delta", "NaN"),
+            ("perfedavg_hf", "meta_inner", "-inf"),
+            ("split", "negatives_per_positive", "1e400"),  # overflows to inf
+            ("split", "removal_fraction", float("nan")),  # a typed manifest value
+            ("fedala", "ala_convergence_tol", float("inf")),
+        ],
+    )
+    def test_non_finite_floats_are_config_errors(self, section, key, value):
+        message = rf"^{section}\.{key}: expected a finite number, got {re.escape(repr(value))}$"
+        with pytest.raises(ConfigError, match=message):
+            build_experiment_config(minimal_raw(**{section: {key: value}}))
+
+    def test_non_finite_floats_are_refused_in_every_file_format(self, tmp_path):
+        ini = tmp_path / "exp.ini"
+        ini.write_text("[data]\n" + "".join(f"{k} = {v}\n" for k, v in SYNTH.items())
+                       + "[fedavg]\nlearning_rate = nan\n")
+        with pytest.raises(ConfigError, match=r"^fedavg\.learning_rate: expected a finite number, got 'nan'$"):
+            load_config(ini)
+        # json.loads reads the bare NaN and Infinity literals as floats
+        manifest = tmp_path / "run_manifest.json"
+        manifest.write_text(json.dumps({"data": SYNTH, "split": {"negatives_per_positive": float("nan")}}))
+        assert "NaN" in manifest.read_text()
+        with pytest.raises(ConfigError, match=r"^split\.negatives_per_positive: expected a finite number, got nan$"):
+            load_config(manifest)
+        manifest.write_text(json.dumps({"data": {**SYNTH, "intra_p": [0.4, float("inf")]}}))
+        with pytest.raises(ConfigError, match=r"^data\.intra_p: expected a finite number, got inf$"):
+            load_config(manifest)
+
     def test_explain_enabled_is_not_a_file_key(self):
         # whoever runs the experiment sets it; the CLI, from the subcommand
         refused = r"unknown keys in \[explain\]: \['enabled'\]"
@@ -447,12 +482,30 @@ def drawn_raw(draw):
 
 @CHECKED
 @given(drawn_raw())
+@example({"data": SYNTH, "fedavg": {"learning_rate": "nan"}})
+@example({"data": {**SYNTH, "intra_p": [0.4, float("inf")]}})
 def test_drawn_sections_give_a_config_or_a_config_error(raw):
     try:
         cfg = build_experiment_config(raw)
     except ConfigError:
         return
     assert isinstance(cfg, ExperimentConfig)
+    assert all(math.isfinite(v) for v in floats_in(cfg))
+
+
+def floats_in(value):
+    """Every float a config holds, through its dataclasses, dicts and tuples."""
+    if isinstance(value, float):
+        yield value
+    elif is_dataclass(value):
+        for f in fields(value):
+            yield from floats_in(getattr(value, f.name))
+    elif isinstance(value, dict):
+        for item in value.values():
+            yield from floats_in(item)
+    elif isinstance(value, tuple):
+        for item in value:
+            yield from floats_in(item)
 
 
 FRACTIONS = st.floats(0.0, 1.0)

@@ -1,6 +1,5 @@
 """Federated averaging: aggregation algebra, reductions, scheduling, client shards."""
 
-import functools
 import json
 import multiprocessing
 import os
@@ -36,7 +35,7 @@ from fedsln.neural import (
     params_checksum,
     train_steps,
 )
-from fedsln.personalization import _ala_sync, _meta_round
+from fedsln.personalization import _ala_round, _meta_round
 from fedsln.rng import derive_rng
 
 
@@ -180,11 +179,6 @@ class TestSynchronize:
         with pytest.raises(ValueError):
             synchronize(c, start_model(0, hidden=(5,)))
 
-    def test_local_round_requires_sync(self):
-        c = toy_clients(1)[0]
-        with pytest.raises(ValueError):
-            local_round(c, TrainConfig())
-
 
 class TestRunFedavg:
     def test_single_client_equals_sequential_sgd(self):
@@ -237,23 +231,20 @@ class TestRunFedavg:
         assert history[-1].checksum == params_checksum(final)
         assert history[0].checksum != history[1].checksum
 
-    def test_hooks_sync_every_client_before_local_steps(self):
+    def test_hook_runs_once_per_client_per_round_in_client_order(self):
         calls = []
 
-        def sync(client, global_params):
-            calls.append(("sync", client.client_id))
-            synchronize(client, global_params)
-
-        def local(client, config):
-            calls.append(("local", client.client_id))
-            return local_round(client, config)
+        def local(client, global_params, config):
+            calls.append((client.client_id, params_checksum(global_params)))
+            return local_round(client, global_params, config)
 
         cfg = TrainConfig(learning_rate=0.05, batch_size=8, local_steps=3, global_rounds=2)
-        hooked, hooked_hist = run_fedavg(
-            toy_clients(2, seed=6), cfg, start_model(6), sync=sync, local=local
-        )
-        plain, plain_hist = run_fedavg(toy_clients(2, seed=6), cfg, start_model(6))
-        assert calls == [("sync", 0), ("sync", 1), ("local", 0), ("local", 1)] * 2
+        start = start_model(6)
+        hooked, hooked_hist = run_fedavg(toy_clients(3, seed=6), cfg, start, local=local)
+        plain, plain_hist = run_fedavg(toy_clients(3, seed=6), cfg, start_model(6))
+        # each round hands every client, in order, the previous round's aggregate
+        served = [params_checksum(start)] + [r.checksum for r in hooked_hist[:-1]]
+        assert calls == [(cid, g) for g in served for cid in range(3)]
         assert [r.checksum for r in hooked_hist] == [r.checksum for r in plain_hist]
         assert params_checksum(hooked) == params_checksum(plain)
 
@@ -266,7 +257,7 @@ class TestRunFedavg:
 
 SHARD_HOOKS = {
     "fedavg": lambda cfg: {},
-    "fedala": lambda cfg: {"sync": functools.partial(_ala_sync, config=cfg)},
+    "fedala": lambda cfg: {"local": _ala_round},
     "perfedavg_hf": lambda cfg: {"local": _meta_round},
 }
 
@@ -338,10 +329,10 @@ class TestShards:
     @pytest.mark.parametrize("failing_client", [0, 1])
     def test_hook_error_is_raised_in_parent(self, failing_client):
         # with two shards client 0 trains in the parent and client 1 in a child
-        def local(client, config):
+        def local(client, global_params, config):
             if client.client_id == failing_client:
                 raise KeyError(f"client {client.client_id} refuses")
-            return local_round(client, config)
+            return local_round(client, global_params, config)
 
         cfg = TrainConfig(learning_rate=0.05, batch_size=8, local_steps=3, global_rounds=2)
         with pytest.raises(KeyError, match=f"client {failing_client} refuses"):
@@ -353,10 +344,10 @@ class TestShards:
             def __init__(self, a, b):
                 super().__init__(f"{a}-{b}")
 
-        def local(client, config):
+        def local(client, global_params, config):
             if client.client_id == 1:
                 raise Odd("x", client.client_id)
-            return local_round(client, config)
+            return local_round(client, global_params, config)
 
         cfg = TrainConfig(batch_size=8, local_steps=1, global_rounds=1)
         with pytest.raises(RuntimeError, match="^Odd: x-1$"):
@@ -373,9 +364,9 @@ class TestShards:
     def test_bytes_do_not_depend_on_the_blas_thread_count(self):
         # a full-batch step on 3000 rows is large enough for OpenBLAS to
         # split its products across threads, which changes their last bits
-        def full_batch(client, config):
-            grad = gradient(client.params, client.train_x, client.train_y)
-            client.params = ModelParams(client.params.flat - 0.5 * grad.flat, grad.layer_dims)
+        def full_batch(client, global_params, config):
+            grad = gradient(global_params, client.train_x, client.train_y)
+            client.params = ModelParams(global_params.flat - 0.5 * grad.flat, grad.layer_dims)
             return client.params
 
         functions = _openblas_thread_functions()
@@ -446,12 +437,12 @@ class TestShards:
             data = [(rng.normal(size=(30, 6)), (rng.random(30) > 0.5) * 1.0)
                     for _ in range(3)]
 
-            def local(client, config):
+            def local(client, global_params, config):
                 if client.client_id == 0:
                     pids = [p.pid for p in multiprocessing.active_children()]
                     print(" ".join(map(str, pids)), flush=True)
                     os._exit(0)
-                return local_round(client, config)
+                return local_round(client, global_params, config)
 
             run_fedavg(make_clients(data, 1), TrainConfig(batch_size=8),
                        init_params(np.random.default_rng(1)), local=local, max_workers=3)

@@ -6,6 +6,7 @@ recomputation with raw numpy.
 """
 
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -427,6 +428,9 @@ class TestEvaluate:
             evaluate(params, np.empty((0, 1)), np.empty(0))
 
 
+BAD_STANDARDIZER = "standardizer needs a finite mean and a finite std >= 0"
+
+
 class TestCheckpoint:
     def test_round_trip_bitwise(self, tmp_path):
         params = random_model(derive_rng(0, "m"))
@@ -488,6 +492,44 @@ class TestCheckpoint:
         path = tmp_path / "nan.ckpt"
         save_checkpoint(path, params)
         with pytest.raises(ValueError, match="non-finite"):
+            load_checkpoint(path)
+
+    # a well-formed file for the 2-3-1 model, then one field changed at a time
+    @staticmethod
+    def handmade(outs=(3, 1), in_dim=2, flag=1, mean=(0.5, -1.0), std=(2.0, 0.0)):
+        dims = (in_dim, *outs)
+        n = sum((a + 1) * b for a, b in zip(dims[:-1], dims[1:]))
+        blob = b"FSLNCKP1" + struct.pack(f"<II{len(outs)}I", len(outs), in_dim, *outs)
+        blob += np.linspace(-1.0, 1.0, n).astype("<f8").tobytes() + struct.pack("<B", flag)
+        if flag == 1:
+            blob += np.array([*mean, *std], dtype="<f8").tobytes()
+        return blob
+
+    def test_handmade_file_loads(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        path.write_bytes(self.handmade())
+        params, std = load_checkpoint(path)
+        assert params.layer_dims == (2, 3, 1)
+        assert std.mean.tolist() == [0.5, -1.0]
+        assert std.std.tolist() == [2.0, 0.0]  # a constant feature
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"flag": 2}, "standardizer flag 2 is neither 0 nor 1"),
+            ({"mean": (np.nan, 0.0)}, BAD_STANDARDIZER),
+            ({"mean": (0.0, -np.inf)}, BAD_STANDARDIZER),
+            ({"std": (1.0, np.nan)}, BAD_STANDARDIZER),
+            ({"std": (1.0, -2.0)}, BAD_STANDARDIZER),  # would flip a feature's sign
+            ({"outs": (3, 2)}, "output layer must be scalar"),
+            ({"outs": ()}, "a model needs at least one layer"),
+            ({"outs": (0, 1)}, "layer dimensions must be positive"),
+        ],
+    )
+    def test_rejects_a_malformed_file_naming_the_path(self, tmp_path, fields, message):
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(self.handmade(**fields))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {re.escape(message)}"):
             load_checkpoint(path)
 
     def test_standardizer_dimension_check(self, tmp_path):

@@ -144,8 +144,7 @@ def test_every_path_to_the_head_sigmoid_is_silent_on_overflow():
     train_steps(params, x, y, cfg, BatchStream(2, 2, derive_rng(0, "silent")), cfg.local_steps)
     (client,) = make_clients([(x, y)], seed=0)
     learn_ala_weights(client, params, params, cfg)
-    client.params = params
-    _meta_round(client, cfg)
+    _meta_round(client, params, cfg)
 
 
 def reference_forward_backward(params, x, y):

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from scipy.special import expit
 
 from fedsln.features import StandardizedRows, Standardizer
-from fedsln.federation import make_clients, run_fedavg
+from fedsln.federation import local_round, make_clients, run_fedavg
 from fedsln.graphs import round_half_up
 from fedsln.neural import (
     DEFAULT_HIDDEN,
@@ -32,6 +32,7 @@ from fedsln.neural import (
 )
 from fedsln.personalization import (
     AlaWeights,
+    _ala_round,
     _check_top_layers,
     _meta_round,
     ala_init,
@@ -71,9 +72,9 @@ def view_clients(n_clients, seed=0, n=40):
     return make_clients(datasets, seed)
 
 
-def reference_meta_round(client, config):
+def reference_meta_round(client, global_params, config):
     """The meta-learning local step written with the public meta-step."""
-    params = client.params
+    params = global_params
     upd = client.batch_stream("update", config.batch_size)
     meta = client.batch_stream("meta", config.batch_size)
     hess = client.batch_stream("hess", config.batch_size)
@@ -507,6 +508,19 @@ class TestRunFedala:
             assert params_checksum(params) != history[-1].checksum
         assert params_checksum(client_params[0]) != params_checksum(client_params[1])
         assert clients[0].ala_weights is not None
+
+    def test_first_round_is_local_round_from_the_global_model(self):
+        # a client with no previous model has nothing to blend: its step
+        # is plain FedAvg's, bit for bit, and learns no weights
+        cfg = TrainConfig(learning_rate=0.05, batch_size=8, local_steps=5)
+        glob = start_model(7)
+        (ala_client,), (plain_client,) = toy_clients(1, seed=7), toy_clients(1, seed=7)
+        ala = _ala_round(ala_client, glob, cfg)
+        plain = local_round(plain_client, glob, cfg)
+        assert ala.flat.tobytes() == plain.flat.tobytes()
+        assert ala is ala_client.params
+        assert ala_client.ala_weights is None
+        assert glob.flat.tobytes() == start_model(7).flat.tobytes()
 
     def test_reproducible(self):
         cfg = TrainConfig(learning_rate=0.05, batch_size=8, local_steps=4, global_rounds=3)
