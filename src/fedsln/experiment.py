@@ -67,7 +67,6 @@ from .features import (
 from .federation import ClientState, RoundRecord, make_clients, run_fedavg
 from .graphs import (
     SlnGraph,
-    SplitSpec,
     generate_synthetic,
     load_edge_list,
     sample_pair_universe,
@@ -273,10 +272,8 @@ def _client_dataset(
         sample_pair_universe(
             graph, cfg.split.negatives_per_positive, derive_seed(seed, "universe", c)
         ),
-        SplitSpec(
-            removal_fraction=cfg.split.removal_fraction,
-            seed=derive_seed(seed, "temporal", c),
-        ),
+        cfg.split.removal_fraction,
+        derive_seed(seed, "temporal", c),
     )
     del graph
     examples = build_examples(tp, tp.pair_universe)

@@ -6,9 +6,9 @@ compare feature distributions between classrooms; and the helpers that
 turn a temporal snapshot pair into labeled examples and standardize them.
 
 pair_features scores a whole (m, 2) pair array from the CSR adjacency,
-in blocks of _PAIR_BLOCK pairs: the common neighbors of each pair are
-the entries of its shorter sorted row that are linked to the other
-endpoint, looked up in the graph's sorted edge keys, and the
+in blocks bounded in pairs and in walked row entries: the common
+neighbors of each pair are the entries of its shorter sorted row that
+are linked to the other endpoint, looked up in the graph's sorted edge keys, and the
 resource-allocation and Adamic-Adar sums are np.bincount over them with
 per-node weights 1/d and 1/log(d). The sums run from 0.0 over each pair's common neighbors
 in ascending order, so every score equals, bit for bit, the same sums
@@ -75,11 +75,13 @@ class PairExample:
     label: int
 
 
-# Pairs scored per block. It bounds the transient memory: on the wide
-# benchmark classrooms (degree about 25) a block's arrays over the walked
-# neighbors peak at 4 to 8 MB, twice that at 1 << 14; smaller blocks
-# take no less time.
+# A block ends at _PAIR_BLOCK pairs or _WALK_BLOCK walked row entries (its
+# pairs' shorter degrees), whichever comes first. On the wide benchmark
+# classrooms (degree about 25, under 160,000 entries a block) it peaks at
+# 4 to 8 MB, twice that at 1 << 14, and smaller blocks take no less time;
+# the walk cap stops it growing with degree (110 MB at degree 200 without).
 _PAIR_BLOCK = 1 << 13
+_WALK_BLOCK = 1 << 18
 
 
 def _common_neighbors(
@@ -116,8 +118,12 @@ def pair_features(graph: SlnGraph, pairs: np.ndarray) -> np.ndarray:
         [1.0 / math.log(d) if d > 1 else 0.0 for d in uniq.tolist()], dtype=np.float64
     )[inverse]
     out = np.zeros((len(pairs), N_FEATURES), dtype=np.float64)
-    for start in range(0, len(pairs), _PAIR_BLOCK):
+    start = 0
+    while start < len(pairs):
         block = pairs[start : start + _PAIR_BLOCK]
+        # cut where the walked entries pass _WALK_BLOCK, after the first pair
+        walked = np.cumsum(np.minimum(deg[block[:, 0]], deg[block[:, 1]]))
+        block = block[: max(1, int(np.searchsorted(walked, _WALK_BLOCK, side="right")))]
         u, v = block[:, 0], block[:, 1]
         du, dv = deg[u], deg[v]
         shorter = du <= dv
@@ -125,7 +131,7 @@ def pair_features(graph: SlnGraph, pairs: np.ndarray) -> np.ndarray:
         m = len(block)
         nc = np.bincount(owner, minlength=m)
         union = du + dv - nc
-        x = out[start : start + _PAIR_BLOCK]
+        x = out[start : start + m]
         np.divide(nc, union, out=x[:, 0], where=union > 0)
         # bincount adds each pair's weights from 0.0 in ascending neighbor order
         x[:, 1] = np.bincount(owner, weights=aa_weight[w], minlength=m)
@@ -133,6 +139,7 @@ def pair_features(graph: SlnGraph, pairs: np.ndarray) -> np.ndarray:
         x[:, 3] = du * dv
         np.divide(nc, np.sqrt(x[:, 3]), out=x[:, 4], where=(du > 0) & (dv > 0))
         np.divide(2.0 * nc, du + dv, out=x[:, 5], where=du + dv > 0)
+        start += m
     return out
 
 

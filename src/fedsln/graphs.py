@@ -17,10 +17,11 @@ maps each drawn open-pair rank to its pair through the sorted linked
 pairs.
 
 Outside input is validated where it enters: the SlnGraph constructor
-checks ranges, self-loops, sorted duplicate-free rows and symmetry;
-from_edges and load_edge_list check ranges and self-loops; TemporalPair
-checks that universe pairs are in range, ordered u < v and unique, and
-that the two snapshots and the removed pairs are consistent.
+checks ranges, self-loops, sorted duplicate-free rows and symmetry (one
+sort); from_edges and load_edge_list check ranges and self-loops;
+temporal_split checks its removal fraction; TemporalPair checks that
+universe pairs are in range, ordered u < v and unique, and that the two
+snapshots and the removed pairs are consistent.
 
 Edge-list format: one ``u<sep>v`` pair per line where the separator is a
 comma or whitespace, ``#`` starts a comment line, blank lines are
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
@@ -44,7 +45,6 @@ __all__ = [
     "GraphError",
     "Pair",
     "SlnGraph",
-    "SplitSpec",
     "TemporalPair",
     "as_pairs",
     "generate_synthetic",
@@ -181,9 +181,10 @@ class SlnGraph:
         if unsorted.any():
             u = rows[int(np.argmax(unsorted)) + 1]
             raise GraphError(f"neighbors of node {u} are not sorted and unique")
-        one_way = ~_lookup(keys, indices * node_count + rows)
-        if one_way.any():
-            i = int(np.argmax(one_way))
+        # unique transposed keys sort to keys iff symmetric; the lookup names the offender
+        transposed = indices * node_count + rows
+        if not np.array_equal(np.sort(transposed), keys):
+            i = int(np.argmax(~_lookup(keys, transposed)))
             raise GraphError(f"asymmetric edge ({rows[i]}, {indices[i]})")
         for arr in (indptr, indices, keys):
             arr.flags.writeable = False
@@ -298,28 +299,18 @@ def to_edge_list(graph: SlnGraph) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-@dataclass(frozen=True)
-class SplitSpec:
-    """Knobs for the temporal construction."""
-
-    removal_fraction: float = 0.2
-    seed: int = 0
-
-    def __post_init__(self):
-        if not 0.0 <= self.removal_fraction <= 1.0:
-            raise GraphError("removal_fraction must lie in [0, 1]")
-
-
-def _validate_pairs(node_count: int, pairs: np.ndarray) -> None:
-    """Reject the first pair, in input order, that is out of range, not
-    ordered u < v, or a repeat of an earlier pair."""
+def _validate_pairs(node_count: int, pairs: np.ndarray) -> np.ndarray:
+    """The pairs' keys, sorted and read-only; rejects the first pair, in input
+    order, that is out of range, not ordered u < v, or a repeat of an earlier pair."""
     out = ~_in_range(node_count, pairs)
     unordered = pairs[:, 0] >= pairs[:, 1]
+    keys, first = np.unique(pair_keys(node_count, pairs), return_index=True)
     repeat = np.ones(len(pairs), dtype=bool)
-    repeat[np.unique(pair_keys(node_count, pairs), return_index=True)[1]] = False
+    repeat[first] = False
     bad = out | unordered | repeat
     if not bad.any():
-        return
+        keys.flags.writeable = False
+        return keys
     i = int(np.argmax(bad))
     u, v = pairs[i].tolist()
     if out[i]:
@@ -342,6 +333,7 @@ class TemporalPair:
     graph_now: SlnGraph
     pair_universe: np.ndarray
     removed_pairs: np.ndarray
+    _universe_keys: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.graph_now.node_count
@@ -352,7 +344,7 @@ class TemporalPair:
         for name, arr in (("pair_universe", universe), ("removed_pairs", removed)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-        _validate_pairs(n, universe)
+        object.__setattr__(self, "_universe_keys", _validate_pairs(n, universe))
         if not self.graph_now.has_edges(self.graph_prev.edge_array()).all():
             raise GraphError("graph_prev has edges absent from graph_now")
         if not self.in_universe(removed).all():
@@ -367,25 +359,29 @@ class TemporalPair:
         pairs = as_pairs(pairs)
         n = self.graph_now.node_count
         inside = _in_range(n, pairs)
-        universe = np.sort(pair_keys(n, self.pair_universe))
-        inside[inside] = _lookup(universe, pair_keys(n, pairs[inside]))
+        inside[inside] = _lookup(self._universe_keys, pair_keys(n, pairs[inside]))
         return inside
 
 
 def temporal_split(
-    graph_now: SlnGraph, pair_universe: Iterable[Pair] | np.ndarray, spec: SplitSpec
+    graph_now: SlnGraph,
+    pair_universe: Iterable[Pair] | np.ndarray,
+    removal_fraction: float,
+    seed: int,
 ) -> TemporalPair:
     """Delete the links among a seeded selection of universe pairs.
 
-    Selects round_half_up(removal_fraction * |universe|) pairs by seeded
-    shuffle. Every selected pair is unlinked in graph_prev; all other
-    edges of graph_now are preserved.
+    Selects round_half_up(removal_fraction * |universe|) pairs, removal_fraction
+    in [0, 1], by a shuffle seeded with seed. Every selected pair is unlinked
+    in graph_prev; all other edges of graph_now are preserved.
     """
+    if not 0.0 <= removal_fraction <= 1.0:
+        raise GraphError("removal_fraction must lie in [0, 1]")
     n = graph_now.node_count
     universe = as_pairs(pair_universe)
     # TemporalPair rejects bad universe pairs before anything is returned
-    k = round_half_up(spec.removal_fraction * len(universe))
-    order = derive_rng(spec.seed, "temporal-removal").permutation(len(universe))
+    k = round_half_up(removal_fraction * len(universe))
+    order = derive_rng(seed, "temporal-removal").permutation(len(universe))
     removed = universe[order[:k]]
     edge_keys = pair_keys(n, graph_now.edge_array())
     kept = edge_keys[~_lookup(np.sort(pair_keys(n, removed)), edge_keys)]

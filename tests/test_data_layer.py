@@ -10,6 +10,7 @@ so every run checks the same examples.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,7 +28,6 @@ from fedsln.features import (
 from fedsln.graphs import (
     GraphError,
     SlnGraph,
-    SplitSpec,
     TemporalPair,
     generate_synthetic,
     round_half_up,
@@ -73,10 +73,10 @@ def reference_universe(graph, ratio, seed):
     return positives + sorted(zip(iu[sel].tolist(), iv[sel].tolist()))
 
 
-def reference_split(graph, universe, spec):
+def reference_split(graph, universe, removal_fraction, seed):
     """Removed pairs and the earlier snapshot's edges, through Python sets."""
-    k = round_half_up(spec.removal_fraction * len(universe))
-    order = derive_rng(spec.seed, "temporal-removal").permutation(len(universe))
+    k = round_half_up(removal_fraction * len(universe))
+    order = derive_rng(seed, "temporal-removal").permutation(len(universe))
     removed = [universe[i] for i in order[:k]]
     removed_set = set(removed)
     return removed, [e for e in tuples(graph.edge_array()) if e not in removed_set]
@@ -172,6 +172,26 @@ def test_constructor_accepts_what_from_edges_builds(drawn):
     assert again.edge_array().tobytes() == graph.edge_array().tobytes()
 
 
+@CHECKED
+@given(graphs(), st.integers(0, 10**6))
+def test_symmetry_check_names_the_entry_a_lookup_finds(drawn, pick):
+    n, edges = drawn
+    graph = SlnGraph.from_edges(n, edges)
+    indptr, indices = graph.indptr.tolist(), graph.indices.tolist()
+    if not indices:
+        return
+    # drop one entry of one row: its mirror in the other row is left one-way
+    i = pick % len(indices)
+    row = max(u for u in range(n) if indptr[u] <= i)
+    indices = indices[:i] + indices[i + 1 :]
+    indptr = [p - (u > row) for u, p in enumerate(indptr)]
+    entries = [(u, w) for u in range(n) for w in indices[indptr[u] : indptr[u + 1]]]
+    present = set(entries)
+    u, w = next((u, w) for u, w in entries if (w, u) not in present)
+    with pytest.raises(GraphError, match=rf"^asymmetric edge \({u}, {w}\)$"):
+        SlnGraph(n, indptr, indices)
+
+
 def test_constructor_validates_outside_arrays():
     with pytest.raises(GraphError, match="out of range"):
         SlnGraph(2, [0, 1, 2], [1, 2])
@@ -209,7 +229,7 @@ def test_empty_and_one_node_graphs():
         assert list(graph.adjacency) == [frozenset()] * n
         assert sample_pair_universe(graph, 0.0, seed=1).shape == (0, 2)
         assert sample_pair_universe(graph, 3.0, seed=1).shape == (0, 2)
-        tp = temporal_split(graph, [], SplitSpec(removal_fraction=1.0, seed=1))
+        tp = temporal_split(graph, [], 1.0, 1)
         assert tp.removed_pairs.shape == (0, 2)
         examples = build_examples(tp, tp.pair_universe)
         assert len(examples) == 0
@@ -325,25 +345,27 @@ def split_inputs(draw):
     graph = SlnGraph.from_edges(n, edges)
     all_pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     universe = draw(st.permutations(all_pairs))[: draw(st.integers(0, len(all_pairs)))]
-    spec = SplitSpec(removal_fraction=draw(fractions), seed=draw(seeds))
-    return graph, universe, spec
+    return graph, universe, draw(fractions), draw(seeds)
 
 
 @CHECKED
 @given(split_inputs())
 def test_array_split_matches_set_split(inputs):
-    graph, universe, spec = inputs
-    removed, kept = reference_split(graph, universe, spec)
-    tp = temporal_split(graph, universe, spec)
+    graph, universe, fraction, seed = inputs
+    removed, kept = reference_split(graph, universe, fraction, seed)
+    tp = temporal_split(graph, universe, fraction, seed)
     assert tuples(tp.removed_pairs) == removed
     assert tuples(tp.pair_universe) == universe
     assert tuples(tp.graph_prev.edge_array()) == kept
     assert tp.graph_now is graph
+    n = graph.node_count
+    queries = [(u, v) for u in range(-1, n + 1) for v in range(-1, n + 1)]
+    members = set(universe)
+    assert tp.in_universe(queries).tolist() == [q in members for q in queries]
 
 
 def test_split_rejects_bad_pairs_naming_the_first():
     graph = SlnGraph.from_edges(4, [(0, 1), (2, 3)])
-    spec = SplitSpec()
     cases = [
         ([(0, 1), (2, 1), (0, 9)], r"pair \(2, 1\) must satisfy u < v"),
         ([(0, 1), (0, 9), (2, 1)], r"pair \(0, 9\) out of range"),
@@ -353,9 +375,9 @@ def test_split_rejects_bad_pairs_naming_the_first():
     ]
     for universe, message in cases:
         with pytest.raises(GraphError, match=message):
-            temporal_split(graph, universe, spec)
+            temporal_split(graph, universe, 0.2, 0)
     with pytest.raises(GraphError, match="shape"):
-        temporal_split(graph, [(0, 1, 2)], spec)
+        temporal_split(graph, [(0, 1, 2)], 0.2, 0)
 
 
 def test_temporal_pair_invariants():
@@ -419,11 +441,33 @@ def test_pair_features_across_blocks(monkeypatch):
     pairs = np.array([(u, v) for u in range(130) for v in range(u + 1, 130)], dtype=np.int64)
     assert len(pairs) > features_module._PAIR_BLOCK
     want = np.array([compute_features(graph, u, v) for u, v in pairs.tolist()])
-    for block in (1, 7, features_module._PAIR_BLOCK, len(pairs)):
-        monkeypatch.setattr(features_module, "_PAIR_BLOCK", block)
-        # one block per pair at block size 1: every 16th pair will do
-        rows = slice(None, None, 16 if block == 1 else 1)
-        assert pair_features(graph, pairs[rows]).tobytes() == want[rows].tobytes(), block
+    # a walk cap of 1 puts every pair walking a row in a block of its own,
+    # and 50 ends most blocks after a few pairs
+    for walk in (1, 50, features_module._WALK_BLOCK):
+        for block in (1, 7, features_module._PAIR_BLOCK, len(pairs)):
+            monkeypatch.setattr(features_module, "_PAIR_BLOCK", block)
+            monkeypatch.setattr(features_module, "_WALK_BLOCK", walk)
+            # one block per pair: every 16th pair will do
+            rows = slice(None, None, 16 if block == 1 or walk == 1 else 1)
+            got = pair_features(graph, pairs[rows])
+            assert got.tobytes() == want[rows].tobytes(), (block, walk)
+
+
+def test_pair_features_transient_is_bounded_on_a_dense_classroom():
+    # graph_prev has mean degree about 200 and the universe 152,288 pairs:
+    # 8,192-pair blocks alone walk 1 to 1.6 million row entries each and
+    # peak above 100 MB
+    graph = generate_synthetic(600, 2, 0.8, 0.05, seed=1)
+    tp = temporal_split(graph, sample_pair_universe(graph, 1.0, 2), 0.2, 3)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        x = pair_features(tp.graph_prev, tp.pair_universe)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert x.shape == (152_288, N_FEATURES)
+    assert peak < 40 * 2**20, peak / 2**20
 
 
 def test_degree_one_endpoints_and_degree_two_common_neighbor():
@@ -448,8 +492,8 @@ def test_pair_features_validation():
 @CHECKED
 @given(split_inputs(), seeds)
 def test_build_examples_matches_per_pair_reference(inputs, order_seed):
-    graph, universe, spec = inputs
-    tp = temporal_split(graph, universe, spec)
+    graph, universe, fraction, seed = inputs
+    tp = temporal_split(graph, universe, fraction, seed)
     order = derive_rng(order_seed, "order").permutation(len(universe))
     pairs = [universe[i] for i in order]
     examples = build_examples(tp, pairs)
@@ -469,7 +513,7 @@ def test_build_examples_matches_per_pair_reference(inputs, order_seed):
 
 def test_build_examples_rejects_pairs_outside_universe():
     graph = SlnGraph.from_edges(4, [(0, 1), (2, 3)])
-    tp = temporal_split(graph, [(0, 1), (0, 2)], SplitSpec(removal_fraction=0.0))
+    tp = temporal_split(graph, [(0, 1), (0, 2)], 0.0, 0)
     for bad in ([(0, 1), (1, 3)], [(1, 0)], [(0, 6)], [(-1, 2)], [(2, 2)]):
         u, v = bad[-1]
         with pytest.raises(ValueError, match=rf"pair \({u}, {v}\) is outside"):
@@ -478,7 +522,7 @@ def test_build_examples_rejects_pairs_outside_universe():
 
 def test_examples_container_split_and_equality():
     graph = generate_synthetic(20, 2, 0.6, 0.1, seed=2)
-    tp = temporal_split(graph, sample_pair_universe(graph, 1.0, 2), SplitSpec(seed=2))
+    tp = temporal_split(graph, sample_pair_universe(graph, 1.0, 2), 0.2, 2)
     examples = build_examples(tp, tp.pair_universe)
     listed = list(examples)
     train, test = train_test_split(examples, 0.8, seed=5)

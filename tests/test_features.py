@@ -24,7 +24,7 @@ from fedsln.features import (
     pair_features,
     to_arrays,
 )
-from fedsln.graphs import SlnGraph, SplitSpec, generate_synthetic, temporal_split
+from fedsln.graphs import SlnGraph, generate_synthetic, temporal_split
 
 G4 = SlnGraph.from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
 
@@ -121,7 +121,7 @@ class TestBruteForceSweep:
     def test_all_values_are_floats(self):
         g = SlnGraph.from_edges(3, [(0, 1)])
         assert pair_features(g, np.array([[0, 2]])).dtype == np.float64
-        tp = temporal_split(g, [(0, 1), (0, 2)], SplitSpec(seed=0))
+        tp = temporal_split(g, [(0, 1), (0, 2)], 0.2, 0)
         example = build_examples(tp, tp.pair_universe)[1]
         assert all(isinstance(x, float) for x in example.features)
 
@@ -129,7 +129,7 @@ class TestBruteForceSweep:
 class TestBuildExamples:
     def _tp(self):
         uni = tuple((u, v) for u in range(4) for v in range(u + 1, 4))
-        return temporal_split(G4, uni, SplitSpec(removal_fraction=0.5, seed=2))
+        return temporal_split(G4, uni, 0.5, 2)
 
     def test_labels_come_from_now_features_from_prev(self):
         tp = self._tp()
@@ -147,7 +147,7 @@ class TestBuildExamples:
 
     def test_rejects_pair_outside_universe(self):
         uni = ((0, 1), (0, 2))
-        tp = temporal_split(G4, uni, SplitSpec(removal_fraction=0.0, seed=0))
+        tp = temporal_split(G4, uni, 0.0, 0)
         with pytest.raises(ValueError):
             build_examples(tp, [(1, 3)])
 

@@ -12,7 +12,6 @@ from fedsln.graphs import (
     EdgeListError,
     GraphError,
     SlnGraph,
-    SplitSpec,
     TemporalPair,
     generate_synthetic,
     load_edge_list,
@@ -123,7 +122,7 @@ class TestTemporalSplit:
     def test_g4_half_removal_frozen(self):
         # frozen: seeded shuffle with seed 2 selects these three pairs;
         # two of them are edges, so graph_prev keeps 4 - 2 = 2 edges
-        tp = temporal_split(G4, ALL_PAIRS_4, SplitSpec(removal_fraction=0.5, seed=2))
+        tp = temporal_split(G4, ALL_PAIRS_4, 0.5, 2)
         assert tuples(tp.removed_pairs) == [(2, 3), (0, 1), (0, 3)]
         assert edges(tp.graph_prev) == [(0, 2), (1, 2)]
 
@@ -132,18 +131,18 @@ class TestTemporalSplit:
         # so deletion is a no-op and both snapshots coincide
         line = SlnGraph.from_edges(8, [(i, i + 1) for i in range(7)])
         uni = tuple((u, v) for u in range(8) for v in range(u + 1, 8))
-        tp = temporal_split(line, uni, SplitSpec(removal_fraction=0.2, seed=3))
+        tp = temporal_split(line, uni, 0.2, 3)
         assert len(tp.removed_pairs) == 6  # round_half_up(0.2 * 28)
         assert tuples(tp.removed_pairs) == [(3, 6), (1, 6), (0, 2), (3, 5), (5, 7), (2, 7)]
         assert edges(tp.graph_prev) == edges(line)
 
     def test_fraction_zero_is_identity(self):
-        tp = temporal_split(G4, ALL_PAIRS_4, SplitSpec(removal_fraction=0.0, seed=1))
+        tp = temporal_split(G4, ALL_PAIRS_4, 0.0, 1)
         assert tuples(tp.removed_pairs) == []
         assert edges(tp.graph_prev) == edges(G4)
 
     def test_fraction_one_unlinks_whole_universe(self):
-        tp = temporal_split(G4, ALL_PAIRS_4, SplitSpec(removal_fraction=1.0, seed=1))
+        tp = temporal_split(G4, ALL_PAIRS_4, 1.0, 1)
         assert set(tuples(tp.removed_pairs)) == set(ALL_PAIRS_4)
         assert not tp.graph_prev.has_edges(np.array(ALL_PAIRS_4)).any()
 
@@ -151,7 +150,7 @@ class TestTemporalSplit:
         for seed in range(30):
             g = generate_synthetic(15, 3, 0.5, 0.1, seed)
             uni = tuple((u, v) for u in range(15) for v in range(u + 1, 15))
-            tp = temporal_split(g, uni, SplitSpec(removal_fraction=0.3, seed=seed))
+            tp = temporal_split(g, uni, 0.3, seed)
             assert set(edges(tp.graph_prev)) <= set(edges(g))
             # edges outside the selection always survive
             removed = set(tuples(tp.removed_pairs))
@@ -159,17 +158,22 @@ class TestTemporalSplit:
             assert survivors == set(edges(tp.graph_prev))
 
     def test_reproducible(self):
-        a = temporal_split(G4, ALL_PAIRS_4, SplitSpec(seed=11))
-        b = temporal_split(G4, ALL_PAIRS_4, SplitSpec(seed=11))
+        a = temporal_split(G4, ALL_PAIRS_4, 0.2, 11)
+        b = temporal_split(G4, ALL_PAIRS_4, 0.2, 11)
         assert tuples(a.removed_pairs) == tuples(b.removed_pairs)
 
     def test_rejects_bad_pairs(self):
         with pytest.raises(GraphError):
-            temporal_split(G4, [(1, 0)], SplitSpec())  # u >= v
+            temporal_split(G4, [(1, 0)], 0.2, 0)  # u >= v
         with pytest.raises(GraphError):
-            temporal_split(G4, [(0, 9)], SplitSpec())  # out of range
+            temporal_split(G4, [(0, 9)], 0.2, 0)  # out of range
         with pytest.raises(GraphError):
-            temporal_split(G4, [(0, 1), (0, 1)], SplitSpec())  # duplicate
+            temporal_split(G4, [(0, 1), (0, 1)], 0.2, 0)  # duplicate
+
+    @pytest.mark.parametrize("fraction", [1.5, -0.1, float("nan")])
+    def test_rejects_removal_fraction_outside_unit_interval(self, fraction):
+        with pytest.raises(GraphError, match=r"removal_fraction must lie in \[0, 1\]"):
+            temporal_split(G4, ALL_PAIRS_4, fraction, 0)
 
     def test_invariant_enforced_on_construction(self):
         with pytest.raises(GraphError):
