@@ -60,12 +60,10 @@ def _load(args: argparse.Namespace) -> ExperimentConfig:
     for item in args.set or []:
         section, key, value = _parse_override(item)
         raw.setdefault(section, {})[key] = value
-    if args.output_dir:
-        raw.setdefault("experiment", {})["output_dir"] = args.output_dir
-    if args.methods:
-        raw.setdefault("experiment", {})["methods"] = args.methods
-    if args.seeds:
-        raw.setdefault("experiment", {})["seeds"] = args.seeds
+    # an empty flag value reaches the parser, which rejects it
+    for key in ("output_dir", "methods", "seeds"):
+        if (value := getattr(args, key)) is not None:
+            raw.setdefault("experiment", {})[key] = value
     return build_experiment_config(raw)
 
 

@@ -23,10 +23,15 @@ fedavg_ft section configures only the one-epoch fine-tuning pass, so it
 takes learning_rate and batch_size alone; the model it fine-tunes is the
 one [fedavg] trains.
 One parser reads INI text, --set text and typed manifest values alike.
-Methods and seeds must be unique. A resolved configuration round-trips
-through run_manifest.json, and load_config accepts either format (.json
-is a manifest). Every problem raises ConfigError, which the CLI prints as
-one ``fedsln: [config] message`` line.
+Each option dataclass checks its own fields in __post_init__, and
+ExperimentConfig.__post_init__ holds the checks that span sections:
+methods and seeds are unique (two seeds that rng reduces to the same
+64-bit key are one seed), [fedala] ala_top_layers fits the model, and an
+enabled explanation explains a selected method. A resolved configuration
+round-trips through run_manifest.json: read_raw_sections reads either
+format (.json is a manifest) for load_config and for the CLI alike.
+Every problem raises ConfigError, which the CLI prints as one
+``fedsln: [config] message`` line.
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ from pathlib import Path
 from typing import Any, Collection, get_args, get_origin, get_type_hints
 
 from .neural import DEFAULT_HIDDEN, TrainConfig
+from .rng import _entropy
 
 __all__ = [
     "ConfigError",
@@ -51,7 +57,6 @@ __all__ = [
     "build_experiment_config",
     "config_to_manifest",
     "load_config",
-    "manifest_to_config",
     "read_raw_sections",
 ]
 
@@ -182,9 +187,16 @@ class ExperimentConfig:
             raise ConfigError("duplicate methods")
         if len(self.seeds) == 0:
             raise ConfigError("at least one seed is required")
-        # each seed names its own output files, so a repeat would overwrite them
-        if len(set(self.seeds)) != len(self.seeds):
-            raise ConfigError(f"duplicate seeds in {list(self.seeds)}")
+        # each seed names its own output files, so a repeat would overwrite
+        # them; seeds that rng reduces alike (mod 2**64) draw the same streams
+        seen: dict[int, int] = {}  # each seed as rng reduces it -> the seed
+        for seed in self.seeds:
+            key = _entropy(seed)
+            if key in seen:
+                other = seen[key]
+                alias = "" if other == seed else f": {other} and {seed} draw the same streams"
+                raise ConfigError(f"duplicate seeds in {list(self.seeds)}{alias}")
+            seen[key] = seed
         if not self.output_dir:
             raise ConfigError("output_dir must be non-empty")
         if len(self.hidden_sizes) == 0 or any(h < 1 for h in self.hidden_sizes):
@@ -200,6 +212,9 @@ class ExperimentConfig:
         top = self.train["fedala"].ala_top_layers
         if top > layers:
             raise ConfigError(f"[fedala]: ala_top_layers {top} exceeds the model's {layers} layers")
+        # the CLI enables explaining per subcommand; replace() re-runs this check
+        if self.explain.enabled and self.explain.method not in self.methods:
+            raise ConfigError(f"explain method {self.explain.method!r} is not among the methods")
 
     @property
     def n_clients(self) -> int:
@@ -345,7 +360,3 @@ def config_to_manifest(cfg: ExperimentConfig) -> dict[str, Any]:
             for method, keys in _METHOD_DEFAULTS.items()
         },
     }
-
-
-def manifest_to_config(manifest: dict[str, Any]) -> ExperimentConfig:
-    return build_experiment_config({k: v for k, v in manifest.items() if k != "fedsln_version"})

@@ -77,7 +77,6 @@ from .graphs import (
 from .neural import (
     MetricsReport,
     ModelParams,
-    NonFiniteParamsError,
     check_finite,
     epochs_to_steps,
     evaluate,
@@ -332,19 +331,17 @@ def run_method(
     outcome (trained here if None), and reports its round history.
 
     A model that diverges to non-finite parameters stops the run with a
-    StageError tagged train:<method>. Its message names the seed and
-    either the round and the client (centralized: round 0, client 0) or
-    the client whose personalized model diverged.
+    NonFiniteParamsError naming either the round and the client
+    (centralized: round 0, client 0) or the client whose personalized
+    model diverged; run_experiment tags it train:<method> and prefixes
+    the seed.
     """
     if method not in cfg.train:
         raise ValueError(f"unknown method {method!r}")
     if fedavg is not None and (fedavg.method, fedavg.seed) != ("fedavg", seed):
         wrong = f"seed {fedavg.seed}'s {fedavg.method}"
         raise ValueError(f"need seed {seed}'s fedavg outcome, not {wrong}")
-    try:
-        return _run_method(method, datasets, cfg, seed, max_workers, fedavg)
-    except NonFiniteParamsError as exc:
-        raise StageError(f"train:{method}", f"seed {seed}: {exc}") from exc
+    return _run_method(method, datasets, cfg, seed, max_workers, fedavg)
 
 
 def _run_method(
@@ -466,10 +463,6 @@ def _explain(
 
 def run_experiment(cfg: ExperimentConfig, *, max_workers: int = 1) -> RunReport:
     """Execute every method for every seed; nothing is written to disk."""
-    if cfg.explain.enabled and cfg.explain.method not in cfg.methods:
-        raise StageError(
-            "config", f"explain method {cfg.explain.method!r} is not among the methods"
-        )
     report = RunReport(config=cfg, outcomes=[], explanations=[], importance={})
     for seed in cfg.seeds:
         datasets = build_client_datasets(cfg, seed)

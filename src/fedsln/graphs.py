@@ -26,7 +26,9 @@ snapshots and the removed pairs are consistent.
 Edge-list format: one ``u<sep>v`` pair per line where the separator is a
 comma or whitespace, ``#`` starts a comment line, blank lines are
 ignored. Node tokens are mapped to dense integer indices in first-seen
-order. Isolated nodes are not representable in this format.
+order and the tokens themselves are not kept, so everything downstream
+(feature tables, explanations) names a student by index. Isolated nodes
+are not representable in this format.
 """
 
 from __future__ import annotations
@@ -148,14 +150,13 @@ class SlnGraph:
     features.pair_features finds by walking rows, go through _linked.
     """
 
-    __slots__ = ("node_count", "indptr", "indices", "node_labels", "_keys")
+    __slots__ = ("node_count", "indptr", "indices", "_keys")
 
     def __init__(
         self,
         node_count: int,
         indptr: Sequence[int] | np.ndarray,
         indices: Sequence[int] | np.ndarray,
-        node_labels: Sequence[str] | None = None,
     ):
         if node_count < 0:
             raise GraphError("node_count must be non-negative")
@@ -166,8 +167,6 @@ class SlnGraph:
         counts = np.diff(indptr)
         if indptr[0] != 0 or indptr[-1] != indices.size or (counts < 0).any():
             raise GraphError("indptr does not partition the indices into rows")
-        if node_labels is not None and len(node_labels) != node_count:
-            raise GraphError("node_labels length does not match node_count")
         rows = np.repeat(np.arange(node_count, dtype=np.int64), counts)
         bad = (indices < 0) | (indices >= node_count)
         if bad.any():
@@ -191,16 +190,10 @@ class SlnGraph:
         self.node_count = node_count
         self.indptr = indptr
         self.indices = indices
-        self.node_labels = tuple(node_labels) if node_labels is not None else None
         self._keys = keys
 
     @classmethod
-    def from_edges(
-        cls,
-        node_count: int,
-        edges: Iterable[Pair] | np.ndarray,
-        node_labels: Sequence[str] | None = None,
-    ) -> "SlnGraph":
+    def from_edges(cls, node_count: int, edges: Iterable[Pair] | np.ndarray) -> "SlnGraph":
         """Graph from (u, v) pairs in any orientation; duplicates collapse."""
         arr = as_pairs(edges)
         out = ~_in_range(node_count, arr)
@@ -212,12 +205,10 @@ class SlnGraph:
                 raise GraphError(f"edge ({u}, {v}) out of range")
             raise GraphError(f"self-loop at node {u}")
         upper = np.unique(pair_keys(node_count, np.sort(arr, axis=1)))
-        return cls._from_upper_keys(node_count, upper, node_labels)
+        return cls._from_upper_keys(node_count, upper)
 
     @classmethod
-    def _from_upper_keys(
-        cls, node_count: int, keys: np.ndarray, node_labels: Sequence[str] | None = None
-    ) -> "SlnGraph":
+    def _from_upper_keys(cls, node_count: int, keys: np.ndarray) -> "SlnGraph":
         """Graph from the sorted, unique keys of its pairs with u < v."""
         divisor = max(node_count, 1)  # a graph without nodes has no keys
         u, v = np.divmod(keys, divisor)
@@ -225,7 +216,7 @@ class SlnGraph:
         rows, cols = np.divmod(both, divisor)
         indptr = np.zeros(node_count + 1, dtype=np.int64)
         np.cumsum(np.bincount(rows, minlength=node_count), out=indptr[1:])
-        return cls(node_count, indptr, cols, node_labels)
+        return cls(node_count, indptr, cols)
 
     def _check_node(self, u: int) -> None:
         if not 0 <= u < self.node_count:
@@ -269,12 +260,11 @@ class SlnGraph:
         return self.indices.size // 2
 
 
-def load_edge_list(source: str | Iterable[str]) -> SlnGraph:
-    """Parse edge-list text (a string or an iterable of lines)."""
-    lines = source.splitlines() if isinstance(source, str) else source
+def load_edge_list(text: str) -> SlnGraph:
+    """Parse edge-list text; node tokens become dense indices in first-seen order."""
     index: dict[str, int] = {}
     edges: list[Pair] = []
-    for line_no, raw in enumerate(lines, start=1):
+    for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -289,8 +279,7 @@ def load_edge_list(source: str | Iterable[str]) -> SlnGraph:
                 index[tok] = len(index)
             pair.append(index[tok])
         edges.append((pair[0], pair[1]))
-    labels = tuple(index) if index else None
-    return SlnGraph.from_edges(len(index), edges, labels)
+    return SlnGraph.from_edges(len(index), edges)
 
 
 def to_edge_list(graph: SlnGraph) -> str:
@@ -385,7 +374,7 @@ def temporal_split(
     removed = universe[order[:k]]
     edge_keys = pair_keys(n, graph_now.edge_array())
     kept = edge_keys[~_lookup(np.sort(pair_keys(n, removed)), edge_keys)]
-    graph_prev = SlnGraph._from_upper_keys(n, kept, graph_now.node_labels)
+    graph_prev = SlnGraph._from_upper_keys(n, kept)
     return TemporalPair(graph_prev, graph_now, universe, removed)
 
 

@@ -541,15 +541,32 @@ class TestOtherCommands:
         manifest = json.loads((out / "run_manifest.json").read_text())
         assert sorted(manifest["explain"]) == ["background_size", "method", "pairs_per_client"]
 
-    def test_explain_method_not_selected_fails(self, config_path, tmp_path, capsys):
-        code, _, stderr = run_cli(
-            capsys,
-            "explain", "--config", str(config_path),
-            "--output-dir", str(tmp_path / "run"),
-            "--set", "explain.method=fedala",
-        )
+    def test_explain_method_not_selected_fails(
+        self, config_path, tmp_path, capsys, monkeypatch
+    ):
+        built = []
+        real = experiment.build_client_datasets
+
+        def spy(*args, **kwargs):
+            built.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(experiment, "build_client_datasets", spy)
+        monkeypatch.chdir(tmp_path)
+        # the config leaves the explain method at its default, fedala
+        argv = ["--config", str(config_path), "--methods", "fedavg"]
+        code, out, err = run_cli(capsys, "explain", *argv)
         assert code == 2
-        assert "[config]" in stderr
+        assert out == ""
+        assert err.splitlines() == [
+            "fedsln: [config] explain method 'fedala' is not among the methods"
+        ]
+        assert built == []
+        assert list(tmp_path.iterdir()) == [config_path]
+        # train does not explain, so it takes the same config
+        code, _, err = run_cli(capsys, "train", *argv)
+        assert code == 0, err
+        assert len(built) == 1
 
     def test_report_writes_everything(self, config_path, tmp_path, capsys):
         out = tmp_path / "run"
@@ -750,6 +767,25 @@ class TestErrors:
         assert out == ""
         assert stderr.splitlines() == ["fedsln: [config] unknown keys in [explain]: ['enabled']"]
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize(
+        "flag, line",
+        [
+            ("--output-dir", "output_dir must be non-empty"),
+            ("--seeds", "experiment.seeds: empty list"),
+            ("--methods", "experiment.methods: empty list"),
+        ],
+    )
+    def test_an_empty_flag_value_is_one_config_line(
+        self, config_path, tmp_path, capsys, monkeypatch, flag, line
+    ):
+        # the config sets no output_dir, so its default is under the working directory
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, "train", "--config", str(config_path), flag, "")
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [f"fedsln: [config] {line}"]
+        assert list(tmp_path.iterdir()) == [config_path]
 
     def test_config_errors_carry_the_stage_tag(self, config_path, tmp_path, capsys):
         code, _, stderr = run_cli(

@@ -5,7 +5,9 @@ import hashlib
 import json
 import math
 import re
+import tempfile
 from dataclasses import fields, is_dataclass
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -22,7 +24,6 @@ from fedsln.config import (
     build_experiment_config,
     config_to_manifest,
     load_config,
-    manifest_to_config,
     read_raw_sections,
 )
 from fedsln.experiment import run_experiment
@@ -53,6 +54,13 @@ def minimal_raw(**extra):
     raw = {"data": dict(SYNTH)}
     raw.update(extra)
     return raw
+
+
+def replayed(manifest, directory):
+    """The config that replaying `manifest`, written as run_manifest.json, loads."""
+    path = Path(directory) / "run_manifest.json"
+    path.write_text(json.dumps(manifest), encoding="utf-8")
+    return load_config(path)
 
 
 class TestBuild:
@@ -177,6 +185,18 @@ class TestValidation:
         with pytest.raises(ConfigError, match="duplicate seeds"):
             build_experiment_config(minimal_raw(experiment={"seeds": "1,1"}))
 
+    @pytest.mark.parametrize("seeds", [(0, 2**64), (-1, 2**64 - 1), (7, -3, 2**64 - 3)])
+    def test_seeds_that_draw_the_same_streams_are_duplicates(self, seeds):
+        # rng reduces an integer key mod 2**64, so these pairs seed the same streams
+        data = SyntheticSpec((10,), (2,), (0.5,), (0.1,))
+        a, b = seeds[-2:]
+        named = rf"duplicate seeds in \[.*\]: {a} and {b} draw the same streams"
+        with pytest.raises(ConfigError, match=named):
+            ExperimentConfig(data=data, seeds=seeds)
+        # negative seeds, and seeds past 2**64 that alias no other, stay legal
+        assert ExperimentConfig(data=data, seeds=seeds[:-1]).seeds == seeds[:-1]
+        assert ExperimentConfig(data=data, seeds=(-5, 2**64 + 1)).seeds == (-5, 2**64 + 1)
+
     def test_experiment_config_guards(self):
         data = SyntheticSpec((10,), (2,), (0.5,), (0.1,))
         with pytest.raises(ConfigError):
@@ -235,12 +255,7 @@ class TestFiles:
         )
         manifest = config_to_manifest(cfg)
         assert "fedsln_version" in manifest
-        again = manifest_to_config(manifest)
-        assert again == cfg
-        # and through an actual json file
-        path = tmp_path / "run_manifest.json"
-        path.write_text(json.dumps(manifest))
-        assert load_config(path) == cfg
+        assert replayed(manifest, tmp_path) == cfg
 
     def test_read_raw_sections_json(self, tmp_path):
         path = tmp_path / "m.json"
@@ -333,7 +348,7 @@ class TestValues:
         with pytest.raises(ConfigError, match=r"^data\.intra_p: expected a finite number, got inf$"):
             load_config(manifest)
 
-    def test_explain_enabled_is_not_a_file_key(self):
+    def test_explain_enabled_is_not_a_file_key(self, tmp_path):
         # whoever runs the experiment sets it; the CLI, from the subcommand
         refused = r"unknown keys in \[explain\]: \['enabled'\]"
         for value in ("true", True):
@@ -343,7 +358,7 @@ class TestValues:
         assert sorted(manifest["explain"]) == ["background_size", "method", "pairs_per_client"]
         manifest["explain"]["enabled"] = False
         with pytest.raises(ConfigError, match=refused):
-            manifest_to_config(manifest)
+            replayed(manifest, tmp_path)
 
     def test_unknown_keys_name_the_section(self):
         with pytest.raises(ConfigError, match=r"unknown keys in \[fedavg\]: \['momentum'\]"):
@@ -377,13 +392,13 @@ class TestMethodSchema:
         assert {f.name for f in fields(TrainConfig)} == method_keys
         assert len(method_keys) == 14
 
-    def test_a_manifest_naming_an_unread_key_is_refused(self):
+    def test_a_manifest_naming_an_unread_key_is_refused(self, tmp_path):
         manifest = config_to_manifest(build_experiment_config(minimal_raw()))
         manifest["fedavg_ft"]["epochs"] = 200
         with pytest.raises(ConfigError, match=r"unknown keys in \[fedavg_ft\]: \['epochs'\]"):
-            manifest_to_config(manifest)
+            replayed(manifest, tmp_path)
         del manifest["fedavg_ft"]["epochs"]
-        assert manifest_to_config(manifest) == build_experiment_config(minimal_raw())
+        assert replayed(manifest, tmp_path) == build_experiment_config(minimal_raw())
 
 
 # Two small classrooms and a few steps of each method: about 10 ms a run.
@@ -575,6 +590,6 @@ def drawn_configs(draw):
 @CHECKED
 @given(drawn_configs())
 def test_manifest_round_trip_drawn(cfg):
-    manifest = config_to_manifest(cfg)
-    assert manifest_to_config(manifest) == cfg
-    assert manifest_to_config(json.loads(json.dumps(manifest))) == cfg
+    # hypothesis refuses function-scoped fixtures such as tmp_path
+    with tempfile.TemporaryDirectory() as directory:
+        assert replayed(config_to_manifest(cfg), directory) == cfg

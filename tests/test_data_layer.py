@@ -207,8 +207,6 @@ def test_constructor_validates_outside_arrays():
         SlnGraph(2, [0, 1], [1])
     with pytest.raises(GraphError, match="partition"):
         SlnGraph(2, [0, 2, 1], [1, 0])
-    with pytest.raises(GraphError, match="node_labels"):
-        SlnGraph(1, [0, 0], [], ("a", "b"))
     with pytest.raises(GraphError):
         SlnGraph(-1, [0], [])
 

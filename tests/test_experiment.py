@@ -11,7 +11,7 @@ import pytest
 
 import fedsln.experiment as experiment
 from fedsln.analysis import fairness_report, rates_from_counts
-from fedsln.config import build_experiment_config
+from fedsln.config import ConfigError, build_experiment_config
 from fedsln.experiment import (
     StageError,
     build_client_datasets,
@@ -25,6 +25,7 @@ from fedsln.experiment import (
 from fedsln.features import N_FEATURES, StandardizedRows
 from fedsln.neural import (
     BatchStream,
+    NonFiniteParamsError,
     epochs_to_steps,
     evaluate,
     init_params,
@@ -338,6 +339,12 @@ class TestRunMethod:
         with pytest.raises(ValueError, match="unknown method"):
             run_method("boosting", datasets, cfg, seed=1)
 
+    def test_divergence_reaches_a_direct_caller_untagged(self, datasets):
+        # run_experiment adds the [train:<method>] tag and the seed
+        cfg = make_cfg(fedavg={"learning_rate": "1e200"})
+        with pytest.raises(NonFiniteParamsError, match=r"^round 0: client [01] has non-finite"):
+            run_method("fedavg", datasets, cfg, seed=1)
+
     def test_reproducible(self, cfg, datasets):
         a = run_method("fedavg", datasets, cfg, seed=1)
         b = run_method("fedavg", datasets, cfg, seed=1)
@@ -472,9 +479,10 @@ class TestRunExperiment:
             experiment={"methods": "fedavg"},
             explain={"method": "fedala"},
         )
-        with pytest.raises(StageError, match=r"\[config\]") as err:
-            run_experiment(explaining(cfg))
-        assert err.value.stage == "config"
+        with pytest.raises(ConfigError, match="explain method 'fedala' is not among the methods"):
+            explaining(cfg)
+        # a run that does not explain takes the same config
+        assert explaining(cfg, enabled=False).explain.method == "fedala"
 
     def test_data_stage_error(self):
         cfg = make_cfg(data={"intra_p": "0.0,0.0", "inter_p": "0.0,0.0"})

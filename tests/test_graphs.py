@@ -82,7 +82,6 @@ class TestEdgeList:
         g = load_edge_list("a,b\nb c\n")
         assert g.node_count == 3
         assert edges(g) == [(0, 1), (1, 2)]
-        assert g.node_labels == ("a", "b", "c")
 
     def test_comments_and_blank_lines(self):
         g = load_edge_list("# header\n\n1,2\n  # indented comment\n2,3\n")
@@ -90,7 +89,6 @@ class TestEdgeList:
 
     def test_first_seen_index_order(self):
         g = load_edge_list("z,y\nx,z\n")
-        assert g.node_labels == ("z", "y", "x")
         assert edges(g) == [(0, 1), (0, 2)]
 
     def test_empty_input(self):
