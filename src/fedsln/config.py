@@ -26,8 +26,9 @@ One parser reads INI text, --set text and typed manifest values alike.
 Each option dataclass checks its own fields in __post_init__, and
 ExperimentConfig.__post_init__ holds the checks that span sections:
 methods and seeds are unique (two seeds that rng reduces to the same
-64-bit key are one seed), [fedala] ala_top_layers fits the model, and an
-enabled explanation explains a selected method. A resolved configuration
+64-bit key are one seed), every train entry is a TrainConfig keyed by a
+method name, [fedala] ala_top_layers fits the model, and an enabled
+explanation explains a selected method. A resolved configuration
 round-trips through run_manifest.json: read_raw_sections reads either
 format (.json is a manifest) for load_config and for the CLI alike.
 Every problem raises ConfigError, which the CLI prints as one
@@ -208,6 +209,12 @@ class ExperimentConfig:
             m: TrainConfig(**_METHOD_DEFAULTS[m]) for m in METHOD_NAMES if m not in self.train
         }
         object.__setattr__(self, "train", {**self.train, **defaults})
+        for name, tcfg in self.train.items():
+            if name not in METHOD_NAMES:
+                raise ConfigError(f"unknown train entry {name!r}; valid: {METHOD_NAMES}")
+            if not isinstance(tcfg, TrainConfig):
+                kind = type(tcfg).__name__
+                raise ConfigError(f"train entry {name!r} must be a TrainConfig, got {kind}")
         layers = len(self.hidden_sizes) + 1  # the hidden layers and the head
         top = self.train["fedala"].ala_top_layers
         if top > layers:
@@ -317,16 +324,17 @@ def build_experiment_config(raw: dict[str, dict[str, Any]]) -> ExperimentConfig:
 
 
 def read_raw_sections(path: str | Path) -> dict[str, dict[str, Any]]:
-    """Read a config file into its nested section dict; values stay unparsed."""
+    """Read a config file (UTF-8, a leading byte order mark ignored) into
+    its nested section dict; values stay unparsed."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     try:
         if path.suffix == ".json":
-            raw = json.loads(path.read_text(encoding="utf-8"))
+            raw = json.loads(path.read_text(encoding="utf-8-sig"))
         else:
             parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#",))
-            with open(path, encoding="utf-8") as fh:
+            with open(path, encoding="utf-8-sig") as fh:
                 parser.read_file(fh)
             raw = {name: dict(parser[name]) for name in parser.sections()}
     except (OSError, ValueError, configparser.Error) as exc:

@@ -11,8 +11,9 @@ batch as it is drawn, and the test split goes through its standardizer
 when it is scored. A data-stage failure names the seed and the classroom,
 and for edge lists the file. Explanations, when enabled, attribute the
 first seed's models while its datasets are alive. No seed's datasets
-outlive its iteration. fedavg_ft fine-tunes the seed's fedavg model, so
-the FedAvg rounds run once per seed.
+outlive its iteration. A run_method call trains the one method it names:
+fedavg_ft fine-tunes the seed's fedavg outcome, which run_experiment
+trains once per seed, unreported when fedavg is not selected.
 
 A run's results are its MethodOutcomes, one per (seed, method), and every
 report is read off them when it is emitted: metrics.csv row by row,
@@ -64,7 +65,7 @@ from .features import (
     examples_to_csv,
     to_arrays,
 )
-from .federation import ClientState, RoundRecord, make_clients, run_fedavg
+from .federation import RoundRecord, make_clients, run_fedavg
 from .graphs import (
     SlnGraph,
     generate_synthetic,
@@ -159,7 +160,9 @@ class MethodOutcome:
     "personalized" (one model and one file per classroom, with the
     classroom's standardizer). `warnings` is ("batch_size_clamped",)
     when the method's batch size exceeds a split it trained on, derived
-    from the config and the split sizes (see _run_method), else ().
+    from the config and the split sizes (see run_method), else ().
+    `ala_weights` maps classrooms to their clients' learned blend weights:
+    only fedala's clients learn any, so it is empty for other methods.
     """
 
     method: str
@@ -170,7 +173,7 @@ class MethodOutcome:
     training: str
     history: list[RoundRecord]
     warnings: tuple[str, ...]
-    ala_weights: dict[int, object] | None = None
+    ala_weights: dict[int, object]
 
 
 @dataclass
@@ -210,7 +213,7 @@ def _graph(cfg: ExperimentConfig, seed: int, c: int) -> SlnGraph:
             cfg.data.inter_p[c],
             derive_seed(seed, "graph", c),
         )
-    return load_edge_list(Path(cfg.data.paths[c]).read_text())
+    return load_edge_list(Path(cfg.data.paths[c]).read_text(encoding="utf-8-sig"))
 
 
 def _each_classroom(
@@ -327,8 +330,10 @@ def run_method(
 ) -> MethodOutcome:
     """Train one regime for one seed and score every client's test split.
 
-    fedavg_ft fine-tunes the global model of `fedavg`, this seed's fedavg
-    outcome (trained here if None), and reports its round history.
+    A call trains `method` and no other. `fedavg`, when given, must be
+    this seed's fedavg outcome, else a ValueError names the seed.
+    fedavg_ft requires it: it fine-tunes that outcome's global model and
+    reports its round history and its warning.
 
     A model that diverges to non-finite parameters stops the run with a
     NonFiniteParamsError naming either the round and the client
@@ -338,26 +343,16 @@ def run_method(
     """
     if method not in cfg.train:
         raise ValueError(f"unknown method {method!r}")
-    if fedavg is not None and (fedavg.method, fedavg.seed) != ("fedavg", seed):
-        wrong = f"seed {fedavg.seed}'s {fedavg.method}"
-        raise ValueError(f"need seed {seed}'s fedavg outcome, not {wrong}")
-    return _run_method(method, datasets, cfg, seed, max_workers, fedavg)
-
-
-def _run_method(
-    method: str,
-    datasets: Sequence[ClientDataset],
-    cfg: ExperimentConfig,
-    seed: int,
-    max_workers: int,
-    fedavg: MethodOutcome | None,
-) -> MethodOutcome:
+    if fedavg is not None or method == "fedavg_ft":
+        if fedavg is None or (fedavg.method, fedavg.seed) != ("fedavg", seed):
+            got = "None" if fedavg is None else f"seed {fedavg.seed}'s {fedavg.method}"
+            raise ValueError(f"need seed {seed}'s fedavg outcome, not {got}")
     tcfg = cfg.train[method]
     # every method of one seed starts from the same global model
     start = init_params(derive_rng(seed, "init"), cfg.hidden_sizes, N_FEATURES)
     if method == "centralized":
         pooled_std, pooled_x, pooled_y = pool_training_data(datasets)
-        clients = [ClientState(0, pooled_x, pooled_y, seed)]
+        clients = make_clients([(pooled_x, pooled_y)], seed)
         standardizers = {d.client_id: pooled_std for d in datasets}
         steps = epochs_to_steps(clients[0].size, tcfg.batch_size, tcfg.epochs)
         tcfg = replace(tcfg, global_rounds=1, local_steps=steps)
@@ -375,17 +370,13 @@ def _run_method(
         training = "pooled" if method == "centralized" else "federated"
     else:
         if method == "fedavg_ft":
-            if fedavg is None:
-                fedavg = _run_method("fedavg", datasets, cfg, seed, max_workers, None)
             global_params = fedavg.models[min(fedavg.models)]
             models = fine_tune_all(global_params, clients, tcfg)
             history = fedavg.history
         elif method == "perfedavg_hf":
             models, history = run_perfedavg_hf(clients, tcfg, start, max_workers=max_workers)
-        elif method == "fedala":
-            models, history = run_fedala(clients, tcfg, start, max_workers=max_workers)
         else:
-            raise ValueError(f"unknown method {method!r}")
+            models, history = run_fedala(clients, tcfg, start, max_workers=max_workers)
         # every personalized model is checked before any model is scored
         for cid, params in sorted(models.items()):
             check_finite(params, f"client {cid}'s personalized model")
@@ -401,11 +392,6 @@ def _run_method(
     clamped = passes and any(tcfg.batch_size > c.size for c in clients)
     if method == "fedavg_ft":
         clamped = clamped or bool(fedavg.warnings)
-    ala_weights = None
-    if method == "fedala":
-        ala_weights = {
-            c.client_id: c.ala_weights for c in clients if c.ala_weights is not None
-        }
     return MethodOutcome(
         method,
         seed,
@@ -415,7 +401,7 @@ def _run_method(
         training,
         history,
         ("batch_size_clamped",) if clamped else (),
-        ala_weights=ala_weights,
+        {c.client_id: c.ala_weights for c in clients if c.ala_weights is not None},
     )
 
 
@@ -427,14 +413,13 @@ def _explain(
 ) -> tuple[list[dict], dict[int, tuple[np.ndarray, tuple[int, ...]]]]:
     """Shapley records of each classroom's sampled test pairs, and its importance.
 
-    A failure is a StageError tagged explain whose message starts
-    `seed S: classroom C: `.
+    A failure is a StageError tagged explain, prefixed as in _each_classroom.
     """
     records: list[dict] = []
     importance: dict[int, tuple[np.ndarray, tuple[int, ...]]] = {}
     for d in datasets:
         c = d.client_id
-        with _stage("explain", f"seed {seed}: classroom {c}: "):
+        with _stage("explain", f"{_classroom(cfg, seed, c)}: "):
             predictor = make_predictor(outcome.models[c], outcome.standardizers[c])
             bg_rng = derive_rng(seed, "explain", "background", c)
             n_bg = min(cfg.explain.background_size, len(d.raw_train_x))
@@ -464,13 +449,19 @@ def _explain(
 def run_experiment(cfg: ExperimentConfig, *, max_workers: int = 1) -> RunReport:
     """Execute every method for every seed; nothing is written to disk."""
     report = RunReport(config=cfg, outcomes=[], explanations=[], importance={})
+    # fedavg_ft fine-tunes the seed's fedavg outcome, so it trains last; without
+    # fedavg among the methods, fedavg trains first for it and is not reported
+    order = sorted(cfg.methods, key=lambda m: m == "fedavg_ft")
+    if "fedavg_ft" in cfg.methods and "fedavg" not in cfg.methods:
+        order.insert(0, "fedavg")
     for seed in cfg.seeds:
         datasets = build_client_datasets(cfg, seed)
         _check_test_splits(cfg, seed, datasets)
         outcomes: dict[str, MethodOutcome] = {}
-        # fedavg_ft fine-tunes fedavg's model, so it trains last, on fedavg's outcome
-        for method in sorted(cfg.methods, key=lambda m: m == "fedavg_ft"):
-            with _stage(f"train:{method}", f"seed {seed}: "):
+        for method in order:
+            # a failure in the unreported fedavg is fedavg_ft's
+            stage = method if method in cfg.methods else "fedavg_ft"
+            with _stage(f"train:{stage}", f"seed {seed}: "):
                 outcomes[method] = run_method(
                     method, datasets, cfg, seed,
                     max_workers=max_workers, fedavg=outcomes.get("fedavg"),
@@ -499,8 +490,6 @@ def _method_checkpoints(
 
 
 def _blend_weight_files(outcome: MethodOutcome) -> list[tuple[str, str]]:
-    if not outcome.ala_weights:
-        return []
     return [
         (f"models/fedala_seed{outcome.seed}_client{cid}_blend.csv", ala_weights_to_csv(w))
         for cid, w in sorted(outcome.ala_weights.items())

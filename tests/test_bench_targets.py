@@ -80,11 +80,13 @@ def test_all_training_happens_inside_one_timed_run_method(monkeypatch):
     # would silently misstate it
     depth = 0
     seen = []  # (what, timed calls enclosing it)
+    timed = []  # (method, timed calls enclosing it, this one included)
     real_run = experiment.run_method
 
     def timed_run(method, *args, **kwargs):
         nonlocal depth
         depth += 1
+        timed.append((method, depth))
         try:
             return real_run(method, *args, **kwargs)
         finally:
@@ -102,34 +104,45 @@ def test_all_training_happens_inside_one_timed_run_method(monkeypatch):
     monkeypatch.setattr(experiment, "run_fedavg", fedavg_spy)
     monkeypatch.setattr(personalization, "run_fedavg", fedavg_spy)
     monkeypatch.setattr(personalization, "fine_tune", spy("fine_tune", personalization.fine_tune))
-    cfg = build_experiment_config(
-        {
-            "experiment": {
-                "methods": "fedavg_ft,centralized,fedavg,perfedavg_hf,fedala",
-                "seeds": "1,2",
-            },
-            "model": {"hidden_sizes": "4"},
-            "data": {
-                "source": "synthetic",
-                "nodes": "40,50",
-                "communities": "2,3",
-                "intra_p": "0.4,0.35",
-                "inter_p": "0.06,0.04",
-            },
-            "split": {"negatives_per_positive": "2.0"},
-            "centralized": {"epochs": "1"},
-            **{
-                m: {"global_rounds": "1", "local_steps": "2"}
-                for m in ("fedavg", "perfedavg_hf", "fedala")
-            },
-        }
-    )
-    experiment.run_experiment(cfg, max_workers=1)
+    raw = {
+        "experiment": {
+            "methods": "fedavg_ft,centralized,fedavg,perfedavg_hf,fedala",
+            "seeds": "1,2",
+        },
+        "model": {"hidden_sizes": "4"},
+        "data": {
+            "source": "synthetic",
+            "nodes": "40,50",
+            "communities": "2,3",
+            "intra_p": "0.4,0.35",
+            "inter_p": "0.06,0.04",
+        },
+        "split": {"negatives_per_positive": "2.0"},
+        "centralized": {"epochs": "1"},
+        **{
+            m: {"global_rounds": "1", "local_steps": "2"}
+            for m in ("fedavg", "perfedavg_hf", "fedala")
+        },
+    }
+    experiment.run_experiment(build_experiment_config(raw), max_workers=1)
     # per seed: four round loops (fedavg_ft reuses fedavg's), and one
     # fine-tune per classroom for fedavg_ft and for perfedavg_hf
     assert sorted(set(seen)) == [("fine_tune", 1), ("run_fedavg", 1)]
     assert [name for name, _ in seen].count("run_fedavg") == 2 * 4
     assert [name for name, _ in seen].count("fine_tune") == 2 * 2 * 2
+    per_seed = ["centralized", "fedavg", "perfedavg_hf", "fedala", "fedavg_ft"]
+    assert timed == [(method, 1) for method in per_seed * 2]
+
+    # without fedavg among the methods, fedavg's rounds are a timed call of
+    # their own, before the methods that were asked for
+    seen.clear()
+    timed.clear()
+    raw["experiment"]["methods"] = "fedavg_ft,centralized"
+    experiment.run_experiment(build_experiment_config(raw), max_workers=1)
+    assert timed == [(method, 1) for method in ["fedavg", "centralized", "fedavg_ft"] * 2]
+    assert sorted(set(seen)) == [("fine_tune", 1), ("run_fedavg", 1)]
+    assert [name for name, _ in seen].count("run_fedavg") == 2 * 2
+    assert [name for name, _ in seen].count("fine_tune") == 2 * 2
 
 
 def test_the_output_checks_pass_on_a_benchmark_workload(tmp_path, capsys):

@@ -190,6 +190,48 @@ def test_good_edge_list_trains(tmp_path, capsys):
     assert (tmp_path / "run" / "metrics.csv").exists()
 
 
+def test_a_byte_order_mark_leaves_an_edge_list_run_unchanged(tmp_path, capsys):
+    # a leading BOM belongs to neither the first token nor a first comment line
+    metrics = []
+    for bom in ("", "\ufeff"):
+        run = tmp_path / ("bom" if bom else "plain")
+        run.mkdir()
+        (run / "a.edges").write_text(bom + GOOD_EDGES, encoding="utf-8")
+        (run / "b.edges").write_text(bom + "# students\n" + GOOD_EDGES, encoding="utf-8")
+        config = run / "exp.ini"
+        paths = f"{run / 'a.edges'}, {run / 'b.edges'}"
+        config.write_text(EDGE_LIST_CONFIG.format(paths=paths), encoding="utf-8")
+        code, _, err = run_cli(
+            capsys, "train", "--config", str(config), "--output-dir", str(run / "out")
+        )
+        assert code == 0, err
+        metrics.append((run / "out" / "metrics.csv").read_bytes())
+    assert metrics[1] == metrics[0]
+
+
+def test_an_explain_failure_names_the_edge_list_file(tmp_path, capsys, monkeypatch):
+    def boom(*args, **kwargs):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(experiment, "shapley_values_batch", boom)
+    (tmp_path / "good.edges").write_text(GOOD_EDGES)
+    paths = f"{tmp_path / 'good.edges'}, {tmp_path / 'good.edges'}"
+    config = tmp_path / "exp.ini"
+    config.write_text(EDGE_LIST_CONFIG.format(paths=paths))
+    code, out, err = run_cli(
+        capsys,
+        "explain", "--config", str(config), "--output-dir", str(tmp_path / "run"),
+        "--set", "explain.method=fedavg",
+        "--set", "explain.pairs_per_client=2",
+        "--set", "explain.background_size=16",
+    )
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [
+        f"fedsln: [explain] seed 1: classroom 0 ({tmp_path / 'good.edges'}): boom"
+    ]
+
+
 def test_one_class_test_split_fails_before_any_method_trains(tmp_path, capsys, monkeypatch):
     # tiny's two edges and its unlinked pairs leave its test split one-class
     (tmp_path / "good.edges").write_text(GOOD_EDGES)
@@ -958,6 +1000,25 @@ class TestErrors:
                 lines[0],
             ), lines[0]
             assert not (tmp_path / "out").exists()
+
+    @pytest.mark.filterwarnings("error")
+    def test_fedavg_diverging_for_fedavg_ft_alone_is_fedavg_ft_s_line(
+        self, config_path, tmp_path, capsys
+    ):
+        # fedavg is not selected, so run_experiment trains it for fedavg_ft
+        code, out, err = run_cli(
+            capsys,
+            "train", "--config", str(config_path), "--output-dir", str(tmp_path / "out"),
+            "--methods", "fedavg_ft", "--set", "fedavg.learning_rate=1e200",
+        )
+        assert code == 2
+        assert out == ""
+        assert re.fullmatch(
+            r"fedsln: \[train:fedavg_ft\] seed 1: round 0: client [01] has non-finite "
+            r"parameters; training diverged\n",
+            err,
+        ), err
+        assert not (tmp_path / "out").exists()
 
     def test_explain_failure_names_seed_and_classroom(
         self, config_path, tmp_path, capsys, monkeypatch

@@ -217,6 +217,19 @@ class TestValidation:
                 minimal_raw(model={"hidden_sizes": "4"}, fedala={"ala_top_layers": "3"})
             )
 
+    def test_train_entries_are_train_configs_of_methods(self):
+        # a misspelled method would be dropped silently, and a plain dict
+        # would fail only once training reads it
+        data = SyntheticSpec((10,), (2,), (0.5,), (0.1,))
+        with pytest.raises(ConfigError, match=r"^unknown train entry 'fedavgg'; valid: "):
+            ExperimentConfig(
+                data=data, methods=("fedavg",), train={"fedavgg": TrainConfig(learning_rate=0.5)}
+            )
+        with pytest.raises(
+            ConfigError, match=r"^train entry 'fedavg' must be a TrainConfig, got dict$"
+        ):
+            ExperimentConfig(data=data, train={"fedavg": {"learning_rate": 0.1}})
+
 
 class TestFiles:
     def test_ini_round_trip(self, tmp_path):
@@ -263,6 +276,20 @@ class TestFiles:
         raw = read_raw_sections(path)
         assert "fedsln_version" not in raw
         assert raw["data"]["nodes"] == "40,50"
+
+    def test_a_byte_order_mark_is_ignored(self, tmp_path):
+        ini = "[experiment]\nmethods = fedavg\n\n[data]\n" + "".join(
+            f"{key} = {value}\n" for key, value in SYNTH.items()
+        )
+        manifest = json.dumps(config_to_manifest(build_experiment_config(minimal_raw())))
+        for name, text in (("exp.ini", ini), ("run_manifest.json", manifest)):
+            loaded = []
+            for bom in ("", "\ufeff"):
+                path = tmp_path / ("bom" if bom else "plain") / name
+                path.parent.mkdir(exist_ok=True)
+                path.write_text(bom + text, encoding="utf-8")
+                loaded.append(load_config(path))
+            assert loaded[1] == loaded[0]
 
     def test_malformed_ini(self, tmp_path):
         bad = tmp_path / "bad.ini"

@@ -195,7 +195,7 @@ def test_fedavg_ft_before_fedavg_gives_the_same_bytes(tmp_path, capsys, workers)
 
 @pytest.mark.parametrize("workers", WORKERS)
 def test_fedavg_ft_alone_gives_the_same_models(tmp_path, capsys, workers):
-    # without fedavg among the methods, fedavg_ft trains the rounds itself
+    # without fedavg among the methods, run_experiment trains its rounds first
     ini = tmp_path / "exp.ini"
     ini.write_text(CONFIG_TEXT)
     out = tmp_path / "out"
