@@ -5,14 +5,16 @@ earlier snapshot; a two-sample Kolmogorov-Smirnov statistic used to
 compare feature distributions between classrooms; and the helpers that
 turn a temporal snapshot pair into labeled examples and standardize them.
 
-pair_features scores a whole (m, 2) pair array from the CSR adjacency,
-in blocks bounded in pairs and in walked row entries: the common
-neighbors of each pair are the entries of its shorter sorted row that
-are linked to the other endpoint, looked up in the graph's sorted edge keys, and the
-resource-allocation and Adamic-Adar sums are np.bincount over them with
-per-node weights 1/d and 1/log(d). The sums run from 0.0 over each pair's common neighbors
-in ascending order, so every score equals, bit for bit, the same sums
-taken pair by pair over neighbor sets, whatever the block size.
+pair_features scores a whole (m, 2) pair array from the CSR adjacency.
+The common neighbors of each pair are the entries of its shorter sorted
+row whose bit is set in the other endpoint's row of a uint64 bitset;
+the bitset covers a bounded range of rows at a time, and the pairs are
+visited grouped by that range, in blocks bounded in pairs and in walked
+row entries. The resource-allocation and Adamic-Adar sums are
+np.bincount over the common neighbors with per-node weights 1/d and
+1/log(d). The sums run from 0.0 over each pair's common neighbors in
+ascending order, so every score equals, bit for bit, the same sums taken
+pair by pair over neighbor sets, whatever the range and block sizes.
 Examples are one array-backed PairExamples container, and to_arrays
 hands out the container's own feature matrix, read-only, rather than a
 copy.
@@ -75,29 +77,89 @@ class PairExample:
     label: int
 
 
-# A block ends at _PAIR_BLOCK pairs or _WALK_BLOCK walked row entries (its
-# pairs' shorter degrees), whichever comes first. On the wide benchmark
-# classrooms (degree about 25, under 160,000 entries a block) it peaks at
-# 4 to 8 MB, twice that at 1 << 14, and smaller blocks take no less time;
-# the walk cap stops it growing with degree (110 MB at degree 200 without).
+# A pair's common neighbors are the entries of its shorter row whose bit is
+# set in its longer endpoint's row of a packed bitset. The bitset holds one
+# range of consecutive rows at a time, at most _BITSET_WORDS words (2 MiB),
+# or one row where a row alone is longer; pairs are visited grouped by the
+# range of their longer endpoint, so each range that holds a pair is filled
+# once. A block of pairs ends at _PAIR_BLOCK pairs or _WALK_BLOCK walked row
+# entries (its pairs' shorter degrees), whichever comes first, and a pair
+# that walks more is a block of its own; the fill reads _WALK_BLOCK row
+# entries at a time. So beyond O(n) per-node and O(pairs) arrays the working
+# set is bounded whatever the node count and the degrees: on the wide
+# benchmark classrooms, which fit one range each, featurization takes 3.1 to
+# 4.0 MB beyond its result, and on a 600-node classroom of mean degree about
+# 200 it peaks at 10.3 MB for a 7.0 MB result.
+_BITSET_WORDS = 1 << 18
 _PAIR_BLOCK = 1 << 13
-_WALK_BLOCK = 1 << 18
+_WALK_BLOCK = 1 << 15
+
+
+def _fill_rows(graph: SlnGraph, first: int, bits: np.ndarray) -> None:
+    """Write rows first, first + 1, ... of the adjacency into the rows of
+    bits, as many as it has: bit w of row r is set iff (first + r, w) is an
+    edge."""
+    bits.fill(0)
+    stop = int(graph.indptr[min(first + len(bits), graph.node_count)])
+    for lo in range(int(graph.indptr[first]), stop, _WALK_BLOCK):
+        entry = np.arange(lo, min(lo + _WALK_BLOCK, stop))
+        row = np.searchsorted(graph.indptr, entry, side="right") - 1 - first
+        w = graph.indices[entry]
+        np.bitwise_or.at(bits, (row, w >> 6), np.uint64(1) << (w & 63).view(np.uint64))
 
 
 def _common_neighbors(
-    graph: SlnGraph, a: np.ndarray, b: np.ndarray
+    graph: SlnGraph, a: np.ndarray, b: np.ndarray, bits: np.ndarray, first: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """The common neighbors of each pair (a[i], b[i]) as (owner, w): w runs
-    over a[i]'s row in ascending order and is kept where (b[i], w) is an
-    edge, and owner is i, so the entries come grouped by pair."""
+    over a[i]'s row in ascending order and is kept where bit w of b[i]'s
+    row is set in bits, which holds rows first, first + 1, ..., and owner
+    is i, so the entries come grouped by pair."""
     starts = graph.indptr[a]
     lengths = graph.indptr[a + 1] - starts
     owner = np.repeat(np.arange(len(a)), lengths)
     # an entry's position in indices: its row start plus its offset in the row
     walked = np.arange(owner.size) + np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
-    w = graph.indices[walked]
-    common = graph._linked(b[owner], w)
+    w = graph.indices.take(walked)
+    word = bits.ravel().take(np.repeat((b - first) * bits.shape[1], lengths) + (w >> 6))
+    common = (word >> (w & 63).view(np.uint64) & 1).astype(bool)
     return owner[common], w[common]
+
+
+def _walked_and_tested(
+    deg: np.ndarray, u: np.ndarray, v: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each pair's endpoints as (a, b): a's row is walked and b's row tested,
+    so a is the endpoint of lower degree, u on a tie."""
+    shorter = deg[u] <= deg[v]
+    return np.where(shorter, u, v), np.where(shorter, v, u)
+
+
+def _block_scores(
+    graph: SlnGraph,
+    a: np.ndarray,
+    b: np.ndarray,
+    bits: np.ndarray,
+    first: int,
+    weights: tuple[np.ndarray, np.ndarray, np.ndarray],
+) -> np.ndarray:
+    """The six scores of the pairs (a[i], b[i]) as (m, 6) float64, from
+    the degrees and the Adamic-Adar and resource-allocation weights."""
+    deg, aa_weight, ra_weight = weights
+    m = len(a)
+    owner, w = _common_neighbors(graph, a, b, bits, first)
+    da, db = deg[a], deg[b]
+    nc = np.bincount(owner, minlength=m)
+    union = da + db - nc
+    x = np.zeros((m, N_FEATURES), dtype=np.float64)
+    np.divide(nc, union, out=x[:, 0], where=union > 0)
+    # bincount adds each pair's weights from 0.0 in ascending neighbor order
+    x[:, 1] = np.bincount(owner, weights=aa_weight[w], minlength=m)
+    x[:, 2] = np.bincount(owner, weights=ra_weight[w], minlength=m)
+    x[:, 3] = da * db
+    np.divide(nc, np.sqrt(x[:, 3]), out=x[:, 4], where=(da > 0) & (db > 0))
+    np.divide(2.0 * nc, da + db, out=x[:, 5], where=da + db > 0)
+    return x
 
 
 def pair_features(graph: SlnGraph, pairs: np.ndarray) -> np.ndarray:
@@ -117,29 +179,36 @@ def pair_features(graph: SlnGraph, pairs: np.ndarray) -> np.ndarray:
     aa_weight = np.array(
         [1.0 / math.log(d) if d > 1 else 0.0 for d in uniq.tolist()], dtype=np.float64
     )[inverse]
+    weights = (deg, aa_weight, ra_weight)
     out = np.zeros((len(pairs), N_FEATURES), dtype=np.float64)
-    start = 0
-    while start < len(pairs):
-        block = pairs[start : start + _PAIR_BLOCK]
-        # cut where the walked entries pass _WALK_BLOCK, after the first pair
-        walked = np.cumsum(np.minimum(deg[block[:, 0]], deg[block[:, 1]]))
-        block = block[: max(1, int(np.searchsorted(walked, _WALK_BLOCK, side="right")))]
-        u, v = block[:, 0], block[:, 1]
-        du, dv = deg[u], deg[v]
-        shorter = du <= dv
-        owner, w = _common_neighbors(graph, np.where(shorter, u, v), np.where(shorter, v, u))
-        m = len(block)
-        nc = np.bincount(owner, minlength=m)
-        union = du + dv - nc
-        x = out[start : start + m]
-        np.divide(nc, union, out=x[:, 0], where=union > 0)
-        # bincount adds each pair's weights from 0.0 in ascending neighbor order
-        x[:, 1] = np.bincount(owner, weights=aa_weight[w], minlength=m)
-        x[:, 2] = np.bincount(owner, weights=ra_weight[w], minlength=m)
-        x[:, 3] = du * dv
-        np.divide(nc, np.sqrt(x[:, 3]), out=x[:, 4], where=(du > 0) & (dv > 0))
-        np.divide(2.0 * nc, du + dv, out=x[:, 5], where=du + dv > 0)
-        start += m
+    n = graph.node_count
+    words = max(1, -(-n // 64))  # a graph without nodes still gets one word
+    span = max(1, min(n, _BITSET_WORDS // words))  # rows per range
+    bits = np.empty((span, words), dtype=np.uint64)
+    ranges = -(-n // span)
+    # each pair's range, a small integer, filled a block at a time
+    key = np.empty(len(pairs), dtype=np.min_scalar_type(ranges))
+    for start in range(0, len(pairs), _PAIR_BLOCK):
+        block = slice(start, start + _PAIR_BLOCK)
+        key[block] = _walked_and_tested(deg, pairs[block, 0], pairs[block, 1])[1] // span
+    order = np.argsort(key, kind="stable")
+    counts = np.bincount(key, minlength=ranges)
+    ends = np.cumsum(counts)
+    for r in np.flatnonzero(counts).tolist():
+        first = r * span
+        _fill_rows(graph, first, bits)
+        for lo in range(int(ends[r] - counts[r]), int(ends[r]), _PAIR_BLOCK):
+            index = order[lo : min(lo + _PAIR_BLOCK, int(ends[r]))]
+            a, b = _walked_and_tested(deg, pairs[index, 0], pairs[index, 1])
+            walked = np.cumsum(deg[a])
+            start = 0
+            while start < len(index):
+                # a block ends where its walked entries pass _WALK_BLOCK, after its first pair
+                passed = (walked[start - 1] if start else 0) + _WALK_BLOCK
+                stop = max(start + 1, int(np.searchsorted(walked, passed, side="right")))
+                block = slice(start, stop)
+                out[index[block]] = _block_scores(graph, a[block], b[block], bits, first, weights)
+                start = stop
     return out
 
 

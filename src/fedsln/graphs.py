@@ -145,9 +145,9 @@ class SlnGraph:
     ascending order, and every edge appears in both endpoints' rows. The
     constructor takes the arrays from outside and validates them;
     from_edges builds them from an edge list. _keys, the sorted
-    u * node_count + w of every row entry, answers each edge lookup with
-    one searchsorted: has_edges, and the common neighbors that
-    features.pair_features finds by walking rows, go through _linked.
+    u * node_count + w of every row entry, answers has_edges with one
+    searchsorted. features.pair_features tests common neighbors on a
+    bitset it fills from the rows instead.
     """
 
     __slots__ = ("node_count", "indptr", "indices", "_keys")
@@ -243,11 +243,7 @@ class SlnGraph:
         out = ~_in_range(self.node_count, pairs)
         if out.any():
             raise GraphError(f"pair {tuple(pairs[int(np.argmax(out))].tolist())} out of range")
-        return self._linked(pairs[:, 0], pairs[:, 1])
-
-    def _linked(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Whether each (u[i], v[i]) is an edge; the nodes must be in range."""
-        return _lookup(self._keys, u * self.node_count + v)
+        return _lookup(self._keys, pair_keys(self.node_count, pairs))
 
     def edge_array(self) -> np.ndarray:
         """All edges as an (E, 2) int64 array, u < v, sorted lexicographically."""

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import fedsln.features as features_module
 from fedsln.features import (
     N_FEATURES,
     PairExample,
@@ -432,29 +433,98 @@ def test_pair_features_on_dense_communities(n, k, seed):
 
 
 def test_pair_features_across_blocks(monkeypatch):
-    import fedsln.features as features_module
-
     # 8385 pairs: more than one block at every size, the default included
     graph = generate_synthetic(130, 3, 0.3, 0.05, seed=4)
     pairs = np.array([(u, v) for u in range(130) for v in range(u + 1, 130)], dtype=np.int64)
     assert len(pairs) > features_module._PAIR_BLOCK
     want = np.array([compute_features(graph, u, v) for u, v in pairs.tolist()])
     # a walk cap of 1 puts every pair walking a row in a block of its own,
-    # and 50 ends most blocks after a few pairs
-    for walk in (1, 50, features_module._WALK_BLOCK):
-        for block in (1, 7, features_module._PAIR_BLOCK, len(pairs)):
-            monkeypatch.setattr(features_module, "_PAIR_BLOCK", block)
-            monkeypatch.setattr(features_module, "_WALK_BLOCK", walk)
-            # one block per pair: every 16th pair will do
-            rows = slice(None, None, 16 if block == 1 or walk == 1 else 1)
-            got = pair_features(graph, pairs[rows])
-            assert got.tobytes() == want[rows].tobytes(), (block, walk)
+    # and 50 ends most blocks after a few pairs; a bitset budget of one word
+    # gives every row a range of its own, and the default covers all 130
+    for budget in (1, features_module._BITSET_WORDS):
+        for walk in (1, 50, features_module._WALK_BLOCK):
+            for block in (1, 7, features_module._PAIR_BLOCK, len(pairs)):
+                monkeypatch.setattr(features_module, "_BITSET_WORDS", budget)
+                monkeypatch.setattr(features_module, "_PAIR_BLOCK", block)
+                monkeypatch.setattr(features_module, "_WALK_BLOCK", walk)
+                # one block per pair: every 16th pair will do
+                rows = slice(None, None, 16 if block == 1 or walk == 1 else 1)
+                got = pair_features(graph, pairs[rows])
+                assert got.tobytes() == want[rows].tobytes(), (budget, block, walk)
+
+
+@st.composite
+def word_edge_graphs(draw):
+    """A graph whose node count sits at a 64-bit word boundary, with
+    isolated nodes, and up to 200 of its ordered pairs in a drawn order,
+    so that consecutive pairs hop between row ranges."""
+    n = draw(st.sampled_from([0, 1, 2, 63, 64, 65, 127, 128, 129]))
+    rng = derive_rng(draw(seeds), "word-edge")
+    linked = np.triu(rng.random((n, n)) < draw(st.sampled_from([0.05, 0.2, 0.6])), k=1)
+    isolated = rng.random(n) < 0.2
+    linked[isolated] = False
+    linked[:, isolated] = False
+    graph = SlnGraph.from_edges(n, np.argwhere(linked))
+    ordered = np.argwhere(~np.eye(n, dtype=bool))
+    return graph, ordered[rng.permutation(len(ordered))[:200]]
+
+
+@CHECKED
+@given(
+    word_edge_graphs(),
+    st.sampled_from([1, 2, 3, features_module._BITSET_WORDS]),
+    st.sampled_from([1, 50, features_module._WALK_BLOCK]),
+    st.sampled_from([1, 7, features_module._PAIR_BLOCK]),
+)
+def test_pair_features_on_bounded_row_ranges(drawn, budget, walk, block):
+    # budgets of 1 to 3 words give one row per range, or a few rows where
+    # a row is one word
+    graph, pairs = drawn
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(features_module, "_BITSET_WORDS", budget)
+        patch.setattr(features_module, "_WALK_BLOCK", walk)
+        patch.setattr(features_module, "_PAIR_BLOCK", block)
+        x = pair_features(graph, pairs)
+    assert x.shape == (len(pairs), N_FEATURES)
+    assert_rows_match_reference(graph, pairs.tolist(), x)
+
+
+def test_pair_features_memory_is_bounded_on_a_hundred_thousand_nodes():
+    # a bitset of every row would take 100,000 x 1,563 words, about 1.25 GB
+    n = 100_000
+    rng = derive_rng(7, "sparse")
+    ends = rng.integers(0, n, size=(200_000, 2))
+    graph = SlnGraph.from_edges(n, ends[ends[:, 0] != ends[:, 1]])
+    # random pairs, and pairs of two neighbors of one node, which share it
+    middles = np.flatnonzero(graph.degrees() >= 2)[:5_000]
+    first_two = graph.indices[graph.indptr[middles][:, None] + np.arange(2)]
+    pairs = np.concatenate([rng.integers(0, n, size=(20_000, 2)), first_two])
+    pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        x = pair_features(graph, pairs)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    bitset = 8 * features_module._BITSET_WORDS
+    per_node = 6 * 8 * n  # degrees, the two weight arrays, np.unique's
+    walk = 16 * 8 * features_module._WALK_BLOCK
+    block = 16 * 8 * features_module._PAIR_BLOCK
+    # the output, the visiting order and the range keys (two bytes for 599 ranges)
+    per_pair = x.nbytes + 10 * len(pairs)
+    assert peak <= bitset + per_node + walk + block + per_pair, peak / 2**20
+    assert (x[:, 0] > 0).sum() >= 5_000
+    for i in range(0, len(pairs), 250):
+        u, v = pairs[i].tolist()
+        assert x[i].tolist() == list(compute_features(graph, u, v)), (u, v)
 
 
 def test_pair_features_transient_is_bounded_on_a_dense_classroom():
     # graph_prev has mean degree about 200 and the universe 152,288 pairs:
     # 8,192-pair blocks alone walk 1 to 1.6 million row entries each and
-    # peak above 100 MB
+    # peak above 100 MB; with the walk cap the kernel reads 10.3 MB, for a
+    # 7.0 MB result
     graph = generate_synthetic(600, 2, 0.8, 0.05, seed=1)
     tp = temporal_split(graph, sample_pair_universe(graph, 1.0, 2), 0.2, 3)
     tracemalloc.start()
@@ -465,7 +535,7 @@ def test_pair_features_transient_is_bounded_on_a_dense_classroom():
     finally:
         tracemalloc.stop()
     assert x.shape == (152_288, N_FEATURES)
-    assert peak < 40 * 2**20, peak / 2**20
+    assert peak < 16 * 2**20, peak / 2**20
 
 
 def test_degree_one_endpoints_and_degree_two_common_neighbor():

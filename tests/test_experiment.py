@@ -183,7 +183,8 @@ def test_one_wide_classroom_keeps_its_arrays_once():
     What the build retains must be the arrays the dataset holds (the raw
     matrices are the containers' features, so they are not counted
     again, and no standardized copy is held), and the build's peak must
-    stay within three times that.
+    stay within 2.2 times that: it reads 2.11, set by the train/test
+    split, with featurization below it.
     """
     wide = make_cfg(
         data={"nodes": "3240", "communities": "12", "intra_p": "0.05", "inter_p": "0.004167"},
@@ -208,7 +209,7 @@ def test_one_wide_classroom_keeps_its_arrays_once():
         for a in (d.train_y, d.test_y, d.standardizer.mean, d.standardizer.std, d.standardizer.scale)
     )
     assert abs((current - start) - held) <= 0.05 * held
-    assert peak - start <= 3 * held
+    assert peak - start <= 2.2 * held
 
 
 class TestRunMethod:
