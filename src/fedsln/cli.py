@@ -127,9 +127,10 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument(
             "--max-workers",
             type=int,
-            help="client shards per federated run, all but one in a forked "
-            "process; never changes the output (default: one per classroom "
-            f"when more than one CPU is usable, at most {SHARDS_PER_CPU} per CPU)",
+            help="client shards per federated run and per explanation, all "
+            "but one in a forked process; never changes the output (default: "
+            "one per classroom when more than one CPU is usable, at most "
+            f"{SHARDS_PER_CPU} per CPU)",
         )
     return parser
 

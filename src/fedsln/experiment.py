@@ -10,7 +10,10 @@ features.StandardizedRows view of the raw matrix, which standardizes each
 batch as it is drawn, and the test split goes through its standardizer
 when it is scored. A data-stage failure names the seed and the classroom,
 and for edge lists the file. Explanations, when enabled, attribute the
-first seed's models while its datasets are alive. No seed's datasets
+first seed's models while its datasets are alive, with the classrooms
+dealt over the same client shards as training (federation.map_shards);
+an explanation failure names the lowest-numbered classroom that failed,
+whatever the shard count. No seed's datasets
 outlive its iteration. A run_method call trains the one method it names:
 fedavg_ft fine-tunes the seed's fedavg outcome, which run_experiment
 trains once per seed, unreported when fedavg is not selected.
@@ -65,7 +68,7 @@ from .features import (
     examples_to_csv,
     to_arrays,
 )
-from .federation import RoundRecord, make_clients, run_fedavg
+from .federation import RoundRecord, make_clients, map_shards, run_fedavg
 from .graphs import (
     SlnGraph,
     generate_synthetic,
@@ -113,6 +116,11 @@ class StageError(RuntimeError):
     def __init__(self, stage: str, message: str):
         super().__init__(f"[{stage}] {message}")
         self.stage = stage
+        self.message = message
+
+    def __reduce__(self):
+        # a forked client shard sends its errors to the parent pickled
+        return type(self), (self.stage, self.message)
 
 
 @contextlib.contextmanager
@@ -410,40 +418,53 @@ def _explain(
     datasets: Sequence[ClientDataset],
     outcome: MethodOutcome,
     seed: int,
+    *,
+    max_workers: int = 1,
 ) -> tuple[list[dict], dict[int, tuple[np.ndarray, tuple[int, ...]]]]:
     """Shapley records of each classroom's sampled test pairs, and its importance.
 
-    A failure is a StageError tagged explain, prefixed as in _each_classroom.
+    The classrooms are dealt into client shards (federation.map_shards).
+    A failure is a StageError tagged explain, prefixed as in
+    _each_classroom, of the lowest-numbered classroom that failed.
     """
-    records: list[dict] = []
-    importance: dict[int, tuple[np.ndarray, tuple[int, ...]]] = {}
-    for d in datasets:
-        c = d.client_id
-        with _stage("explain", f"{_classroom(cfg, seed, c)}: "):
-            predictor = make_predictor(outcome.models[c], outcome.standardizers[c])
-            bg_rng = derive_rng(seed, "explain", "background", c)
-            n_bg = min(cfg.explain.background_size, len(d.raw_train_x))
-            background = d.raw_train_x[bg_rng.choice(len(d.raw_train_x), n_bg, replace=False)]
-            pair_rng = derive_rng(seed, "explain", "pairs", c)
-            n_pairs = min(cfg.explain.pairs_per_client, len(d.test_examples))
-            chosen = np.sort(pair_rng.choice(len(d.test_examples), n_pairs, replace=False))
-            explanations = shapley_values_batch(predictor, d.raw_test_x[chosen], background)
-            pairs = d.test_examples.pairs[chosen].tolist()
-            labels = d.test_examples.labels[chosen].tolist()
-            for (u, v), label, expl in zip(pairs, labels, explanations):
-                records.append(
-                    {
-                        "client": c,
-                        "u": u,
-                        "v": v,
-                        "label": label,
-                        "base_value": expl.base_value,
-                        "predicted": expl.predicted,
-                        "phi": dict(zip(FEATURE_NAMES, expl.phi)),
-                    }
-                )
-            importance[c] = global_importance(explanations)
+    explained = map_shards(
+        functools.partial(_explain_classroom, cfg, outcome, seed),
+        datasets,
+        max_workers=max_workers,
+    )
+    records = [record for classroom_records, _ in explained for record in classroom_records]
+    importance = {d.client_id: imp for d, (_, imp) in zip(datasets, explained)}
     return records, importance
+
+
+def _explain_classroom(
+    cfg: ExperimentConfig, outcome: MethodOutcome, seed: int, d: ClientDataset
+) -> tuple[list[dict], tuple[np.ndarray, tuple[int, ...]]]:
+    c = d.client_id
+    with _stage("explain", f"{_classroom(cfg, seed, c)}: "):
+        predictor = make_predictor(outcome.models[c], outcome.standardizers[c])
+        bg_rng = derive_rng(seed, "explain", "background", c)
+        n_bg = min(cfg.explain.background_size, len(d.raw_train_x))
+        background = d.raw_train_x[bg_rng.choice(len(d.raw_train_x), n_bg, replace=False)]
+        pair_rng = derive_rng(seed, "explain", "pairs", c)
+        n_pairs = min(cfg.explain.pairs_per_client, len(d.test_examples))
+        chosen = np.sort(pair_rng.choice(len(d.test_examples), n_pairs, replace=False))
+        explanations = shapley_values_batch(predictor, d.raw_test_x[chosen], background)
+        pairs = d.test_examples.pairs[chosen].tolist()
+        labels = d.test_examples.labels[chosen].tolist()
+        records = [
+            {
+                "client": c,
+                "u": u,
+                "v": v,
+                "label": label,
+                "base_value": expl.base_value,
+                "predicted": expl.predicted,
+                "phi": dict(zip(FEATURE_NAMES, expl.phi)),
+            }
+            for (u, v), label, expl in zip(pairs, labels, explanations)
+        ]
+        return records, global_importance(explanations)
 
 
 def run_experiment(cfg: ExperimentConfig, *, max_workers: int = 1) -> RunReport:
@@ -468,7 +489,7 @@ def run_experiment(cfg: ExperimentConfig, *, max_workers: int = 1) -> RunReport:
                 )
         if cfg.explain.enabled and seed == cfg.seeds[0]:
             report.explanations, report.importance = _explain(
-                cfg, datasets, outcomes[cfg.explain.method], seed
+                cfg, datasets, outcomes[cfg.explain.method], seed, max_workers=max_workers
             )
         del datasets  # released before the next seed is built
         report.outcomes.extend(outcomes[method] for method in cfg.methods)

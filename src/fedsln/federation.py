@@ -33,6 +33,12 @@ or raises, and a child whose parent has gone sees end-of-file on its
 pipe and exits. Where the fork start method is missing, k is 1. Results do not depend on k: every client draws only
 from its own streams, the aggregate is taken in client order, and
 OpenBLAS runs on one thread during the rounds (see _one_blas_thread).
+
+map_shards runs one function over a sequence on the same shards and
+children, under one OpenBLAS thread as the rounds are: each child maps
+its items once and sends back the results, which are merged in item
+order, and the failure of the lowest-numbered item is the one raised.
+The explanation stage uses it, one classroom per item.
 """
 
 from __future__ import annotations
@@ -66,6 +72,7 @@ __all__ = [
     "aggregate",
     "local_round",
     "make_clients",
+    "map_shards",
     "run_fedavg",
     "synchronize",
 ]
@@ -200,9 +207,10 @@ def _portable(exc: Exception) -> Exception:
     return exc
 
 
-def _serve_shard(conn, inherited, shard, config, local) -> None:
-    """Child side: one round per global model received; None asks for the
-    clients' state. Ends after the state, after an error, or at end-of-file."""
+def _serve_shard(conn, inherited, shard, handle) -> None:
+    """Child side: replies handle(shard, message) to every message received.
+    Ends after replying to None, the last message, after an error, or at
+    end-of-file."""
     # an interrupt reaches the parent too, and the parent stops its children
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     # once no child holds a parent end, a dead parent reads as end-of-file
@@ -210,31 +218,29 @@ def _serve_shard(conn, inherited, shard, config, local) -> None:
         end.close()
     while True:
         try:
-            global_params = conn.recv()
+            message = conn.recv()
         except EOFError:
             return
+        last = message is None
         try:
-            if global_params is None:
-                reply = ("state", [_client_state(c) for c in shard])
-            else:
-                reply = ("round", [local(c, global_params, config) for c in shard])
-            payload = pickle.dumps(reply)
+            payload = pickle.dumps(("reply", handle(shard, message)))
         except Exception as exc:
-            reply = ("error", _portable(exc))
-            payload = pickle.dumps(reply)
+            payload = pickle.dumps(("error", _portable(exc)))
+            last = True
         try:
             conn.send_bytes(payload)
         except OSError:  # the parent has gone
             return
-        if reply[0] != "round":
+        if last:
             return
 
 
 class _ShardPool:
-    """Forked children that each hold one shard of the clients."""
+    """Forked children that each hold one shard and answer every message
+    with handle(shard, message); None is the last message a child answers."""
 
-    def __init__(self, shards, config, local):
-        self.shards = shards
+    def __init__(self, shards, handle):
+        self.handle = handle
         self.conns = []
         self.procs = []
         if not shards:
@@ -246,7 +252,7 @@ class _ShardPool:
                 self.conns.append(mine)
                 proc = ctx.Process(
                     target=_serve_shard,
-                    args=(theirs, list(self.conns), shard, config, local),
+                    args=(theirs, list(self.conns), shard, handle),
                 )
                 proc.start()
                 self.procs.append(proc)
@@ -257,30 +263,20 @@ class _ShardPool:
 
     def _receive(self, index: int):
         try:
-            kind, *payload = self.conns[index].recv()
+            kind, payload = self.conns[index].recv()
         except EOFError:
             raise RuntimeError(f"client shard {index + 1} exited unexpectedly") from None
         if kind == "error":
-            raise payload[0]
+            raise payload
         return payload
 
-    def train(self, global_params: ModelParams) -> None:
-        """Start a round in every child."""
+    def ask(self, message, first) -> list:
+        """handle(shard, message) for every shard in shard order: `first`,
+        the shard this process holds, answered here while the children
+        answer for theirs."""
         for conn in self.conns:
-            conn.send(global_params)
-
-    def results(self) -> list[list[ModelParams]]:
-        """Per child, its clients' local models."""
-        return [self._receive(i)[0] for i in range(len(self.conns))]
-
-    def restore(self) -> None:
-        """Copy every child's client state into the parent's clients."""
-        for conn in self.conns:
-            conn.send(None)
-        for i, shard in enumerate(self.shards):
-            (states,) = self._receive(i)
-            for client, state in zip(shard, states):
-                client.params, client.ala_weights, client._streams, client._generators = state
+            conn.send(message)
+        return [self.handle(first, message), *map(self._receive, range(len(self.conns)))]
 
     def close(self, *, abort: bool) -> None:
         for conn in self.conns:
@@ -296,6 +292,26 @@ class _ShardPool:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close(abort=exc_type is not None)
+
+
+def _local_or_state(config, local, shard, global_params) -> list:
+    """A round's local models of the shard's clients, or, for None, the
+    clients' state."""
+    if global_params is None:
+        return [_client_state(c) for c in shard]
+    return [local(c, global_params, config) for c in shard]
+
+
+def _map_shard(fn, shard, _message) -> tuple[list, Exception | None]:
+    """fn of the shard's items in order, up to the first that raises: the
+    results before it and that item's exception, None if none raised."""
+    done = []
+    for item in shard:
+        try:
+            done.append(fn(item))
+        except Exception as exc:
+            return done, _portable(exc)
+    return done, None
 
 
 @functools.lru_cache(maxsize=None)
@@ -393,13 +409,12 @@ def run_fedavg(
     ids = [c.client_id for c in clients]
     shards = [list(clients[j::k]) for j in range(k)]
     history: list[RoundRecord] = []
-    with _one_blas_thread(), _ShardPool(shards[1:], config, local) as pool:
+    handle = functools.partial(_local_or_state, config, local)
+    with _one_blas_thread(), _ShardPool(shards[1:], handle) as pool:
         for r in range(config.global_rounds):
             began = time.perf_counter()
-            pool.train(global_params)
             local_params: list = [None] * len(clients)
-            local_params[0::k] = [local(c, global_params, config) for c in shards[0]]
-            for j, trained in enumerate(pool.results(), start=1):
+            for j, trained in enumerate(pool.ask(global_params, shards[0])):
                 local_params[j::k] = trained
             global_params = aggregate(local_params, sizes, round_index=r, client_ids=ids)
             history.append(
@@ -409,5 +424,32 @@ def run_fedavg(
                     wall_clock=time.perf_counter() - began,
                 )
             )
-        pool.restore()
+        # the children's clients end as a serial run leaves them
+        for shard, states in zip(shards, pool.ask(None, shards[0])):
+            for client, state in zip(shard, states):
+                client.params, client.ala_weights, client._streams, client._generators = state
     return global_params, history
+
+
+def map_shards(
+    fn: Callable[[object], object], items: Sequence, *, max_workers: int = 1
+) -> list:
+    """[fn(item) for item in items], with the items dealt into shards as
+    run_fedavg deals its clients, under one BLAS thread.
+
+    Shard 0 runs in the calling process and the others each in a forked
+    child, which needs nothing pickled but the results. Each shard stops at
+    its first failing item, and the failure of the lowest-numbered item is
+    raised, so max_workers changes neither the results nor the error.
+    """
+    k = _shard_count(max_workers, len(items))
+    shards = [list(items[j::k]) for j in range(k)]
+    with _one_blas_thread(), _ShardPool(shards[1:], functools.partial(_map_shard, fn)) as pool:
+        replies = pool.ask(None, shards[0])
+    results = []
+    for i in range(len(items)):
+        done, failure = replies[i % k]
+        if i // k == len(done):
+            raise failure
+        results.append(done[i // k])
+    return results

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import multiprocessing
 import os
 import re
 import tempfile
@@ -352,6 +353,28 @@ def spy_shard_counts(monkeypatch):
     return counts
 
 
+def fail_explaining(monkeypatch, classrooms):
+    """Make scoring fail for the given classrooms, told apart by their own
+    standardizers, so the failure follows a classroom into any shard."""
+    datasets = []
+    real_build, real_predictor = experiment.build_client_datasets, experiment.make_predictor
+
+    def build(cfg, seed):
+        datasets[:] = real_build(cfg, seed)
+        return datasets
+
+    def failing(x):
+        raise RuntimeError("scoring failed")
+
+    def make_predictor(params, standardizer):
+        if any(standardizer is datasets[c].standardizer for c in classrooms):
+            return failing
+        return real_predictor(params, standardizer)
+
+    monkeypatch.setattr(experiment, "build_client_datasets", build)
+    monkeypatch.setattr(experiment, "make_predictor", make_predictor)
+
+
 def output_bytes(out_dir):
     """Every emitted file but the manifest, which records its own output_dir."""
     return {
@@ -582,6 +605,26 @@ class TestOtherCommands:
         assert len(seen) == calls
         manifest = json.loads((out / "run_manifest.json").read_text())
         assert sorted(manifest["explain"]) == ["background_size", "method", "pairs_per_client"]
+
+    def test_explain_deals_classrooms_over_the_client_shards(
+        self, config_path, tmp_path, capsys, monkeypatch
+    ):
+        shards = spy_shard_counts(monkeypatch)
+        sharded, serial = tmp_path / "sharded", tmp_path / "serial"
+        for out, workers in ((sharded, "2"), (serial, "1")):
+            code, _, stderr = run_cli(
+                capsys,
+                "explain", "--config", str(config_path), "--output-dir", str(out),
+                "--set", "explain.method=fedavg",
+                "--set", "explain.pairs_per_client=2",
+                "--set", "explain.background_size=16",
+                "--max-workers", workers, *THREE_CLASSROOMS,
+            )
+            assert code == 0, stderr
+        # fedavg's rounds, then the explanation, in each run
+        assert shards == [2, 2, 1, 1]
+        assert len(output_bytes(sharded)) == 5
+        assert output_bytes(sharded) == output_bytes(serial)
 
     def test_explain_method_not_selected_fails(
         self, config_path, tmp_path, capsys, monkeypatch
@@ -1023,29 +1066,42 @@ class TestErrors:
     def test_explain_failure_names_seed_and_classroom(
         self, config_path, tmp_path, capsys, monkeypatch
     ):
-        real = experiment.make_predictor
-        built = []
+        fail_explaining(monkeypatch, {1})
+        # with two shards classroom 1 is explained in a forked child
+        for workers in ("1", "2"):
+            out = tmp_path / f"run{workers}"
+            code, stdout, err = run_cli(
+                capsys,
+                "explain", "--config", str(config_path), "--output-dir", str(out),
+                "--set", "explain.method=fedavg",
+                "--set", "explain.pairs_per_client=2",
+                "--set", "explain.background_size=16",
+                "--max-workers", workers,
+            )
+            assert code == 2
+            assert stdout == ""
+            assert err.splitlines() == ["fedsln: [explain] seed 1: classroom 1: scoring failed"]
+            assert not out.exists()
 
-        def failing(x):
-            raise RuntimeError("scoring failed")
-
-        def make_predictor(params, standardizer):
-            # classrooms are explained in order, so the second predictor is classroom 1's
-            built.append(standardizer)
-            return failing if len(built) == 2 else real(params, standardizer)
-
-        monkeypatch.setattr(experiment, "make_predictor", make_predictor)
+    @pytest.mark.parametrize("workers", ["1", "2", "3"])
+    def test_the_lowest_failing_classroom_is_named_under_any_shard_count(
+        self, config_path, tmp_path, capsys, monkeypatch, workers
+    ):
+        # two shards explain classroom 2 in this process and classroom 1 in a child
+        fail_explaining(monkeypatch, {1, 2})
         code, stdout, err = run_cli(
             capsys,
             "explain", "--config", str(config_path), "--output-dir", str(tmp_path / "run"),
             "--set", "explain.method=fedavg",
             "--set", "explain.pairs_per_client=2",
             "--set", "explain.background_size=16",
+            "--max-workers", workers, *THREE_CLASSROOMS,
         )
         assert code == 2
         assert stdout == ""
         assert err.splitlines() == ["fedsln: [explain] seed 1: classroom 1: scoring failed"]
         assert not (tmp_path / "run").exists()
+        assert multiprocessing.active_children() == []
 
     def test_generate_needs_synthetic(self, config_path, tmp_path, capsys):
         code, _, stderr = run_cli(

@@ -2,6 +2,7 @@
 
 import gc
 import json
+import pickle
 import tracemalloc
 import weakref
 from dataclasses import replace
@@ -664,3 +665,11 @@ def test_stage_error_message():
     err = StageError("train:fedavg", "seed 3: boom")
     assert str(err) == "[train:fedavg] seed 3: boom"
     assert err.stage == "train:fedavg"
+
+
+def test_stage_error_survives_pickling():
+    # a client shard hands its classroom's StageError to the parent pickled
+    err = pickle.loads(pickle.dumps(StageError("explain", "seed 1: classroom 1: boom")))
+    assert type(err) is StageError
+    assert str(err) == "[explain] seed 1: classroom 1: boom"
+    assert (err.stage, err.message) == ("explain", "seed 1: classroom 1: boom")

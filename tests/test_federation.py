@@ -21,6 +21,7 @@ from fedsln.federation import (
     aggregate,
     local_round,
     make_clients,
+    map_shards,
     run_fedavg,
     synchronize,
 )
@@ -352,6 +353,26 @@ class TestShards:
         cfg = TrainConfig(batch_size=8, local_steps=1, global_rounds=1)
         with pytest.raises(RuntimeError, match="^Odd: x-1$"):
             run_fedavg(toy_clients(2, seed=2), cfg, start_model(2), local=local, max_workers=2)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("max_workers", [1, 2, 3, 7, 9])
+    def test_map_shards_equals_a_serial_map(self, max_workers):
+        items = [np.full(3, i, dtype=float) for i in range(7)]
+        got = map_shards(lambda x: (x * 2.5, x.sum()), items, max_workers=max_workers)
+        want = [(x * 2.5, x.sum()) for x in items]
+        assert [(a.tolist(), b) for a, b in got] == [(a.tolist(), b) for a, b in want]
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("max_workers", [1, 2, 3, 5])
+    def test_map_shards_raises_the_lowest_failing_item(self, max_workers):
+        # with two shards item 4 fails in this process before item 3 in a child
+        def fn(i):
+            if i in (3, 4, 6):
+                raise KeyError(f"item {i} refuses")
+            return i
+
+        with pytest.raises(KeyError, match="item 3 refuses"):
+            map_shards(fn, list(range(7)), max_workers=max_workers)
         assert multiprocessing.active_children() == []
 
     def test_divergence_closes_every_child(self):
