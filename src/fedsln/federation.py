@@ -14,31 +14,32 @@ uses the default, local_round, which synchronizes and then takes SGD
 steps; the personalization methods pass their own hook (see
 personalization.py).
 
-max_workers is the number of client shards. The clients are dealt
-round-robin into k = min(max_workers, len(clients)) shards. The library
-default is one shard. The CLI's default is one shard per client
-wherever more than one CPU is usable, and the OS spreads the shards over
-the CPUs: five clients dealt into two shards on two cores leave one core
-idle a third of every round. Shard 0 runs in the calling process;
-shards 1..k-1 each run in one child process, forked when run_fedavg
-starts, which keeps its clients' data, streams, generators, models and
-blend weights for the whole call. Each round the parent sends the global
-model to every child, and each child runs local on its clients in turn
-and sends back their local models. When the rounds are done each child
-sends back its clients' mutable state, so the parent's
-ClientState objects end as a serial run leaves them; a hook's other
-side effects stay in the process that ran it. An exception in a child is
-re-raised in the parent; every child is joined before run_fedavg returns
-or raises, and a child whose parent has gone sees end-of-file on its
-pipe and exits. Where the fork start method is missing, k is 1. Results do not depend on k: every client draws only
-from its own streams, the aggregate is taken in client order, and
-OpenBLAS runs on one thread during the rounds (see _one_blas_thread).
+max_workers is the number of client shards. The library default is one
+shard. The CLI's default is one shard per client wherever more than one
+CPU is usable, and the OS spreads the shards over the CPUs: five clients
+dealt into two shards on two cores leave one core idle a third of every
+round. _ShardPool, the one home of that decision, deals the items
+round-robin into k = min(max_workers, len(items)) shards, or one where
+there is no item or no fork start method. Shard 0 runs in the calling
+process; shards 1..k-1 each run in one child process, forked when the
+pool starts, which keeps its items (for run_fedavg, its clients' data,
+streams, generators, models and blend weights) for the whole call. Each
+ask sends one message to every child, and each shard answers for its
+items in turn, stopping at its first failing item. Once every shard has
+answered, the parent merges the answers in item order or raises the
+failure of the lowest-numbered item: its own shard's exception as it is,
+a child's with its type and message. Every child is joined before the
+pool's caller returns or raises, and a child whose parent has gone sees
+end-of-file on its pipe and exits. OpenBLAS runs on one thread from
+before the first fork until after the last join (see _one_blas_thread).
 
-map_shards runs one function over a sequence on the same shards and
-children, under one OpenBLAS thread as the rounds are: each child maps
-its items once and sends back the results, which are merged in item
-order, and the failure of the lowest-numbered item is the one raised.
-The explanation stage uses it, one classroom per item.
+A round of run_fedavg is one ask with the global model; a last ask hands
+back the clients' mutable state, so the parent's ClientState objects end
+as a serial run leaves them, while a hook's other side effects stay in
+the process that ran it. Results and errors do not depend on k: every
+client draws only from its own streams and the aggregate is taken in
+client order. map_shards is one ask, which the explanation stage makes
+with one classroom per item; no items give [].
 """
 
 from __future__ import annotations
@@ -192,12 +193,6 @@ class RoundRecord:
 LocalFn = Callable[[ClientState, ModelParams, TrainConfig], ModelParams]
 
 
-def _client_state(client: ClientState) -> tuple:
-    """What rounds can change in a client; sent in one pickle, so that each
-    stream keeps sharing its generator."""
-    return client.params, client.ala_weights, client._streams, client._generators
-
-
 def _portable(exc: Exception) -> Exception:
     """exc if it survives pickling, else a RuntimeError naming its type."""
     try:
@@ -207,10 +202,23 @@ def _portable(exc: Exception) -> Exception:
     return exc
 
 
+def _answer(handle, shard, message) -> tuple[list, Exception | None]:
+    """handle(item, message) for the shard's items in order, up to the first
+    that raises: the answers before it and that item's exception, None if
+    none raised."""
+    done = []
+    for item in shard:
+        try:
+            done.append(handle(item, message))
+        except Exception as exc:
+            return done, exc
+    return done, None
+
+
 def _serve_shard(conn, inherited, shard, handle) -> None:
-    """Child side: replies handle(shard, message) to every message received.
-    Ends after replying to None, the last message, after an error, or at
-    end-of-file."""
+    """Child side: replies _answer(handle, shard, message) to every message
+    received. Ends after replying to None, the last message, after a
+    failure, or at end-of-file."""
     # an interrupt reaches the parent too, and the parent stops its children
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     # once no child holds a parent end, a dead parent reads as end-of-file
@@ -221,38 +229,48 @@ def _serve_shard(conn, inherited, shard, handle) -> None:
             message = conn.recv()
         except EOFError:
             return
-        last = message is None
+        done, failure = _answer(handle, shard, message)
         try:
-            payload = pickle.dumps(("reply", handle(shard, message)))
-        except Exception as exc:
-            payload = pickle.dumps(("error", _portable(exc)))
-            last = True
+            payload = pickle.dumps((done, None if failure is None else _portable(failure)))
+        except Exception as exc:  # answers that cannot be sent fail the whole shard
+            failure = exc
+            payload = pickle.dumps(([], _portable(exc)))
         try:
             conn.send_bytes(payload)
         except OSError:  # the parent has gone
             return
-        if last:
+        if message is None or failure is not None:
             return
 
 
 class _ShardPool:
-    """Forked children that each hold one shard and answer every message
-    with handle(shard, message); None is the last message a child answers."""
+    """The items dealt into k shards (see the module docstring), whose
+    ask(message) is [handle(item, message) for item in items]. None is the
+    last message a child answers."""
 
-    def __init__(self, shards, handle):
+    def __init__(self, items: Sequence, max_workers: int, handle):
+        if max_workers < 1:
+            raise ValueError("max_workers must be at least 1")
+        fork = "fork" in multiprocessing.get_all_start_methods()
+        self.k = max(1, min(max_workers, len(items))) if fork else 1
+        self.n_items = len(items)
+        self.shards = [list(items[j :: self.k]) for j in range(self.k)]
         self.handle = handle
         self.conns = []
         self.procs = []
-        if not shards:
-            return
-        ctx = multiprocessing.get_context("fork")
+        self.held = contextlib.ExitStack()
+
+    def __enter__(self) -> "_ShardPool":
+        # held from before the first fork, so every child inherits it
+        self.held.enter_context(_one_blas_thread())
         try:
-            for shard in shards:
+            for shard in self.shards[1:]:
+                ctx = multiprocessing.get_context("fork")
                 mine, theirs = ctx.Pipe()
                 self.conns.append(mine)
                 proc = ctx.Process(
                     target=_serve_shard,
-                    args=(theirs, list(self.conns), shard, handle),
+                    args=(theirs, list(self.conns), shard, self.handle),
                 )
                 proc.start()
                 self.procs.append(proc)
@@ -260,58 +278,53 @@ class _ShardPool:
         except BaseException:
             self.close(abort=True)
             raise
+        return self
 
-    def _receive(self, index: int):
+    def _receive(self, index: int) -> tuple[list, Exception | None]:
         try:
-            kind, payload = self.conns[index].recv()
+            return self.conns[index].recv()
         except EOFError:
             raise RuntimeError(f"client shard {index + 1} exited unexpectedly") from None
-        if kind == "error":
-            raise payload
-        return payload
 
-    def ask(self, message, first) -> list:
-        """handle(shard, message) for every shard in shard order: `first`,
-        the shard this process holds, answered here while the children
-        answer for theirs."""
+    def ask(self, message) -> list:
+        """handle(item, message) for every item in item order: the children
+        answer for their shards while this process answers for shard 0."""
         for conn in self.conns:
             conn.send(message)
-        return [self.handle(first, message), *map(self._receive, range(len(self.conns)))]
+        replies = [
+            _answer(self.handle, self.shards[0], message),
+            *map(self._receive, range(len(self.conns))),
+        ]
+        answers = []
+        for i in range(self.n_items):
+            done, failure = replies[i % self.k]
+            if i // self.k == len(done):
+                raise failure
+            answers.append(done[i // self.k])
+        return answers
 
     def close(self, *, abort: bool) -> None:
-        for conn in self.conns:
-            conn.close()
-        for proc in self.procs:
-            if abort:
-                proc.terminate()
-            proc.join()
-            proc.close()
-
-    def __enter__(self) -> "_ShardPool":
-        return self
+        # the BLAS count comes back after the last join
+        with self.held:
+            for conn in self.conns:
+                conn.close()
+            for proc in self.procs:
+                if abort:
+                    proc.terminate()
+                proc.join()
+                proc.close()
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close(abort=exc_type is not None)
 
 
-def _local_or_state(config, local, shard, global_params) -> list:
-    """A round's local models of the shard's clients, or, for None, the
-    clients' state."""
+def _client_step(config, local, client, global_params):
+    """The client's local model for a round, or, for None, what rounds can
+    change in it, in one pickle, so that each stream keeps sharing its
+    generator."""
     if global_params is None:
-        return [_client_state(c) for c in shard]
-    return [local(c, global_params, config) for c in shard]
-
-
-def _map_shard(fn, shard, _message) -> tuple[list, Exception | None]:
-    """fn of the shard's items in order, up to the first that raises: the
-    results before it and that item's exception, None if none raised."""
-    done = []
-    for item in shard:
-        try:
-            done.append(fn(item))
-        except Exception as exc:
-            return done, _portable(exc)
-    return done, None
+        return client.params, client.ala_weights, client._streams, client._generators
+    return local(client, global_params, config)
 
 
 @functools.lru_cache(maxsize=None)
@@ -374,14 +387,6 @@ def _one_blas_thread():
             put(count)
 
 
-def _shard_count(max_workers: int, n_clients: int) -> int:
-    if max_workers < 1:
-        raise ValueError("max_workers must be at least 1")
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return 1
-    return min(max_workers, n_clients)
-
-
 # local is positional-or-keyword so that its default lives in __defaults__,
 # where bench/tracing.py swaps in its timing wrapper.
 def run_fedavg(
@@ -403,19 +408,15 @@ def run_fedavg(
     """
     if len(clients) == 0:
         raise ValueError("need at least one client")
-    k = _shard_count(max_workers, len(clients))
     global_params = start
     sizes = [c.size for c in clients]
     ids = [c.client_id for c in clients]
-    shards = [list(clients[j::k]) for j in range(k)]
     history: list[RoundRecord] = []
-    handle = functools.partial(_local_or_state, config, local)
-    with _one_blas_thread(), _ShardPool(shards[1:], handle) as pool:
+    step = functools.partial(_client_step, config, local)
+    with _ShardPool(clients, max_workers, step) as pool:
         for r in range(config.global_rounds):
             began = time.perf_counter()
-            local_params: list = [None] * len(clients)
-            for j, trained in enumerate(pool.ask(global_params, shards[0])):
-                local_params[j::k] = trained
+            local_params = pool.ask(global_params)
             global_params = aggregate(local_params, sizes, round_index=r, client_ids=ids)
             history.append(
                 RoundRecord(
@@ -425,9 +426,8 @@ def run_fedavg(
                 )
             )
         # the children's clients end as a serial run leaves them
-        for shard, states in zip(shards, pool.ask(None, shards[0])):
-            for client, state in zip(shard, states):
-                client.params, client.ala_weights, client._streams, client._generators = state
+        for client, state in zip(clients, pool.ask(None)):
+            client.params, client.ala_weights, client._streams, client._generators = state
     return global_params, history
 
 
@@ -440,16 +440,8 @@ def map_shards(
     Shard 0 runs in the calling process and the others each in a forked
     child, which needs nothing pickled but the results. Each shard stops at
     its first failing item, and the failure of the lowest-numbered item is
-    raised, so max_workers changes neither the results nor the error.
+    raised, so max_workers changes neither the results nor the error. No
+    items give [] and start no child.
     """
-    k = _shard_count(max_workers, len(items))
-    shards = [list(items[j::k]) for j in range(k)]
-    with _one_blas_thread(), _ShardPool(shards[1:], functools.partial(_map_shard, fn)) as pool:
-        replies = pool.ask(None, shards[0])
-    results = []
-    for i in range(len(items)):
-        done, failure = replies[i % k]
-        if i // k == len(done):
-            raise failure
-        results.append(done[i // k])
-    return results
+    with _ShardPool(items, max_workers, lambda item, _message: fn(item)) as pool:
+        return pool.ask(None)

@@ -252,14 +252,15 @@ def learn_ala_weights(
     config: TrainConfig,
     *,
     weights: AlaWeights | None = None,
-    max_updates: int | None = None,
 ) -> AlaWeights:
     """Gradient descent on the blending weights, model parameters frozen.
 
     Works on a seeded subsample of ala_data_fraction percent of the train
-    split. Stops when the std of the last ala_window losses drops below
-    ala_convergence_tol, or at the update cap. Weights are clipped to
-    [0, 1] after every update.
+    split. Starting from ones (weights None), a full pass stops when the
+    std of the last ala_window losses drops below ala_convergence_tol, or
+    after ala_update_cap updates; given weights get one refresh update,
+    as FedALA schedules them. Weights are clipped to [0, 1] after every
+    update.
 
     The layers below the blend are the global model's in every update,
     so the subsample goes through them once; each update then blends
@@ -283,7 +284,7 @@ def learn_ala_weights(
     spread = global_params.flat[top:] - local_prev.flat[top:]
     grad = np.empty_like(w.flat)
     grads = layer_views(grad, w.layer_dims)
-    cap = config.ala_update_cap if max_updates is None else max_updates
+    cap = config.ala_update_cap if weights is None else 1
     losses: list[float] = []
     for _ in range(cap):
         blended = layer_views(_blended_tail(local_prev, global_params, w), w.layer_dims)
@@ -308,10 +309,8 @@ def _ala_round(
     into the client's previous one, or from the global model in its first round."""
     start = global_params
     if client.params is not None:
-        cap = None if client.ala_weights is None else 1  # a full pass the first time
         client.ala_weights = learn_ala_weights(
-            client, global_params, client.params, config,
-            weights=client.ala_weights, max_updates=cap,
+            client, global_params, client.params, config, weights=client.ala_weights
         )
         start = ala_init(client.params, global_params, client.ala_weights)
     return local_round(client, start, config)

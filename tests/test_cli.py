@@ -3,7 +3,6 @@
 import contextlib
 import io
 import json
-import multiprocessing
 import os
 import re
 import tempfile
@@ -340,14 +339,14 @@ def set_cpus(monkeypatch, cpus):
 
 
 def spy_shard_counts(monkeypatch):
-    """The shard count of every run_fedavg call, read where its pool starts."""
+    """The shard count of every pool, read once it is built."""
     counts = []
     real = federation._ShardPool
 
     class Spy(real):
-        def __init__(self, shards, *args):
-            counts.append(len(shards) + 1)  # shard 0 trains in the calling process
-            super().__init__(shards, *args)
+        def __init__(self, *args):
+            super().__init__(*args)
+            counts.append(self.k)
 
     monkeypatch.setattr(federation, "_ShardPool", Spy)
     return counts
@@ -1101,7 +1100,6 @@ class TestErrors:
         assert stdout == ""
         assert err.splitlines() == ["fedsln: [explain] seed 1: classroom 1: scoring failed"]
         assert not (tmp_path / "run").exists()
-        assert multiprocessing.active_children() == []
 
     def test_generate_needs_synthetic(self, config_path, tmp_path, capsys):
         code, _, stderr = run_cli(

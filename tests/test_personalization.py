@@ -93,7 +93,7 @@ def reference_meta_round(client, global_params, config):
     return params
 
 
-def reference_learn_ala_weights(client, global_params, local_prev, config, *, weights=None, max_updates=None):
+def reference_learn_ala_weights(client, global_params, local_prev, config, *, weights=None):
     """The full-depth learner: every update blends a whole model and takes
     its gradient through every layer."""
     p = weights.n_layers if weights is not None else config.ala_top_layers
@@ -108,7 +108,7 @@ def reference_learn_ala_weights(client, global_params, local_prev, config, *, we
     spread = global_params.flat[top:] - local_prev.flat[top:]
     grad = np.empty_like(global_params.flat)
     grads = layer_views(grad, global_params.layer_dims)
-    cap = config.ala_update_cap if max_updates is None else max_updates
+    cap = config.ala_update_cap if weights is None else 1
     losses = []
     for _ in range(cap):
         blended = ala_init(local_prev, global_params, w)
@@ -446,13 +446,12 @@ class TestLearnAlaWeights:
     @given(
         hidden=st.lists(st.integers(1, 6), min_size=0, max_size=3),
         top_pick=st.integers(0, 3),
-        max_updates=st.sampled_from([1, None]),
         start=st.sampled_from(["ones", "drawn"]),
         fraction=st.sampled_from([5.0, 50.0, 100.0]),
         seed=st.integers(0, 2**16),
     )
     def test_tail_learner_matches_the_full_depth_learner(
-        self, hidden, top_pick, max_updates, start, fraction, seed
+        self, hidden, top_pick, start, fraction, seed
     ):
         rng = derive_rng(seed, "ala-ref")
         dims = (6, *hidden)
@@ -472,12 +471,10 @@ class TestLearnAlaWeights:
             ala_update_cap=12,
         )
         got = learn_ala_weights(
-            view_clients(1, seed=seed % 50)[0], glob, prev, cfg,
-            weights=weights, max_updates=max_updates,
+            view_clients(1, seed=seed % 50)[0], glob, prev, cfg, weights=weights
         )
         want = reference_learn_ala_weights(
-            view_clients(1, seed=seed % 50)[0], glob, prev, cfg,
-            weights=weights, max_updates=max_updates,
+            view_clients(1, seed=seed % 50)[0], glob, prev, cfg, weights=weights
         )
         assert got.layer_dims == want.layer_dims == glob.layer_dims[len(dims) - top_layers :]
         assert got.flat.tobytes() == want.flat.tobytes()
