@@ -25,15 +25,24 @@ across seeds (RunReport.classroom_metrics; fairness spreads use the
 per-classroom rates averaged over seeds), and the models group from each
 outcome's models and blend weights.
 
-The centralized regime is FedAvg with one client and one round: the
-pooled training data form a single pseudo-client with id 0 that uses
-the standard stream derivations, and its one round takes as many SGD
-steps as its epochs need. Every method thus trains through
-federation.run_fedavg, from the one start model run_method derives from
-the seed, and reports a round history (one record for centralized).
+run_method is the method table. Every method but fedavg_ft is one
+federation.run_fedavg call from the one start model run_method derives
+from the seed; the methods differ in the local step handed to it:
+_ala_round for fedala, _meta_round for perfedavg_hf, and local_round
+for fedavg and centralized. The centralized regime is FedAvg with one
+client and one round: the pooled training data form a single
+pseudo-client with id 0 that uses the standard stream derivations, and
+its one round takes as many SGD steps as its epochs need. fedavg_ft
+trains no rounds; it borrows the fedavg outcome's global model and round
+history. Every method thus reports a round history (one record for
+centralized).
 
-run_method picks once, per classroom, the model that serves it and the
-standardizer its features go through (see MethodOutcome); scoring,
+run_method alone picks, per classroom, the model that serves it and the
+standardizer its features go through (see MethodOutcome). The global
+model serves every classroom under centralized and fedavg; under fedala
+each classroom gets its client's last local model, or the global model
+if that client never trained; under perfedavg_hf and fedavg_ft each gets
+personalization.fine_tune of the global model on its client. Scoring,
 Shapley explanations and checkpoints all read those two tables.
 """
 
@@ -68,7 +77,7 @@ from .features import (
     examples_to_csv,
     to_arrays,
 )
-from .federation import RoundRecord, make_clients, map_shards, run_fedavg
+from .federation import RoundRecord, local_round, make_clients, map_shards, run_fedavg
 from .graphs import (
     SlnGraph,
     generate_synthetic,
@@ -87,12 +96,7 @@ from .neural import (
     init_params,
     save_checkpoint,
 )
-from .personalization import (
-    ala_weights_to_csv,
-    fine_tune_all,
-    run_fedala,
-    run_perfedavg_hf,
-)
+from .personalization import _ala_round, _meta_round, ala_weights_to_csv, fine_tune
 from .rng import derive_rng, derive_seed
 
 __all__ = [
@@ -371,24 +375,30 @@ def run_method(
         )
         standardizers = {d.client_id: d.standardizer for d in datasets}
 
+    if method == "fedavg_ft":
+        global_params, history = fedavg.models[min(fedavg.models)], fedavg.history
+    else:
+        # built per call, so a rebinding of a hook's module-level name (a
+        # tracer's wrapper, a test's spy) is the hook that runs
+        local = {"fedala": _ala_round, "perfedavg_hf": _meta_round}.get(method, local_round)
+        global_params, history = run_fedavg(
+            clients, tcfg, start, local=local, max_workers=max_workers
+        )
     if method in ("centralized", "fedavg"):
-        global_params, history = run_fedavg(clients, tcfg, start, max_workers=max_workers)
         # aggregate has checked every model that went into the global one
         models = {d.client_id: global_params for d in datasets}
-        training = "pooled" if method == "centralized" else "federated"
+    elif method == "fedala":
+        # a client that never trained (zero rounds) is served the global model
+        models = {
+            c.client_id: global_params if c.params is None else c.params for c in clients
+        }
     else:
-        if method == "fedavg_ft":
-            global_params = fedavg.models[min(fedavg.models)]
-            models = fine_tune_all(global_params, clients, tcfg)
-            history = fedavg.history
-        elif method == "perfedavg_hf":
-            models, history = run_perfedavg_hf(clients, tcfg, start, max_workers=max_workers)
-        else:
-            models, history = run_fedala(clients, tcfg, start, max_workers=max_workers)
+        models = {c.client_id: fine_tune(global_params, c, tcfg) for c in clients}
+    training = {"centralized": "pooled", "fedavg": "federated"}.get(method, "personalized")
+    if training == "personalized":
         # every personalized model is checked before any model is scored
         for cid, params in sorted(models.items()):
             check_finite(params, f"client {cid}'s personalized model")
-        training = "personalized"
     reports = {}
     for d in datasets:
         x = standardizers[d.client_id].transform(d.raw_test_x)

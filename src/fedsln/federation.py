@@ -169,6 +169,8 @@ def aggregate(
         raise ValueError("one size per parameter structure required")
     if any(s <= 0 for s in sizes):
         raise ValueError("aggregation sizes must be positive")
+    if client_ids is not None and len(client_ids) != len(local_params):
+        raise ValueError("one client id per parameter structure required")
     dims = local_params[0].layer_dims
     ids = range(len(local_params)) if client_ids is None else client_ids
     where = "" if round_index is None else f"round {round_index}: "

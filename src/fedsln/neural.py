@@ -532,6 +532,8 @@ def epochs_to_steps(n: int, batch_size: int, epochs: int) -> int:
     """SGD steps needed for `epochs` full passes under the epoch stream."""
     if n < 1:
         raise ValueError("empty dataset")
+    if batch_size < 1:
+        raise ValueError("batch_size must be positive")
     per_epoch = -(-n // min(batch_size, n))
     return per_epoch * epochs
 

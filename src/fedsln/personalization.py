@@ -1,46 +1,43 @@
-"""Per-client adaptation on top of the shared federated model.
+"""Per-client steps on top of the shared federated model.
 
-Post-hoc fine-tuning is one step, fine_tune_all: exactly one seeded pass
-over each client's train split, starting from a given global model. It
-owns no rounds: experiment.run_method applies it to the seed's fedavg
-model for fedavg_ft, and run_perfedavg_hf applies it after its rounds.
-The two strategies with rounds of their own run federation.run_fedavg,
-the one round loop, and differ only in the local step they hand it:
+This module holds client steps only. experiment.run_method is the method
+table: it hands each method's local step to federation.run_fedavg, the
+one round loop, and picks the model that serves each classroom.
 
-* Hessian-free per-client meta-learning: the local step is
-  _meta_round, which starts from the global model; each meta-step
-  consumes one batch from each of three parallel client streams (meta,
-  update, hessian) and approximates the Hessian-vector term with a
-  central difference; the one-pass fine-tune follows. _meta_round runs
+* fine_tune is post-hoc personalization: exactly one seeded pass over a
+  client's train split from a given global model. run_method serves its
+  result for fedavg_ft (from the seed's fedavg model) and for
+  perfedavg_hf (from the meta-learned global model).
+* _meta_round is the Hessian-free meta-learning local step. It starts
+  from the global model; each meta-step consumes one batch from each of
+  three parallel client streams (meta, update, hessian) and approximates
+  the Hessian-vector term with a central difference. It runs
   perfedavg_hf_step's arithmetic in place, in buffers allocated once per
-  round, and gives its bits;
-* adaptive local aggregation: the local step is _ala_round, which blends
-  the top layers of the incoming global model elementwise with the
-  client's previous local model through learnable weights in [0, 1],
-  then runs federation.local_round from the blend. The layers below the
-  blend are the global model's throughout one learn_ala_weights call, so
-  the learner runs its subsample through them once and then takes each
-  update's loss and gradient over the blended layers alone, with the
-  bits of a full-depth pass.
+  round, and gives its bits.
+* _ala_round is the adaptive local aggregation step. It blends the top
+  layers of the incoming global model elementwise with the client's
+  previous local model through learnable weights in [0, 1], then runs
+  federation.local_round from the blend. fedala serves each client its
+  last local model. The layers below the blend are the global model's
+  throughout one learn_ala_weights call, so the learner runs its
+  subsample through them once and then takes each update's loss and
+  gradient over the blended layers alone, with the bits of a full-depth
+  pass. The blend weights, AlaWeights, are a ModelParams laid out as the
+  top layers they blend.
 
-Each returns the per-client models and the round history; scoring the
-models, and warning of a batch size clamped to a split, is
-experiment.run_method's job. The blend weights, AlaWeights, are a
-ModelParams laid out as the top layers they blend.
-
-Keeping the update batch on its own stream means the meta path with
-alpha = 0 consumes batches exactly like plain FedAvg, so its rounds
-give run_fedavg's global model bit for bit under shared seeds, and its
-models are that model's fine_tune_all.
+Keeping the update batch on its own stream means the meta step with
+alpha = 0 consumes batches exactly like plain FedAvg, so its rounds give
+local_round's global model bit for bit under shared seeds, and its served
+models are that model's fine_tune.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .federation import ClientState, RoundRecord, local_round, run_fedavg
+from .federation import ClientState, local_round
 from .neural import (
     BatchStream,
     ModelParams,
@@ -62,16 +59,12 @@ __all__ = [
     "ala_init",
     "ala_weights_to_csv",
     "fine_tune",
-    "fine_tune_all",
     "learn_ala_weights",
     "perfedavg_hf_step",
-    "run_fedala",
-    "run_perfedavg_hf",
 ]
 
 Batch = tuple[np.ndarray, np.ndarray]
 GradFn = Callable[[ModelParams, np.ndarray, np.ndarray], ModelParams]
-Personalized = tuple[dict[int, ModelParams], list[RoundRecord]]
 
 
 def fine_tune(global_params: ModelParams, client: ClientState, config: TrainConfig) -> ModelParams:
@@ -85,16 +78,6 @@ def fine_tune(global_params: ModelParams, client: ClientState, config: TrainConf
     stream = BatchStream(client.size, config.batch_size, rng)
     steps = epochs_to_steps(client.size, config.batch_size, 1)
     return train_steps(global_params, client.train_x, client.train_y, config, stream, steps)
-
-
-def fine_tune_all(
-    global_params: ModelParams, clients: Sequence[ClientState], config: TrainConfig
-) -> dict[int, ModelParams]:
-    """Post-hoc personalization: fine_tune the global model on every client.
-
-    Returns each client's model by client id.
-    """
-    return {c.client_id: fine_tune(global_params, c, config) for c in clients}
 
 
 def perfedavg_hf_step(
@@ -170,20 +153,6 @@ def _meta_round(
             w -= d
     client.params = ModelParams(w, dims)
     return client.params
-
-
-def run_perfedavg_hf(
-    clients: Sequence[ClientState],
-    config: TrainConfig,
-    start: ModelParams,
-    *,
-    max_workers: int = 1,
-) -> Personalized:
-    """Federated meta-learning rounds from `start`, then one fine-tune epoch each."""
-    global_params, history = run_fedavg(
-        clients, config, start, local=_meta_round, max_workers=max_workers
-    )
-    return fine_tune_all(global_params, clients, config), history
 
 
 class AlaWeights(ModelParams):
@@ -314,28 +283,6 @@ def _ala_round(
         )
         start = ala_init(client.params, global_params, client.ala_weights)
     return local_round(client, start, config)
-
-
-def run_fedala(
-    clients: Sequence[ClientState],
-    config: TrainConfig,
-    start: ModelParams,
-    *,
-    max_workers: int = 1,
-) -> Personalized:
-    """Adaptive-blend federated rounds from `start`; clients keep their last local state.
-
-    Blending weights get a full learning pass the first time a client
-    blends and a single refresh update in every later round. A client
-    that never trained (zero rounds) is served the global model, which
-    is then `start`, as in FedAvg.
-    """
-    global_params, history = run_fedavg(
-        clients, config, start, local=_ala_round, max_workers=max_workers
-    )
-    return {
-        c.client_id: global_params if c.params is None else c.params for c in clients
-    }, history
 
 
 def ala_weights_to_csv(weights: AlaWeights) -> str:

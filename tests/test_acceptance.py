@@ -38,12 +38,12 @@ from fedsln.neural import (
 )
 from fedsln.personalization import (
     AlaWeights,
+    _ala_round,
+    _meta_round,
     ala_init,
     learn_ala_weights,
     perfedavg_hf_step,
     fine_tune,
-    run_fedala,
-    run_perfedavg_hf,
 )
 from fedsln.rng import derive_rng
 
@@ -252,7 +252,7 @@ def test_criterion_05_fedala_reductions(capsys):
         learning_rate=0.05, batch_size=8, local_steps=6, global_rounds=4,
         ala_top_layers=3, ala_weight_lr=0.0,
     )
-    _ala, ala_hist = run_fedala(toy_clients(2, seed=5), cfg, start_model(5))
+    _ala, ala_hist = run_fedavg(toy_clients(2, seed=5), cfg, start_model(5), local=_ala_round)
     _fed, hist = run_fedavg(toy_clients(2, seed=5), cfg, start_model(5))
     trajectory_ok = [r.checksum for r in ala_hist] == [r.checksum for r in hist]
 
@@ -335,7 +335,9 @@ def test_criterion_06_perfedavg_hf(capsys):
         learning_rate=0.05, batch_size=8, local_steps=6, global_rounds=3,
         meta_inner=0.0,
     )
-    meta, meta_hist = run_perfedavg_hf(toy_clients(2, seed=2), cfg, start_model(2))
+    meta_clients = toy_clients(2, seed=2)
+    meta_global, meta_hist = run_fedavg(meta_clients, cfg, start_model(2), local=_meta_round)
+    meta = {c.client_id: fine_tune(meta_global, c, cfg) for c in meta_clients}
     # fedavg_ft: plain FedAvg rounds, then one fine-tune pass per client
     global_params, ft_hist = run_fedavg(toy_clients(2, seed=2), cfg, start_model(2))
     ft = {c.client_id: fine_tune(global_params, c, cfg) for c in toy_clients(2, seed=2)}

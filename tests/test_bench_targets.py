@@ -64,7 +64,7 @@ def test_tracer_times_the_fedala_local_step_and_its_synchronize():
     tracer = load_bench("tracing").Tracer()
     tracer.install()
     try:
-        personalization.run_fedala(clients, cfg, start)
+        federation.run_fedavg(clients, cfg, start, local=personalization._ala_round)
     finally:
         tracer.uninstall()
     names = [tracer.names[index] for index, *_ in tracer.spans]
@@ -72,6 +72,49 @@ def test_tracer_times_the_fedala_local_step_and_its_synchronize():
     syncs = [span for span in tracer.spans if tracer.names[span[0]] == "federation.synchronize"]
     assert len(syncs) == 2 * 3
     assert all(names[parent] == "federation.local_round" for *_, parent in syncs)
+
+
+def two_classrooms(methods, seeds, *, rounds):
+    """A raw config of two small synthetic classrooms; every regime with
+    rounds runs `rounds` of them."""
+    return {
+        "experiment": {"methods": methods, "seeds": seeds},
+        "model": {"hidden_sizes": "4"},
+        "data": {
+            "source": "synthetic",
+            "nodes": "40,50",
+            "communities": "2,3",
+            "intra_p": "0.4,0.35",
+            "inter_p": "0.06,0.04",
+        },
+        "split": {"negatives_per_positive": "2.0"},
+        "centralized": {"epochs": "1"},
+        **{
+            m: {"global_rounds": str(rounds), "local_steps": "2"}
+            for m in ("fedavg", "perfedavg_hf", "fedala")
+        },
+    }
+
+
+def test_tracer_times_the_local_step_of_every_method():
+    # run_method picks each method's hook when it is called, so the
+    # tracer's wrapper of local_round is what fedavg and centralized run,
+    # as fedala's _ala_round does
+    cfg = build_experiment_config(two_classrooms("centralized,fedavg,fedala", "1", rounds=2))
+    datasets = experiment.build_client_datasets(cfg, 1)
+    tracer = load_bench("tracing").Tracer()
+    tracer.install()
+    counts = {}
+    try:
+        for method in ("fedavg", "centralized", "fedala"):
+            before = len(tracer.spans)
+            experiment.run_method(method, datasets, cfg, 1)
+            names = [tracer.names[index] for index, *_ in tracer.spans[before:]]
+            counts[method] = names.count("federation.local_round")
+    finally:
+        tracer.uninstall()
+    # rounds x clients: centralized is one round of one pooled client
+    assert counts == {"fedavg": 2 * 2, "centralized": 1 * 1, "fedala": 2 * 2}
 
 
 def test_all_training_happens_inside_one_timed_run_method(monkeypatch):
@@ -99,31 +142,10 @@ def test_all_training_happens_inside_one_timed_run_method(monkeypatch):
 
         return wrapper
 
-    fedavg_spy = spy("run_fedavg", experiment.run_fedavg)
     monkeypatch.setattr(experiment, "run_method", timed_run)
-    monkeypatch.setattr(experiment, "run_fedavg", fedavg_spy)
-    monkeypatch.setattr(personalization, "run_fedavg", fedavg_spy)
-    monkeypatch.setattr(personalization, "fine_tune", spy("fine_tune", personalization.fine_tune))
-    raw = {
-        "experiment": {
-            "methods": "fedavg_ft,centralized,fedavg,perfedavg_hf,fedala",
-            "seeds": "1,2",
-        },
-        "model": {"hidden_sizes": "4"},
-        "data": {
-            "source": "synthetic",
-            "nodes": "40,50",
-            "communities": "2,3",
-            "intra_p": "0.4,0.35",
-            "inter_p": "0.06,0.04",
-        },
-        "split": {"negatives_per_positive": "2.0"},
-        "centralized": {"epochs": "1"},
-        **{
-            m: {"global_rounds": "1", "local_steps": "2"}
-            for m in ("fedavg", "perfedavg_hf", "fedala")
-        },
-    }
+    monkeypatch.setattr(experiment, "run_fedavg", spy("run_fedavg", experiment.run_fedavg))
+    monkeypatch.setattr(experiment, "fine_tune", spy("fine_tune", experiment.fine_tune))
+    raw = two_classrooms("fedavg_ft,centralized,fedavg,perfedavg_hf,fedala", "1,2", rounds=1)
     experiment.run_experiment(build_experiment_config(raw), max_workers=1)
     # per seed: four round loops (fedavg_ft reuses fedavg's), and one
     # fine-tune per classroom for fedavg_ft and for perfedavg_hf

@@ -24,6 +24,7 @@ from fedsln.experiment import (
     run_method,
 )
 from fedsln.features import N_FEATURES, StandardizedRows
+from fedsln.federation import run_fedavg
 from fedsln.neural import (
     BatchStream,
     NonFiniteParamsError,
@@ -34,7 +35,7 @@ from fedsln.neural import (
     params_checksum,
     train_steps,
 )
-from fedsln.personalization import fine_tune
+from fedsln.personalization import _ala_round, _meta_round, fine_tune
 from fedsln.rng import derive_rng
 
 SPEED = {
@@ -273,6 +274,33 @@ class TestRunMethod:
             for d in datasets:
                 assert out.standardizers[d.client_id] is d.standardizer
 
+    @pytest.mark.parametrize("method", ["perfedavg_hf", "fedala"])
+    def test_serves_the_rounds_of_its_hook(self, cfg, datasets, method):
+        # perfedavg_hf serves each classroom the fine-tune of the global
+        # model of its rounds, fedala its client's last local model
+        tcfg = cfg.train[method]
+        clients = experiment.make_clients(
+            [(StandardizedRows(d.raw_train_x, d.standardizer), d.train_y) for d in datasets], 1
+        )
+        start = init_params(derive_rng(1, "init"), cfg.hidden_sizes, N_FEATURES)
+        hook = _meta_round if method == "perfedavg_hf" else _ala_round
+        global_params, history = run_fedavg(clients, tcfg, start, local=hook)
+        out = run_method(method, datasets, cfg, seed=1)
+        for client in clients:
+            want = fine_tune(global_params, client, tcfg) if hook is _meta_round else client.params
+            assert out.models[client.client_id].flat.tobytes() == want.flat.tobytes()
+        assert [r.checksum for r in out.history] == [r.checksum for r in history]
+
+    def test_fedala_without_rounds_serves_the_start_model(self, datasets):
+        cfg = make_cfg(fedala={"global_rounds": "0"})
+        out = run_method("fedala", datasets, cfg, seed=1)
+        start = init_params(derive_rng(1, "init"), cfg.hidden_sizes, N_FEATURES)
+        assert sorted(out.models) == [0, 1]
+        for model in out.models.values():
+            assert model.flat.tobytes() == start.flat.tobytes()
+        assert out.history == [] and out.ala_weights == {}
+        assert experiment._blend_weight_files(out) == []
+
     @pytest.mark.parametrize(
         "method", ["centralized", "fedavg", "fedavg_ft", "perfedavg_hf", "fedala"]
     )
@@ -292,8 +320,7 @@ class TestRunMethod:
             return real_fine_tune(global_params, client, *args, **kwargs)
 
         monkeypatch.setattr(experiment, "run_fedavg", spy_fedavg)
-        monkeypatch.setattr("fedsln.personalization.run_fedavg", spy_fedavg)
-        monkeypatch.setattr("fedsln.personalization.fine_tune", spy_fine_tune)
+        monkeypatch.setattr(experiment, "fine_tune", spy_fine_tune)
         fedavg = run_method("fedavg", datasets, cfg, seed=1) if method == "fedavg_ft" else None
         out = run_method(method, datasets, cfg, seed=1, fedavg=fedavg)
         assert trained

@@ -128,6 +128,16 @@ class TestAggregate:
         with pytest.raises(NonFiniteParamsError, match=r"^round 4: client 7 has non-finite"):
             aggregate([bad, const_model(1.0)], [1, 1], round_index=4, client_ids=[7, 8])
 
+    @pytest.mark.parametrize("n_ids", [0, 1, 3])
+    def test_one_client_id_per_model(self, n_ids):
+        # a short id list must not leave the models past its end unchecked
+        ok, nan = const_model(1.0), const_model(np.nan)
+        ids = list(range(7, 7 + n_ids))
+        with pytest.raises(ValueError, match="^one client id per parameter structure required$"):
+            aggregate([ok, nan], [1, 1], round_index=0, client_ids=ids)
+        with pytest.raises(ValueError, match="^one client id per parameter structure required$"):
+            aggregate([ok, const_model(1.0, dims=(3, 1))], [1, 1], client_ids=ids)
+
     def test_run_fedavg_names_the_diverged_round_and_client(self):
         cfg = TrainConfig(learning_rate=1e200, batch_size=8, local_steps=3, global_rounds=3)
         with pytest.raises(NonFiniteParamsError, match=r"^round \d+: client \d+ has non-finite"):

@@ -30,7 +30,6 @@ from pathlib import Path
 import pytest
 
 import fedsln.experiment as experiment
-import fedsln.personalization as personalization
 from fedsln.cli import main
 from fedsln.config import config_to_manifest, load_config
 
@@ -247,7 +246,6 @@ def test_fedavg_rounds_run_once_per_seed(tmp_path, monkeypatch, methods):
         return real(clients, config, start, **kwargs)
 
     monkeypatch.setattr(experiment, "run_fedavg", spy)
-    monkeypatch.setattr(personalization, "run_fedavg", spy)
     ini = tmp_path / "exp.ini"
     ini.write_text(CONFIG_TEXT.replace(METHODS_LINE, f"methods = {methods}"))
     experiment.run_experiment(load_config(ini), max_workers=1)

@@ -366,6 +366,9 @@ class TestTrainSteps:
         assert epochs_to_steps(256, 256, 2) == 2
         with pytest.raises(ValueError):
             epochs_to_steps(0, 3, 1)
+        for batch_size in (0, -2):
+            with pytest.raises(ValueError, match="^batch_size must be positive$"):
+                epochs_to_steps(10, batch_size, 1)
 
 
 class TestAuc:

@@ -40,8 +40,6 @@ from fedsln.personalization import (
     fine_tune,
     learn_ala_weights,
     perfedavg_hf_step,
-    run_fedala,
-    run_perfedavg_hf,
 )
 from fedsln.rng import derive_rng
 
@@ -255,7 +253,10 @@ class TestPerFedAvg:
         cfg = TrainConfig(
             learning_rate=0.05, batch_size=8, local_steps=6, global_rounds=3, meta_inner=0.0
         )
-        meta, meta_hist = run_perfedavg_hf(toy_clients(2, seed=2), cfg, start_model(2))
+        clients = toy_clients(2, seed=2)
+        meta_global, meta_hist = run_fedavg(clients, cfg, start_model(2), local=_meta_round)
+        # perfedavg_hf serves each client the fine-tune of its meta-learned global model
+        meta = {c.client_id: fine_tune(meta_global, c, cfg) for c in clients}
         # fedavg_ft: plain FedAvg rounds, then one fine-tune pass per client
         global_params, fed_hist = run_fedavg(toy_clients(2, seed=2), cfg, start_model(2))
         ft = {c.client_id: fine_tune(global_params, c, cfg) for c in toy_clients(2, seed=2)}
@@ -268,25 +269,24 @@ class TestPerFedAvg:
         clients = toy_clients(2, seed=11)
         cfg = TrainConfig(learning_rate=0.05, batch_size=8, local_steps=10, global_rounds=5)
         initial = start_model(11)
-        client_params, _ = run_perfedavg_hf(clients, cfg, initial)
+        global_params, _ = run_fedavg(clients, cfg, initial, local=_meta_round)
         x, y = clients[0].train_x, clients[0].train_y
-        assert mean_loss(client_params[0], x, y) < mean_loss(initial, x, y)
+        served = fine_tune(global_params, clients[0], cfg)
+        assert mean_loss(served, x, y) < mean_loss(initial, x, y)
 
     def test_reproducible(self):
         cfg = TrainConfig(learning_rate=0.05, batch_size=8, local_steps=4, global_rounds=2)
-        a, _ = run_perfedavg_hf(toy_clients(2, seed=3), cfg, start_model(3))
-        b, _ = run_perfedavg_hf(toy_clients(2, seed=3), cfg, start_model(3))
-        for cid in a:
-            assert params_checksum(a[cid]) == params_checksum(b[cid])
+        a, _ = run_fedavg(toy_clients(2, seed=3), cfg, start_model(3), local=_meta_round)
+        b, _ = run_fedavg(toy_clients(2, seed=3), cfg, start_model(3), local=_meta_round)
+        assert params_checksum(a) == params_checksum(b)
 
     def test_threaded_matches_sequential(self):
         cfg = TrainConfig(learning_rate=0.05, batch_size=8, local_steps=4, global_rounds=2)
-        seq, seq_hist = run_perfedavg_hf(toy_clients(3, seed=6), cfg, start_model(6))
-        par, par_hist = run_perfedavg_hf(
-            toy_clients(3, seed=6), cfg, start_model(6), max_workers=3
+        seq, seq_hist = run_fedavg(toy_clients(3, seed=6), cfg, start_model(6), local=_meta_round)
+        par, par_hist = run_fedavg(
+            toy_clients(3, seed=6), cfg, start_model(6), local=_meta_round, max_workers=3
         )
-        for cid in seq:
-            assert params_checksum(seq[cid]) == params_checksum(par[cid])
+        assert params_checksum(seq) == params_checksum(par)
         assert [r.checksum for r in seq_hist] == [r.checksum for r in par_hist]
 
     @settings(derandomize=True, deadline=None, max_examples=30)
@@ -490,20 +490,19 @@ class TestRunFedala:
             ala_top_layers=3,
             ala_weight_lr=0.0,
         )
-        _, ala_hist = run_fedala(toy_clients(2, seed=5), cfg, start_model(5))
+        _, ala_hist = run_fedavg(toy_clients(2, seed=5), cfg, start_model(5), local=_ala_round)
         fed, hist = run_fedavg(toy_clients(2, seed=5), cfg, start_model(5))
         assert [r.checksum for r in ala_hist] == [r.checksum for r in hist]
 
     def test_clients_keep_local_states(self):
         clients = toy_clients(2, seed=12)
         cfg = TrainConfig(learning_rate=0.05, batch_size=8, local_steps=5, global_rounds=3)
-        client_params, history = run_fedala(clients, cfg, start_model(12))
-        # final per-client parameters are the last local states, which
-        # differ from the aggregated global of the final round
-        for cid, params in client_params.items():
-            assert params is clients[cid].params
-            assert params_checksum(params) != history[-1].checksum
-        assert params_checksum(client_params[0]) != params_checksum(client_params[1])
+        _, history = run_fedavg(clients, cfg, start_model(12), local=_ala_round)
+        # the clients' last local states differ from the aggregated global
+        # of the final round
+        for client in clients:
+            assert params_checksum(client.params) != history[-1].checksum
+        assert params_checksum(clients[0].params) != params_checksum(clients[1].params)
         assert clients[0].ala_weights is not None
 
     def test_first_round_is_local_round_from_the_global_model(self):
@@ -521,20 +520,23 @@ class TestRunFedala:
 
     def test_reproducible(self):
         cfg = TrainConfig(learning_rate=0.05, batch_size=8, local_steps=4, global_rounds=3)
-        a, _ = run_fedala(toy_clients(2, seed=1), cfg, start_model(1))
-        b, _ = run_fedala(toy_clients(2, seed=1), cfg, start_model(1))
-        for cid in a:
-            assert params_checksum(a[cid]) == params_checksum(b[cid])
+        a, b = toy_clients(2, seed=1), toy_clients(2, seed=1)
+        run_fedavg(a, cfg, start_model(1), local=_ala_round)
+        run_fedavg(b, cfg, start_model(1), local=_ala_round)
+        for ca, cb in zip(a, b):
+            assert params_checksum(ca.params) == params_checksum(cb.params)
 
     def test_threaded_matches_sequential(self):
         cfg = TrainConfig(learning_rate=0.05, batch_size=8, local_steps=4, global_rounds=3)
-        seq, seq_hist = run_fedala(toy_clients(3, seed=2), cfg, start_model(2))
+        seq, par = toy_clients(3, seed=2), toy_clients(3, seed=2)
+        _, seq_hist = run_fedavg(seq, cfg, start_model(2), local=_ala_round)
         start = start_model(2)
         before = start.flat.copy()
-        par, par_hist = run_fedala(toy_clients(3, seed=2), cfg, start, max_workers=3)
+        _, par_hist = run_fedavg(par, cfg, start, local=_ala_round, max_workers=3)
         assert start.flat.tobytes() == before.tobytes()
-        for cid in seq:
-            assert params_checksum(seq[cid]) == params_checksum(par[cid])
+        # the shards hand each client's last local state back
+        for cs, cp in zip(seq, par):
+            assert params_checksum(cs.params) == params_checksum(cp.params)
         assert [r.checksum for r in seq_hist] == [r.checksum for r in par_hist]
 
     def test_weights_csv(self):
